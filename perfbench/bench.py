@@ -74,12 +74,16 @@ class Loop:
     """Closed loop over whole rounds of the same operations, one call in flight.
 
     Only the operation call is timed; its check runs after the clock stops.
+    The host-speed kernel (pace.py) is timed before every operation, so
+    `scaled()` can bring each latency to the reference speed.
     """
 
-    def __init__(self, ops, tracer=None):
+    def __init__(self, ops, pace, tracer=None):
         self.ops = ops
+        self.pace = pace
         self.tracer = tracer
         self.latencies: list = []
+        self.spans: list = []  # (start, end) of each call
         self.attempted = 0
         self.failed = 0
         self.unexpected: list = []
@@ -93,6 +97,7 @@ class Loop:
     def round(self):
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         for op in self.ops:
+            self.pace.sample()
             if tracer is not None:
                 idx = tracer.open(f"op.{op.name}")
             start = time.perf_counter()
@@ -101,6 +106,7 @@ class Loop:
             if tracer is not None:
                 tracer.close(idx)
             self.latencies.append(dt)
+            self.spans.append((start, start + dt))
             self.attempted += 1
             ok = False
             if error is None:
@@ -122,6 +128,10 @@ class Loop:
             rounds += 1
         return rounds
 
+    def scaled(self) -> list:
+        """Latencies in call order, each at the reference speed."""
+        return [lat * float(f) for lat, f in zip(self.latencies, self.pace.scales(self.spans))]
+
     def run_traced(self, seconds: float, set_traced) -> tuple:
         """Whole rounds, traced and untraced in turn, until `seconds` have passed
         and at least one of each ran.  Returns (traced rounds, tracing overhead
@@ -141,7 +151,7 @@ class Loop:
             rounds += 1
         set_traced(False)
         n = len(self.ops)
-        lat = self.latencies[first:]
+        lat = self.scaled()[first:]
         sums = []
         for parity in (0, 1):
             rows = [lat[r * n:(r + 1) * n] for r in range(parity, rounds, 2)]
@@ -149,37 +159,41 @@ class Loop:
         return (rounds + 1) // 2, 100.0 * (sums[0] / sums[1] - 1.0)
 
 
-def import_probe() -> tuple:
-    """Fresh interpreter importing starrep: (wall seconds of the process, import seconds)."""
+def import_probe() -> float:
+    """Seconds a fresh interpreter takes to import starrep."""
     code = ("import time; t = time.perf_counter(); import starrep; "
             "print(time.perf_counter() - t)")
-    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    return time.perf_counter() - start, float(proc.stdout.strip().splitlines()[-1])
+    return float(proc.stdout.strip().splitlines()[-1])
 
 
-def timed_setup(build, tracer=None):
-    """Run the set-up SETUP_REPEATS times; each repeat is a fresh-interpreter
-    import plus `build()`.  Returns (median set-up s, median import s, last build).
+def timed_setup(build, pace, tracer=None):
+    """Run the set-up SETUP_REPEATS times; each repeat is a fresh interpreter
+    importing starrep (its process wall time) plus `build(mark)`, which calls
+    `mark()` between its parts.  Returns (median set-up s at the reference
+    speed, median import s as measured, last build).
 
     Under tracing only the last repeat is traced, so per-layer figures count
     one set-up."""
+    from pace import Stopwatch
+
     totals, imports, built = [], [], None
     for rep in range(SETUP_REPEATS):
         last = rep == SETUP_REPEATS - 1
-        wall, imp = import_probe()
+        watch = Stopwatch(pace)
+        imports.append(import_probe())
+        watch.mark()
         if tracer is not None:
             tracer.enabled = last
         built = None
-        start = time.perf_counter()
         if tracer is not None and last:
             with tracer.root("setup"):
-                built = build()
+                built = build(watch.mark)
         else:
-            built = build()
-        totals.append(wall + time.perf_counter() - start)
-        imports.append(imp)
+            built = build(watch.mark)
+        watch.mark()
+        totals.append(watch.total)
     # the benchmark's own inputs and checks stay alive for the whole run; keep
     # the cyclic collector from walking them after every few operations
     gc.collect()
@@ -188,11 +202,13 @@ def timed_setup(build, tracer=None):
 
 
 def end_to_end(loop: Loop, setup_s: float, peak_rss_mb: float) -> dict:
-    """Each operation's latency is its median over the run's rounds, which keeps
-    a stall on a shared machine from moving the figures; throughput is the
-    round's operation count over the sum of those medians."""
+    """Each operation's latency is its median over the run's rounds of the
+    latency at the reference speed, which keeps a stall or a slow spell of the
+    shared host from moving the figures; throughput is the round's operation
+    count over the sum of those medians."""
     n = len(loop.ops)
-    per_op = [statistics.median(loop.latencies[i::n]) for i in range(n)]
+    lat = loop.scaled()
+    per_op = [statistics.median(lat[i::n]) for i in range(n)]
     p90 = statistics.quantiles(per_op, n=10, method="inclusive")[8] if n > 1 else per_op[0]
     return {
         "setup_s": (setup_s, "s"),
@@ -201,6 +217,16 @@ def end_to_end(loop: Loop, setup_s: float, peak_rss_mb: float) -> dict:
         "op_p90_ms": (1000 * p90, "ms"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
+
+
+def report_pace(loop: Loop) -> None:
+    """The host's speed during the run and the unscaled median latency, on
+    standard error, for reading the scaled figures against."""
+    n = len(loop.ops)
+    raw = [statistics.median(loop.latencies[i::n]) for i in range(n)]
+    print(f"host kernel: mean {1e6 * statistics.fmean(loop.pace.took):.1f} us, "
+          f"min {1e6 * min(loop.pace.took):.1f} us; unscaled op_p50_ms "
+          f"{1000 * statistics.median(raw):.4f}", file=sys.stderr)
 
 
 def self_peak_rss_mb() -> float:

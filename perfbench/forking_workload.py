@@ -32,8 +32,9 @@ MORLEY_K = (1, 4, 16, 64)
 EPS = 1e-3
 
 
-def build(seed: int, smoke: bool = False):
-    """Planted structures and one round of operations (the set-up)."""
+def build(seed: int, smoke: bool, mark):
+    """Planted structures and one round of operations (the set-up); `mark()`
+    is called after each structure."""
     import starrep as sr
 
     rng = np.random.default_rng([seed, 0xF0CC])
@@ -47,6 +48,7 @@ def build(seed: int, smoke: bool = False):
                          if p.discrete_basis.shape[1] else None)
         algebra.block_decomposition()
         ops += _ops(name, p, s, rng, extensions)
+        mark()
     return ops
 
 

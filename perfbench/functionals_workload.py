@@ -41,7 +41,9 @@ SCALE = 1e-6
 EPS = 1e-6
 
 
-def build(seed: int, smoke: bool = False):
+def build(seed: int, smoke: bool, mark):
+    """Planted structures and one round of operations (the set-up); `mark()`
+    is called after each structure."""
     import starrep as sr
 
     rng = np.random.default_rng([seed, 0xF11C])
@@ -50,6 +52,7 @@ def build(seed: int, smoke: bool = False):
         p = Plant(blocks, discrete, rng)
         s = _structure(sr, p, name)
         ops += _ops(sr, name, p, s, rng, gns_of)
+        mark()
     # the scaled-input structure does not depend on the seed
     fixed = Plant([(1, 1), (2, 2)], [False, False], np.random.default_rng(20121129))
     return ops + _scaled_ops(sr, fixed, _structure(sr, fixed, "scaled"))

@@ -40,6 +40,9 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join(bench.SRC, "starrep", "__init__.py")):
         print(f"starrep sources not found under {bench.SRC}", file=sys.stderr)
         return 2
+    # one CPU for this process and its children, so the host-speed kernel runs
+    # where the operations run
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     sys.path.insert(0, bench.SRC)
     os.makedirs(bench.OUT, exist_ok=True)
     if args.workload == "cli":
@@ -76,16 +79,19 @@ def run_in_process(args) -> dict:
 
     module = forking_workload if args.workload == "forking" else functionals_workload
     import starrep  # noqa: F401  (the set-up's own import is timed in fresh interpreters)
+    from pace import Pace
 
+    pace = Pace()
     tracer = None
     if args.trace:
         tracer = Tracer()
         tracer.install()
-    setup_s, import_s, ops = bench.timed_setup(lambda: module.build(args.seed, args.smoke),
-                                               tracer)
-    loop = bench.Loop(ops, tracer)
+    setup_s, import_s, ops = bench.timed_setup(
+        lambda mark: module.build(args.seed, args.smoke, mark), pace, tracer)
+    loop = bench.Loop(ops, pace, tracer)
     if not args.trace:
         loop.run(args.seconds)
+        bench.report_pace(loop)
         return _result(loop, bench.end_to_end(loop, setup_s, bench.self_peak_rss_mb()))
 
     rounds, overhead = loop.run_traced(args.seconds, lambda on: setattr(tracer, "enabled", on))
@@ -98,13 +104,16 @@ def run_in_process(args) -> dict:
 
 def run_cli(args) -> dict:
     import cli_workload
+    from pace import Pace
     from spans import Aggregate, load
 
+    pace = Pace(runs=10)  # operations are whole processes, about 0.5 s each
     setup_s, import_s, (ops, runner) = bench.timed_setup(
-        lambda: cli_workload.build(args.seed, args.smoke))
-    loop = bench.Loop(ops)
+        lambda mark: cli_workload.build(args.seed, args.smoke), pace)
+    loop = bench.Loop(ops, pace)
     if not args.trace:
         loop.run(args.seconds)
+        bench.report_pace(loop)
         return _result(loop, bench.end_to_end(loop, setup_s, bench.children_peak_rss_mb()))
 
     out = _trace_dir(args)
