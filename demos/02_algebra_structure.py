@@ -3,7 +3,6 @@
 # commutants, the bicommutant identity, and Wedderburn decomposition.
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from starrep import (
     commutant,
@@ -13,6 +12,7 @@ from starrep import (
     haar_unitary,
     wedderburn_decompose,
 )
+from starrep.linalg import block_diag
 
 # one nilpotent generator is enough to produce all of M_2
 e12 = np.array([[0, 1], [0, 0]], dtype=complex)

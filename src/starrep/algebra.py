@@ -61,10 +61,10 @@ class StarAlgebra:
         self.basis = basis
         self.generators = [np.asarray(g, dtype=complex) for g in (generators or [])]
         self.tol = tol
-        self._lock = threading.Lock()
+        # reentrant: block_decomposition holds it while the decomposition calls commutant()
+        self._lock = threading.RLock()
         self._commutant = None
         self._block = None
-        self._left_mult = None
         if validate and dim > 0:
             self._validate()
 
@@ -109,11 +109,6 @@ class StarAlgebra:
         resid = fb - (fb @ qa.conj().T) @ qa
         return np.max(np.linalg.norm(resid, axis=1)) <= self.tol.eq_abs * np.sqrt(self.dim)
 
-    def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of x -> a x on the algebra, in basis coordinates."""
-        prods = np.einsum("ab,kbc->kac", np.asarray(a, dtype=complex), self.basis)
-        return np.einsum("jab,kab->jk", self.basis.conj(), prods) / max(self.dim, 1)
-
     # ----- structure (cached) ----------------------------------------------
 
     def commutant(self) -> "StarAlgebra":
@@ -122,10 +117,10 @@ class StarAlgebra:
                 self._commutant = commutant(self)
             return self._commutant
 
-    def block_decomposition(self, seed: int = 7) -> "BlockDecomposition":
+    def block_decomposition(self) -> "BlockDecomposition":
         with self._lock:
             if self._block is None:
-                self._block = wedderburn_decompose(self, seed)
+                self._block = wedderburn_decompose(self)
             return self._block
 
     # ----- validation -------------------------------------------------------
@@ -223,7 +218,7 @@ def commutant(a: StarAlgebra) -> StarAlgebra:
     eye = np.eye(n, dtype=complex)
     blocks = [np.kron(b.T, eye) - np.kron(eye, b) for b in sources]
     stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     cutoff = a.tol.rank_rel * max(s[0] if s.size else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
     null = vh[rank:].conj()
@@ -317,18 +312,6 @@ class BlockDecomposition:
         return q @ t @ q.conj().T
 
 
-def _compress_algebra(a: StarAlgebra, basis_cols: np.ndarray) -> StarAlgebra:
-    """Restrict the algebra to an invariant subspace given by orthonormal columns.
-
-    Compression along an invariant subspace is a *-homomorphism, so the
-    compressed generators still generate the compressed span.
-    """
-    d = basis_cols.shape[1]
-    comp = np.einsum("pa,kab,bq->kpq", basis_cols.conj().T, a.basis, basis_cols)
-    gens = [basis_cols.conj().T @ g @ basis_cols for g in a.generators]
-    return span_algebra(list(comp), d, a.tol, generators=gens, validate=False)
-
-
 def _cluster_eigenvalues(w: np.ndarray, tol: Tolerances):
     """Group sorted eigenvalues into clusters separated by clear gaps."""
     spread = float(w[-1] - w[0]) if w.size else 0.0
@@ -342,65 +325,16 @@ def _cluster_eigenvalues(w: np.ndarray, tol: Tolerances):
     return clusters
 
 
-def _split_irreducible(a: StarAlgebra, cols: np.ndarray, rng: np.random.Generator,
-                       depth: int, out: list):
-    """Recursively split an invariant subspace into irreducible invariant pieces."""
-    if depth > 50:
-        raise DecompositionError("recursion cap exceeded during spectral splitting")
-    sub = _compress_algebra(a, cols)
-    comm = commutant(sub)
-    if comm.size <= 1:
-        out.append(cols)
-        return
-    x = comm.random_hermitian_element(rng)
-    w, v = np.linalg.eigh(x)
-    clusters = _cluster_eigenvalues(w, a.tol)
-    if len(clusters) < 2:
-        raise DecompositionError("sampled commutant element has no spectral gap")
-    for cl in clusters:
-        piece = cols @ v[:, cl]
-        # guard: the eigenspace of a commutant element must stay invariant
-        for g in sub.basis[: min(len(sub.basis), 4)]:
-            img = cols @ (g @ v[:, cl])
-            resid = img - piece @ (piece.conj().T @ img)
-            if np.linalg.norm(resid) > 1e-6 * max(1.0, np.linalg.norm(img)):
-                raise DecompositionError("spectral cluster split a true eigenspace")
-        _split_irreducible(a, piece, rng, depth + 1, out)
-
-
-def _irrep_intertwiner(r1: np.ndarray, r2: np.ndarray, tol: Tolerances):
-    """Unitary U with U r1(b) = r2(b) U for all basis images, or None.
-
-    r1, r2: arrays (d, k, k) of compressed representations of the same
-    algebra basis.  For irreducible pieces the solution space is at most
-    one-dimensional; invertibility is decided on singular values.
-    """
-    k = r1.shape[1]
-    eye = np.eye(k, dtype=complex)
-    rows = [np.kron(r1[i].T, eye) - np.kron(eye, r2[i]) for i in range(r1.shape[0])]
-    stacked = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stacked)
-    cutoff = max(s[0] if s.size else 0.0, 1.0) * 1e-7
-    rank = int(np.sum(s > cutoff))
-    if rank >= k * k:
-        return None
-    u = vh[-1].conj().reshape(k, k, order="F")
-    sv = np.linalg.svd(u, compute_uv=False)
-    if sv[-1] <= 1e-6 * sv[0]:
-        return None
-    scale = np.sqrt(np.real(np.trace(u.conj().T @ u)) / k)
-    u = u / scale
-    if np.linalg.norm(u.conj().T @ u - eye) > 1e-6:
-        return None
-    return u
-
-
 def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     """Simultaneous block diagonalization of a matrix *-algebra.
 
-    Spectral splitting along random-seeded Hermitian commutant elements
-    recursing until each summand has scalar relative commutant, followed by
-    unitary intertwiner matching of isomorphic summands.  Raises
+    Works from the algebra's cached commutant A' = direct-sum of
+    (I_{k_i} tensor M_{m_i}).  The eigenspaces of one random Hermitian element
+    of A' are the irreducible summands; the compressions of a second random
+    element between summands vanish for inequivalent summands and are scalar
+    multiples of the unitary intertwiner for equivalent ones (Schur's lemma),
+    which groups and aligns the copies.  The result is certified by the block
+    form of every basis element and by sum k_i^2 == dim A.  Raises
     DecompositionError after 5 fruitless seed retries.
     """
     n = a.dim
@@ -417,43 +351,35 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
 
 
 def _decompose_once(a: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
-    n = a.dim
-    pieces: list = []
-    _split_irreducible(a, np.eye(n, dtype=complex), rng, 0, pieces)
+    comm = a.commutant()
+    w, v = np.linalg.eigh(comm.random_hermitian_element(rng))
+    pieces = [v[:, cl] for cl in _cluster_eigenvalues(w, a.tol)]
 
-    reps = []
+    y = comm.random_hermitian_element(rng)
+    cutoff = a.tol.rank_rel * np.linalg.norm(y)
+    classes = []  # each: list of aligned member columns; member 0 is the class rep
     for cols in pieces:
-        reps.append(np.einsum("pa,kab,bq->kpq", cols.conj().T, a.basis, cols))
-
-    classes = []  # each: {"k": k, "members": [(cols, U)]}; U aligns member to the class rep
-    for cols, rep in zip(pieces, reps):
         k = cols.shape[1]
-        placed = False
-        for cl in classes:
-            if cl["k"] != k:
+        for members in classes:
+            if members[0].shape[1] != k:
                 continue
-            u = _irrep_intertwiner(cl["rep"], rep, a.tol)
-            if u is not None:
-                cl["members"].append((cols, u))
-                placed = True
+            t = cols.conj().T @ y @ members[0]
+            norm = np.linalg.norm(t)
+            if norm > cutoff:
+                # t = c U with U unitary and cols U carrying the rep's representation
+                members.append(cols @ (t * (np.sqrt(k) / norm)))
                 break
-        if not placed:
-            classes.append({"k": k, "rep": rep, "members": [(cols, np.eye(k, dtype=complex))]})
+        else:
+            classes.append([cols])
 
-    classes.sort(key=lambda cl: (cl["k"], len(cl["members"])))
-    columns = []
-    blocks = []
-    for cl in classes:
-        k, members = cl["k"], cl["members"]
-        blocks.append((k, len(members)))
-        # U r_rep = r_member U with U unitary, so cols @ U carries exactly r_rep
-        aligned = [cols @ u for cols, u in members]
-        # aligned basis j carries the identical compressed representation, so
-        # ordering columns (irrep index outer, copy index inner) yields M_k (x) I_m
-        for r in range(k):
-            for b in aligned:
-                columns.append(b[:, r])
-    q = np.array(columns).T
+    classes.sort(key=lambda members: (members[0].shape[1], len(members)))
+    blocks = [(members[0].shape[1], len(members)) for members in classes]
+    if sum(k * k for k, _ in blocks) != a.size:
+        raise DecompositionError(
+            f"block sizes {blocks} do not account for the algebra dimension {a.size}")
+    # aligned copies carry the identical compressed representation, so ordering
+    # columns (irrep index outer, copy index inner) yields M_k (x) I_m
+    q = np.hstack([np.stack(members, axis=2).reshape(a.dim, -1) for members in classes])
     # polish unitarity against accumulated rounding
     uq, _, vqh = np.linalg.svd(q)
     q = uq @ vqh

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import generate_algebra
 from .functionals import (
@@ -32,7 +31,7 @@ from .independence import (
     nonforking_extension,
     type_of,
 )
-from .linalg import Subspace, ToleranceBreach, haar_unitary, project
+from .linalg import Subspace, ToleranceBreach, block_diag, haar_unitary, project
 from .representation import Structure, acl
 from .serialize import matrix_to_json, vector_to_json
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 
 class ToleranceBreach(RuntimeError):
@@ -96,8 +95,13 @@ class Subspace:
             return 0.0
         if self.dim != other.dim:
             return np.pi / 2
-        angles = subspace_angles(self.basis, other.basis)
-        return float(np.max(angles)) if angles.size else 0.0
+        overlap = self.basis.conj().T @ other.basis
+        # the sine form keeps precision for small angles, the cosine form for large
+        sine = np.linalg.norm(other.basis - self.basis @ overlap, 2)
+        if sine * sine < 0.5:
+            return float(np.arcsin(min(1.0, sine)))
+        cosine = np.linalg.svd(overlap, compute_uv=False)[-1]
+        return float(np.arccos(min(1.0, cosine)))
 
     def isclose(self, other: "Subspace") -> bool:
         """Equality as subspaces: same ambient space, same rank, principal angles ~ 0."""
@@ -114,6 +118,16 @@ def zero_subspace(ambient_dim: int, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 def full_subspace(ambient_dim: int, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
+
+
+def block_diag(*mats) -> np.ndarray:
+    """Block-diagonal complex matrix with the given square blocks along the diagonal."""
+    out = np.zeros((sum(m.shape[0] for m in mats),) * 2, dtype=complex)
+    off = 0
+    for m in mats:
+        out[off:off + m.shape[0], off:off + m.shape[0]] = m
+        off += m.shape[0]
+    return out
 
 
 def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -8,7 +8,6 @@ H_d / H_e split.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .algebra import StarAlgebra, generate_algebra, span_algebra
 from .linalg import (
@@ -16,6 +15,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     _require_finite,
+    block_diag,
     orthonormalize,
     project,
     subspace_intersection,
@@ -169,11 +169,6 @@ def _assemble_sum(s1: Structure, s2: Structure, algebra: StarAlgebra, prefixes) 
     for name, v in s2.vectors.items():
         vectors[f"{prefixes[1]}.{name}"] = np.concatenate([np.zeros(n1, dtype=complex), v])
     return Structure(algebra, Subspace(n, disc, s1.tol), vectors, s1.tol)
-
-
-def embed_first(s_sum: Structure, v: np.ndarray, n1: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).ravel()
-    return np.concatenate([v, np.zeros(s_sum.dim - n1, dtype=complex)])
 
 
 def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:

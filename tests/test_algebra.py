@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from starrep.algebra import (
+    DecompositionError,
     commutant,
     conditional_expectation,
     double_commutant_check,
     generate_algebra,
     wedderburn_decompose,
 )
-from starrep.linalg import haar_unitary
+from starrep.harness import InstanceSpec, random_structure
+from starrep.linalg import block_diag, haar_unitary
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -110,6 +111,13 @@ def test_wedderburn_examples():
     assert wedderburn_decompose(generate_algebra([E12]), 0).blocks == [(2, 1)]
 
 
+def planted_algebra(plan, seed):
+    """Algebra of Q (+)(M_k (x) I_m) Q^H from the harness's planted generator."""
+    n = sum(k * m for k, m in plan)
+    spec = InstanceSpec(n, tuple(plan), (False,) * len(plan), seed=seed)
+    return random_structure(spec).algebra
+
+
 def test_wedderburn_block_form_and_seed_independence():
     rng = np.random.default_rng(11)
     q = haar_unitary(6, rng)
@@ -118,18 +126,42 @@ def test_wedderburn_block_form_and_seed_independence():
         h1 = rng.standard_normal((1, 1))
         return q @ block_diag(h1 + h1.T, np.kron(h2 + h2.conj().T, np.eye(2)),
                               np.zeros((1, 1))) @ q.conj().T
-    alg = generate_algebra([gen(), gen()])
-    signatures = set()
-    for seed in range(5):
-        dec = wedderburn_decompose(alg, seed)
-        signatures.add(dec.signature)
-        qmat = dec.change_of_basis
-        np.testing.assert_allclose(qmat.conj().T @ qmat, np.eye(6), atol=1e-9)
-        for b in alg.basis:
-            parts = dec.block_parts(b, check=True)  # raises on bad block form
-            rebuilt = dec.assemble(parts)
-            np.testing.assert_allclose(rebuilt, b, atol=1e-8 * max(1, np.linalg.norm(b)))
-    assert len(signatures) == 1
+    cases = [(generate_algebra([gen(), gen()]), None)]
+    # planted plans with m >= 2 isomorphic copies
+    for plan in ([(1, 3), (2, 2)], [(2, 3)], [(1, 4), (3, 2)], [(2, 2), (2, 2)]):
+        cases.append((planted_algebra(plan, 5), sorted(plan)))
+    for alg, expected in cases:
+        signatures = set()
+        for seed in range(5):
+            dec = wedderburn_decompose(alg, seed)
+            signatures.add(dec.signature)
+            qmat = dec.change_of_basis
+            np.testing.assert_allclose(qmat.conj().T @ qmat, np.eye(alg.dim), atol=1e-9)
+            for b in alg.basis:
+                parts = dec.block_parts(b, check=True)  # raises on bad block form
+                rebuilt = dec.assemble(parts)
+                np.testing.assert_allclose(rebuilt, b, atol=1e-8 * max(1, np.linalg.norm(b)))
+        assert len(signatures) == 1
+        if expected is not None:
+            assert sorted(signatures.pop()) == expected
+
+
+def test_wedderburn_rejects_merged_eigenvalue_clusters(monkeypatch):
+    from starrep import algebra as algebra_module
+    cluster = algebra_module._cluster_eigenvalues
+
+    def merge_first_two(w, tol):
+        clusters = cluster(w, tol)
+        if len(clusters) < 2:
+            return clusters
+        return [slice(clusters[0].start, clusters[1].stop)] + clusters[2:]
+
+    alg = planted_algebra([(1, 2), (2, 1)], 3)
+    assert wedderburn_decompose(alg, 0).blocks == [(1, 2), (2, 1)]
+    monkeypatch.setattr(algebra_module, "_cluster_eigenvalues", merge_first_two)
+    # merged pieces still give a valid block form; only sum k^2 == dim A catches them
+    with pytest.raises(DecompositionError):
+        wedderburn_decompose(alg, 0)
 
 
 def test_conditional_expectation_examples():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import starrep
 from starrep import cli
 from starrep.linalg import ToleranceBreach
 
@@ -174,3 +178,12 @@ def test_text_output(capsys):
     assert "verdict: True" in out
     code = cli.main(["indep", DIAG, "e1", "", "e2", "--quiet"])
     assert capsys.readouterr().out == ""
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, starrep; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -147,6 +147,12 @@ def test_subspace_equality_is_basis_independent(rng):
     b = orthonormalize(mixed, 5)
     assert a.isclose(b)
     assert not a.isclose(orthonormalize(vecs[:2], 5))
+    # rotating one basis vector by theta: equal iff theta <= eq_abs = 1e-8
+    e = np.eye(5, dtype=complex)
+    for theta, close in ((3e-9, True), (3e-8, False)):
+        tilted = np.cos(theta) * e[:, 0] + np.sin(theta) * e[:, 2]
+        sub = Subspace(5, np.stack([tilted, e[:, 1]], axis=1))
+        assert sub.isclose(Subspace(5, e[:, :2])) is close
 
 
 def test_subspace_validation():
