@@ -7,13 +7,18 @@ subspace of the base together with the moment data of the residuals.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import ToleranceBreach, haar_unitary, project
-from .representation import Structure, acl, cyclic_subspace, extend_with_summand
+from .representation import (
+    Structure,
+    acl,
+    cyclic_subspace,
+    extend_with_summand,
+    invariance_defect,
+)
 
 _WORD_LENGTH_CAP = 12
 _WORD_COUNT_CAP = 300_000
@@ -29,22 +34,11 @@ def _as_tuple(vectors, n: int):
     return arr, single
 
 
-def _letters(s: Structure):
-    """Generator and adjoint-of-generator matrices indexing canonical words."""
-    mats = []
-    for g in s.algebra.generators:
-        mats.append(np.asarray(g, dtype=complex))
-    for g in s.algebra.generators:
-        mats.append(np.asarray(g, dtype=complex).conj().T)
-    return mats
-
-
 def spanning_word_length(s: Structure) -> int:
     """Smallest L such that words of length <= L in the generators and their
-    adjoints span the acting algebra.  Cached on the structure."""
-    if s._words is not None:
-        return s._words
-    letters = _letters(s)
+    adjoints span the acting algebra."""
+    letters = [np.asarray(g, dtype=complex) for g in s.algebra.generators]
+    letters += [g.conj().T for g in letters]
     n = s.dim
     target = s.algebra.size
     if not letters and target > 1:
@@ -62,90 +56,62 @@ def spanning_word_length(s: Structure) -> int:
         nxt = [m @ w for m in letters for w in current]
         q = _append_to_row_basis(q, np.array([m.ravel() for m in nxt]), s.tol)
         current = nxt
-    s._words = length
     return length
-
-
-def _word_moment_map(s: Structure, residuals: np.ndarray, length: int) -> dict:
-    """Moments <pi(w) r_j, r_k> for every word w up to the given length.
-
-    Words are tuples of letter indices (generators first, then adjoints),
-    applied right to left; the empty word is the identity.
-    """
-    letters = _letters(s)
-    t = residuals.shape[0]
-    moments = {(): residuals @ residuals.conj().T}
-    level = {(): residuals}
-    for _ in range(length):
-        nxt = {}
-        for w, vecs in level.items():
-            for i, m in enumerate(letters):
-                imgs = vecs @ m.T
-                key = (i,) + w
-                nxt[key] = imgs
-                moments[key] = imgs @ residuals.conj().T
-        level = nxt
-    return moments
 
 
 @dataclass
 class TypeDescriptor:
-    """Type data of a tuple over a base set: projections onto the base's cyclic
-    subspace plus the residual moments against every algebra basis element."""
+    """Type data of a tuple over a base set: the projections onto the base's
+    cyclic subspace, and the residual moments <a_k r_i, r_j> (entry [k, i, j])
+    against every element a_k of the structure's moment basis.
+
+    The moment basis is the basis of the structure's originating algebra as it
+    acts on the structure's space: the algebra's own basis, or its images
+    through a chain of `extend_with_summand` calls.  Descriptors of structures
+    with one originating algebra therefore index the same moments.
+    """
 
     base_projections: np.ndarray          # (t, n)
-    moment_tensor: np.ndarray             # (algebra size, t, t)
+    moment_tensor: np.ndarray             # (originating algebra size, t, t)
     structure: Structure = field(repr=False, default=None)
-    residuals: np.ndarray = field(repr=False, default=None)
 
     @property
     def tuple_len(self) -> int:
         return self.base_projections.shape[0]
 
-    def word_moments(self, length: int | None = None) -> dict:
-        if length is None:
-            length = spanning_word_length(self.structure)
-        return _word_moment_map(self.structure, self.residuals, length)
-
 
 def type_of(s: Structure, vectors, base) -> TypeDescriptor:
-    """Descriptor of tp(vectors / base) under the structure's semantics."""
+    """Descriptor of tp(vectors / base): projections onto the cyclic subspace
+    of the base, and the moments of the residuals against s.moment_basis."""
     vs, _ = _as_tuple(vectors, s.dim)
     he = cyclic_subspace(s, base)
     bp = np.array([project(he, v) for v in vs])
     res = vs - bp
-    moments = np.einsum("dab,jb,ka->djk", s.algebra.basis, res, res.conj())
-    return TypeDescriptor(bp, moments, s, res)
+    moments = np.einsum("dab,jb,ka->djk", s.moment_basis, res, res.conj())
+    return TypeDescriptor(bp, moments, s)
 
 
 def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
     """Largest entrywise deviation between two descriptors.
 
-    Descriptors from the same structure compare projections and basis moments
-    directly; descriptors from different structures with matched generator
-    labelings compare projections and generator-word moments instead.
+    The structures must share an originating algebra (the same one, or one
+    with an equal basis); extensions keep their parent's.  The moments are
+    then compared element by element of that algebra's basis, and the base
+    projections with the shorter zero-padded, since an extension keeps its
+    parent's space as the leading coordinates.  Structures over different
+    algebras raise ValueError.
     """
     if d1.tuple_len != d2.tuple_len:
         raise ValueError("descriptors describe tuples of different lengths")
-    same_algebra = d1.structure is d2.structure or (
-        d1.structure.algebra.basis.shape == d2.structure.algebra.basis.shape
-        and np.array_equal(d1.structure.algebra.basis, d2.structure.algebra.basis))
-    dist = 0.0
-    if d1.base_projections.shape == d2.base_projections.shape:
-        dist = float(np.max(np.abs(d1.base_projections - d2.base_projections), initial=0.0))
-    elif same_algebra:
-        raise ValueError("descriptors live in mismatched ambient dimensions")
-    if same_algebra:
-        dist = max(dist, float(np.max(np.abs(d1.moment_tensor - d2.moment_tensor), initial=0.0)))
-        return dist
-    if len(d1.structure.algebra.generators) != len(d2.structure.algebra.generators):
-        raise ValueError("descriptors come from structures with mismatched generators")
-    length = max(spanning_word_length(d1.structure), spanning_word_length(d2.structure))
-    m1 = d1.word_moments(length)
-    m2 = d2.word_moments(length)
-    for w in m1:
-        dist = max(dist, float(np.max(np.abs(m1[w] - m2[w]), initial=0.0)))
-    return dist
+    o1, o2 = d1.structure.origin, d2.structure.origin
+    if not (o1 is o2 or np.array_equal(o1.basis, o2.basis)):
+        raise ValueError("descriptors come from structures over different algebras")
+    p1, p2 = d1.base_projections, d2.base_projections
+    n = max(p1.shape[1], p2.shape[1])
+    gap = (np.pad(p1, ((0, 0), (0, n - p1.shape[1])))
+           - np.pad(p2, ((0, 0), (0, n - p2.shape[1]))))
+    return float(max(np.max(np.abs(gap), initial=0.0),
+                     np.max(np.abs(d1.moment_tensor - d2.moment_tensor), initial=0.0)))
 
 
 def descriptors_close(d1: TypeDescriptor, d2: TypeDescriptor, tol: float | None = None) -> bool:
@@ -280,7 +246,8 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     rc = b.conj().T @ r
     if abs(np.linalg.norm(rc) - np.linalg.norm(r)) > 100 * s.tol.eq_abs * max(1.0, np.linalg.norm(r)):
         raise ToleranceBreach("residual compression is not isometric")
-    _verify_compressed_moments(s, r, b, rc)
+    if invariance_defect(s.algebra.basis, b) > 100 * s.tol.eq_abs:
+        raise ToleranceBreach("residual cyclic subspace is not invariant under the algebra")
 
     n = s.dim
     total = n + k * size
@@ -297,21 +264,6 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     limit = np.concatenate([p, np.zeros(k * size, dtype=complex)])
     distance = float(np.linalg.norm(average - limit))
     return MorleyCheck(average, distance, float(np.linalg.norm(r)), copies)
-
-
-def _verify_compressed_moments(s: Structure, r: np.ndarray, b: np.ndarray, rc: np.ndarray):
-    """Spot-check that compression preserves generator-word moments up to length 3."""
-    gens = s.algebra.generators
-    comp = [b.conj().T @ g @ b for g in gens]
-    tol = 100 * s.tol.eq_abs * max(1.0, float(np.linalg.norm(r)) ** 2)
-    for length in range(4):
-        for word in itertools.product(range(len(gens)), repeat=length):
-            x, y = r, rc
-            for i in word:
-                x = gens[i] @ x
-                y = comp[i] @ y
-            if abs(np.vdot(r, x) - np.vdot(rc, y)) > tol:
-                raise ToleranceBreach("compression does not preserve residual moments")
 
 
 @dataclass

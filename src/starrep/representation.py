@@ -38,7 +38,10 @@ class Structure:
                         for k, v in (vectors or {}).items()}
         # for substructures: orthonormal columns embedding this space into the parent
         self.embedding = embedding
-        self._words = None
+        # type moments are taken against the images, acting here, of the basis of the
+        # originating algebra; extend_with_summand carries both over from its parent
+        self.origin = algebra
+        self.moment_basis = algebra.basis
         self._validate()
 
     @property
@@ -75,15 +78,24 @@ class Structure:
             return
         if not self.algebra.contains(np.eye(n, dtype=complex)):
             raise ValueError("the acting algebra does not contain the identity")
-        b = self.discrete.basis
-        if b.shape[1]:
-            for a in self.algebra.basis:
-                img = a @ b
-                resid = img - b @ (b.conj().T @ img)
-                if np.linalg.norm(resid) > 1e-6 * max(1.0, np.linalg.norm(img)):
-                    raise ValueError(
-                        "declared discrete subspace is not invariant under the algebra "
-                        f"(residual {np.linalg.norm(resid):.2e})")
+        defect = invariance_defect(self.algebra.basis, self.discrete.basis)
+        if defect > 100 * self.tol.eq_abs:
+            raise ValueError(
+                "declared discrete subspace is not invariant under the algebra "
+                f"(relative residual {defect:.2e})")
+
+
+def invariance_defect(mats: np.ndarray, b: np.ndarray) -> float:
+    """Largest ||a b - b b^H a b|| / max(1, ||a b||) over the matrices a.
+
+    Zero exactly when span(b) (orthonormal columns) is invariant under every a.
+    """
+    if not b.shape[1]:
+        return 0.0
+    img = mats @ b
+    resid = img - b @ (b.conj().T @ img)
+    scale = np.maximum(1.0, np.linalg.norm(img, axis=(1, 2)))
+    return float(np.max(np.linalg.norm(resid, axis=(1, 2)) / scale, initial=0.0))
 
 
 def cyclic_subspace(s: Structure, vectors) -> Subspace:
@@ -113,24 +125,13 @@ def essential_discrete_parts(s: Structure, v: np.ndarray):
     return v - v_d, v_d
 
 
-def _diagonal_algebra_fast(alg: StarAlgebra, emb: np.ndarray, tol: Tolerances) -> StarAlgebra:
-    """Algebra of blkdiag(x, emb^H x emb) for x in alg; emb spans an invariant subspace.
-
-    Compression along an invariant subspace is a *-homomorphism, so the image
-    of the basis is already a multiplicatively closed span; no word closure
-    is needed.
-    """
-    n, k = alg.dim, emb.shape[1]
-    mats = []
-    for b in alg.basis:
-        top = np.zeros((n + k, n + k), dtype=complex)
-        top[:n, :n] = b
-        top[n:, n:] = emb.conj().T @ b @ emb
-        mats.append(top)
-    gens = []
-    for g in alg.generators:
-        gens.append(block_diag(g, emb.conj().T @ g @ emb))
-    return span_algebra(mats, n + k, tol, generators=gens, validate=False)
+def _summand_images(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """blkdiag(x, b^H x b) for each matrix x of the stack."""
+    n, k = b.shape
+    out = np.zeros((len(mats), n + k, n + k), dtype=complex)
+    out[:, :n, :n] = mats
+    out[:, n:, n:] = b.conj().T @ mats @ b
+    return out
 
 
 def direct_sum(s1: Structure, s2: Structure, prefixes=("a", "b")) -> Structure:
@@ -202,15 +203,23 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray,
     """Adjoin a fully essential summand carrying the compression of s onto
     the invariant subspace spanned by summand_basis.
 
-    This is the direct sum of s with its cyclic compression, computed without
-    a word-closure pass; an optional unitary rotation fixes the coordinates
-    used for the new summand.
+    This is the direct sum of s with its cyclic compression; an optional
+    unitary rotation fixes the coordinates used for the new summand.  The new
+    algebra is the image of the old one under x -> blkdiag(x, b^H x b), a
+    *-homomorphism because span(b) is invariant, so the image of a basis is
+    already a multiplicatively closed span and no word closure is needed.
+    The images of s's moment basis become the moment basis of the result,
+    which keeps s's originating algebra: type moments taken in either
+    structure, or in any chain of extensions, index the same basis.
     """
     b = summand_basis
     if rotation is not None:
         b = b @ rotation
-    algebra = _diagonal_algebra_fast(s.algebra, b, s.tol)
     n, k = s.dim, b.shape[1]
+    images = _summand_images(s.moment_basis, b)
+    gens = s.algebra.generators
+    gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)
+    algebra = span_algebra(images, n + k, s.tol, generators=list(gens), validate=False)
     d1 = s.discrete.basis
     disc = np.zeros((n + k, d1.shape[1]), dtype=complex)
     disc[:n, :] = d1
@@ -218,4 +227,6 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray,
                for name, v in s.vectors.items()}
     out = Structure(algebra, Subspace(n + k, disc, s.tol), vectors, s.tol)
     out.embedding = b
+    out.origin = s.origin
+    out.moment_basis = images
     return out

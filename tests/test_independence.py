@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import starrep.independence
+from starrep.algebra import generate_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
 from starrep.independence import (
     canonical_base,
@@ -12,7 +14,7 @@ from starrep.independence import (
     nonforking_extension,
     type_of,
 )
-from starrep.linalg import full_subspace, project
+from starrep.linalg import ToleranceBreach, full_subspace, orthonormalize, project
 from starrep.representation import Structure, acl, cyclic_subspace
 
 from conftest import E1, E2, U
@@ -162,6 +164,41 @@ def test_stationarity_across_seeds(diag_structure):
     assert descriptor_distance(descs[0], descs[1]) <= 1e-8
 
 
+def test_descriptor_distance_sees_perturbed_extension(diag_structure):
+    s = diag_structure
+    shat, vp = nonforking_extension(s, U, [], [E1])
+    f_emb = [np.concatenate([E1, np.zeros(shat.dim - 2)])]
+    res = np.atleast_2d(vp - project(acl(shat, f_emb), vp))
+    parent = type_of(s, U, [])
+    assert descriptor_distance(parent, type_of(shat, res, f_emb)) <= 1e-8
+    # move the residual inside the new summand
+    res[0, s.dim] += 1e-2
+    assert descriptor_distance(parent, type_of(shat, res, f_emb)) > 1e-6
+
+
+def test_descriptor_distance_through_chained_extensions():
+    s = random_structure(InstanceSpec(6, ((2, 2), (1, 2)), (False, True), seed=9))
+    rng = np.random.default_rng(7)
+    v = random_unit_vector(rng, 6)
+    root = type_of(s, v, [])
+    s1, v1 = nonforking_extension(s, v, [], [])
+    s2, v2 = nonforking_extension(s1, v1, [], [])
+    assert s2.dim > s1.dim > s.dim and s2.origin is s.algebra
+    assert descriptor_distance(root, type_of(s2, v2, [])) <= 1e-8
+    assert descriptor_distance(type_of(s1, v1, []), type_of(s2, v2, [])) <= 1e-8
+
+
+def test_descriptor_distance_rejects_unrelated_algebras(diag_structure):
+    # an algebra generated again from the same generators has an equal basis
+    again = Structure(generate_algebra([np.diag([1.0, 0.0])]))
+    assert descriptor_distance(type_of(diag_structure, U, []), type_of(again, U, [])) <= 1e-12
+    # the diagonal algebra of another orthonormal basis has the same size
+    other = Structure(generate_algebra([np.outer(U, U)]))
+    assert other.algebra.size == diag_structure.algebra.size
+    with pytest.raises(ValueError):
+        descriptor_distance(type_of(diag_structure, U, []), type_of(other, U, []))
+
+
 def test_canonical_base_examples(diag_structure):
     s = diag_structure
     np.testing.assert_allclose(canonical_base(s, U, [E1]), [1 / np.sqrt(2), 0],
@@ -202,6 +239,14 @@ def test_morley_matches_iterated_extensions(diag_structure):
     avg = full.mean(axis=0)
     lim = np.concatenate([project(acl(s, base), U), np.zeros(cur.dim - 2)])
     assert abs(np.linalg.norm(avg - lim) - mc.distance) <= 1e-9
+
+
+def test_morley_rejects_non_invariant_residual_subspace(diag_structure, monkeypatch):
+    # span{u} contains the residual u but is not invariant under diag(1, 0)
+    monkeypatch.setattr(starrep.independence, "cyclic_subspace",
+                        lambda s, vecs: orthonormalize(list(vecs), s.dim, s.tol))
+    with pytest.raises(ToleranceBreach):
+        morley_average_check(diag_structure, U, [], 2)
 
 
 def test_finite_base_examples(diag_structure):

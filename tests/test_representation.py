@@ -3,7 +3,7 @@ import pytest
 
 from starrep.algebra import generate_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
-from starrep.linalg import full_subspace, orthonormalize, zero_subspace
+from starrep.linalg import Tolerances, full_subspace, orthonormalize, zero_subspace
 from starrep.representation import (
     Structure,
     acl,
@@ -14,7 +14,7 @@ from starrep.representation import (
     extend_with_summand,
 )
 
-from conftest import E1, U
+from conftest import E1, E2, U
 
 
 def test_cyclic_subspace_examples(diag_structure, m2_structure):
@@ -173,3 +173,12 @@ def test_structure_validation_errors(diag_structure):
         Structure(algebra, vectors={"bad": np.ones(3)})
     with pytest.raises(ValueError):
         Structure(algebra, discrete=zero_subspace(3))
+
+
+def test_discrete_invariance_bound_follows_tolerance(diag_structure):
+    # span{e2} tilted by 1e-5 is invariant only up to a residual of about 1.4e-5
+    tilted = orthonormalize([E2 + 1e-5 * E1], 2)
+    with pytest.raises(ValueError):
+        Structure(diag_structure.algebra, discrete=tilted)
+    s = Structure(diag_structure.algebra, discrete=tilted, tol=Tolerances(eq_abs=1e-6))
+    assert s.discrete.dim == 1
