@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StarAlgebra, conditional_expectation
-from .linalg import ToleranceBreach, project, psd_sqrt
+from .linalg import ToleranceBreach, block_diag_kron, project, psd_sqrt
 from .representation import Structure, acl, cyclic_subspace, essential_discrete_parts
 
 
@@ -218,33 +218,20 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
     return True, gamma
 
 
+@dataclass
 class GnsRep:
     """Cyclic representation built from a positive functional.
 
-    `action` holds one matrix per algebra basis element; `coord_map` sends
-    basis coefficient vectors to quotient coordinates; the cyclic vector is
+    `action` holds one matrix per algebra basis element; the cyclic vector is
     the class of the identity.
     """
 
-    def __init__(self, algebra: StarAlgebra, space_dim: int, action: np.ndarray,
-                 cyclic: np.ndarray, coord_map: np.ndarray,
-                 roundtrip_defect: float, star_hom_defect: float):
-        self.algebra = algebra
-        self.space_dim = int(space_dim)
-        self.action = action
-        self.cyclic = cyclic
-        self.coord_map = coord_map
-        self.roundtrip_defect = float(roundtrip_defect)
-        self.star_hom_defect = float(star_hom_defect)
-
-    def quotient_vector(self, m: np.ndarray) -> np.ndarray:
-        """Image of an algebra element's class in the representation space."""
-        return self.coord_map @ self.algebra.coefficients(m)
-
-    def act(self, m: np.ndarray) -> np.ndarray:
-        """Action of an arbitrary algebra element (expanded on the basis)."""
-        c = self.algebra.coefficients(m)
-        return np.einsum("k,kab->ab", c, self.action)
+    algebra: StarAlgebra
+    space_dim: int
+    action: np.ndarray
+    cyclic: np.ndarray
+    roundtrip_defect: float = 0.0
+    star_hom_defect: float = 0.0
 
     def state_values(self) -> np.ndarray:
         """<pi(b) v, v> over the algebra basis; equals the source functional."""
@@ -257,46 +244,47 @@ class GnsRep:
 def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> GnsRep:
     """Gelfand-Naimark-Segal construction for a positive functional.
 
-    The Gram matrix of the basis under phi(b^H c) is diagonalized; directions
-    below the relative rank cutoff form the null space and are quotiented
-    away.  Left multiplication pushed through the quotient gives the action,
-    and the class of the identity is the cyclic vector.
+    On the Wedderburn blocks phi(x) = sum_i m_i Tr(sigma_i x_i).  Eigenvalues
+    of the sigma_i at or below the relative rank cutoff (taken over all
+    blocks) span the null space; the r_i kept ones give the space, the direct
+    sum of C^{k_i} (x) C^{r_i}, with x acting as x_i (x) I_{r_i} and the cyclic
+    vector the sum of sqrt(m_i) sigma_i^{1/2} restricted to its range.  The
+    action is cross-checked against products of letters and basis elements
+    expanded in the algebra basis.
     """
     if phi.algebra is not algebra and not phi.algebra.spans_equal(algebra):
         raise ValueError("functional lives on a different algebra")
     if phi.norm() <= algebra.tol.eq_abs:
         raise ValueError("the functional is degenerate (vanishes at the identity)")
-    basis = algebra.basis
-    d, n = basis.shape[0], algebra.dim
-    weighted = basis @ phi.rep
-    gram = np.einsum("kab,jab->kj", weighted.conj(), basis)
-    gram = (gram + gram.conj().T) / 2
-    w, v = np.linalg.eigh(gram)
-    w = w[::-1]
-    v = v[:, ::-1]
-    keep = w > algebra.tol.rank_rel * max(float(w[0]), 0.0)
-    r = int(np.sum(keep))
-    lam = w[:r]
-    vk = v[:, :r]
-    coord_map = (np.sqrt(lam)[:, None]) * vk.conj().T          # (r, d)
-    inv = vk * (1.0 / np.sqrt(lam))[None, :]                   # (d, r)
-
-    prods = np.einsum("iab,jbc->ijac", basis, basis)
-    lmul = np.einsum("kab,ijab->ikj", basis.conj(), prods) / max(n, 1)
-    action = np.einsum("rk,ikj,js->irs", coord_map, lmul, inv)
-    cyclic = coord_map @ algebra.coefficients(np.eye(n, dtype=complex))
-
-    rep = GnsRep(algebra, r, action, cyclic, coord_map, 0.0, 0.0)
+    dec, sigmas = _hermitian_blocks(algebra, phi.rep)
+    spectra = [np.linalg.eigh(sigma) for sigma in sigmas]
+    cut = algebra.tol.rank_rel * max(float(w[-1]) for w, _ in spectra)
+    roots = [np.sqrt(m) * v[:, w > cut] * np.sqrt(w[w > cut])
+             for (w, v), (_, m) in zip(spectra, dec.blocks)]
+    ranks = [root.shape[1] for root in roots]
+    basis, n = algebra.basis, algebra.dim
+    parts = dec.block_parts(basis)
+    action = block_diag_kron(parts, ranks)
+    cyclic = np.concatenate([root.ravel() for root in roots])
+    r = cyclic.size
+    rep = GnsRep(algebra, r, action, cyclic)
     roundtrip = float(np.max(np.abs(rep.state_values()
                                     - np.array([phi(b) for b in basis]))))
-    adj_coeff = np.array([algebra.coefficients(b.conj().T) for b in basis])
-    comp = np.einsum("iab,jbc->ijac", action, action)
-    expected = np.einsum("ikj,kab->ijab", lmul, action)
-    star_defect = float(np.max(np.abs(comp - expected))) if comp.size else 0.0
-    adj_expected = np.einsum("ik,kab->iab", adj_coeff, action)
-    adj_actual = action.conj().transpose(0, 2, 1)
-    if action.size:
-        star_defect = max(star_defect, float(np.max(np.abs(adj_actual - adj_expected))))
+    # pi(l)[b] against [l b] = sum_k c_k [b_k], with [x] = pi(x) xi and c the
+    # basis coordinates of l b; and pi(b)^H against pi(b^H) from coordinates,
+    # compared on the blocks the space keeps (pi(x) repeats their entries)
+    flat = basis.reshape(-1, n * n).conj().T / n
+    classes = action @ cyclic
+    letters = algebra.letters()
+    products = (letters[:, None] @ basis[None]).reshape(-1, n * n)
+    expected = ((products @ flat) @ classes).reshape(len(letters), -1, r)
+    actual = (block_diag_kron(dec.block_parts(letters), ranks) @ classes.T).transpose(0, 2, 1)
+    star_defect = float(np.max(np.abs(actual - expected)))
+    adjoints = basis.conj().transpose(0, 2, 1).reshape(-1, n * n) @ flat
+    for part in (part for part, rank in zip(parts, ranks) if rank):
+        adj_expected = (adjoints @ part.reshape(len(basis), -1)).reshape(part.shape)
+        star_defect = max(star_defect, float(np.max(
+            np.abs(part.conj().transpose(0, 2, 1) - adj_expected))))
     rep.roundtrip_defect = roundtrip
     rep.star_hom_defect = star_defect
 
@@ -306,8 +294,7 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> G
             raise ToleranceBreach(f"GNS state round trip off by {roundtrip:.2e}")
         if star_defect > 100 * algebra.tol.eq_abs * max(1.0, float(np.max(np.abs(action)))):
             raise ToleranceBreach(f"GNS action fails *-homomorphism by {star_defect:.2e}")
-        orbit = action @ cyclic
-        if np.linalg.matrix_rank(orbit) < r:
+        if np.linalg.matrix_rank(classes) < r:
             raise ToleranceBreach("GNS cyclic vector does not generate the space")
     return rep
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import _append_to_row_basis, _orthonormal_rows
 from .linalg import ToleranceBreach, haar_unitary, project
 from .representation import (
     Structure,
@@ -19,9 +20,6 @@ from .representation import (
     extend_with_summand,
     invariance_defect,
 )
-
-_WORD_LENGTH_CAP = 12
-_WORD_COUNT_CAP = 300_000
 
 
 def _as_tuple(vectors, n: int):
@@ -36,26 +34,30 @@ def _as_tuple(vectors, n: int):
 
 def spanning_word_length(s: Structure) -> int:
     """Smallest L such that words of length <= L in the generators and their
-    adjoints span the acting algebra."""
-    letters = [np.asarray(g, dtype=complex) for g in s.algebra.generators]
-    letters += [g.conj().T for g in letters]
+    adjoints span the acting algebra.
+
+    The span of words of length <= L is that of length <= L - 1 plus the
+    letters times the directions the previous length added, so only those
+    newest directions are multiplied.  Raises RuntimeError when the words stop
+    growing below the algebra's dimension.
+    """
     n = s.dim
     target = s.algebra.size
-    if not letters and target > 1:
+    if not s.algebra.generators and target > 1:
         raise RuntimeError(
             "the acting algebra has no generators; word moments are unavailable")
-    flat = np.eye(n, dtype=complex).reshape(1, -1)
-    from .algebra import _append_to_row_basis, _orthonormal_rows
-    q = _orthonormal_rows(flat, s.tol)
-    current = [np.eye(n, dtype=complex)]
+    letters = s.algebra.letters()
+    q = _orthonormal_rows(np.eye(n, dtype=complex).reshape(1, -1), s.tol)
+    newest = q
     length = 0
     while q.shape[0] < target:
+        if newest.shape[0] == 0:
+            raise RuntimeError("generator words stopped growing below the algebra's dimension")
         length += 1
-        if length > _WORD_LENGTH_CAP or len(current) * max(len(letters), 1) > _WORD_COUNT_CAP:
-            raise RuntimeError("generator words failed to span the algebra within the cap")
-        nxt = [m @ w for m in letters for w in current]
-        q = _append_to_row_basis(q, np.array([m.ravel() for m in nxt]), s.tol)
-        current = nxt
+        words = (letters[:, None] @ newest.reshape(1, -1, n, n)).reshape(-1, n * n)
+        d = q.shape[0]
+        q = _append_to_row_basis(q, words, s.tol)
+        newest = q[d:]
     return length
 
 

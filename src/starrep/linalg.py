@@ -121,13 +121,23 @@ def full_subspace(ambient_dim: int, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 
 def block_diag(*mats) -> np.ndarray:
-    """Block-diagonal complex matrix with the given square blocks along the diagonal."""
-    out = np.zeros((sum(m.shape[0] for m in mats),) * 2, dtype=complex)
+    """Block-diagonal complex matrix with the given square blocks along the
+    diagonal; stacks of blocks (broadcast over leading axes) give a stack."""
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+    out = np.zeros(lead + (sum(m.shape[-1] for m in mats),) * 2, dtype=complex)
     off = 0
     for m in mats:
-        out[off:off + m.shape[0], off:off + m.shape[0]] = m
-        off += m.shape[0]
+        k = m.shape[-1]
+        out[..., off:off + k, off:off + k] = m
+        off += k
     return out
+
+
+def block_diag_kron(parts, mults) -> np.ndarray:
+    """Direct sum of parts[i] (x) I_{mults[i]}; stacks of parts give a stack."""
+    return block_diag(*[(p[..., :, None, :, None] * np.eye(m)[:, None, :])
+                        .reshape(p.shape[:-2] + (p.shape[-1] * m,) * 2)
+                        for p, m in zip(parts, mults)])
 
 
 def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -7,10 +7,11 @@ from starrep.algebra import (
     conditional_expectation,
     double_commutant_check,
     generate_algebra,
+    span_algebra,
     wedderburn_decompose,
 )
 from starrep.harness import InstanceSpec, random_structure
-from starrep.linalg import block_diag, haar_unitary
+from starrep.linalg import ToleranceBreach, Tolerances, block_diag, haar_unitary
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -58,6 +59,16 @@ def test_generate_errors():
         generate_algebra([np.array([[np.nan, 0], [0, 1]])])
     with pytest.raises(ValueError):
         generate_algebra([])
+
+
+def test_span_algebra_rejects_span_not_closed_under_products():
+    e = np.eye(3)
+    def unit(i, j):
+        return np.outer(e[i], e[j])
+    # contains I and is adjoint-closed, but (E23 + E32) E22 = E32 is outside
+    mats = [unit(0, 0), unit(1, 1) + unit(2, 2), unit(1, 2) + unit(2, 1), unit(1, 1) - unit(2, 2)]
+    with pytest.raises(ValueError, match="products"):
+        span_algebra(mats, 3)
 
 
 def test_commutant_examples():
@@ -137,13 +148,25 @@ def test_wedderburn_block_form_and_seed_independence():
             signatures.add(dec.signature)
             qmat = dec.change_of_basis
             np.testing.assert_allclose(qmat.conj().T @ qmat, np.eye(alg.dim), atol=1e-9)
-            for b in alg.basis:
+            stacked = dec.block_parts(alg.basis, check=True)
+            for j, b in enumerate(alg.basis):
                 parts = dec.block_parts(b, check=True)  # raises on bad block form
+                for part, parts_j in zip(parts, stacked):
+                    np.testing.assert_allclose(parts_j[j], part, atol=1e-12)
                 rebuilt = dec.assemble(parts)
                 np.testing.assert_allclose(rebuilt, b, atol=1e-8 * max(1, np.linalg.norm(b)))
         assert len(signatures) == 1
         if expected is not None:
             assert sorted(signatures.pop()) == expected
+
+
+def test_block_parts_membership_bound_follows_tolerance():
+    m = E11 + 1e-7 * E12
+    # the bound is 100 * eq_abs relative to the norm: 1e-6 by default
+    generate_algebra([E11]).block_decomposition().block_parts(m)
+    tight = generate_algebra([E11], tol=Tolerances(eq_abs=1e-10))
+    with pytest.raises(ToleranceBreach):
+        tight.block_decomposition().block_parts(m)
 
 
 def test_wedderburn_rejects_merged_eigenvalue_clusters(monkeypatch):

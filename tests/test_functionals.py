@@ -26,6 +26,7 @@ from starrep.harness import (
     random_unit_vector,
 )
 from starrep.independence import nonforking_extension
+from starrep.linalg import ToleranceBreach
 
 from conftest import E1, E2, U
 
@@ -186,18 +187,53 @@ def test_gns_examples(diag_structure):
         gns(s.algebra, PositiveFunctional(s.algebra, np.zeros((2, 2)), validate=False))
 
 
+def planted_state(s, ranks, rng):
+    """In-algebra state whose compressed block i has rank ranks[i]."""
+    dec = s.algebra.block_decomposition()
+    parts = []
+    for (k, _), r in zip(dec.blocks, ranks):
+        g = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+        parts.append(g @ g.conj().T)
+    return PositiveFunctional(s.algebra, dec.assemble(parts))
+
+
 def test_gns_round_trip_random():
     spec = InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False, True, False), seed=21)
     s = random_structure(spec)
     rng = np.random.default_rng(77)
-    for _ in range(10):
-        phi = random_in_algebra_state(s, rng)
-        rep = gns(s.algebra, phi)
+    cases = [(s, random_in_algebra_state(s, rng), None) for _ in range(10)]
+    # planted block ranks in the decomposition's order, with a zero block and m > 1
+    assert s.algebra.block_decomposition().blocks == [(1, 1), (1, 3), (2, 2)]
+    for ranks in ([1, 0, 1], [0, 1, 2], [1, 1, 0]):
+        cases.append((s, planted_state(s, ranks, rng), ranks))
+    full = random_structure(InstanceSpec(8, ((8, 1),), (False,), seed=22))
+    cases.append((full, planted_state(full, [4], rng), [4]))
+    for st, phi, ranks in cases:
+        rep = gns(st.algebra, phi)
+        if ranks is not None:
+            blocks = st.algebra.block_decomposition().blocks
+            assert rep.space_dim == sum(k * r for (k, _), r in zip(blocks, ranks))
         assert rep.roundtrip_defect <= 1e-9
         assert rep.star_hom_defect <= 1e-9
         # cyclicity: the orbit of the cyclic vector spans the space
         orbit = rep.action @ rep.cyclic
         assert np.linalg.matrix_rank(orbit) == rep.space_dim
+
+
+def test_gns_star_hom_check_catches_anti_homomorphic_blocks(monkeypatch):
+    from starrep.algebra import BlockDecomposition
+    full = random_structure(InstanceSpec(3, ((3, 1),), (False,), seed=5))
+    phi = planted_state(full, [2], np.random.default_rng(3))
+    assert gns(full.algebra, phi).star_hom_defect <= 1e-9
+    parts = BlockDecomposition.block_parts
+    # transposed blocks keep every state value but reverse products
+    monkeypatch.setattr(BlockDecomposition, "block_parts", lambda self, m, check=True:
+                        [p.swapaxes(-1, -2) for p in parts(self, m, check)])
+    rep = gns(full.algebra, phi, verify=False)
+    assert rep.roundtrip_defect <= 1e-9
+    assert rep.star_hom_defect > 1e-2
+    with pytest.raises(ToleranceBreach):
+        gns(full.algebra, phi)
 
 
 def test_gns_intertwiner(diag_structure):

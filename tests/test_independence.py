@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import starrep.independence
-from starrep.algebra import generate_algebra
+from starrep.algebra import generate_algebra, span_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
 from starrep.independence import (
     canonical_base,
@@ -12,9 +12,10 @@ from starrep.independence import (
     is_independent,
     morley_average_check,
     nonforking_extension,
+    spanning_word_length,
     type_of,
 )
-from starrep.linalg import ToleranceBreach, full_subspace, orthonormalize, project
+from starrep.linalg import ToleranceBreach, full_subspace, haar_unitary, orthonormalize, project
 from starrep.representation import Structure, acl, cyclic_subspace
 
 from conftest import E1, E2, U
@@ -27,6 +28,20 @@ def state_on(descriptor, algebra, element):
     """Evaluate the residual moment data on an arbitrary algebra element."""
     coeffs = algebra.coefficients(element)
     return np.einsum("d,djk->jk", coeffs, descriptor.moment_tensor)
+
+
+@pytest.mark.parametrize("k", [14, 16])
+def test_spanning_word_length_of_one_generator(k):
+    # k distinct eigenvalues: the powers up to k - 1 are needed
+    q = haar_unitary(k, np.random.default_rng(k))
+    a = generate_algebra([q @ np.diag(np.arange(1.0, k + 1)) @ q.conj().T])
+    assert a.size == k
+    assert spanning_word_length(Structure(a)) == k - 1
+    # generators that span less than the algebra
+    diag3 = span_algebra([np.diag(e) for e in np.eye(3)], 3,
+                         generators=[np.diag([1.0, 0.0, 0.0])])
+    with pytest.raises(RuntimeError):
+        spanning_word_length(Structure(diag3))
 
 
 def test_independence_examples(diag_structure):
