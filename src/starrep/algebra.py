@@ -17,10 +17,6 @@ class DecompositionError(RuntimeError):
     """Spectral splitting failed to converge (numerically degenerate spectrum)."""
 
 
-def _flatten(mats: np.ndarray) -> np.ndarray:
-    return mats.reshape(mats.shape[0], -1)
-
-
 def _orthonormal_rows(flat: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Orthonormal row basis of the row span, relative SVD rank cutoff."""
     if flat.shape[0] == 0:
@@ -108,16 +104,13 @@ class StarAlgebra:
         span closed under left multiplication by them is closed under the
         algebra.
         """
-        if not self.generators:
-            return self.basis
-        g = np.array(self.generators)
-        return np.stack([g, g.conj().transpose(0, 2, 1)], axis=1).reshape(-1, self.dim, self.dim)
+        return _letters(self.generators, self.dim) if self.generators else self.basis
 
     def spans_equal(self, other: "StarAlgebra") -> bool:
         if self.dim != other.dim or self.size != other.size:
             return False
-        qa = _orthonormal_rows(_flatten(self.basis), self.tol)
-        fb = _flatten(other.basis)
+        qa = _orthonormal_rows(self.basis.reshape(self.size, -1), self.tol)
+        fb = other.basis.reshape(other.size, -1)
         resid = fb - (fb @ qa.conj().T) @ qa
         return np.max(np.linalg.norm(resid, axis=1)) <= self.tol.eq_abs * np.sqrt(self.dim)
 
@@ -154,12 +147,21 @@ class StarAlgebra:
             raise ValueError("algebra span is not closed under products")
 
 
+def _letters(generators, n: int) -> np.ndarray:
+    g = np.array(generators, dtype=complex).reshape(-1, n, n)
+    return np.stack([g, g.conj().transpose(0, 2, 1)], axis=1).reshape(-1, n, n)
+
+
 def generate_algebra(generators, dim: int | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> StarAlgebra:
-    """Smallest unital *-algebra span containing the generators.
+    """Smallest unital *-algebra containing the generators, built as A''.
 
-    Breadth-first word closure: adjoin adjoints and all pairwise products,
-    re-orthonormalize, stop when the rank stabilizes (guaranteed at rank <= n^2).
+    A = A'' in finite dimension (von Neumann's bicommutant theorem).  A' is
+    solved from the generators and their adjoints by _commutant_basis and
+    split by _split; A = Q (+)(M_k (x) I_m) Q^H and A' = Q (+)(I_k (x) M_m) Q^H
+    are then written in closed form, with the decomposition cached.  Certified
+    by the block form of every generator and adjoint; raises
+    DecompositionError after 5 fruitless seed retries.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if gens:
@@ -176,25 +178,19 @@ def generate_algebra(generators, dim: int | None = None,
         n = int(dim)
     if n == 0:
         return StarAlgebra(0, np.zeros((0, 0, 0), dtype=complex), gens, tol, validate=False)
+    letters = _letters(gens, n)
 
-    seed = [np.eye(n, dtype=complex)]
-    for g in gens:
-        seed.append(g)
-        seed.append(g.conj().T)
-    q = _orthonormal_rows(np.array([m.ravel() for m in seed]), tol)
-    while True:
-        d = q.shape[0]
-        if d >= n * n:
-            break
-        mats = (np.sqrt(n) * q).reshape(d, n, n)
-        prods = np.einsum("iab,jbc->ijac", mats, mats).reshape(d * d, n, n)
-        adjs = mats.conj().transpose(0, 2, 1)
-        cand = np.vstack([_flatten(prods), _flatten(adjs)])
-        q = _append_to_row_basis(q, cand, tol)
-        if q.shape[0] == d:
-            break
-    basis = (np.sqrt(n) * q).reshape(-1, n, n)
-    return StarAlgebra(n, basis, gens, tol)
+    def attempt(rng):
+        fresh = StarAlgebra(n, _commutant_basis(letters, n, tol, rng), tol=tol, validate=False)
+        dec = _split(fresh, rng)
+        dec.block_parts(letters, check=True)
+        basis, comm_basis = _closed_form_bases(dec)
+        algebra = StarAlgebra(n, basis, gens, tol, validate=False)
+        algebra._block = dec
+        algebra._commutant = StarAlgebra(n, comm_basis, tol=tol, validate=False)
+        return algebra
+
+    return _with_seed_retries(attempt, 0, "algebra generation")
 
 
 def span_algebra(mats, dim: int, tol: Tolerances = DEFAULT_TOL,
@@ -211,23 +207,43 @@ def span_algebra(mats, dim: int, tol: Tolerances = DEFAULT_TOL,
 def commutant(a: StarAlgebra) -> StarAlgebra:
     """All matrices commuting with the algebra.
 
-    Null space of the stacked maps X -> X B - B X over the algebra's letters.
+    Solved from the algebra's letters on the eigenspaces of one seeded random
+    Hermitian combination of them (_commutant_basis), then validated as a
+    *-algebra by span_algebra.
     """
-    n = a.dim
-    if n == 0:
-        return StarAlgebra(0, np.zeros((0, 0, 0), dtype=complex), tol=a.tol, validate=False)
-    sources = a.letters()
-    if not len(sources):
-        sources = [np.eye(n, dtype=complex)]
-    eye = np.eye(n, dtype=complex)
-    blocks = [np.kron(b.T, eye) - np.kron(eye, b) for b in sources]
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = a.tol.rank_rel * max(s[0] if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    null = vh[rank:].conj()
-    mats = [null[j].reshape(n, n, order="F") for j in range(null.shape[0])]
-    return span_algebra(mats, n, a.tol)
+    rng = np.random.default_rng(0)
+    return span_algebra(_commutant_basis(a.letters(), a.dim, a.tol, rng), a.dim, a.tol)
+
+
+def _commutant_basis(letters: np.ndarray, n: int, tol: Tolerances,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Trace-orthonormal basis of the matrices commuting with every letter.
+
+    The letters must be closed under adjoints.  A matrix X commuting with them
+    commutes with the Hermitian h = c.letters + (c.letters)^H for random c,
+    so X is block diagonal on the eigenvalue clusters E_j of h, and the null
+    space of X -> [X, letter] is solved over those sum dim(E_j)^2 unknowns
+    only.  Clusters that merge distinct eigenvalues only add unknowns.
+    """
+    c = rng.standard_normal(len(letters)) + 1j * rng.standard_normal(len(letters))
+    h = np.einsum("g,gab->ab", c, letters)
+    w, v = np.linalg.eigh(h + h.conj().T)
+    label = np.concatenate([np.full(cl.stop - cl.start, j)
+                            for j, cl in enumerate(_cluster_eigenvalues(w))])
+    p, q = np.nonzero(label[:, None] == label[None, :])
+    t = v.conj().T @ letters @ v
+    u = np.arange(p.size)
+    # column u holds [E_pq, t] = E_pq t - t E_pq: row p is t[q, :], column q gains -t[:, p]
+    cols = np.zeros(t.shape + (p.size,), dtype=complex)
+    cols[:, p, :, u] = t[:, q, :].transpose(1, 0, 2)
+    cols[:, :, q, u] -= t[:, :, p]
+    null = np.eye(p.size)
+    if len(letters):
+        _, s, vh = np.linalg.svd(cols.reshape(-1, p.size), full_matrices=False)
+        null = vh[int(np.sum(s > tol.rank_rel * max(s[0], 1.0))):].conj()
+    x = np.zeros((len(null), n, n), dtype=complex)
+    x[:, p, q] = null
+    return np.sqrt(n) * (v @ x @ v.conj().T)
 
 
 def double_commutant_check(a: StarAlgebra) -> bool:
@@ -275,11 +291,6 @@ class BlockDecomposition:
             cur += k * m
         return offs
 
-    def transport(self, m: np.ndarray) -> np.ndarray:
-        """Conjugate m into the block basis."""
-        q = self.change_of_basis
-        return q.conj().T @ np.asarray(m, dtype=complex) @ q
-
     def block_parts(self, m: np.ndarray, check: bool = True):
         """Extract the k_i x k_i compressed block of each class from an algebra
         element, or from a stack of them (leading axes kept).
@@ -289,7 +300,7 @@ class BlockDecomposition:
         100 * eq_abs relative to the element's norm.
         """
         m = np.asarray(m, dtype=complex)
-        t = self.transport(m)
+        t = self.change_of_basis.conj().T @ m @ self.change_of_basis
         parts = []
         for off, (k, mult) in zip(self.offsets(), self.blocks):
             sub = t[..., off:off + k * mult, off:off + k * mult]
@@ -311,10 +322,14 @@ class BlockDecomposition:
         return q @ block_diag_kron(parts, [mult for _, mult in self.blocks]) @ q.conj().T
 
 
-def _cluster_eigenvalues(w: np.ndarray, tol: Tolerances):
-    """Group sorted eigenvalues into clusters separated by clear gaps."""
+def _cluster_eigenvalues(w: np.ndarray):
+    """Group sorted eigenvalues into clusters separated by clear gaps.
+
+    The gap does not follow eq_abs: these are eigenvalues of random elements
+    chosen here, and a raised eq_abs would merge their eigenspaces.
+    """
     spread = float(w[-1] - w[0]) if w.size else 0.0
-    gap_tol = max(100 * tol.eq_abs, 1e-6 * max(spread, 1.0))
+    gap_tol = 1e-6 * max(spread, 1.0)
     clusters, start = [], 0
     for i in range(1, w.size):
         if w[i] - w[i - 1] > gap_tol:
@@ -324,38 +339,54 @@ def _cluster_eigenvalues(w: np.ndarray, tol: Tolerances):
     return clusters
 
 
+def _with_seed_retries(attempt, seed: int, what: str):
+    """attempt(rng) on up to 5 seeded generators.  A failed count or a
+    ToleranceBreach from a block-form certificate moves on to the next seed."""
+    last_err = None
+    for i in range(5):
+        try:
+            return attempt(np.random.default_rng([seed, i, 0x57ED]))
+        except (DecompositionError, ToleranceBreach) as err:
+            last_err = err
+    raise DecompositionError(f"{what} failed after 5 seed retries: {last_err}")
+
+
 def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     """Simultaneous block diagonalization of a matrix *-algebra.
 
-    Works from the algebra's cached commutant A' = direct-sum of
-    (I_{k_i} tensor M_{m_i}).  The eigenspaces of one random Hermitian element
-    of A' are the irreducible summands; the compressions of a second random
-    element between summands vanish for inequivalent summands and are scalar
-    multiples of the unitary intertwiner for equivalent ones (Schur's lemma),
-    which groups and aligns the copies.  The result is certified by the block
-    form of every basis element and by sum k_i^2 == dim A.  Raises
-    DecompositionError after 5 fruitless seed retries.
+    Splits the algebra's cached commutant with _split.  The result is
+    certified by the block form of every basis element and by
+    sum k_i^2 == dim A.  Raises DecompositionError after 5 fruitless seed
+    retries.
     """
-    n = a.dim
-    if n == 0:
+    if a.dim == 0:
         return BlockDecomposition([], np.zeros((0, 0), dtype=complex), a.tol)
-    last_err = None
-    for attempt in range(5):
-        rng = np.random.default_rng([seed, attempt, 0x57ED])
-        try:
-            return _decompose_once(a, rng)
-        except DecompositionError as err:
-            last_err = err
-    raise DecompositionError(f"block decomposition failed after 5 seed retries: {last_err}")
+
+    def attempt(rng):
+        dec = _split(a.commutant(), rng)
+        if sum(k * k for k, _ in dec.blocks) != a.size:
+            raise DecompositionError(
+                f"block sizes {dec.blocks} do not account for the algebra dimension {a.size}")
+        dec.block_parts(a.basis, check=True)
+        return dec
+
+    return _with_seed_retries(attempt, seed, "block decomposition")
 
 
-def _decompose_once(a: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
-    comm = a.commutant()
+def _split(comm: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
+    """Wedderburn blocks read off a commutant A' = direct-sum of (I_{k_i} tensor M_{m_i}).
+
+    The eigenspaces of one random Hermitian element of A' are the irreducible
+    summands of A; the compressions of a second random element between
+    summands vanish for inequivalent summands and are scalar multiples of the
+    unitary intertwiner for equivalent ones (Schur's lemma), which groups and
+    aligns the copies.  Raises DecompositionError unless sum m_i^2 == dim A'.
+    """
     w, v = np.linalg.eigh(comm.random_hermitian_element(rng))
-    pieces = [v[:, cl] for cl in _cluster_eigenvalues(w, a.tol)]
+    pieces = [v[:, cl] for cl in _cluster_eigenvalues(w)]
 
     y = comm.random_hermitian_element(rng)
-    cutoff = a.tol.rank_rel * np.linalg.norm(y)
+    cutoff = comm.tol.rank_rel * np.linalg.norm(y)
     classes = []  # each: list of aligned member columns; member 0 is the class rep
     for cols in pieces:
         k = cols.shape[1]
@@ -373,23 +404,26 @@ def _decompose_once(a: StarAlgebra, rng: np.random.Generator) -> BlockDecomposit
 
     classes.sort(key=lambda members: (members[0].shape[1], len(members)))
     blocks = [(members[0].shape[1], len(members)) for members in classes]
-    if sum(k * k for k, _ in blocks) != a.size:
+    if sum(m * m for _, m in blocks) != comm.size:
         raise DecompositionError(
-            f"block sizes {blocks} do not account for the algebra dimension {a.size}")
+            f"block sizes {blocks} do not account for the commutant dimension {comm.size}")
     # aligned copies carry the identical compressed representation, so ordering
     # columns (irrep index outer, copy index inner) yields M_k (x) I_m
-    q = np.hstack([np.stack(members, axis=2).reshape(a.dim, -1) for members in classes])
+    q = np.hstack([np.stack(members, axis=2).reshape(comm.dim, -1) for members in classes])
     # polish unitarity against accumulated rounding
     uq, _, vqh = np.linalg.svd(q)
-    q = uq @ vqh
-
-    dec = BlockDecomposition(blocks, q, a.tol)
-    _verify_block_form(a, dec)
-    return dec
+    return BlockDecomposition(blocks, uq @ vqh, comm.tol)
 
 
-def _verify_block_form(a: StarAlgebra, dec: BlockDecomposition):
-    try:
-        dec.block_parts(a.basis, check=True)
-    except ToleranceBreach as err:
-        raise DecompositionError(f"block form verification failed: {err}") from err
+def _closed_form_bases(dec: BlockDecomposition):
+    """Trace-orthonormal bases of A = Q (+)(M_k (x) I_m) Q^H and of its
+    commutant Q (+)(I_k (x) M_m) Q^H.  With c the columns of one block read as
+    (n, k, m), Q (E_ab (x) I_m) Q^H = sum_j c[:, a, j] c[:, b, j]^H."""
+    q = dec.change_of_basis
+    n = q.shape[0]
+    alg, comm = [], []
+    for off, (k, m) in zip(dec.offsets(), dec.blocks):
+        c = q[:, off:off + k * m].reshape(n, k, m)
+        alg.append(np.sqrt(n / m) * np.einsum("xaj,ybj->abxy", c, c.conj()).reshape(-1, n, n))
+        comm.append(np.sqrt(n / k) * np.einsum("xja,yjb->abxy", c, c.conj()).reshape(-1, n, n))
+    return np.concatenate(alg), np.concatenate(comm)

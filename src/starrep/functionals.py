@@ -84,7 +84,7 @@ def _same_algebra(phi: PositiveFunctional, psi: PositiveFunctional):
 
 
 def _support_projector(sigma: np.ndarray, tol) -> np.ndarray:
-    w, v = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+    w, v = np.linalg.eigh(sigma)
     if w.size == 0:
         return np.zeros_like(sigma)
     cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0))
@@ -157,7 +157,7 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     for th in thresholds:
         blocks = []
         for sigma in parts_psi:
-            w, v = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+            w, v = np.linalg.eigh(sigma)
             if th is None:
                 cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0) if w.size else 0.0)
             else:
@@ -193,7 +193,7 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
     _, parts_psi = _hermitian_blocks(algebra, psi.rep)
     gamma = 0.0
     for sp, sq in zip(parts_phi, parts_psi):
-        w, v = np.linalg.eigh((sq + sq.conj().T) / 2)
+        w, v = np.linalg.eigh(sq)
         cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0) if w.size else 0.0)
         keep = w > cut
         kernel = v[:, ~keep]
@@ -400,8 +400,8 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
         raise ToleranceBreach(f"Radon-Nikodym operator leaves the commutant by {comm_defect:.2e}")
     copy_c = t_op @ wc
     copy = b @ copy_c
-    state_gap = max(
-        (abs(vector_state(s, copy)(bb) - phi_v(bb)) for bb in s.algebra.basis), default=0.0)
+    phi_copy = vector_state(s, copy)
+    state_gap = max((abs(phi_copy(bb) - phi_v(bb)) for bb in s.algebra.basis), default=0.0)
     if state_gap > 1e-6 * max(1.0, phi_v.norm()):
         raise ToleranceBreach(f"realized copy carries the wrong state (gap {state_gap:.2e})")
     return RadonNikodym(t_op, b, copy, float(gamma or 0.0))

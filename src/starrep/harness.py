@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import generate_algebra
+from .algebra import conditional_expectation, generate_algebra
 from .functionals import (
     PositiveFunctional,
     embeds_as_subrepresentation,
@@ -31,7 +31,7 @@ from .independence import (
     nonforking_extension,
     type_of,
 )
-from .linalg import Subspace, ToleranceBreach, block_diag, haar_unitary, project
+from .linalg import Subspace, ToleranceBreach, block_diag_kron, haar_unitary, project
 from .representation import Structure, acl
 from .serialize import matrix_to_json, vector_to_json
 
@@ -89,37 +89,27 @@ def random_block_plan(dim: int, rng: np.random.Generator):
 def random_structure(spec: InstanceSpec) -> Structure:
     """Algebra of the planned block type conjugated by a Haar unitary.
 
-    Generators are random Hermitian elements; generation is retried until they
-    recover the full planned span.  Flagged blocks form the discrete part.
+    Generators are random Hermitian elements, which generate the planned
+    algebra almost surely; RuntimeError if they do not.  Flagged blocks form
+    the discrete part.
     """
     rng = np.random.default_rng(spec.rng_key())
     n = spec.dim
     q = haar_unitary(n, rng)
 
     def block_element():
-        parts = []
-        for k, m in spec.blocks:
-            h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            parts.append(np.kron((h + h.conj().T) / 2, np.eye(m)))
-        return q @ block_diag(*parts) @ q.conj().T
+        hs = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+              for k, _ in spec.blocks]
+        parts = [(h + h.conj().T) / 2 for h in hs]
+        return q @ block_diag_kron(parts, [m for _, m in spec.blocks]) @ q.conj().T
 
-    algebra = None
-    for _ in range(10):
-        gens = [block_element() for _ in range(spec.generators)]
-        candidate = generate_algebra(gens)
-        if candidate.size == spec.algebra_size():
-            algebra = candidate
-            break
-    if algebra is None:
-        raise RuntimeError("generator resampling cap exceeded (degenerate generators)")
+    algebra = generate_algebra([block_element() for _ in range(spec.generators)])
+    if algebra.size != spec.algebra_size():
+        raise RuntimeError(f"generators span an algebra of size {algebra.size}, "
+                           f"the plan has {spec.algebra_size()} (degenerate generators)")
 
-    cols, offset = [], 0
-    for (k, m), flagged in zip(spec.blocks, spec.discrete_flags):
-        if flagged:
-            cols.append(q[:, offset:offset + k * m])
-        offset += k * m
-    basis = np.hstack(cols) if cols else np.zeros((n, 0), dtype=complex)
-    return Structure(algebra, Subspace(n, basis, algebra.tol))
+    flagged = np.repeat(spec.discrete_flags, [k * m for k, m in spec.blocks])
+    return Structure(algebra, Subspace(n, q[:, flagged], algebra.tol))
 
 
 def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -164,7 +154,6 @@ def _compress_state(phi: PositiveFunctional, rng: np.random.Generator) -> Positi
         chosen = idx[-1:]
     scale = 0.2 + 1.8 * rng.random(chosen.size)
     rep = (v[:, chosen] * (w[chosen] * scale)) @ v[:, chosen].conj().T
-    from .algebra import conditional_expectation
     rep = conditional_expectation(rep, phi.algebra)
     return PositiveFunctional(phi.algebra, (rep + rep.conj().T) / 2, validate=False)
 

@@ -61,6 +61,32 @@ def test_generate_errors():
         generate_algebra([])
 
 
+@pytest.mark.parametrize("n, seed", [(10, 25), (16, 3)])
+def test_generate_one_generator_with_close_eigenvalues(n, seed):
+    # smallest eigenvalue gaps 3.5e-3 (n = 10) and 6.8e-3 (n = 16): the
+    # algebra is the n diagonal matrices in the generator's eigenbasis
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(n, rng)
+    g = u @ np.diag(rng.standard_normal(n)) @ u.conj().T
+    alg = generate_algebra([g])
+    assert alg.size == n
+    assert alg.contains(g @ g) and alg.commutant().size == n
+
+
+def test_generate_rejects_commutant_that_fails_the_letters(monkeypatch):
+    from starrep import algebra as algebra_module
+    solve = algebra_module._commutant_basis
+
+    def with_extra_projector(letters, n, tol, rng):
+        # span{I, E11} is a *-algebra, so only the block form of E12 exposes it
+        return np.concatenate([solve(letters, n, tol, rng), np.sqrt(n) * E11[None]])
+
+    assert generate_algebra([E12]).size == 4
+    monkeypatch.setattr(algebra_module, "_commutant_basis", with_extra_projector)
+    with pytest.raises(DecompositionError):
+        generate_algebra([E12])
+
+
 def test_span_algebra_rejects_span_not_closed_under_products():
     e = np.eye(3)
     def unit(i, j):
@@ -74,6 +100,7 @@ def test_span_algebra_rejects_span_not_closed_under_products():
 def test_commutant_examples():
     scalar = generate_algebra([], dim=3)
     assert commutant(scalar).size == 9
+    assert commutant(span_algebra([], 0)).size == 0
     m2 = generate_algebra([E12])
     assert commutant(m2).size == 1
     diag = generate_algebra([E11])
@@ -173,8 +200,8 @@ def test_wedderburn_rejects_merged_eigenvalue_clusters(monkeypatch):
     from starrep import algebra as algebra_module
     cluster = algebra_module._cluster_eigenvalues
 
-    def merge_first_two(w, tol):
-        clusters = cluster(w, tol)
+    def merge_first_two(w):
+        clusters = cluster(w)
         if len(clusters) < 2:
             return clusters
         return [slice(clusters[0].start, clusters[1].stop)] + clusters[2:]
@@ -182,9 +209,13 @@ def test_wedderburn_rejects_merged_eigenvalue_clusters(monkeypatch):
     alg = planted_algebra([(1, 2), (2, 1)], 3)
     assert wedderburn_decompose(alg, 0).blocks == [(1, 2), (2, 1)]
     monkeypatch.setattr(algebra_module, "_cluster_eigenvalues", merge_first_two)
-    # merged pieces still give a valid block form; only sum k^2 == dim A catches them
+    # merged pieces still give a valid block form; only the dimension counts catch them
     with pytest.raises(DecompositionError):
         wedderburn_decompose(alg, 0)
+    # generation splits its fresh commutant the same way: merging the two
+    # pieces of diag(a, b) would otherwise return all of M_2, which holds E11
+    with pytest.raises(DecompositionError):
+        generate_algebra([E11])
 
 
 def test_conditional_expectation_examples():

@@ -6,6 +6,7 @@ import pathlib
 import runpy
 
 import numpy as np
+import pytest
 
 import starrep
 
@@ -45,3 +46,19 @@ def test_benchmark_gns_check_accepts_gns():
     out = starrep.gns(algebra, starrep.PositiveFunctional(algebra, rep))
     want = sum(k * r for (k, _), r in zip(p.blocks, ranks))
     assert checks.gns(p, algebra, rep, out, want)
+
+
+@pytest.mark.parametrize("blocks", [
+    [(16, 1)],
+    [(24, 1)],
+    [(2, 2)] * 8,
+    [(1, 1)] * 30,
+    [(1, 3), (2, 2), (3, 4), (4, 1), (2, 3), (1, 5), (5, 2), (2, 2)],
+], ids=["full16", "full24", "eight22", "diag30", "mixed48"])
+def test_generated_algebra_matches_larger_plans(blocks):
+    checks, planted = _load("checks"), _load("planted")
+    p = planted.Plant(blocks, [False] * len(blocks), np.random.default_rng(6))
+    algebra = starrep.generate_algebra(p.generators)
+    assert checks.algebra_matches(p, algebra)
+    assert sorted(algebra.block_decomposition().blocks) == p.signature
+    assert algebra.commutant().size == p.commutant_size
