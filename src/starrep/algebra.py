@@ -136,12 +136,15 @@ class StarAlgebra:
         for k in range(self.size):
             if not self.contains(self.basis[k].conj().T):
                 raise ValueError("algebra span is not closed under adjoints")
-        # products checked pairwise; spans are tiny so this stays cheap
-        prods = np.einsum("iab,jbc->ijac", self.basis, self.basis)
-        prods = prods.reshape(-1, self.dim, self.dim)
-        coeffs = np.einsum("kab,pab->pk", self.basis.conj(), prods) / max(self.dim, 1)
-        recon = np.einsum("pk,kab->pab", coeffs, self.basis)
-        err = np.max(np.abs(recon - prods)) if prods.size else 0.0
+        # products checked pairwise: all b_i b_j as one GEMM, rows (i, a) and
+        # columns (j, c), then projected back onto the span by two more
+        n, d = self.dim, self.size
+        flat = self.basis.reshape(d, n * n)
+        prods = self.basis.reshape(d * n, n) @ self.basis.transpose(1, 0, 2).reshape(n, d * n)
+        prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
+        recon = (prods @ flat.conj().T / n) @ flat
+        recon -= prods
+        err = np.max(np.abs(recon)) if recon.size else 0.0
         scale = max(1.0, float(np.max(np.abs(self.basis))) ** 2 * self.dim)
         if err > 100 * self.tol.eq_abs * scale:
             raise ValueError("algebra span is not closed under products")

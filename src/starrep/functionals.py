@@ -4,7 +4,9 @@ A functional is stored through its representing element under the trace
 pairing, phi(a) = Tr(rho^H a), with rho inside the algebra span.  Positivity
 is equivalent to rho being PSD; transporting rho to the Wedderburn block
 basis turns every norm, orthogonality and domination question into
-eigenvalue arithmetic on the compressed blocks.
+eigenvalue arithmetic on the compressed blocks.  The Radon-Nikodym operator
+is solved on the same blocks, from vectors read as k_i x m_i matrices, and is
+returned in a block-adapted basis of the cyclic space.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StarAlgebra, conditional_expectation
-from .linalg import ToleranceBreach, block_diag_kron, project, psd_sqrt
-from .representation import Structure, acl, cyclic_subspace, essential_discrete_parts
+from .linalg import ToleranceBreach, block_diag, block_diag_kron, project, psd_sqrt
+from .representation import Structure, acl, essential_discrete_parts
 
 
 class PositiveFunctional:
@@ -139,42 +141,40 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     The witness is the spectral support-complement projection of psi's block
     representative, which lies in the algebra.  When the functionals are not
     orthogonal the result reports the best achievable floor over the tested
-    spectral projections of psi.
+    spectral projections of psi.  Each candidate projection kills the
+    eigenvalues of psi's blocks at or below a cut, so from one eigh per block
+    it scores psi(a) = sum_i m_i (killed eigenvalues) and
+    phi(I - a) = sum_i m_i (kept diagonal of phi's block in that eigenbasis);
+    only the best candidate (the first on ties) is assembled.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     _same_algebra(phi, psi)
     algebra = phi.algebra
     dec, parts_psi = _hermitian_blocks(algebra, psi.rep)
+    _, parts_phi = _hermitian_blocks(algebra, phi.rep)
     tol = algebra.tol
 
-    candidates = []
+    spectra = [np.linalg.eigh(sigma) for sigma in parts_psi]
     # kernel-of-support projection plus every spectral cut of psi's blocks
-    thresholds = [None]
-    pooled = sorted({round(float(x), 14) for sigma in parts_psi
-                     for x in np.linalg.eigvalsh(sigma) if x > tol.psd_abs})
-    thresholds.extend(pooled)
-    for th in thresholds:
-        blocks = []
-        for sigma in parts_psi:
-            w, v = np.linalg.eigh(sigma)
-            if th is None:
-                cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0) if w.size else 0.0)
-            else:
-                cut = th + 1e-12
-            kill = v[:, w <= cut]
-            blocks.append(kill @ kill.conj().T)
-        candidates.append(dec.assemble(blocks))
-
-    best = None
-    for a in candidates:
-        pg = float(np.real(phi(np.eye(algebra.dim)) - phi(a)))
-        sg = float(np.real(psi(a)))
-        score = max(pg, sg)
-        if best is None or score < best[0]:
-            best = (score, a, pg, sg)
-    score, a, pg, sg = best
+    pooled = sorted({round(float(x), 14) for w, _ in spectra for x in w if x > tol.psd_abs})
+    phi_gap = np.zeros(len(pooled) + 1)
+    psi_gap = np.zeros(len(pooled) + 1)
+    killed = []
+    for (w, v), sp, (_, m) in zip(spectra, parts_phi, dec.blocks):
+        support_cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0))
+        # eigh sorts ascending, so each cut kills a prefix of the eigenvectors
+        count = np.searchsorted(w, [support_cut] + [th + 1e-12 for th in pooled], side="right")
+        diag = np.real(np.einsum("ji,jk,ki->i", v.conj(), sp, v))
+        psi_gap += m * np.concatenate([[0.0], np.cumsum(w)])[count]
+        phi_gap += m * np.concatenate([np.cumsum(diag[::-1])[::-1], [0.0]])[count]
+        killed.append(count)
+    best = int(np.argmin(np.maximum(phi_gap, psi_gap)))
+    pg, sg = float(phi_gap[best]), float(psi_gap[best])
+    score = max(pg, sg)
     if pg < epsilon and sg < epsilon:
+        kills = [v[:, :count[best]] for (_, v), count in zip(spectra, killed)]
+        a = dec.assemble([kill @ kill.conj().T for kill in kills])
         return OrthogonalityWitness(True, a, pg, sg, score)
     return OrthogonalityWitness(False, None, pg, sg, score)
 
@@ -333,11 +333,10 @@ def embeds_as_subrepresentation(s: Structure, v: np.ndarray, w: np.ndarray) -> b
 
     ow = np.einsum("kab,b->ka", s.algebra.basis, w).T        # (n, d) orbit of w
     ov = np.einsum("kab,b->ka", s.algebra.basis, v).T
-    _, sv, vh = np.linalg.svd(ow)
+    _, sv, vh = np.linalg.svd(ow, full_matrices=False)
     cutoff = s.tol.rank_rel * max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > cutoff))
-    null = vh[rank:].conj().T
-    leak = float(np.linalg.norm(ov @ null)) if null.size else 0.0
+    rows = vh[:int(np.sum(sv > cutoff))]                     # row space of the orbit of w
+    leak = float(np.linalg.norm(ov - (ov @ rows.conj().T) @ rows))
     solvable = leak <= 1e-6 * max(1.0, float(np.linalg.norm(ov)))
     if solvable != dominated:
         raise ToleranceBreach(
@@ -347,21 +346,40 @@ def embeds_as_subrepresentation(s: Structure, v: np.ndarray, w: np.ndarray) -> b
 
 @dataclass
 class RadonNikodym:
-    """Positive commutant operator T on H_w with T w = v', phi_{v'} = phi_v."""
+    """Positive commutant operator T on H_w with T w = v', phi_{v'} = phi_v.
 
-    operator: np.ndarray      # acting on H_w coordinates
-    basis: np.ndarray         # orthonormal basis of H_w inside the ambient space
+    The basis of H_w is block-adapted: block i contributes the columns of
+    Q_i (I_{k_i} (x) conj Y_i), with Q_i the block's columns of the change of
+    basis and W_i = U_i S_i Y_i^H the thin SVD of w's block, and in it T is
+    the direct sum of I_{k_i} (x) T_i.
+    """
+
+    operator: np.ndarray      # acting on H_w coordinates, in the block-adapted basis
+    basis: np.ndarray         # orthonormal block-adapted basis of H_w inside the ambient space
     v_copy: np.ndarray        # the realized copy of v, in ambient coordinates
     gamma: float
+
+
+def _block_coordinates(dec, x: np.ndarray):
+    """Block i of Q^H x read as a k_i x m_i matrix (the order block_parts uses):
+    an algebra element acts on it as X -> x_i X, the commutant as X -> X c."""
+    y = dec.change_of_basis.conj().T @ x
+    return [y[off:off + k * m].reshape(k, m) for off, (k, m) in zip(dec.offsets(), dec.blocks)]
 
 
 def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     """The Radon-Nikodym operator realizing phi_v inside the cyclic space of w.
 
-    Returns None when phi_v is not dominated by phi_w.  Otherwise solves the
-    sesquilinear system <D pi(a) w, pi(b) w> = phi_v(b^H a) on H_w, takes the
-    positive square root T and certifies positivity, commutation with the
-    compressed algebra, and that the copy T w carries the state of v.
+    Returns None when phi_v is not dominated by phi_w.  Otherwise works on the
+    Wedderburn blocks, with v and w read as k_i x m_i matrices V_i and W_i.
+    With W_i = U_i S_i Y_i^H (ranks from one cutoff, rank_rel times the
+    largest singular value over all blocks), H_w = Q (+) {Z Y_i^H}, and
+    <D pi(a) w, pi(b) w> = phi_v(b^H a) is solved by D: Z -> Z delta_i with
+    delta_i = G_i G_i^H, G_i = S_i^{-1} U_i^H V_i.  T = sqrt(D) is
+    (+) I_{k_i} (x) sqrt(delta_i)^T and carries w to the copy
+    Q (+) U_i S_i sqrt(delta_i) Y_i^H.  Certified: V_i lies in the range of
+    W_i, D is PSD, T commutes with the compressed letters of the algebra, and
+    the copy carries the state of v.
     """
     v = np.asarray(v, dtype=complex).ravel()
     w = np.asarray(w, dtype=complex).ravel()
@@ -370,41 +388,56 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     if not dominated:
         return None
 
-    hw = cyclic_subspace(s, [w])
-    b = hw.basis
-    h = b.shape[1]
-    if h == 0:
-        return RadonNikodym(np.zeros((0, 0), dtype=complex), b,
-                            np.zeros(s.dim, dtype=complex), float(gamma or 0.0))
-    comp = np.einsum("pa,kab,bq->kpq", b.conj().T, s.algebra.basis, b)
-    wc = b.conj().T @ w
-    y = (comp @ wc).T                                        # (h, d), columns pi(b_k) w
-    weighted = s.algebra.basis @ phi_v.rep
-    m = np.einsum("kab,jab->kj", weighted.conj(), s.algebra.basis)
-    m = (m + m.conj().T) / 2
-    pinv = np.linalg.pinv(y, rcond=1e-12)
-    d_op = pinv.conj().T @ m @ pinv
-    d_op = (d_op + d_op.conj().T) / 2
-
-    tol = s.tol
-    resid = float(np.linalg.norm(y.conj().T @ d_op @ y - m))
-    if resid > 1e-6 * max(1.0, float(np.linalg.norm(m))):
+    tol, n = s.tol, s.dim
+    dec = s.algebra.block_decomposition()
+    svds = [np.linalg.svd(wi, full_matrices=False) for wi in _block_coordinates(dec, w)]
+    cut = tol.rank_rel * max((float(sv[0]) for _, sv, _ in svds if sv.size), default=0.0)
+    cols, deltas, outside, scale = [], [], [], []
+    for off, (k, m), vi, (u, sv, yh) in zip(dec.offsets(), dec.blocks,
+                                            _block_coordinates(dec, v), svds):
+        r = int(np.sum(sv > cut))
+        u, sv, y = u[:, :r], sv[:r], yh[:r].conj().T
+        cols.append((dec.change_of_basis[:, off:off + k * m].reshape(n, k, m) @ y.conj())
+                    .reshape(n, k * r))
+        uv = u.conj().T @ vi
+        g = uv / sv[:, None]
+        deltas.append(g @ g.conj().T)
+        # U S delta S U^H - V V^H: the part of V_i outside the range of W_i
+        inside, vv = u @ uv, vi @ vi.conj().T
+        outside.append(np.linalg.norm(inside @ inside.conj().T - vv))
+        scale.append(np.linalg.norm(vv))
+    b = np.hstack(cols)
+    if b.shape[1] == 0:
+        return RadonNikodym(np.zeros((0, 0), dtype=complex), b, np.zeros(n, dtype=complex),
+                            float(gamma))
+    resid = float(np.linalg.norm(outside))
+    if resid > 1e-6 * max(1.0, float(np.linalg.norm(scale))):
         raise ToleranceBreach(f"Radon-Nikodym system inconsistent by {resid:.2e}")
+    d_op = block_diag(*deltas)
+    d_op = (d_op + d_op.conj().T) / 2
     eigs = np.linalg.eigvalsh(d_op)
-    if eigs.size and eigs[0] < -tol.psd_abs * max(1.0, float(eigs[-1])):
+    if eigs[0] < -tol.psd_abs * max(1.0, float(eigs[-1])):
         raise ToleranceBreach(f"Radon-Nikodym operator not PSD ({eigs[0]:.3e})")
-    t_op = psd_sqrt(d_op, tol)
-    comm_defect = max(
-        (float(np.linalg.norm(t_op @ c - c @ t_op)) for c in comp), default=0.0)
+    # sqrt of the direct sum is the direct sum of the sqrt(delta_i)
+    root = psd_sqrt(d_op, tol)
+    ends = np.cumsum([0] + [len(delta) for delta in deltas])
+    t_op = block_diag(*[np.kron(np.eye(k), root[lo:hi, lo:hi].T)
+                        for (k, _), lo, hi in zip(dec.blocks, ends[:-1], ends[1:])])
+    letters = s.algebra.letters()
+    comp = b.conj().T @ letters @ b
+    comm_defect = float(np.max(np.linalg.norm(t_op @ comp - comp @ t_op, axis=(1, 2)),
+                               initial=0.0))
     if comm_defect > 1e-6 * max(1.0, float(np.linalg.norm(t_op))):
         raise ToleranceBreach(f"Radon-Nikodym operator leaves the commutant by {comm_defect:.2e}")
-    copy_c = t_op @ wc
-    copy = b @ copy_c
-    phi_copy = vector_state(s, copy)
-    state_gap = max((abs(phi_copy(bb) - phi_v(bb)) for bb in s.algebra.basis), default=0.0)
+    copy = b @ (t_op @ (b.conj().T @ w))
+    # phi_copy(b_k) - phi_v(b_k) = Tr(b_k (copy copy^H - v v^H)) for every basis element
+    basis = s.algebra.basis
+    gap = basis.reshape(len(basis), -1) @ (np.outer(copy.conj(), copy)
+                                           - np.outer(v.conj(), v)).ravel()
+    state_gap = float(np.max(np.abs(gap), initial=0.0))
     if state_gap > 1e-6 * max(1.0, phi_v.norm()):
         raise ToleranceBreach(f"realized copy carries the wrong state (gap {state_gap:.2e})")
-    return RadonNikodym(t_op, b, copy, float(gamma or 0.0))
+    return RadonNikodym(t_op, b, copy, float(gamma))
 
 
 def _residual_essential(s: Structure, v: np.ndarray, base) -> np.ndarray:

@@ -94,14 +94,15 @@ def type_of(s: Structure, vectors, base) -> TypeDescriptor:
 
 
 def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
-    """Largest entrywise deviation between two descriptors.
+    """Largest deviation between two descriptors.
 
     The structures must share an originating algebra (the same one, or one
-    with an equal basis); extensions keep their parent's.  The moments are
-    then compared element by element of that algebra's basis, and the base
-    projections with the shorter zero-padded, since an extension keeps its
-    parent's space as the leading coordinates.  Structures over different
-    algebras raise ValueError.
+    with an equal basis); extensions keep their parent's.  The moments of each
+    residual pair (i, j) are then compared by the l2 norm over that algebra's
+    basis, which a unitary change of the orthonormal basis leaves unchanged,
+    and the base projections entrywise with the shorter zero-padded, since an
+    extension keeps its parent's space as the leading coordinates.  Structures
+    over different algebras raise ValueError.
     """
     if d1.tuple_len != d2.tuple_len:
         raise ValueError("descriptors describe tuples of different lengths")
@@ -112,8 +113,8 @@ def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
     n = max(p1.shape[1], p2.shape[1])
     gap = (np.pad(p1, ((0, 0), (0, n - p1.shape[1])))
            - np.pad(p2, ((0, 0), (0, n - p2.shape[1]))))
-    return float(max(np.max(np.abs(gap), initial=0.0),
-                     np.max(np.abs(d1.moment_tensor - d2.moment_tensor), initial=0.0)))
+    moments = np.linalg.norm(d1.moment_tensor - d2.moment_tensor, axis=0)
+    return float(max(np.max(np.abs(gap), initial=0.0), np.max(moments, initial=0.0)))
 
 
 def descriptors_close(d1: TypeDescriptor, d2: TypeDescriptor, tol: float | None = None) -> bool:

@@ -62,3 +62,25 @@ def test_generated_algebra_matches_larger_plans(blocks):
     assert checks.algebra_matches(p, algebra)
     assert sorted(algebra.block_decomposition().blocks) == p.signature
     assert algebra.commutant().size == p.commutant_size
+
+
+def test_benchmark_rn_and_witness_checks_accept_block_solutions():
+    checks, planted = _load("checks"), _load("planted")
+    rng = np.random.default_rng(8)
+    p = planted.Plant([(1, 2), (2, 2), (3, 1)], [False] * 3, rng)
+    s = starrep.Structure(starrep.generate_algebra(p.generators))
+    w = p.random_vector(rng, {0, 1, 2})
+    # V_i = W_i C_i is dominated by w; a vector on other directions is not
+    v = p.vector([c @ (rng.standard_normal((c.shape[1],) * 2)
+                       + 1j * rng.standard_normal((c.shape[1],) * 2)) for c in p.coords(w)])
+    other = p.random_vector(rng, {0, 1, 2})
+    for target, dominated in ((v, True), (other, False)):
+        out = starrep.radon_nikodym_operator(s, w, target)
+        assert (out is not None) == dominated
+        assert checks.radon_nikodym(p, w, target, out)
+    a, b = p.random_vector(rng, {0, 1}), p.random_vector(rng, {2})
+    for x, y in ((a, b), (a, w)):
+        phi, psi = starrep.vector_state(s, x), starrep.vector_state(s, y)
+        out = starrep.orthogonality_witness(phi, psi, 1e-6)
+        assert out.success == p.orthogonal(x, y)
+        assert checks.witness(p, x, y, out, p.orthogonal(x, y), 1e-6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from starrep import functionals
 from starrep.algebra import generate_algebra
 from starrep.functionals import (
     PositiveFunctional,
@@ -21,12 +22,14 @@ from starrep.harness import (
     InstanceSpec,
     commuting_unitary,
     disjoint_state_pair,
+    overlapping_state_pair,
     random_in_algebra_state,
     random_structure,
     random_unit_vector,
 )
 from starrep.independence import nonforking_extension
-from starrep.linalg import ToleranceBreach
+from starrep.linalg import Subspace, ToleranceBreach, psd_sqrt
+from starrep.representation import cyclic_subspace
 
 from conftest import E1, E2, U
 
@@ -273,6 +276,146 @@ def test_radon_nikodym_examples(diag_structure, m2_structure):
     assert np.linalg.eigvalsh(rn.operator)[0] >= -1e-10
     assert radon_nikodym_operator(m2_structure, E2, E1) is None
 
+
+
+def orbit_system_rn(s, w, v):
+    """Reference Radon-Nikodym solve on the orbit of w: D on H_w from
+    <D pi(a) w, pi(b) w> = phi_v(b^H a) over every pair of basis elements,
+    through the pseudo-inverse of the orbit matrix.  Returns (gamma, T as an
+    ambient operator, the copy), or None when phi_v is not dominated."""
+    phi_v, phi_w = vector_state(s, v), vector_state(s, w)
+    dominated, gamma = is_dominated(phi_v, phi_w)
+    if not dominated:
+        return None
+    b = cyclic_subspace(s, [w]).basis
+    comp = np.einsum("pa,kab,bq->kpq", b.conj().T, s.algebra.basis, b)
+    wc = b.conj().T @ w
+    y = (comp @ wc).T
+    weighted = s.algebra.basis @ phi_v.rep
+    m = np.einsum("kab,jab->kj", weighted.conj(), s.algebra.basis)
+    pinv = np.linalg.pinv(y, rcond=1e-12)
+    d_op = pinv.conj().T @ ((m + m.conj().T) / 2) @ pinv
+    assert np.linalg.norm(y.conj().T @ d_op @ y - m) <= 1e-9 * max(1.0, np.linalg.norm(m))
+    t_op = psd_sqrt(d_op)
+    return float(gamma), b @ t_op @ b.conj().T, b @ (t_op @ wc)
+
+
+def from_blocks(s, parts):
+    """Ambient vector whose block i of Q^H v, read as a k_i x m_i matrix, is parts[i]."""
+    dec = s.algebra.block_decomposition()
+    return dec.change_of_basis @ np.concatenate([np.asarray(p).ravel() for p in parts])
+
+
+def cgauss(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def rn_pairs():
+    """(structure, w, v) with v = w acted on by the commutant blockwise
+    (V_i = W_i C_i), so dominated, on plans with m >= 2, a zero block of w,
+    rank-deficient W_i and a full M_n; plus pairs that are not dominated."""
+    rng = np.random.default_rng(41)
+    mixed = random_structure(InstanceSpec(10, ((2, 2), (1, 3), (3, 1)), (False,) * 3, seed=41))
+    multi = random_structure(InstanceSpec(12, ((2, 3), (3, 2)), (False,) * 2, seed=42))
+    full = random_structure(InstanceSpec(6, ((6, 1),), (False,), seed=43))
+    cases = []
+    for s in (mixed, multi, full):
+        blocks = s.algebra.block_decomposition().blocks
+        generic = [cgauss(rng, k, m) for k, m in blocks]
+        zero_first = [np.zeros((k, m)) if i == 0 else cgauss(rng, k, m)
+                      for i, (k, m) in enumerate(blocks)]
+        # rank one in every block, below min(k, m) wherever both exceed 1
+        rank_one = [np.outer(cgauss(rng, k), cgauss(rng, m)) for k, m in blocks]
+        for ws in (generic, zero_first, rank_one):
+            vs = [wi @ cgauss(rng, wi.shape[1], wi.shape[1]) for wi in ws]
+            cases.append((s, from_blocks(s, ws), from_blocks(s, vs)))
+        cases.append((s, from_blocks(s, rank_one), from_blocks(s, generic)))
+    return cases
+
+
+def test_radon_nikodym_matches_orbit_system():
+    dominated = 0
+    for s, w, v in rn_pairs():
+        rn, ref = radon_nikodym_operator(s, w, v), orbit_system_rn(s, w, v)
+        assert (rn is None) == (ref is None)
+        if rn is None:
+            continue
+        dominated += 1
+        gamma, t_ambient, copy = ref
+        assert abs(rn.gamma - gamma) <= 1e-9 * max(1.0, gamma)
+        np.testing.assert_allclose(rn.basis @ rn.operator @ rn.basis.conj().T, t_ambient,
+                                   atol=1e-9)
+        np.testing.assert_allclose(vector_state(s, rn.v_copy).rep, vector_state(s, copy).rep,
+                                   atol=1e-9)
+        np.testing.assert_allclose(vector_state(s, rn.v_copy).rep, vector_state(s, v).rep,
+                                   atol=1e-9)
+        assert Subspace(s.dim, rn.basis).isclose(cyclic_subspace(s, [w]))
+    assert dominated == 9
+
+
+def test_radon_nikodym_state_gap_catches_a_wrong_root(monkeypatch):
+    s, w, v = rn_pairs()[0]
+    assert radon_nikodym_operator(s, w, v) is not None
+    # twice the root still commutes and is PSD; only the copy's state shows it.
+    # is_dominated takes roots too, so it keeps its unpatched answer
+    verdict = is_dominated(vector_state(s, v), vector_state(s, w))
+    monkeypatch.setattr(functionals, "is_dominated", lambda phi, psi: verdict)
+    monkeypatch.setattr(functionals, "psd_sqrt", lambda m, tol=None: 2 * psd_sqrt(m))
+    with pytest.raises(ToleranceBreach):
+        radon_nikodym_operator(s, w, v)
+
+
+def ambient_witness(phi, psi, epsilon):
+    """Reference witness: every candidate projection assembled and scored by
+    evaluating both functionals on it; the first best wins."""
+    algebra, tol = phi.algebra, phi.algebra.tol
+    dec = algebra.block_decomposition()
+    parts = [(p + p.conj().T) / 2 for p in dec.block_parts(psi.rep)]
+    pooled = sorted({round(float(x), 14) for sigma in parts
+                     for x in np.linalg.eigvalsh(sigma) if x > tol.psd_abs})
+    best = None
+    for th in [None] + pooled:
+        blocks = []
+        for sigma in parts:
+            w, v = np.linalg.eigh(sigma)
+            cut = (max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0))
+                   if th is None else th + 1e-12)
+            kill = v[:, w <= cut]
+            blocks.append(kill @ kill.conj().T)
+        a = dec.assemble(blocks)
+        pg = float(np.real(phi(np.eye(algebra.dim)) - phi(a)))
+        sg = float(np.real(psi(a)))
+        if best is None or max(pg, sg) < best[0]:
+            best = (max(pg, sg), a, pg, sg)
+    score, a, pg, sg = best
+    return pg < epsilon and sg < epsilon, a, pg, sg, score
+
+
+def test_orthogonality_witness_matches_ambient_scores():
+    rng = np.random.default_rng(52)
+    successes = 0
+    for spec in (InstanceSpec(10, ((2, 2), (1, 3), (3, 1)), (False,) * 3, seed=51),
+                 InstanceSpec(6, ((6, 1),), (False,), seed=52),
+                 InstanceSpec(6, ((1, 1),) * 6, (False,) * 6, seed=53)):
+        s = random_structure(spec)
+        n = s.dim
+        pairs = [disjoint_state_pair(s, rng) for _ in range(3)]
+        pairs += [overlapping_state_pair(s, rng) for _ in range(3)]
+        pairs += [(random_in_algebra_state(s, rng), random_in_algebra_state(s, rng))
+                  for _ in range(3)]
+        pairs += [(vector_state(s, x), vector_state(s, y)) for x, y in
+                  ((random_unit_vector(rng, n), random_unit_vector(rng, n)) for _ in range(3))]
+        for phi, psi in pairs:
+            for eps in (1e-6, 0.5):
+                got = orthogonality_witness(phi, psi, eps)
+                success, a, pg, sg, score = ambient_witness(phi, psi, eps)
+                assert got.success == success
+                assert abs(got.phi_gap - pg) <= 1e-12 and abs(got.psi_gap - sg) <= 1e-12
+                assert abs(got.floor - score) <= 1e-12
+                if success:
+                    successes += 1
+                    np.testing.assert_allclose(got.element, a, atol=1e-12)
+    assert successes >= 18
 
 def test_types_orthogonal_examples(diag_structure):
     s = diag_structure

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import starrep.independence
-from starrep.algebra import generate_algebra, span_algebra
+from starrep.algebra import StarAlgebra, generate_algebra, span_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
 from starrep.independence import (
     canonical_base,
@@ -213,6 +213,21 @@ def test_descriptor_distance_rejects_unrelated_algebras(diag_structure):
     with pytest.raises(ValueError):
         descriptor_distance(type_of(diag_structure, U, []), type_of(other, U, []))
 
+
+
+def test_descriptor_distance_ignores_the_choice_of_orthonormal_basis():
+    s = random_structure(InstanceSpec(9, ((1, 2), (2, 2), (3, 1)), (False,) * 3, seed=17))
+    rng = np.random.default_rng(17)
+    # the same algebra, its orthonormal basis rotated by a Haar unitary
+    u = haar_unitary(s.algebra.size, rng)
+    rotated = Structure(StarAlgebra(s.dim, np.einsum("kl,lab->kab", u, s.algebra.basis)))
+    assert rotated.algebra.spans_equal(s.algebra)
+    for _ in range(3):
+        v, w = random_unit_vector(rng, 9), random_unit_vector(rng, 9)
+        here = descriptor_distance(type_of(s, v, []), type_of(s, w, []))
+        there = descriptor_distance(type_of(rotated, v, []), type_of(rotated, w, []))
+        assert here > 1e-2
+        assert abs(here - there) <= 1e-12
 
 def test_canonical_base_examples(diag_structure):
     s = diag_structure
