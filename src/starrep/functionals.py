@@ -1,10 +1,10 @@
 """Positive linear functionals on a matrix *-algebra.
 
 A functional is stored through its representing element under the trace
-pairing, phi(a) = Tr(rho^H a), with rho inside the algebra span.  Positivity
-is equivalent to rho being PSD; transporting rho to the Wedderburn block
-basis turns every norm, orthogonality and domination question into
-eigenvalue arithmetic on the compressed blocks.  The Radon-Nikodym operator
+pairing, phi(a) = Tr(rho^H a), with rho inside the algebra span, and through
+the Hermitian Wedderburn block parts sigma_i of rho, read once.  Positivity
+is equivalent to rho being PSD, and every norm, orthogonality and domination
+question is eigenvalue arithmetic on the sigma_i.  The Radon-Nikodym operator
 is solved on the same blocks, from vectors read as k_i x m_i matrices, and is
 returned in a block-adapted basis of the cyclic space.
 """
@@ -19,8 +19,13 @@ from .linalg import ToleranceBreach, block_diag, block_diag_kron, project, psd_s
 from .representation import Structure, acl, essential_discrete_parts
 
 
+def _hermitian(parts):
+    return [(p + p.conj().T) / 2 for p in parts]
+
+
 class PositiveFunctional:
-    """A positive linear functional given by its in-algebra trace representative."""
+    """A positive linear functional: its in-algebra trace representative `rep`
+    and the Hermitian Wedderburn block parts `parts` of it."""
 
     def __init__(self, algebra: StarAlgebra, rep: np.ndarray, validate: bool = True):
         rep = np.asarray(rep, dtype=complex)
@@ -36,9 +41,18 @@ class PositiveFunctional:
                 raise ValueError(f"functional is not positive (min eigenvalue {w[0]:.3e})")
         self.algebra = algebra
         self.rep = rep
+        self.parts = _hermitian(algebra.block_decomposition().block_parts(rep, check=True))
+
+    @classmethod
+    def from_parts(cls, algebra: StarAlgebra, parts) -> PositiveFunctional:
+        """The functional with block parts sigma_i, rep = Q (+)(sigma_i (x) I_{m_i}) Q^H."""
+        phi = cls.__new__(cls)
+        phi.algebra, phi.parts = algebra, _hermitian(parts)
+        phi.rep = algebra.block_decomposition().assemble(phi.parts)
+        return phi
 
     def __call__(self, a: np.ndarray) -> complex:
-        return complex(np.trace(self.rep.conj().T @ np.asarray(a, dtype=complex)))
+        return complex(np.vdot(self.rep, a))
 
     def norm(self) -> float:
         """For a positive functional the norm is the value at the identity."""
@@ -48,19 +62,29 @@ class PositiveFunctional:
         return f"PositiveFunctional(dim={self.algebra.dim}, norm={self.norm():.6g})"
 
 
+def _block_coordinates(dec, x: np.ndarray):
+    """Block i of Q^H x read as a k_i x m_i matrix (the order block_parts uses):
+    an algebra element acts on it as X -> x_i X, the commutant as X -> X c."""
+    y = dec.change_of_basis.conj().T @ x
+    return [y[off:off + k * m].reshape(k, m) for off, (k, m) in zip(dec.offsets(), dec.blocks)]
+
+
 def vector_state(s: Structure, v: np.ndarray) -> PositiveFunctional:
-    """The state a -> <pi(a) v, v> of a vector, as an in-algebra representative."""
+    """The state a -> <pi(a) v, v> of a vector.  With V_i the block coordinates
+    of v, its block parts are sigma_i = V_i V_i^H / m_i, the partial trace of
+    v v^H over the m_i copies."""
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != s.dim:
         raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
-    rho = conditional_expectation(np.outer(v, v.conj()), s.algebra)
-    return PositiveFunctional(s.algebra, rho, validate=False)
+    dec = s.algebra.block_decomposition()
+    return PositiveFunctional.from_parts(s.algebra, [
+        vi @ vi.conj().T / m for vi, (_, m) in zip(_block_coordinates(dec, v), dec.blocks)])
 
 
-def _hermitian_blocks(algebra: StarAlgebra, rep: np.ndarray):
-    dec = algebra.block_decomposition()
-    parts = dec.block_parts(rep)
-    return dec, [(p + p.conj().T) / 2 for p in parts]
+def _trace_norm(dec, parts) -> float:
+    """Multiplicity-weighted blockwise trace norm of Hermitian block parts."""
+    return sum(m * float(np.sum(np.abs(np.linalg.eigvalsh(p))))
+               for (_, m), p in zip(dec.blocks, parts))
 
 
 def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
@@ -68,55 +92,45 @@ def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
     rep = np.asarray(rep, dtype=complex)
     if np.linalg.norm(rep - rep.conj().T) > 1e-6 * max(1.0, np.linalg.norm(rep)):
         raise ValueError("functional representative is not Hermitian")
-    dec, parts = _hermitian_blocks(algebra, rep)
-    total = 0.0
-    for (k, m), sigma in zip(dec.blocks, parts):
-        total += m * float(np.sum(np.abs(np.linalg.eigvalsh(sigma))))
-    return total
+    dec = algebra.block_decomposition()
+    return _trace_norm(dec, _hermitian(dec.block_parts(rep)))
+
+
+def _block_pair(phi: PositiveFunctional, psi: PositiveFunctional):
+    """phi's block decomposition with both functionals' block parts in it."""
+    dec = phi.algebra.block_decomposition()
+    if phi.algebra is psi.algebra:
+        return dec, phi.parts, psi.parts
+    if not phi.algebra.spans_equal(psi.algebra):
+        raise ValueError("functionals live on different algebras")
+    return dec, phi.parts, _hermitian(dec.block_parts(psi.rep))
+
+
+def _support_cut(w: np.ndarray, tol) -> float:
+    """Eigenvalues of a block part above this cut span its support."""
+    return max(tol.psd_abs, tol.rank_rel * float(np.max(w, initial=0.0)))
 
 
 def difference_norm(phi: PositiveFunctional, psi: PositiveFunctional) -> float:
-    _same_algebra(phi, psi)
-    return functional_norm(phi.algebra, phi.rep - psi.rep)
-
-
-def _same_algebra(phi: PositiveFunctional, psi: PositiveFunctional):
-    if phi.algebra is not psi.algebra and not phi.algebra.spans_equal(psi.algebra):
-        raise ValueError("functionals live on different algebras")
-
-
-def _support_projector(sigma: np.ndarray, tol) -> np.ndarray:
-    w, v = np.linalg.eigh(sigma)
-    if w.size == 0:
-        return np.zeros_like(sigma)
-    cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0))
-    keep = v[:, w > cut]
-    return keep @ keep.conj().T
-
-
-def _supports_orthogonal(phi: PositiveFunctional, psi: PositiveFunctional) -> bool:
-    dec, parts_phi = _hermitian_blocks(phi.algebra, phi.rep)
-    _, parts_psi = _hermitian_blocks(psi.algebra, psi.rep)
-    tol = phi.algebra.tol
-    for sp, sq in zip(parts_phi, parts_psi):
-        pp = _support_projector(sp, tol)
-        pq = _support_projector(sq, tol)
-        if np.linalg.norm(pp @ pq) > 1e-6:
-            return False
-    return True
+    dec, parts_phi, parts_psi = _block_pair(phi, psi)
+    return _trace_norm(dec, [p - q for p, q in zip(parts_phi, parts_psi)])
 
 
 def is_orthogonal(phi: PositiveFunctional, psi: PositiveFunctional) -> bool:
     """Orthogonality of positive functionals: ||phi - psi|| = ||phi|| + ||psi||.
 
     The norm criterion is cross-checked against blockwise support
-    orthogonality of the representatives; a disagreement raises, since both
+    orthogonality of the block parts; a disagreement raises, since both
     must coincide in finite dimension.
     """
-    _same_algebra(phi, psi)
+    _, parts_phi, parts_psi = _block_pair(phi, psi)
+    tol = phi.algebra.tol
     gap = abs(difference_norm(phi, psi) - (phi.norm() + psi.norm()))
-    by_norm = gap <= max(phi.algebra.tol.eq_abs, 1e-10 * (phi.norm() + psi.norm()))
-    by_support = _supports_orthogonal(phi, psi)
+    by_norm = gap <= max(tol.eq_abs, 1e-10 * (phi.norm() + psi.norm()))
+    # lazy, so the test stops at the first block whose supports overlap
+    supports = ((v[:, w > _support_cut(w, tol)] for w, v in map(np.linalg.eigh, parts))
+                for parts in (parts_phi, parts_psi))
+    by_support = all(np.linalg.norm(sp.conj().T @ sq) <= 1e-6 for sp, sq in zip(*supports))
     if by_norm != by_support:
         raise ToleranceBreach(
             f"orthogonality criteria disagree (norm gap {gap:.3e}, support {by_support})")
@@ -149,11 +163,8 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
-    _same_algebra(phi, psi)
-    algebra = phi.algebra
-    dec, parts_psi = _hermitian_blocks(algebra, psi.rep)
-    _, parts_phi = _hermitian_blocks(algebra, phi.rep)
-    tol = algebra.tol
+    dec, parts_phi, parts_psi = _block_pair(phi, psi)
+    tol = phi.algebra.tol
 
     spectra = [np.linalg.eigh(sigma) for sigma in parts_psi]
     # kernel-of-support projection plus every spectral cut of psi's blocks
@@ -162,9 +173,9 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     psi_gap = np.zeros(len(pooled) + 1)
     killed = []
     for (w, v), sp, (_, m) in zip(spectra, parts_phi, dec.blocks):
-        support_cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0))
         # eigh sorts ascending, so each cut kills a prefix of the eigenvectors
-        count = np.searchsorted(w, [support_cut] + [th + 1e-12 for th in pooled], side="right")
+        count = np.searchsorted(w, [_support_cut(w, tol)] + [th + 1e-12 for th in pooled],
+                                side="right")
         diag = np.real(np.einsum("ji,jk,ki->i", v.conj(), sp, v))
         psi_gap += m * np.concatenate([[0.0], np.cumsum(w)])[count]
         phi_gap += m * np.concatenate([np.cumsum(diag[::-1])[::-1], [0.0]])[count]
@@ -186,16 +197,12 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
     gamma is the largest generalized eigenvalue of the representatives on
     psi's support, certified PSD before returning.
     """
-    _same_algebra(phi, psi)
-    algebra = phi.algebra
-    tol = algebra.tol
-    dec, parts_phi = _hermitian_blocks(algebra, phi.rep)
-    _, parts_psi = _hermitian_blocks(algebra, psi.rep)
+    _, parts_phi, parts_psi = _block_pair(phi, psi)
+    tol = phi.algebra.tol
     gamma = 0.0
     for sp, sq in zip(parts_phi, parts_psi):
         w, v = np.linalg.eigh(sq)
-        cut = max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0) if w.size else 0.0)
-        keep = w > cut
+        keep = w > _support_cut(w, tol)
         kernel = v[:, ~keep]
         if kernel.shape[1]:
             leak = float(np.linalg.norm(kernel.conj().T @ sp @ kernel))
@@ -256,7 +263,8 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> G
         raise ValueError("functional lives on a different algebra")
     if phi.norm() <= algebra.tol.eq_abs:
         raise ValueError("the functional is degenerate (vanishes at the identity)")
-    dec, sigmas = _hermitian_blocks(algebra, phi.rep)
+    dec = algebra.block_decomposition()
+    sigmas = _hermitian(dec.block_parts(phi.rep))
     spectra = [np.linalg.eigh(sigma) for sigma in sigmas]
     cut = algebra.tol.rank_rel * max(float(w[-1]) for w, _ in spectra)
     roots = [np.sqrt(m) * v[:, w > cut] * np.sqrt(w[w > cut])
@@ -269,7 +277,7 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> G
     r = cyclic.size
     rep = GnsRep(algebra, r, action, cyclic)
     roundtrip = float(np.max(np.abs(rep.state_values()
-                                    - np.array([phi(b) for b in basis]))))
+                                    - basis.reshape(len(basis), -1) @ phi.rep.conj().ravel())))
     # pi(l)[b] against [l b] = sum_k c_k [b_k], with [x] = pi(x) xi and c the
     # basis coordinates of l b; and pi(b)^H against pi(b^H) from coordinates,
     # compared on the blocks the space keeps (pi(x) repeats their entries)
@@ -360,13 +368,6 @@ class RadonNikodym:
     gamma: float
 
 
-def _block_coordinates(dec, x: np.ndarray):
-    """Block i of Q^H x read as a k_i x m_i matrix (the order block_parts uses):
-    an algebra element acts on it as X -> x_i X, the commutant as X -> X c."""
-    y = dec.change_of_basis.conj().T @ x
-    return [y[off:off + k * m].reshape(k, m) for off, (k, m) in zip(dec.offsets(), dec.blocks)]
-
-
 def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     """The Radon-Nikodym operator realizing phi_v inside the cyclic space of w.
 
@@ -440,23 +441,20 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     return RadonNikodym(t_op, b, copy, float(gamma))
 
 
-def _residual_essential(s: Structure, v: np.ndarray, base) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).ravel()
-    r = v - project(acl(s, base), v)
-    r_e, _ = essential_discrete_parts(s, r)
-    return r_e
+def _residual_states(s: Structure, vectors, base):
+    """Vector states of the essential parts of the residuals over acl(base)."""
+    closure = acl(s, base)
+    return [vector_state(s, essential_discrete_parts(s, v - project(closure, v))[0])
+            for v in (np.asarray(x, dtype=complex).ravel() for x in vectors)]
 
 
 def types_orthogonal(s: Structure, v: np.ndarray, w: np.ndarray, base) -> bool:
     """Orthogonality of tp(v/base) and tp(w/base) via residual vector states."""
-    rv = _residual_essential(s, v, base)
-    rw = _residual_essential(s, w, base)
-    return is_orthogonal(vector_state(s, rv), vector_state(s, rw))
+    return is_orthogonal(*_residual_states(s, (v, w), base))
 
 
 def types_dominated(s: Structure, v: np.ndarray, w: np.ndarray, base) -> bool:
     """Whether tp(v/base) dominates tp(w/base): the w-residual state is
     dominated by the v-residual state."""
-    rv = _residual_essential(s, v, base)
-    rw = _residual_essential(s, w, base)
-    return is_dominated(vector_state(s, rw), vector_state(s, rv))[0]
+    phi_v, phi_w = _residual_states(s, (v, w), base)
+    return is_dominated(phi_w, phi_v)[0]

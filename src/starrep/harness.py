@@ -139,7 +139,7 @@ def random_in_algebra_state(s: Structure, rng: np.random.Generator,
     if not nonzero:
         k = dec.blocks[0][0]
         parts[0] = np.eye(k) * (0.2 + 0.8 * rng.random())
-    return PositiveFunctional(s.algebra, dec.assemble(parts), validate=False)
+    return PositiveFunctional.from_parts(s.algebra, parts)
 
 
 def _compress_state(phi: PositiveFunctional, rng: np.random.Generator) -> PositiveFunctional:
@@ -191,8 +191,8 @@ def disjoint_state_pair(s: Structure, rng: np.random.Generator):
             else:
                 parts1.append(zero)
                 parts2.append(sigma)
-    return (PositiveFunctional(s.algebra, dec.assemble(parts1), validate=False),
-            PositiveFunctional(s.algebra, dec.assemble(parts2), validate=False))
+    return (PositiveFunctional.from_parts(s.algebra, parts1),
+            PositiveFunctional.from_parts(s.algebra, parts2))
 
 
 def overlapping_state_pair(s: Structure, rng: np.random.Generator):

@@ -123,21 +123,22 @@ def full_subspace(ambient_dim: int, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 def block_diag(*mats) -> np.ndarray:
     """Block-diagonal complex matrix with the given square blocks along the
     diagonal; stacks of blocks (broadcast over leading axes) give a stack."""
-    lead = np.broadcast_shapes(*(m.shape[:-2] for m in mats))
-    out = np.zeros(lead + (sum(m.shape[-1] for m in mats),) * 2, dtype=complex)
-    off = 0
-    for m in mats:
-        k = m.shape[-1]
-        out[..., off:off + k, off:off + k] = m
-        off += k
-    return out
+    return block_diag_kron(mats, [1] * len(mats))
 
 
 def block_diag_kron(parts, mults) -> np.ndarray:
-    """Direct sum of parts[i] (x) I_{mults[i]}; stacks of parts give a stack."""
-    return block_diag(*[(p[..., :, None, :, None] * np.eye(m)[:, None, :])
-                        .reshape(p.shape[:-2] + (p.shape[-1] * m,) * 2)
-                        for p, m in zip(parts, mults)])
+    """Direct sum of parts[i] (x) I_{mults[i]}; stacks of parts give a stack.
+    Copy j of part i fills every m_i-th row and column from its offset plus j."""
+    lead = np.broadcast_shapes(*(p.shape[:-2] for p in parts))
+    size = sum(p.shape[-1] * m for p, m in zip(parts, mults))
+    out = np.zeros(lead + (size, size), dtype=complex)
+    off = 0
+    for p, m in zip(parts, mults):
+        end = off + p.shape[-1] * m
+        for j in range(off, off + m):
+            out[..., j:end:m, j:end:m] = p
+        off = end
+    return out
 
 
 def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DEFAULT_TOL) -> Subspace:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from starrep import functionals
-from starrep.algebra import generate_algebra
+from starrep.algebra import conditional_expectation, generate_algebra
 from starrep.functionals import (
     PositiveFunctional,
     difference_norm,
@@ -28,8 +28,8 @@ from starrep.harness import (
     random_unit_vector,
 )
 from starrep.independence import nonforking_extension
-from starrep.linalg import Subspace, ToleranceBreach, psd_sqrt
-from starrep.representation import cyclic_subspace
+from starrep.linalg import Subspace, ToleranceBreach, haar_unitary, psd_sqrt
+from starrep.representation import Structure, cyclic_subspace
 
 from conftest import E1, E2, U
 
@@ -57,6 +57,68 @@ def test_state_consistency(diag_structure, rng):
         for b in s.algebra.basis:
             assert abs(phi(b) - np.vdot(v, b @ v)) < 1e-10
         assert abs(phi.norm() - np.linalg.norm(v) ** 2) < 1e-10
+
+
+def block_vector(s, coords):
+    """The vector Q y whose block i of y, read as k_i x m_i, is coords[i]."""
+    dec = s.algebra.block_decomposition()
+    return dec.change_of_basis @ np.concatenate([c.ravel() for c in coords])
+
+
+def test_vector_state_parts_match_conditional_expectation():
+    # reference: the projection of v v^H onto the algebra, read on the blocks
+    rng = np.random.default_rng(41)
+    for spec in (InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False,) * 3, seed=21),
+                 InstanceSpec(12, ((2, 3), (3, 2)), (False, False), seed=42),
+                 InstanceSpec(5, ((5, 1),), (False,), seed=43)):
+        s = random_structure(spec)
+        dec = s.algebra.block_decomposition()
+        vectors = [random_unit_vector(rng, s.dim) for _ in range(3)]
+        for zero in range(len(dec.blocks)):
+            vectors.append(block_vector(s, [
+                np.zeros((k, m)) if i == zero else
+                rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+                for i, (k, m) in enumerate(dec.blocks)]))
+        for v in vectors:
+            phi = vector_state(s, v)
+            rho = conditional_expectation(np.outer(v, v.conj()), s.algebra)
+            np.testing.assert_allclose(phi.rep, rho, atol=1e-12)
+            for got, want in zip(phi.parts, dec.block_parts(rho)):
+                np.testing.assert_allclose(got, (want + want.conj().T) / 2, atol=1e-12)
+
+
+def test_from_parts_round_trip():
+    rng = np.random.default_rng(44)
+    s = random_structure(InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False,) * 3, seed=21))
+    dec = s.algebra.block_decomposition()
+    for _ in range(5):
+        gs = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+              for k, _ in dec.blocks]
+        parts = [g @ g.conj().T for g in gs]
+        phi = PositiveFunctional.from_parts(s.algebra, parts)
+        for got, again, want in zip(phi.parts, dec.block_parts(phi.rep), parts):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(again, want, atol=1e-12)
+        for got, want in zip(PositiveFunctional(s.algebra, phi.rep).parts, parts):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_pairwise_queries_read_no_blocks(monkeypatch):
+    from starrep.algebra import BlockDecomposition
+    s = random_structure(InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False,) * 3, seed=21))
+    rng = np.random.default_rng(45)
+    v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    s.algebra.block_decomposition()
+    calls = []
+    parts = BlockDecomposition.block_parts
+    monkeypatch.setattr(BlockDecomposition, "block_parts", lambda self, m, check=True:
+                        calls.append(1) or parts(self, m, check))
+    phi, psi = vector_state(s, v), vector_state(s, w)
+    assert not is_orthogonal(phi, psi)
+    orthogonality_witness(phi, psi, 0.5)
+    assert is_dominated(phi, psi)[0]
+    difference_norm(phi, psi)
+    assert calls == []
 
 
 def test_functional_norm_examples(diag_structure):
@@ -114,6 +176,36 @@ def test_orthogonality_examples(diag_structure):
     assert is_orthogonal(phi1, zero)
     assert not is_orthogonal(phi1, phi1)
     assert not is_orthogonal(phi1, phiu)
+
+
+def test_functionals_on_equal_span_algebras_match_one_algebra():
+    # two generating sets of the same W (M_2 (+) C) W^H give equal spans with
+    # different decompositions; every query reads both states in phi's
+    rng = np.random.default_rng(1)
+    w = haar_unitary(3, rng)
+
+    def hermitian_element():
+        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        x = np.zeros((3, 3), dtype=complex)
+        x[:2, :2] = h + h.conj().T
+        x[2, 2] = rng.standard_normal()
+        return w @ x @ w.conj().T
+
+    first, second = (Structure(generate_algebra([hermitian_element(), hermitian_element()]))
+                     for _ in range(2))
+    assert first.algebra is not second.algebra and first.algebra.spans_equal(second.algebra)
+    x, y = w[:, 0], w[:, 1]
+    cases = [(x, y), (x, 0.5 * x), (x, x + y), (w[:, 2], x)]
+    for a, b in cases:
+        phi, psi, psi_same = vector_state(first, a), vector_state(second, b), vector_state(first, b)
+        assert is_orthogonal(phi, psi) == is_orthogonal(phi, psi_same)
+        assert is_dominated(phi, psi)[0] == is_dominated(phi, psi_same)[0]
+        assert abs(difference_norm(phi, psi) - difference_norm(phi, psi_same)) <= 1e-12
+        for eps in (1e-6, 0.5):
+            got, want = orthogonality_witness(phi, psi, eps), orthogonality_witness(phi, psi_same, eps)
+            assert got.success == want.success
+            assert abs(got.floor - want.floor) <= 1e-12
+    assert is_orthogonal(vector_state(first, x), vector_state(second, y))
 
 
 def test_m2_pure_states_are_orthogonal_but_equivalent(m2_structure):

@@ -4,6 +4,8 @@ import pytest
 from starrep.linalg import (
     DEFAULT_TOL,
     Subspace,
+    block_diag,
+    block_diag_kron,
     full_subspace,
     haar_unitary,
     hermitian_eig,
@@ -182,3 +184,21 @@ def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(rank_rel=0.0)
     assert DEFAULT_TOL.eq_abs == 1e-8
+
+
+def test_block_diag_kron_matches_kron_reference(rng):
+    # reference: each part (x) I_m by np.kron, placed along the diagonal
+    shapes = [(1, 3), (2, 2), (3, 1), (1, 1)]
+    stack = [rng.standard_normal((4, k, k)) + 1j * rng.standard_normal((4, k, k))
+             for k, _ in shapes]
+    size = sum(k * m for k, m in shapes)
+    want = np.zeros((4, size, size), dtype=complex)
+    off = 0
+    for p, (k, m) in zip(stack, shapes):
+        want[:, off:off + k * m, off:off + k * m] = [np.kron(x, np.eye(m)) for x in p]
+        off += k * m
+    np.testing.assert_array_equal(block_diag_kron(stack, [m for _, m in shapes]), want)
+    np.testing.assert_array_equal(block_diag_kron([p[0] for p in stack], [m for _, m in shapes]),
+                                  want[0])
+    np.testing.assert_array_equal(block_diag(np.eye(2), 3 * np.ones((1, 1))),
+                                  np.diag([1.0, 1.0, 3.0]))
