@@ -10,7 +10,8 @@ import threading
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceBreach, Tolerances, _require_finite, block_diag_kron
+from .linalg import (CLUSTER_GAP, DEFAULT_TOL, ToleranceBreach, Tolerances, _require_finite,
+                     block_diag_kron)
 
 
 class DecompositionError(RuntimeError):
@@ -24,8 +25,7 @@ def _orthonormal_rows(flat: np.ndarray, tol: Tolerances) -> np.ndarray:
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         return vh[:0]
-    rank = int(np.sum(s > tol.rank_rel * s[0]))
-    return vh[:rank]
+    return vh[:int(np.sum(s > tol.rank_cut(s[0])))]
 
 
 def _append_to_row_basis(q: np.ndarray, candidates: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -34,8 +34,7 @@ def _append_to_row_basis(q: np.ndarray, candidates: np.ndarray, tol: Tolerances)
         return q
     resid = candidates - (candidates @ q.conj().T) @ q if q.shape[0] else candidates
     norms = np.linalg.norm(resid, axis=1)
-    scale = max(np.max(np.linalg.norm(candidates, axis=1)), 1.0)
-    resid = resid[norms > tol.rank_rel * scale]
+    resid = resid[norms > tol.rank_cut(np.max(np.linalg.norm(candidates, axis=1)))]
     if resid.shape[0] == 0:
         return q
     new_rows = _orthonormal_rows(resid, tol)
@@ -87,7 +86,7 @@ class StarAlgebra:
     def contains(self, m: np.ndarray) -> bool:
         m = np.asarray(m, dtype=complex)
         r = m - self.from_coefficients(self.coefficients(m))
-        return np.linalg.norm(r) <= self.tol.eq_abs * max(1.0, np.linalg.norm(m))
+        return self.tol.close(np.linalg.norm(r), np.linalg.norm(m))
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
@@ -112,7 +111,8 @@ class StarAlgebra:
         qa = _orthonormal_rows(self.basis.reshape(self.size, -1), self.tol)
         fb = other.basis.reshape(other.size, -1)
         resid = fb - (fb @ qa.conj().T) @ qa
-        return np.max(np.linalg.norm(resid, axis=1)) <= self.tol.eq_abs * np.sqrt(self.dim)
+        # every trace-orthonormal basis element has Frobenius norm sqrt(dim)
+        return self.tol.close(np.max(np.linalg.norm(resid, axis=1)), np.sqrt(self.dim))
 
     # ----- structure (cached) ----------------------------------------------
 
@@ -145,8 +145,7 @@ class StarAlgebra:
         recon = (prods @ flat.conj().T / n) @ flat
         recon -= prods
         err = np.max(np.abs(recon)) if recon.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(self.basis))) ** 2 * self.dim)
-        if err > 100 * self.tol.eq_abs * scale:
+        if not self.tol.certified(err, float(np.max(np.abs(self.basis))) ** 2 * self.dim):
             raise ValueError("algebra span is not closed under products")
 
 
@@ -186,7 +185,7 @@ def generate_algebra(generators, dim: int | None = None,
     def attempt(rng):
         fresh = StarAlgebra(n, _commutant_basis(letters, n, tol, rng), tol=tol, validate=False)
         dec = _split(fresh, rng)
-        dec.block_parts(letters, check=True)
+        dec.block_parts(letters)
         basis, comm_basis = _closed_form_bases(dec)
         algebra = StarAlgebra(n, basis, gens, tol, validate=False)
         algebra._block = dec
@@ -226,7 +225,9 @@ def _commutant_basis(letters: np.ndarray, n: int, tol: Tolerances,
     commutes with the Hermitian h = c.letters + (c.letters)^H for random c,
     so X is block diagonal on the eigenvalue clusters E_j of h, and the null
     space of X -> [X, letter] is solved over those sum dim(E_j)^2 unknowns
-    only.  Clusters that merge distinct eigenvalues only add unknowns.
+    only.  Clusters that merge distinct eigenvalues only add unknowns.  The
+    null space is cut against the norm of the letters, which bounds the map:
+    for scalar letters every commutator is round-off.
     """
     c = rng.standard_normal(len(letters)) + 1j * rng.standard_normal(len(letters))
     h = np.einsum("g,gab->ab", c, letters)
@@ -243,7 +244,7 @@ def _commutant_basis(letters: np.ndarray, n: int, tol: Tolerances,
     null = np.eye(p.size)
     if len(letters):
         _, s, vh = np.linalg.svd(cols.reshape(-1, p.size), full_matrices=False)
-        null = vh[int(np.sum(s > tol.rank_rel * max(s[0], 1.0))):].conj()
+        null = vh[int(np.sum(s > tol.rank_cut(np.linalg.norm(t)))):].conj()
     x = np.zeros((len(null), n, n), dtype=complex)
     x[:, p, q] = null
     return np.sqrt(n) * (v @ x @ v.conj().T)
@@ -279,7 +280,7 @@ class BlockDecomposition:
         q = self.change_of_basis
         if sum(k * m for k, m in self.blocks) != q.shape[0]:
             raise ValueError("block sizes do not add up to the ambient dimension")
-        if np.linalg.norm(q.conj().T @ q - np.eye(q.shape[0])) > 100 * tol.eq_abs:
+        if not tol.certified(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[0])), 1.0):
             raise ValueError("change of basis is not unitary")
 
     @property
@@ -294,13 +295,13 @@ class BlockDecomposition:
             cur += k * m
         return offs
 
-    def block_parts(self, m: np.ndarray, check: bool = True):
+    def block_parts(self, m: np.ndarray):
         """Extract the k_i x k_i compressed block of each class from an algebra
         element, or from a stack of them (leading axes kept).
 
-        The m_i repeated copies are averaged; with check=True the residual of
-        the ideal block shape is verified, element by element, against
-        100 * eq_abs relative to the element's norm.
+        The m_i repeated copies are averaged, and the residual of the ideal
+        block shape is certified, element by element, against the element's
+        norm; ToleranceBreach if it fails.
         """
         m = np.asarray(m, dtype=complex)
         t = self.change_of_basis.conj().T @ m @ self.change_of_basis
@@ -309,14 +310,11 @@ class BlockDecomposition:
             sub = t[..., off:off + k * mult, off:off + k * mult]
             copies = sub.reshape(sub.shape[:-2] + (k, mult, k, mult))
             parts.append(np.einsum("...ajbj->...ab", copies) / mult)
-        if check:
-            ideal = block_diag_kron(parts, [mult for _, mult in self.blocks])
-            resid = np.linalg.norm(ideal - t, axis=(-2, -1))
-            scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
-            if np.any(resid > 100 * self.tol.eq_abs * scale):
-                raise ToleranceBreach(
-                    f"matrix is not in the algebra span (block residual "
-                    f"{float(np.max(resid)):.2e})")
+        ideal = block_diag_kron(parts, [mult for _, mult in self.blocks])
+        resid = np.linalg.norm(ideal - t, axis=(-2, -1))
+        if not np.all(self.tol.certified(resid, np.linalg.norm(m, axis=(-2, -1)))):
+            raise ToleranceBreach(
+                f"matrix is not in the algebra span (block residual {float(np.max(resid)):.2e})")
         return parts
 
     def assemble(self, parts) -> np.ndarray:
@@ -328,11 +326,12 @@ class BlockDecomposition:
 def _cluster_eigenvalues(w: np.ndarray):
     """Group sorted eigenvalues into clusters separated by clear gaps.
 
-    The gap does not follow eq_abs: these are eigenvalues of random elements
-    chosen here, and a raised eq_abs would merge their eigenspaces.
+    A gap is clear above CLUSTER_GAP times the spectrum's magnitude, the scale
+    of eigh's round-off.  It does not follow eq_abs: these are eigenvalues of
+    random elements chosen here, and a raised eq_abs would merge their
+    eigenspaces.
     """
-    spread = float(w[-1] - w[0]) if w.size else 0.0
-    gap_tol = 1e-6 * max(spread, 1.0)
+    gap_tol = CLUSTER_GAP * float(np.max(np.abs(w), initial=0.0))
     clusters, start = [], 0
     for i in range(1, w.size):
         if w[i] - w[i - 1] > gap_tol:
@@ -370,7 +369,7 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
         if sum(k * k for k, _ in dec.blocks) != a.size:
             raise DecompositionError(
                 f"block sizes {dec.blocks} do not account for the algebra dimension {a.size}")
-        dec.block_parts(a.basis, check=True)
+        dec.block_parts(a.basis)
         return dec
 
     return _with_seed_retries(attempt, seed, "block decomposition")
@@ -389,7 +388,7 @@ def _split(comm: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
     pieces = [v[:, cl] for cl in _cluster_eigenvalues(w)]
 
     y = comm.random_hermitian_element(rng)
-    cutoff = comm.tol.rank_rel * np.linalg.norm(y)
+    cutoff = comm.tol.rank_cut(np.linalg.norm(y))
     classes = []  # each: list of aligned member columns; member 0 is the class rep
     for cols in pieces:
         k = cols.shape[1]

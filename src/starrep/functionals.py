@@ -2,11 +2,17 @@
 
 A functional is stored through its representing element under the trace
 pairing, phi(a) = Tr(rho^H a), with rho inside the algebra span, and through
-the Hermitian Wedderburn block parts sigma_i of rho, read once.  Positivity
-is equivalent to rho being PSD, and every norm, orthogonality and domination
-question is eigenvalue arithmetic on the sigma_i.  The Radon-Nikodym operator
-is solved on the same blocks, from vectors read as k_i x m_i matrices, and is
-returned in a block-adapted basis of the cyclic space.
+the Hermitian Wedderburn block parts sigma_i of rho, read and validated once.
+Positivity is the sigma_i being PSD, and every norm, orthogonality and
+domination question is eigenvalue arithmetic on them.  The Radon-Nikodym
+operator is solved on the same blocks, from vectors read as k_i x m_i
+matrices, in a block-adapted basis of the cyclic space.
+
+Each decision compares with a scale the inputs carry, so scaling vectors by c
+(functionals by c^2) changes no verdict: a support is cut at rank_rel times
+the functional's top eigenvalue over all blocks, never per block, so round-off
+in a block it does not touch stays out; equalities and leaks are judged
+against phi(1), certificates against the norms of what they compare.
 """
 from __future__ import annotations
 
@@ -14,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StarAlgebra, conditional_expectation
-from .linalg import ToleranceBreach, block_diag, block_diag_kron, project, psd_sqrt
+from .algebra import StarAlgebra
+from .linalg import (ToleranceBreach, block_diag, block_diag_kron, orthonormalize, project,
+                     psd_sqrt)
 from .representation import Structure, acl, essential_discrete_parts
 
 
@@ -25,23 +32,22 @@ def _hermitian(parts):
 
 class PositiveFunctional:
     """A positive linear functional: its in-algebra trace representative `rep`
-    and the Hermitian Wedderburn block parts `parts` of it."""
+    and the Hermitian Wedderburn block parts `parts` of it.  ValueError unless
+    the block residual puts rep in the algebra span and the parts are PSD."""
 
-    def __init__(self, algebra: StarAlgebra, rep: np.ndarray, validate: bool = True):
+    def __init__(self, algebra: StarAlgebra, rep: np.ndarray):
         rep = np.asarray(rep, dtype=complex)
         if rep.shape != (algebra.dim, algebra.dim):
             raise ValueError(f"representative must be {algebra.dim}x{algebra.dim}")
-        if validate:
-            inside = conditional_expectation(rep, algebra)
-            if np.linalg.norm(inside - rep) > 1e-6 * max(1.0, np.linalg.norm(rep)):
-                raise ValueError("representative does not lie in the algebra span")
-            rep = (inside + inside.conj().T) / 2
-            w = np.linalg.eigvalsh(rep)
-            if w.size and w[0] < -algebra.tol.psd_abs * max(1.0, abs(w[-1])):
-                raise ValueError(f"functional is not positive (min eigenvalue {w[0]:.3e})")
-        self.algebra = algebra
-        self.rep = rep
-        self.parts = _hermitian(algebra.block_decomposition().block_parts(rep, check=True))
+        dec = algebra.block_decomposition()
+        try:
+            parts = _hermitian(dec.block_parts(rep))
+        except ToleranceBreach as err:
+            raise ValueError("representative does not lie in the algebra span") from err
+        w = np.concatenate([np.zeros(0)] + [np.linalg.eigvalsh(p) for p in parts])
+        if w.size and not algebra.tol.nonnegative(w.min(), np.max(np.abs(w))):
+            raise ValueError(f"functional is not positive (min eigenvalue {w.min():.3e})")
+        self.algebra, self.parts, self.rep = algebra, parts, dec.assemble(parts)
 
     @classmethod
     def from_parts(cls, algebra: StarAlgebra, parts) -> PositiveFunctional:
@@ -90,25 +96,31 @@ def _trace_norm(dec, parts) -> float:
 def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
     """Dual norm of a Hermitian functional: multiplicity-weighted blockwise trace norm."""
     rep = np.asarray(rep, dtype=complex)
-    if np.linalg.norm(rep - rep.conj().T) > 1e-6 * max(1.0, np.linalg.norm(rep)):
+    if not algebra.tol.certified(np.linalg.norm(rep - rep.conj().T), np.linalg.norm(rep)):
         raise ValueError("functional representative is not Hermitian")
     dec = algebra.block_decomposition()
     return _trace_norm(dec, _hermitian(dec.block_parts(rep)))
 
 
+def _parts_in(algebra: StarAlgebra, phi: PositiveFunctional):
+    """phi's block parts in the algebra's decomposition: its own on the same
+    algebra object, one block read on an equal span, else ValueError."""
+    if phi.algebra is algebra:
+        return phi.parts
+    if not algebra.spans_equal(phi.algebra):
+        raise ValueError("functionals live on different algebras")
+    return _hermitian(algebra.block_decomposition().block_parts(phi.rep))
+
+
 def _block_pair(phi: PositiveFunctional, psi: PositiveFunctional):
     """phi's block decomposition with both functionals' block parts in it."""
-    dec = phi.algebra.block_decomposition()
-    if phi.algebra is psi.algebra:
-        return dec, phi.parts, psi.parts
-    if not phi.algebra.spans_equal(psi.algebra):
-        raise ValueError("functionals live on different algebras")
-    return dec, phi.parts, _hermitian(dec.block_parts(psi.rep))
+    return phi.algebra.block_decomposition(), phi.parts, _parts_in(phi.algebra, psi)
 
 
-def _support_cut(w: np.ndarray, tol) -> float:
-    """Eigenvalues of a block part above this cut span its support."""
-    return max(tol.psd_abs, tol.rank_rel * float(np.max(w, initial=0.0)))
+def _spectra(parts):
+    """eigh of each block part, and the top eigenvalue over all of them."""
+    spectra = [np.linalg.eigh(p) for p in parts]
+    return spectra, max([0.0] + [float(w[-1]) for w, _ in spectra if w.size])
 
 
 def difference_norm(phi: PositiveFunctional, psi: PositiveFunctional) -> float:
@@ -123,14 +135,16 @@ def is_orthogonal(phi: PositiveFunctional, psi: PositiveFunctional) -> bool:
     orthogonality of the block parts; a disagreement raises, since both
     must coincide in finite dimension.
     """
-    _, parts_phi, parts_psi = _block_pair(phi, psi)
+    dec, parts_phi, parts_psi = _block_pair(phi, psi)
     tol = phi.algebra.tol
-    gap = abs(difference_norm(phi, psi) - (phi.norm() + psi.norm()))
-    by_norm = gap <= max(tol.eq_abs, 1e-10 * (phi.norm() + psi.norm()))
-    # lazy, so the test stops at the first block whose supports overlap
-    supports = ((v[:, w > _support_cut(w, tol)] for w, v in map(np.linalg.eigh, parts))
-                for parts in (parts_phi, parts_psi))
-    by_support = all(np.linalg.norm(sp.conj().T @ sq) <= 1e-6 for sp, sq in zip(*supports))
+    total = phi.norm() + psi.norm()
+    gap = abs(_trace_norm(dec, [p - q for p, q in zip(parts_phi, parts_psi)]) - total)
+    by_norm = tol.close(gap, total)
+    supports = [[v[:, w > tol.rank_cut(top)] for w, v in spectra]
+                for spectra, top in map(_spectra, (parts_phi, parts_psi))]
+    # the supports have orthonormal columns, so their overlap has scale 1
+    by_support = all(tol.certified(np.linalg.norm(sp.conj().T @ sq), 1.0)
+                     for sp, sq in zip(*supports))
     if by_norm != by_support:
         raise ToleranceBreach(
             f"orthogonality criteria disagree (norm gap {gap:.3e}, support {by_support})")
@@ -159,23 +173,22 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     eigenvalues of psi's blocks at or below a cut, so from one eigh per block
     it scores psi(a) = sum_i m_i (killed eigenvalues) and
     phi(I - a) = sum_i m_i (kept diagonal of phi's block in that eigenbasis);
-    only the best candidate (the first on ties) is assembled.
+    only the best candidate (the first on ties) is assembled.  Eigenvalues
+    within psi's support cut of a candidate's cut are killed with it.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     dec, parts_phi, parts_psi = _block_pair(phi, psi)
-    tol = phi.algebra.tol
-
-    spectra = [np.linalg.eigh(sigma) for sigma in parts_psi]
+    spectra, top = _spectra(parts_psi)
+    cut = phi.algebra.tol.rank_cut(top)
     # kernel-of-support projection plus every spectral cut of psi's blocks
-    pooled = sorted({round(float(x), 14) for w, _ in spectra for x in w if x > tol.psd_abs})
-    phi_gap = np.zeros(len(pooled) + 1)
-    psi_gap = np.zeros(len(pooled) + 1)
+    cuts = np.concatenate([[cut], cut + np.unique([x for w, _ in spectra for x in w[w > cut]])])
+    phi_gap = np.zeros(cuts.size)
+    psi_gap = np.zeros(cuts.size)
     killed = []
     for (w, v), sp, (_, m) in zip(spectra, parts_phi, dec.blocks):
         # eigh sorts ascending, so each cut kills a prefix of the eigenvectors
-        count = np.searchsorted(w, [_support_cut(w, tol)] + [th + 1e-12 for th in pooled],
-                                side="right")
+        count = np.searchsorted(w, cuts, side="right")
         diag = np.real(np.einsum("ji,jk,ki->i", v.conj(), sp, v))
         psi_gap += m * np.concatenate([[0.0], np.cumsum(w)])[count]
         phi_gap += m * np.concatenate([np.cumsum(diag[::-1])[::-1], [0.0]])[count]
@@ -193,35 +206,28 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
 def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
     """Whether gamma * psi - phi is positive for some gamma > 0, with the least gamma.
 
-    Holds exactly when phi's block supports are contained in psi's; the least
-    gamma is the largest generalized eigenvalue of the representatives on
-    psi's support, certified PSD before returning.
+    Holds exactly when phi's block supports are contained in psi's, that is
+    when phi's mass on psi's kernel vanishes against phi(1); the least gamma
+    is the largest generalized eigenvalue of the block parts on psi's
+    support, and gamma psi - phi is certified PSD blockwise before returning.
     """
     _, parts_phi, parts_psi = _block_pair(phi, psi)
     tol = phi.algebra.tol
+    spectra, top = _spectra(parts_psi)
     gamma = 0.0
-    for sp, sq in zip(parts_phi, parts_psi):
-        w, v = np.linalg.eigh(sq)
-        keep = w > _support_cut(w, tol)
+    for sp, (w, v) in zip(parts_phi, spectra):
+        keep = w > tol.rank_cut(top)
         kernel = v[:, ~keep]
-        if kernel.shape[1]:
-            leak = float(np.linalg.norm(kernel.conj().T @ sp @ kernel))
-            if leak > tol.psd_abs * max(1.0, float(np.linalg.norm(sp))):
-                return False, None
-        if not np.any(keep):
-            continue
-        bs = v[:, keep]
-        s_psi = bs.conj().T @ sq @ bs
-        s_phi = bs.conj().T @ sp @ bs
-        inv_sqrt = np.linalg.inv(psd_sqrt(s_psi, tol))
-        ratios = np.linalg.eigvalsh(inv_sqrt @ s_phi @ inv_sqrt.conj().T)
-        if ratios.size:
-            gamma = max(gamma, float(ratios[-1]))
-    gamma = max(gamma, 0.0)
-    slack = np.linalg.eigvalsh(gamma * psi.rep - phi.rep)
-    if slack.size and slack[0] < -tol.psd_abs * max(1.0, gamma):
-        raise ToleranceBreach(
-            f"certified gamma fails positivity (min eigenvalue {slack[0]:.3e})")
+        if not tol.close(float(np.linalg.norm(kernel.conj().T @ sp @ kernel)), phi.norm()):
+            return False, None
+        # psi's part is diag(w) on its support, so phi's part is whitened there
+        white = v[:, keep] / np.sqrt(w[keep])
+        ratios = np.linalg.eigvalsh(white.conj().T @ sp @ white)
+        gamma = max(gamma, float(np.max(ratios, initial=0.0)))
+    least = min(float(np.linalg.eigvalsh(gamma * sq - sp)[0])
+                for sp, sq in zip(parts_phi, parts_psi))
+    if not tol.nonnegative(least, gamma * top):
+        raise ToleranceBreach(f"certified gamma fails positivity (min eigenvalue {least:.3e})")
     return True, gamma
 
 
@@ -252,21 +258,19 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> G
     """Gelfand-Naimark-Segal construction for a positive functional.
 
     On the Wedderburn blocks phi(x) = sum_i m_i Tr(sigma_i x_i).  Eigenvalues
-    of the sigma_i at or below the relative rank cutoff (taken over all
-    blocks) span the null space; the r_i kept ones give the space, the direct
-    sum of C^{k_i} (x) C^{r_i}, with x acting as x_i (x) I_{r_i} and the cyclic
+    of the sigma_i at or below the support cut (taken over all blocks) span
+    the null space; the r_i kept ones give the space, the direct sum of
+    C^{k_i} (x) C^{r_i}, with x acting as x_i (x) I_{r_i} and the cyclic
     vector the sum of sqrt(m_i) sigma_i^{1/2} restricted to its range.  The
     action is cross-checked against products of letters and basis elements
-    expanded in the algebra basis.
+    expanded in the algebra basis.  Only the zero functional is degenerate.
     """
-    if phi.algebra is not algebra and not phi.algebra.spans_equal(algebra):
-        raise ValueError("functional lives on a different algebra")
-    if phi.norm() <= algebra.tol.eq_abs:
+    tol = algebra.tol
+    spectra, top = _spectra(_parts_in(algebra, phi))
+    if not top > 0:
         raise ValueError("the functional is degenerate (vanishes at the identity)")
     dec = algebra.block_decomposition()
-    sigmas = _hermitian(dec.block_parts(phi.rep))
-    spectra = [np.linalg.eigh(sigma) for sigma in sigmas]
-    cut = algebra.tol.rank_rel * max(float(w[-1]) for w, _ in spectra)
+    cut = tol.rank_cut(top)
     roots = [np.sqrt(m) * v[:, w > cut] * np.sqrt(w[w > cut])
              for (w, v), (_, m) in zip(spectra, dec.blocks)]
     ranks = [root.shape[1] for root in roots]
@@ -287,22 +291,26 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> G
     products = (letters[:, None] @ basis[None]).reshape(-1, n * n)
     expected = ((products @ flat) @ classes).reshape(len(letters), -1, r)
     actual = (block_diag_kron(dec.block_parts(letters), ranks) @ classes.T).transpose(0, 2, 1)
-    star_defect = float(np.max(np.abs(actual - expected)))
+    letter_defect = float(np.max(np.abs(actual - expected)))
+    adjoint_defect = 0.0
     adjoints = basis.conj().transpose(0, 2, 1).reshape(-1, n * n) @ flat
     for part in (part for part, rank in zip(parts, ranks) if rank):
         adj_expected = (adjoints @ part.reshape(len(basis), -1)).reshape(part.shape)
-        star_defect = max(star_defect, float(np.max(
+        adjoint_defect = max(adjoint_defect, float(np.max(
             np.abs(part.conj().transpose(0, 2, 1) - adj_expected))))
     rep.roundtrip_defect = roundtrip
-    rep.star_hom_defect = star_defect
+    rep.star_hom_defect = max(letter_defect, adjoint_defect)
 
     if verify:
-        scale = max(1.0, phi.norm())
-        if roundtrip > 100 * algebra.tol.eq_abs * scale:
+        if not tol.certified(roundtrip, phi.norm()):
             raise ToleranceBreach(f"GNS state round trip off by {roundtrip:.2e}")
-        if star_defect > 100 * algebra.tol.eq_abs * max(1.0, float(np.max(np.abs(action)))):
-            raise ToleranceBreach(f"GNS action fails *-homomorphism by {star_defect:.2e}")
-        if np.linalg.matrix_rank(classes) < r:
+        # |pi(l)[b]| <= |l| |[b]|; the adjoint check compares entries of the action
+        letter_scale = (np.max(np.linalg.norm(letters, axis=(1, 2)))
+                        * np.max(np.linalg.norm(classes, axis=1)))
+        if not (tol.certified(letter_defect, letter_scale)
+                and tol.certified(adjoint_defect, float(np.max(np.abs(action))))):
+            raise ToleranceBreach(f"GNS action fails *-homomorphism by {rep.star_hom_defect:.2e}")
+        if orthonormalize(classes, r, tol).dim < r:
             raise ToleranceBreach("GNS cyclic vector does not generate the space")
     return rep
 
@@ -342,10 +350,9 @@ def embeds_as_subrepresentation(s: Structure, v: np.ndarray, w: np.ndarray) -> b
     ow = np.einsum("kab,b->ka", s.algebra.basis, w).T        # (n, d) orbit of w
     ov = np.einsum("kab,b->ka", s.algebra.basis, v).T
     _, sv, vh = np.linalg.svd(ow, full_matrices=False)
-    cutoff = s.tol.rank_rel * max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rows = vh[:int(np.sum(sv > cutoff))]                     # row space of the orbit of w
+    rows = vh[:int(np.sum(sv > s.tol.rank_cut(sv[0])))]     # row space of the orbit of w
     leak = float(np.linalg.norm(ov - (ov @ rows.conj().T) @ rows))
-    solvable = leak <= 1e-6 * max(1.0, float(np.linalg.norm(ov)))
+    solvable = s.tol.certified(leak, np.linalg.norm(ov))
     if solvable != dominated:
         raise ToleranceBreach(
             f"domination and orbit-map solvability disagree (leak {leak:.3e})")
@@ -378,9 +385,9 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     <D pi(a) w, pi(b) w> = phi_v(b^H a) is solved by D: Z -> Z delta_i with
     delta_i = G_i G_i^H, G_i = S_i^{-1} U_i^H V_i.  T = sqrt(D) is
     (+) I_{k_i} (x) sqrt(delta_i)^T and carries w to the copy
-    Q (+) U_i S_i sqrt(delta_i) Y_i^H.  Certified: V_i lies in the range of
-    W_i, D is PSD, T commutes with the compressed letters of the algebra, and
-    the copy carries the state of v.
+    Q (+) U_i S_i sqrt(delta_i) Y_i^H.  D is PSD by construction.  Certified:
+    V_i lies in the range of W_i, T commutes with the compressed letters of
+    the algebra, and the copy carries the state of v.
     """
     v = np.asarray(v, dtype=complex).ravel()
     w = np.asarray(w, dtype=complex).ravel()
@@ -392,7 +399,7 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     tol, n = s.tol, s.dim
     dec = s.algebra.block_decomposition()
     svds = [np.linalg.svd(wi, full_matrices=False) for wi in _block_coordinates(dec, w)]
-    cut = tol.rank_rel * max((float(sv[0]) for _, sv, _ in svds if sv.size), default=0.0)
+    cut = tol.rank_cut(max((float(sv[0]) for _, sv, _ in svds if sv.size), default=0.0))
     cols, deltas, outside, scale = [], [], [], []
     for off, (k, m), vi, (u, sv, yh) in zip(dec.offsets(), dec.blocks,
                                             _block_coordinates(dec, v), svds):
@@ -412,23 +419,17 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
         return RadonNikodym(np.zeros((0, 0), dtype=complex), b, np.zeros(n, dtype=complex),
                             float(gamma))
     resid = float(np.linalg.norm(outside))
-    if resid > 1e-6 * max(1.0, float(np.linalg.norm(scale))):
+    if not tol.certified(resid, np.linalg.norm(scale)):
         raise ToleranceBreach(f"Radon-Nikodym system inconsistent by {resid:.2e}")
-    d_op = block_diag(*deltas)
-    d_op = (d_op + d_op.conj().T) / 2
-    eigs = np.linalg.eigvalsh(d_op)
-    if eigs[0] < -tol.psd_abs * max(1.0, float(eigs[-1])):
-        raise ToleranceBreach(f"Radon-Nikodym operator not PSD ({eigs[0]:.3e})")
     # sqrt of the direct sum is the direct sum of the sqrt(delta_i)
-    root = psd_sqrt(d_op, tol)
-    ends = np.cumsum([0] + [len(delta) for delta in deltas])
-    t_op = block_diag(*[np.kron(np.eye(k), root[lo:hi, lo:hi].T)
-                        for (k, _), lo, hi in zip(dec.blocks, ends[:-1], ends[1:])])
+    t_op = block_diag(*[np.kron(np.eye(k), psd_sqrt(delta, tol).T)
+                        for (k, _), delta in zip(dec.blocks, deltas)])
     letters = s.algebra.letters()
     comp = b.conj().T @ letters @ b
     comm_defect = float(np.max(np.linalg.norm(t_op @ comp - comp @ t_op, axis=(1, 2)),
                                initial=0.0))
-    if comm_defect > 1e-6 * max(1.0, float(np.linalg.norm(t_op))):
+    comp_norm = float(np.max(np.linalg.norm(comp, axis=(1, 2)), initial=0.0))
+    if not tol.certified(comm_defect, np.linalg.norm(t_op) * comp_norm):
         raise ToleranceBreach(f"Radon-Nikodym operator leaves the commutant by {comm_defect:.2e}")
     copy = b @ (t_op @ (b.conj().T @ w))
     # phi_copy(b_k) - phi_v(b_k) = Tr(b_k (copy copy^H - v v^H)) for every basis element
@@ -436,15 +437,17 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     gap = basis.reshape(len(basis), -1) @ (np.outer(copy.conj(), copy)
                                            - np.outer(v.conj(), v)).ravel()
     state_gap = float(np.max(np.abs(gap), initial=0.0))
-    if state_gap > 1e-6 * max(1.0, phi_v.norm()):
+    if not tol.certified(state_gap, phi_v.norm()):
         raise ToleranceBreach(f"realized copy carries the wrong state (gap {state_gap:.2e})")
     return RadonNikodym(t_op, b, copy, float(gamma))
 
 
 def _residual_states(s: Structure, vectors, base):
-    """Vector states of the essential parts of the residuals over acl(base)."""
+    """Vector states of the essential parts of the residuals over acl(base);
+    a vector inside acl(base) to tolerance has the zero residual."""
     closure = acl(s, base)
-    return [vector_state(s, essential_discrete_parts(s, v - project(closure, v))[0])
+    return [vector_state(s, 0 * v if closure.contains(v) else
+                         essential_discrete_parts(s, v - project(closure, v))[0])
             for v in (np.asarray(x, dtype=complex).ravel() for x in vectors)]
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import conditional_expectation, generate_algebra
+from .algebra import generate_algebra
 from .functionals import (
     PositiveFunctional,
     embeds_as_subrepresentation,
@@ -143,19 +143,16 @@ def random_in_algebra_state(s: Structure, rng: np.random.Generator,
 
 
 def _compress_state(phi: PositiveFunctional, rng: np.random.Generator) -> PositiveFunctional:
-    """A functional dominated by phi: spectral truncation of the representative."""
-    w, v = np.linalg.eigh(phi.rep)
-    keep = w > 1e-10
-    idx = np.where(keep)[0]
-    if idx.size == 0:
-        return PositiveFunctional(phi.algebra, np.zeros_like(phi.rep), validate=False)
-    chosen = idx[rng.random(idx.size) < 0.8]
-    if chosen.size == 0:
-        chosen = idx[-1:]
-    scale = 0.2 + 1.8 * rng.random(chosen.size)
-    rep = (v[:, chosen] * (w[chosen] * scale)) @ v[:, chosen].conj().T
-    rep = conditional_expectation(rep, phi.algebra)
-    return PositiveFunctional(phi.algebra, (rep + rep.conj().T) / 2, validate=False)
+    """A functional dominated by phi: spectral truncation of each block part,
+    keeping phi's top eigenvalue when the draw keeps none."""
+    spectra = [np.linalg.eigh(sigma) for sigma in phi.parts]
+    keep = [(w > 1e-10) & (rng.random(w.size) < 0.8) for w, _ in spectra]
+    if not any(k.any() for k in keep):
+        top = int(np.argmax([w[-1] for w, _ in spectra]))
+        keep[top][-1] = spectra[top][0][-1] > 1e-10
+    parts = [(v[:, k] * (w[k] * (0.2 + 1.8 * rng.random(k.sum())))) @ v[:, k].conj().T
+             for (w, v), k in zip(spectra, keep)]
+    return PositiveFunctional.from_parts(phi.algebra, parts)
 
 
 def disjoint_state_pair(s: Structure, rng: np.random.Generator):
@@ -539,7 +536,7 @@ def _functional_trial(report, s, rng, t):
             continue
         consider(x / opn)
     signs = []
-    for sigma in dec.block_parts(phi_h_rep, check=False):
+    for sigma in dec.block_parts(phi_h_rep):
         wv, vv = np.linalg.eigh((sigma + sigma.conj().T) / 2)
         signs.append(vv @ np.diag(np.sign(wv)) @ vv.conj().T)
     consider(dec.assemble(signs))

@@ -139,7 +139,8 @@ def is_independent(s: Structure, vectors, base, extra) -> IndependenceReport:
     """Whether the tuple is independent from `extra` over `base`.
 
     True when each entry's projection onto acl(base u extra) already lies in
-    acl(base); the defect is the largest projection displacement.
+    acl(base); the defect is the largest projection displacement, judged
+    against the largest entry norm.
     """
     vs, _ = _as_tuple(vectors, s.dim)
     small = acl(s, base)
@@ -151,14 +152,16 @@ def is_independent(s: Structure, vectors, base, extra) -> IndependenceReport:
         p2 = project(big, v)
         witnesses.append((p1, p2))
         defect = max(defect, float(np.linalg.norm(p2 - p1)))
-    return IndependenceReport(defect <= s.tol.eq_abs, defect, witnesses)
+    scale = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
+    return IndependenceReport(bool(s.tol.close(defect, scale)), defect, witnesses)
 
 
 def _check_base_extension(base, extra, tol) -> None:
     extra = [np.asarray(f, dtype=complex).ravel() for f in extra]
     for e in base:
         e = np.asarray(e, dtype=complex).ravel()
-        if not any(f.size == e.size and np.linalg.norm(e - f) <= tol for f in extra):
+        if not any(f.size == e.size and tol.close(np.linalg.norm(e - f), np.linalg.norm(e))
+                   for f in extra):
             raise ValueError("the extension base must contain every base vector")
 
 
@@ -173,7 +176,7 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     before returning.
     """
     vs, single = _as_tuple(vectors, s.dim)
-    _check_base_extension(base, extension, s.tol.eq_abs)
+    _check_base_extension(base, extension, s.tol)
     base_cl = acl(s, base)
     proj = np.array([project(base_cl, v) for v in vs])
     res = vs - proj
@@ -192,18 +195,19 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
                              np.zeros(k, dtype=complex)]) for f in extension]
 
     ext_cl = acl(shat, f_emb)
-    tol = s.tol.eq_abs
     for j in range(vs.shape[0]):
         want = np.concatenate([proj[j], np.zeros(k, dtype=complex)])
         got = project(ext_cl, vprime[j])
-        if np.linalg.norm(got - want) > 100 * tol * max(1.0, np.linalg.norm(vs[j])):
+        if not s.tol.certified(np.linalg.norm(got - want), np.linalg.norm(vs[j])):
             raise ToleranceBreach(
                 f"non-forking projection condition failed by {np.linalg.norm(got - want):.2e}")
     d_old = type_of(s, res, base)
     residual_new = vprime - np.array([project(ext_cl, w) for w in vprime])
     d_new = type_of(shat, residual_new, f_emb)
     gap = descriptor_distance(d_old, d_new)
-    if gap > 100 * tol * max(1.0, float(np.max(np.abs(vs)))):
+    # projections scale as |v|, moments as |v|^2
+    size = float(np.max(np.linalg.norm(vs, axis=1)))
+    if not s.tol.certified(gap, size + size * size):
         raise ToleranceBreach(f"residual type condition failed by {gap:.2e}")
     if single:
         return shat, vprime[0]
@@ -247,9 +251,9 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     b = hr.basis
     size = b.shape[1]
     rc = b.conj().T @ r
-    if abs(np.linalg.norm(rc) - np.linalg.norm(r)) > 100 * s.tol.eq_abs * max(1.0, np.linalg.norm(r)):
+    if not s.tol.certified(abs(np.linalg.norm(rc) - np.linalg.norm(r)), np.linalg.norm(r)):
         raise ToleranceBreach("residual compression is not isometric")
-    if invariance_defect(s.algebra.basis, b) > 100 * s.tol.eq_abs:
+    if not s.tol.certified(invariance_defect(s.algebra.basis, b), 1.0):
         raise ToleranceBreach("residual cyclic subspace is not invariant under the algebra")
 
     n = s.dim
@@ -261,7 +265,7 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     tails = copies[:, n:]
     gram = tails @ tails.conj().T
     expect = np.linalg.norm(r) ** 2 * np.eye(k)
-    if np.max(np.abs(gram - expect)) > 100 * s.tol.eq_abs * max(1.0, np.linalg.norm(r) ** 2):
+    if not s.tol.certified(np.max(np.abs(gram - expect)), np.linalg.norm(r) ** 2):
         raise ToleranceBreach("independent copies are not orthonormal")
     average = copies.mean(axis=0)
     limit = np.concatenate([p, np.zeros(k * size, dtype=complex)])
@@ -305,6 +309,7 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         ), sub_cl
 
     current, sub_cl = worst_defect(chosen)
+    size = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
     while current >= epsilon:
         best = None
         for i in range(len(pool)):
@@ -316,7 +321,8 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
             score = max(
                 float(np.linalg.norm(targets[j] - project(cand_cl, vs[j])))
                 for j in range(vs.shape[0]))
-            if best is None or score < best[0] - 1e-15:
+            # the first of near-equal scores wins
+            if best is None or (score < best[0] and not s.tol.close(best[0] - score, size)):
                 best = (score, i)
         if best is None:
             break

@@ -1,8 +1,9 @@
 """Tolerance-controlled dense complex linear algebra.
 
 Subspaces are stored as matrices with orthonormal columns (possibly zero
-columns for the trivial subspace).  All rank decisions use a relative
-singular-value cutoff so that downstream computations are scale invariant.
+columns for the trivial subspace).  Every numerical decision of the library
+goes through a Tolerances method, which compares a value with its natural
+scale, so verdicts do not change when the inputs are rescaled.
 """
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ class ToleranceBreach(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by every operation.
+    """Numerical thresholds shared by every operation, each relative to the
+    natural scale of what it judges (see the methods).
 
-    rank_rel: relative singular-value cutoff for rank decisions.
-    eq_abs: absolute tolerance for equality comparisons.
+    rank_rel: singular-value or eigenvalue cutoff for rank and support.
+    eq_abs: tolerance for equality comparisons.
     psd_abs: how negative an eigenvalue may be while still counting as PSD.
     """
 
@@ -33,8 +35,29 @@ class Tolerances:
             if not getattr(self, name) > 0:
                 raise ValueError(f"tolerance {name} must be strictly positive")
 
+    def rank_cut(self, top):
+        """Round-off bound for the singular values or eigenvalues of an object
+        whose largest one (over the whole object, never one block) is `top`."""
+        return self.rank_rel * top
+
+    def close(self, defect, scale):
+        """An equality holds to eq_abs relative to the scale of its terms."""
+        return defect <= self.eq_abs * scale
+
+    def certified(self, defect, scale):
+        """A postcondition holds to 100 eq_abs, room for accumulated round-off."""
+        return defect <= 100 * self.eq_abs * scale
+
+    def nonnegative(self, least, scale):
+        """A least eigenvalue is >= 0 to psd_abs relative to the matrix's scale."""
+        return least >= -self.psd_abs * scale
+
 
 DEFAULT_TOL = Tolerances()
+
+# Eigenvalue gaps above this share of the spectrum's magnitude split clusters
+# (algebra._cluster_eigenvalues says why it is fixed).
+CLUSTER_GAP = 1e-6
 
 
 def _require_finite(a: np.ndarray, what: str = "input") -> np.ndarray:
@@ -58,7 +81,7 @@ class Subspace:
         if basis.shape[1] > ambient_dim:
             raise ValueError("subspace basis has more columns than the ambient dimension")
         gram = basis.conj().T @ basis
-        if basis.shape[1] and np.max(np.abs(gram - np.eye(basis.shape[1]))) > 100 * tol.eq_abs:
+        if basis.shape[1] and not tol.certified(np.max(np.abs(gram - np.eye(basis.shape[1]))), 1.0):
             raise ValueError("subspace basis columns are not orthonormal")
         self.ambient_dim = int(ambient_dim)
         self.basis = basis
@@ -77,7 +100,7 @@ class Subspace:
     def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=complex)
         r = v - self.project(v)
-        return np.linalg.norm(r) <= self.tol.eq_abs * max(1.0, np.linalg.norm(v))
+        return self.tol.close(np.linalg.norm(r), np.linalg.norm(v))
 
     def perp(self) -> "Subspace":
         """Orthogonal complement within the same ambient space."""
@@ -88,28 +111,13 @@ class Subspace:
         # re-orthonormalize the complement against rounding in the QR pass
         return orthonormalize(list(comp.T), self.ambient_dim, self.tol)
 
-    def largest_principal_angle(self, other: "Subspace") -> float:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if self.dim == 0 and other.dim == 0:
-            return 0.0
-        if self.dim != other.dim:
-            return np.pi / 2
-        overlap = self.basis.conj().T @ other.basis
-        # the sine form keeps precision for small angles, the cosine form for large
-        sine = np.linalg.norm(other.basis - self.basis @ overlap, 2)
-        if sine * sine < 0.5:
-            return float(np.arcsin(min(1.0, sine)))
-        cosine = np.linalg.svd(overlap, compute_uv=False)[-1]
-        return float(np.arccos(min(1.0, cosine)))
-
     def isclose(self, other: "Subspace") -> bool:
-        """Equality as subspaces: same ambient space, same rank, principal angles ~ 0."""
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.dim == other.dim
-            and self.largest_principal_angle(other) <= self.tol.eq_abs
-        )
+        """Equality as subspaces: same ambient space and rank, and the sine of
+        the largest principal angle within eq_abs."""
+        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
+            return False
+        sine = np.linalg.norm(other.basis - self.basis @ (self.basis.conj().T @ other.basis), 2)
+        return bool(self.tol.close(sine, 1.0))
 
 
 def zero_subspace(ambient_dim: int, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -161,7 +169,7 @@ def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DE
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         return zero_subspace(n, tol)
-    rank = int(np.sum(s > tol.rank_rel * s[0]))
+    rank = int(np.sum(s > tol.rank_cut(s[0])))
     # rows of vh span the row space of a; transposing without conjugation
     # keeps the same span (conjugating would flip it)
     return Subspace(n, vh[:rank].T.copy(), tol)
@@ -194,7 +202,7 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     stacked = np.hstack([s1.basis, -s2.basis])
     _, s, vh = np.linalg.svd(stacked)
     # null vectors (x, y) satisfy B1 x = B2 y, an intersection element
-    null_mask = np.concatenate([s, np.zeros(max(0, vh.shape[0] - s.size))]) <= s1.tol.rank_rel * max(s[0], 1.0)
+    null_mask = np.concatenate([s, np.zeros(max(0, vh.shape[0] - s.size))]) <= s1.tol.rank_cut(s[0])
     null = vh[null_mask].conj().T
     members = [s1.basis @ null[: s1.dim, j] for j in range(null.shape[1])]
     return orthonormalize(members, s1.ambient_dim, s1.tol)
@@ -209,23 +217,22 @@ def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     m = _require_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("hermitian_eig expects a square matrix")
-    scale = np.linalg.norm(m)
-    if np.linalg.norm(m - m.conj().T) > tol.eq_abs * max(scale, 1.0):
+    if not tol.close(np.linalg.norm(m - m.conj().T), np.linalg.norm(m)):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness of a Hermitian matrix within psd_abs."""
+    """Positive semidefiniteness of a Hermitian matrix within psd_abs of its norm."""
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return bool(w.size == 0 or w[0] >= -tol.psd_abs)
+    return bool(w.size == 0 or tol.nonnegative(w[0], np.max(np.abs(w))))
 
 
 def psd_sqrt(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Positive square root of a PSD matrix, small negative eigenvalues clipped."""
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if w.size and w[0] < -tol.psd_abs:
+    if w.size and not tol.nonnegative(w[0], np.max(np.abs(w))):
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 

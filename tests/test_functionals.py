@@ -111,8 +111,8 @@ def test_pairwise_queries_read_no_blocks(monkeypatch):
     s.algebra.block_decomposition()
     calls = []
     parts = BlockDecomposition.block_parts
-    monkeypatch.setattr(BlockDecomposition, "block_parts", lambda self, m, check=True:
-                        calls.append(1) or parts(self, m, check))
+    monkeypatch.setattr(BlockDecomposition, "block_parts", lambda self, m:
+                        calls.append(1) or parts(self, m))
     phi, psi = vector_state(s, v), vector_state(s, w)
     assert not is_orthogonal(phi, psi)
     orthogonality_witness(phi, psi, 0.5)
@@ -171,7 +171,7 @@ def test_positive_functional_validation(diag_structure):
 def test_orthogonality_examples(diag_structure):
     s = diag_structure
     phi1, phi2, phiu = (vector_state(s, v) for v in (E1, E2, U))
-    zero = PositiveFunctional(s.algebra, np.zeros((2, 2)), validate=False)
+    zero = PositiveFunctional(s.algebra, np.zeros((2, 2)))
     assert is_orthogonal(phi1, phi2)
     assert is_orthogonal(phi1, zero)
     assert not is_orthogonal(phi1, phi1)
@@ -232,7 +232,7 @@ def test_witness_examples(diag_structure):
     np.testing.assert_allclose(wit.element, E11, atol=1e-10)
     assert wit.phi_gap < 1e-12 and wit.psi_gap < 1e-12
 
-    zero = PositiveFunctional(s.algebra, np.zeros((2, 2)), validate=False)
+    zero = PositiveFunctional(s.algebra, np.zeros((2, 2)))
     wit0 = orthogonality_witness(phi1, zero, 1e-6)
     np.testing.assert_allclose(wit0.element, np.eye(2), atol=1e-10)
 
@@ -259,8 +259,7 @@ def test_domination_examples(diag_structure, m2_structure):
     q1, q2 = vector_state(m2_structure, E1), vector_state(m2_structure, E2)
     ok, gamma = is_dominated(q1, q2)
     assert not ok and gamma is None
-    ok, gamma = is_dominated(PositiveFunctional(s.algebra, np.zeros((2, 2)),
-                                                validate=False), phi1)
+    ok, gamma = is_dominated(PositiveFunctional(s.algebra, np.zeros((2, 2))), phi1)
     assert ok and gamma == 0.0
 
 
@@ -279,7 +278,7 @@ def test_gns_examples(diag_structure):
     assert rep_s.space_dim == 1
 
     with pytest.raises(ValueError):
-        gns(s.algebra, PositiveFunctional(s.algebra, np.zeros((2, 2)), validate=False))
+        gns(s.algebra, PositiveFunctional(s.algebra, np.zeros((2, 2))))
 
 
 def planted_state(s, ranks, rng):
@@ -322,8 +321,10 @@ def test_gns_star_hom_check_catches_anti_homomorphic_blocks(monkeypatch):
     assert gns(full.algebra, phi).star_hom_defect <= 1e-9
     parts = BlockDecomposition.block_parts
     # transposed blocks keep every state value but reverse products
-    monkeypatch.setattr(BlockDecomposition, "block_parts", lambda self, m, check=True:
-                        [p.swapaxes(-1, -2) for p in parts(self, m, check)])
+    monkeypatch.setattr(BlockDecomposition, "block_parts", lambda self, m:
+                        [p.swapaxes(-1, -2) for p in parts(self, m)])
+    # gns reads the state's parts from the functional: transpose them there too
+    phi.parts = [p.T for p in phi.parts]
     rep = gns(full.algebra, phi, verify=False)
     assert rep.roundtrip_defect <= 1e-9
     assert rep.star_hom_defect > 1e-2
@@ -463,16 +464,15 @@ def ambient_witness(phi, psi, epsilon):
     algebra, tol = phi.algebra, phi.algebra.tol
     dec = algebra.block_decomposition()
     parts = [(p + p.conj().T) / 2 for p in dec.block_parts(psi.rep)]
-    pooled = sorted({round(float(x), 14) for sigma in parts
-                     for x in np.linalg.eigvalsh(sigma) if x > tol.psd_abs})
+    # psi's support cut: rank_rel times its top eigenvalue over all blocks
+    eigs = np.concatenate([np.linalg.eigvalsh(sigma) for sigma in parts])
+    support = tol.rank_rel * max(float(eigs.max()), 0.0)
     best = None
-    for th in [None] + pooled:
+    for th in [0.0] + sorted(set(eigs[eigs > support])):
         blocks = []
         for sigma in parts:
             w, v = np.linalg.eigh(sigma)
-            cut = (max(tol.psd_abs, tol.rank_rel * max(float(w[-1]), 0.0))
-                   if th is None else th + 1e-12)
-            kill = v[:, w <= cut]
+            kill = v[:, w <= th + support]
             blocks.append(kill @ kill.conj().T)
         a = dec.assemble(blocks)
         pg = float(np.real(phi(np.eye(algebra.dim)) - phi(a)))

@@ -1,0 +1,196 @@
+"""One threshold policy: every cutoff is a Tolerances method applied to a value
+and its natural scale, so verdicts do not move when inputs are rescaled and
+--tol (eq_abs) reaches every decision."""
+import ast
+import dataclasses
+import functools
+import inspect
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import starrep
+from starrep.algebra import BlockDecomposition, generate_algebra
+from starrep.functionals import (
+    PositiveFunctional,
+    embeds_as_subrepresentation,
+    gns,
+    is_dominated,
+    is_orthogonal,
+    orthogonality_witness,
+    radon_nikodym_operator,
+    types_dominated,
+    types_orthogonal,
+    vector_state,
+)
+from starrep.harness import InstanceSpec, random_structure
+from starrep.linalg import Tolerances, ToleranceBreach
+from starrep.representation import Structure
+
+from conftest import E1, E2
+
+PLANS = (InstanceSpec(9, ((1, 2), (2, 2), (3, 1)), (False, False, True), seed=61),
+         InstanceSpec(9, ((2, 1), (1, 3), (2, 2)), (False,) * 3, seed=62),
+         InstanceSpec(9, ((1, 1), (3, 2), (1, 2)), (False,) * 3, seed=63))
+EPS = 1e-6
+
+
+def _cgauss(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _from_blocks(s, coords):
+    return s.algebra.block_decomposition().change_of_basis @ np.concatenate(
+        [np.asarray(c, dtype=complex).ravel() for c in coords])
+
+
+@functools.lru_cache(maxsize=None)
+def planted_pairs():
+    """30 (structure, v, w, base) over three plans with random block supports:
+    on a block both touch, v is w acted on by the commutant (V_i = W_i C_i)
+    or generic, so the pairs mix orthogonal, dominated and neither."""
+    rng = np.random.default_rng(11)
+    out = []
+    for spec in PLANS:
+        s = random_structure(spec)
+        blocks = s.algebra.block_decomposition().blocks
+        base = [_from_blocks(s, [_cgauss(rng, k, m) if i == 0 else np.zeros((k, m))
+                                 for i, (k, m) in enumerate(blocks)])]
+        for _ in range(10):
+            on_w = {i for i in range(len(blocks)) if rng.random() < 0.6} or {0}
+            on_v = {i for i in range(len(blocks)) if rng.random() < 0.5} or {len(blocks) - 1}
+            ws = [_cgauss(rng, k, m) if i in on_w else np.zeros((k, m))
+                  for i, (k, m) in enumerate(blocks)]
+            vs = [np.zeros((k, m)) if i not in on_v else
+                  ws[i] @ _cgauss(rng, m, m) if i in on_w and rng.random() < 0.5 else
+                  _cgauss(rng, k, m) for i, (k, m) in enumerate(blocks)]
+            v, w = _from_blocks(s, vs), _from_blocks(s, ws)
+            out.append((s, v / np.linalg.norm(v), w / np.linalg.norm(w), base))
+    return out
+
+
+def verdicts(s, v, w, base, c):
+    phi, psi = vector_state(s, v), vector_state(s, w)
+    return (is_dominated(phi, psi)[0],
+            embeds_as_subrepresentation(s, v, w),
+            is_orthogonal(phi, psi),
+            radon_nikodym_operator(s, w, v) is None,
+            orthogonality_witness(phi, psi, EPS * c * c).success,
+            types_orthogonal(s, v, w, base),
+            types_dominated(s, v, w, base),
+            gns(s.algebra, phi).space_dim)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_verdicts():
+    return [verdicts(s, v, w, base, 1.0) for s, v, w, base in planted_pairs()]
+
+
+def test_planted_pairs_mix_the_relations():
+    refs = reference_verdicts()
+    for j in range(3):  # domination, embedding, orthogonality each hold and fail
+        assert 0 < sum(r[j] for r in refs) < len(refs)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(exponent=st.floats(-6.0, 6.0))
+@example(exponent=-6.0)
+@example(exponent=6.0)
+def test_verdicts_are_scale_equivariant(exponent):
+    c = 10.0 ** exponent
+    for (s, v, w, base), want in zip(planted_pairs(), reference_verdicts()):
+        assert verdicts(s, c * v, c * w, base, c) == want
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e8])
+def test_scaled_generators_give_the_planted_algebra(c):
+    spec = InstanceSpec(9, ((1, 2), (2, 2), (3, 1)), (False,) * 3, seed=5)
+    gens = random_structure(spec).algebra.generators
+    alg = generate_algebra([c * g for g in gens])
+    assert alg.size == spec.algebra_size() == 14
+    assert sorted(alg.block_decomposition().blocks) == sorted(spec.blocks)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+def test_scalar_generator_gives_the_scalars(c):
+    assert generate_algebra([c * np.eye(4)]).size == 1
+
+
+def test_radon_nikodym_and_embedding_bounds_follow_eq_abs(m2_structure):
+    # v leaves the range of w by 5e-9: within the default 100 * eq_abs = 1e-6
+    # of the range and orbit certificates, outside them once eq_abs is 1e-12
+    v = E1 + 5e-9 * E2
+    assert radon_nikodym_operator(m2_structure, E1, v) is not None
+    assert embeds_as_subrepresentation(m2_structure, v, E1)
+    tight = Structure(generate_algebra(m2_structure.algebra.generators,
+                                       tol=Tolerances(eq_abs=1e-12)))
+    with pytest.raises(ToleranceBreach):
+        radon_nikodym_operator(tight, E1, v)
+    with pytest.raises(ToleranceBreach):
+        embeds_as_subrepresentation(tight, v, E1)
+
+
+def test_orthogonality_support_bound_follows_eq_abs(m2_structure):
+    # supports at overlap 1e-8: orthogonal by both criteria at the default,
+    # while at eq_abs 1e-12 the support test sees the overlap the norm gap
+    # (1e-16) cannot
+    u = E2 + 1e-8 * E1
+    assert is_orthogonal(vector_state(m2_structure, E1), vector_state(m2_structure, u))
+    tight = Structure(generate_algebra(m2_structure.algebra.generators,
+                                       tol=Tolerances(eq_abs=1e-12)))
+    with pytest.raises(ToleranceBreach):
+        is_orthogonal(vector_state(tight, E1), vector_state(tight, u))
+
+
+# ----- the policy lives in one place ------------------------------------------
+
+SCANNED = ("linalg.py", "algebra.py", "representation.py", "independence.py",
+           "functionals.py")
+
+
+def _violations(tree):
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Tolerances":
+            allowed |= {id(sub) for sub in ast.walk(node)}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CLUSTER_GAP" for t in node.targets):
+            allowed |= {id(sub) for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < node.value < 1e-3):
+            yield node.lineno, f"literal {node.value!r}"
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+                node.func, "id", None)
+            if name in ("max", "maximum") and any(
+                    isinstance(a, ast.Constant) and a.value == 1.0 and isinstance(a.value, float)
+                    for a in node.args):
+                yield node.lineno, f"{name}(..., 1.0) floor"
+
+
+@pytest.mark.parametrize("module", SCANNED)
+def test_no_cutoff_outside_tolerances(module):
+    path = pathlib.Path(starrep.__file__).parent / module
+    found = list(_violations(ast.parse(path.read_text())))
+    assert found == [], f"{module}: cutoffs outside Tolerances at {found}"
+
+
+def test_guard_sees_literals_and_floors():
+    tree = ast.parse("def f(x, tol):\n"
+                     "    return x < 1e-6 * max(1.0, abs(x)) + np.maximum(1.0, x)\n"
+                     "class Tolerances:\n    eq_abs = 1e-8\n"
+                     "CLUSTER_GAP = 1e-6\n")
+    assert sorted(what for _, what in _violations(tree)) == [
+        "literal 1e-06", "max(..., 1.0) floor", "maximum(..., 1.0) floor"]
+
+
+def test_one_policy_has_no_new_knobs():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_rel", "eq_abs", "psd_abs"]
+    assert "validate" not in inspect.signature(PositiveFunctional).parameters
+    assert "check" not in inspect.signature(BlockDecomposition.block_parts).parameters
