@@ -56,9 +56,7 @@ class StarAlgebra:
         self.basis = basis
         self.generators = [np.asarray(g, dtype=complex) for g in (generators or [])]
         self.tol = tol
-        # reentrant: block_decomposition holds it while the decomposition calls commutant()
-        self._lock = threading.RLock()
-        self._commutant = None
+        self._lock = threading.Lock()
         self._block = None
         if validate and dim > 0:
             self._validate()
@@ -114,13 +112,10 @@ class StarAlgebra:
         # every trace-orthonormal basis element has Frobenius norm sqrt(dim)
         return self.tol.close(np.max(np.linalg.norm(resid, axis=1)), np.sqrt(self.dim))
 
-    # ----- structure (cached) ----------------------------------------------
+    # ----- structure -------------------------------------------------------
 
     def commutant(self) -> "StarAlgebra":
-        with self._lock:
-            if self._commutant is None:
-                self._commutant = commutant(self)
-            return self._commutant
+        return commutant(self)
 
     def block_decomposition(self) -> "BlockDecomposition":
         with self._lock:
@@ -158,12 +153,11 @@ def generate_algebra(generators, dim: int | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> StarAlgebra:
     """Smallest unital *-algebra containing the generators, built as A''.
 
-    A = A'' in finite dimension (von Neumann's bicommutant theorem).  A' is
-    solved from the generators and their adjoints by _commutant_basis and
-    split by _split; A = Q (+)(M_k (x) I_m) Q^H and A' = Q (+)(I_k (x) M_m) Q^H
-    are then written in closed form, with the decomposition cached.  Certified
-    by the block form of every generator and adjoint; raises
-    DecompositionError after 5 fruitless seed retries.
+    A = A'' in finite dimension (von Neumann's bicommutant theorem).  The
+    generators and their adjoints are decomposed by _decompose, and
+    A = Q (+)(M_k (x) I_m) Q^H is written in closed form, with the
+    decomposition cached.  Raises DecompositionError after 5 fruitless seed
+    retries.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if gens:
@@ -183,38 +177,29 @@ def generate_algebra(generators, dim: int | None = None,
     letters = _letters(gens, n)
 
     def attempt(rng):
-        fresh = StarAlgebra(n, _commutant_basis(letters, n, tol, rng), tol=tol, validate=False)
-        dec = _split(fresh, rng)
-        dec.block_parts(letters)
-        basis, comm_basis = _closed_form_bases(dec)
-        algebra = StarAlgebra(n, basis, gens, tol, validate=False)
+        dec = _decompose(letters, n, tol, rng)
+        algebra = StarAlgebra(n, _closed_form_basis(dec), gens, tol, validate=False)
         algebra._block = dec
-        algebra._commutant = StarAlgebra(n, comm_basis, tol=tol, validate=False)
         return algebra
 
     return _with_seed_retries(attempt, 0, "algebra generation")
 
 
-def span_algebra(mats, dim: int, tol: Tolerances = DEFAULT_TOL,
-                 generators=None, validate: bool = True) -> StarAlgebra:
-    """Wrap an already multiplicatively closed span as a StarAlgebra."""
+def span_algebra(mats, dim: int, tol: Tolerances = DEFAULT_TOL, generators=None) -> StarAlgebra:
+    """Wrap an already multiplicatively closed span as a StarAlgebra, unvalidated."""
     flat = np.array([np.asarray(m, dtype=complex).ravel() for m in mats])
     if flat.size == 0:
         flat = flat.reshape(0, dim * dim)
     q = _orthonormal_rows(flat, tol)
     basis = (np.sqrt(dim) * q).reshape(-1, dim, dim) if dim else q.reshape(0, dim, dim)
-    return StarAlgebra(dim, basis, generators, tol, validate=validate)
+    return StarAlgebra(dim, basis, generators, tol, validate=False)
 
 
 def commutant(a: StarAlgebra) -> StarAlgebra:
-    """All matrices commuting with the algebra.
-
-    Solved from the algebra's letters on the eigenspaces of one seeded random
-    Hermitian combination of them (_commutant_basis), then validated as a
-    *-algebra by span_algebra.
-    """
-    rng = np.random.default_rng(0)
-    return span_algebra(_commutant_basis(a.letters(), a.dim, a.tol, rng), a.dim, a.tol)
+    """All matrices commuting with the algebra: Q (+)(I_k (x) M_m) Q^H, read
+    off the algebra's block decomposition in closed form."""
+    basis = _closed_form_basis(a.block_decomposition(), commutant=True)
+    return StarAlgebra(a.dim, basis, tol=a.tol, validate=False)
 
 
 def _commutant_basis(letters: np.ndarray, n: int, tol: Tolerances,
@@ -356,7 +341,7 @@ def _with_seed_retries(attempt, seed: int, what: str):
 def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     """Simultaneous block diagonalization of a matrix *-algebra.
 
-    Splits the algebra's cached commutant with _split.  The result is
+    Decomposes the algebra's letters with _decompose.  The result is also
     certified by the block form of every basis element and by
     sum k_i^2 == dim A.  Raises DecompositionError after 5 fruitless seed
     retries.
@@ -365,7 +350,7 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
         return BlockDecomposition([], np.zeros((0, 0), dtype=complex), a.tol)
 
     def attempt(rng):
-        dec = _split(a.commutant(), rng)
+        dec = _decompose(a.letters(), a.dim, a.tol, rng)
         if sum(k * k for k, _ in dec.blocks) != a.size:
             raise DecompositionError(
                 f"block sizes {dec.blocks} do not account for the algebra dimension {a.size}")
@@ -373,6 +358,16 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
         return dec
 
     return _with_seed_retries(attempt, seed, "block decomposition")
+
+
+def _decompose(letters: np.ndarray, n: int, tol: Tolerances,
+               rng: np.random.Generator) -> BlockDecomposition:
+    """The one place A' is solved: _commutant_basis, split by _split, and
+    certified by the block form of every letter."""
+    comm = StarAlgebra(n, _commutant_basis(letters, n, tol, rng), tol=tol, validate=False)
+    dec = _split(comm, rng)
+    dec.block_parts(letters)
+    return dec
 
 
 def _split(comm: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
@@ -417,15 +412,17 @@ def _split(comm: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
     return BlockDecomposition(blocks, uq @ vqh, comm.tol)
 
 
-def _closed_form_bases(dec: BlockDecomposition):
-    """Trace-orthonormal bases of A = Q (+)(M_k (x) I_m) Q^H and of its
+def _closed_form_basis(dec: BlockDecomposition, commutant: bool = False) -> np.ndarray:
+    """Trace-orthonormal basis of A = Q (+)(M_k (x) I_m) Q^H, or of its
     commutant Q (+)(I_k (x) M_m) Q^H.  With c the columns of one block read as
-    (n, k, m), Q (E_ab (x) I_m) Q^H = sum_j c[:, a, j] c[:, b, j]^H."""
+    (n, k, m), Q (E_ab (x) I_m) Q^H = sum_j c[:, a, j] c[:, b, j]^H; the
+    commutant swaps the roles of k and m."""
     q = dec.change_of_basis
     n = q.shape[0]
-    alg, comm = [], []
+    out = [np.zeros((0, n, n), dtype=complex)]
     for off, (k, m) in zip(dec.offsets(), dec.blocks):
         c = q[:, off:off + k * m].reshape(n, k, m)
-        alg.append(np.sqrt(n / m) * np.einsum("xaj,ybj->abxy", c, c.conj()).reshape(-1, n, n))
-        comm.append(np.sqrt(n / k) * np.einsum("xja,yjb->abxy", c, c.conj()).reshape(-1, n, n))
-    return np.concatenate(alg), np.concatenate(comm)
+        if commutant:
+            c, k, m = c.transpose(0, 2, 1), m, k
+        out.append(np.sqrt(n / m) * np.einsum("xaj,ybj->abxy", c, c.conj()).reshape(-1, n, n))
+    return np.concatenate(out)

@@ -328,14 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="operate on C*-algebra representation scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
+    def common(p, scenario_required=True, seeded=False):
         if scenario_required:
             p.add_argument("scenario", help="path to a scenario JSON file")
         else:
             p.add_argument("scenario", nargs="?", default=None,
                            help="optional scenario JSON file (supplies the default dimension)")
         p.add_argument("--tol", type=float, default=None, help="override eq_abs")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--quiet", action="store_true", help="suppress output")
         p.add_argument("--strict", action="store_true",
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tuple"); p.add_argument("base")
     p = sub.add_parser("typeq", help=_COMMANDS["typeq"][1]); common(p)
     p.add_argument("tuple1"); p.add_argument("tuple2"); p.add_argument("base")
-    p = sub.add_parser("extend", help=_COMMANDS["extend"][1]); common(p)
+    p = sub.add_parser("extend", help=_COMMANDS["extend"][1]); common(p, seeded=True)
     p.add_argument("vector"); p.add_argument("base"); p.add_argument("extension")
     p = sub.add_parser("fbase", help=_COMMANDS["fbase"][1]); common(p)
     p.add_argument("tuple"); p.add_argument("extension"); p.add_argument("epsilon")
@@ -367,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("v"); p.add_argument("w")
     p = sub.add_parser("rn", help=_COMMANDS["rn"][1]); common(p)
     p.add_argument("w"); p.add_argument("v")
-    p = sub.add_parser("decompose", help=_COMMANDS["decompose"][1]); common(p)
-    p = sub.add_parser("axioms", help=_COMMANDS["axioms"][1]); common(p, scenario_required=False)
+    p = sub.add_parser("decompose", help=_COMMANDS["decompose"][1]); common(p, seeded=True)
+    p = sub.add_parser("axioms", help=_COMMANDS["axioms"][1])
+    common(p, scenario_required=False, seeded=True)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--blocks", default=None,

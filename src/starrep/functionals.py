@@ -254,7 +254,7 @@ class GnsRep:
         return f"GnsRep(space_dim={self.space_dim})"
 
 
-def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> GnsRep:
+def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     """Gelfand-Naimark-Segal construction for a positive functional.
 
     On the Wedderburn blocks phi(x) = sum_i m_i Tr(sigma_i x_i).  Eigenvalues
@@ -301,17 +301,16 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional, verify: bool = True) -> G
     rep.roundtrip_defect = roundtrip
     rep.star_hom_defect = max(letter_defect, adjoint_defect)
 
-    if verify:
-        if not tol.certified(roundtrip, phi.norm()):
-            raise ToleranceBreach(f"GNS state round trip off by {roundtrip:.2e}")
-        # |pi(l)[b]| <= |l| |[b]|; the adjoint check compares entries of the action
-        letter_scale = (np.max(np.linalg.norm(letters, axis=(1, 2)))
-                        * np.max(np.linalg.norm(classes, axis=1)))
-        if not (tol.certified(letter_defect, letter_scale)
-                and tol.certified(adjoint_defect, float(np.max(np.abs(action))))):
-            raise ToleranceBreach(f"GNS action fails *-homomorphism by {rep.star_hom_defect:.2e}")
-        if orthonormalize(classes, r, tol).dim < r:
-            raise ToleranceBreach("GNS cyclic vector does not generate the space")
+    if not tol.certified(roundtrip, phi.norm()):
+        raise ToleranceBreach(f"GNS state round trip off by {roundtrip:.2e}")
+    # |pi(l)[b]| <= |l| |[b]|; the adjoint check compares entries of the action
+    letter_scale = (np.max(np.linalg.norm(letters, axis=(1, 2)))
+                    * np.max(np.linalg.norm(classes, axis=1)))
+    if not (tol.certified(letter_defect, letter_scale)
+            and tol.certified(adjoint_defect, float(np.max(np.abs(action))))):
+        raise ToleranceBreach(f"GNS action fails *-homomorphism by {rep.star_hom_defect:.2e}")
+    if orthonormalize(classes, r, tol).dim < r:
+        raise ToleranceBreach("GNS cyclic vector does not generate the space")
     return rep
 
 

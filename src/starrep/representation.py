@@ -175,11 +175,11 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     k = b.shape[1]
     gens = [b.conj().T @ g @ b for g in s.algebra.generators]
     if k == 0:
-        algebra = span_algebra([], 0, s.tol, generators=gens, validate=False)
+        algebra = span_algebra([], 0, s.tol, generators=gens)
         return Structure(algebra, zero_subspace(0, s.tol), {}, s.tol,
                          embedding=b)
     mats = [b.conj().T @ a @ b for a in s.algebra.basis]
-    algebra = span_algebra(mats, k, s.tol, generators=gens, validate=False)
+    algebra = span_algebra(mats, k, s.tol, generators=gens)
     disc = subspace_intersection(hv, s.discrete)
     disc_comp = orthonormalize([b.conj().T @ c for c in disc.basis.T], k, s.tol)
     return Structure(algebra, disc_comp, {"cyclic": b.conj().T @ v}, s.tol,
@@ -207,7 +207,7 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray,
     images = _summand_images(s.moment_basis, b)
     gens = s.algebra.generators
     gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)
-    algebra = span_algebra(images, n + k, s.tol, generators=list(gens), validate=False)
+    algebra = span_algebra(images, n + k, s.tol, generators=list(gens))
     d1 = s.discrete.basis
     disc = np.zeros((n + k, d1.shape[1]), dtype=complex)
     disc[:n, :] = d1

@@ -79,7 +79,7 @@ def test_criterion_1_gns_round_trip():
                 phi = random_in_algebra_state(s, rng)
             if phi.norm() <= 1e-8:
                 phi = random_in_algebra_state(s, rng, keep_prob=1.1)
-            rep = gns(s.algebra, phi, verify=False)
+            rep = gns(s.algebra, phi)
             worst_state = max(worst_state, rep.roundtrip_defect)
             worst_hom = max(worst_hom, rep.star_hom_defect)
             pairs += 1
@@ -284,8 +284,8 @@ def test_criterion_7_type_equality_soundness():
                         pert = cand
                         break
                 assert pert is not None
-                r1 = gns(s.algebra, vector_state(s, v), verify=False)
-                r2 = gns(s.algebra, vector_state(s, pert), verify=False)
+                r1 = gns(s.algebra, vector_state(s, v))
+                r2 = gns(s.algebra, vector_state(s, pert))
                 _, defect = gns_intertwiner(r1, r2)
                 assert defect > 1e-6
                 neg += 1

@@ -3,6 +3,7 @@ import pytest
 
 from starrep.algebra import (
     DecompositionError,
+    StarAlgebra,
     commutant,
     conditional_expectation,
     double_commutant_check,
@@ -87,14 +88,40 @@ def test_generate_rejects_commutant_that_fails_the_letters(monkeypatch):
         generate_algebra([E12])
 
 
-def test_span_algebra_rejects_span_not_closed_under_products():
+def test_commutant_is_certified_by_the_letters(monkeypatch):
+    from starrep import algebra as algebra_module
+    solve = algebra_module._commutant_basis
+
+    def with_extra_projector(letters, n, tol, rng):
+        return np.concatenate([solve(letters, n, tol, rng), np.sqrt(n) * E11[None]])
+
+    bare = StarAlgebra(2, generate_algebra([E12]).basis)
+    monkeypatch.setattr(algebra_module, "_commutant_basis", with_extra_projector)
+    # the spurious span{I, E11} is a *-algebra; the block form of the basis exposes it
+    with pytest.raises(DecompositionError):
+        bare.commutant()
+
+
+@pytest.mark.parametrize("plan", [[(1, 3)] * 4, [(1, 2), (2, 2), (3, 1)], [(2, 2)] * 3])
+def test_commutant_of_a_basis_only_algebra_matches_the_plan(plan):
+    generated = planted_algebra(plan, 5)
+    bare = StarAlgebra(generated.dim, generated.basis, tol=generated.tol)
+    assert sorted(bare.block_decomposition().signature) == sorted(plan)
+    comm = bare.commutant()
+    assert comm.size == sum(m * m for _, m in plan)
+    assert comm.spans_equal(generated.commutant())
+    assert double_commutant_check(bare)
+
+
+def test_star_algebra_rejects_span_not_closed_under_products():
     e = np.eye(3)
     def unit(i, j):
         return np.outer(e[i], e[j])
     # contains I and is adjoint-closed, but (E23 + E32) E22 = E32 is outside
     mats = [unit(0, 0), unit(1, 1) + unit(2, 2), unit(1, 2) + unit(2, 1), unit(1, 1) - unit(2, 2)]
+    basis = span_algebra(mats, 3).basis
     with pytest.raises(ValueError, match="products"):
-        span_algebra(mats, 3)
+        StarAlgebra(3, basis)
 
 
 def test_commutant_examples():
@@ -119,7 +146,6 @@ def test_commutant_from_generators_matches_basis_route():
         h1 = rng.standard_normal((1, 1))
         return q @ block_diag(h1 + h1.T, np.kron(h2, np.eye(2))) @ q.conj().T
     alg = generate_algebra([gen(), gen()])
-    from starrep.algebra import StarAlgebra
     no_gens = StarAlgebra(alg.dim, alg.basis, generators=None, tol=alg.tol)
     assert commutant(alg).spans_equal(commutant(no_gens))
 

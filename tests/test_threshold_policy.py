@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starrep
-from starrep.algebra import BlockDecomposition, generate_algebra
+from starrep.algebra import BlockDecomposition, generate_algebra, span_algebra
+from starrep.cli import build_parser
 from starrep.functionals import (
     PositiveFunctional,
     embeds_as_subrepresentation,
@@ -194,3 +195,8 @@ def test_one_policy_has_no_new_knobs():
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_rel", "eq_abs", "psd_abs"]
     assert "validate" not in inspect.signature(PositiveFunctional).parameters
     assert "check" not in inspect.signature(BlockDecomposition.block_parts).parameters
+    assert "validate" not in inspect.signature(span_algebra).parameters
+    assert "verify" not in inspect.signature(gns).parameters
+    # --seed is registered only where a subcommand reads it
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["dcl", "s.json", "v", "--seed", "1"])
