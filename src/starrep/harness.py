@@ -31,7 +31,8 @@ from .independence import (
     nonforking_extension,
     type_of,
 )
-from .linalg import Subspace, ToleranceBreach, block_diag_kron, haar_unitary, project
+from .linalg import (Subspace, ToleranceBreach, block_diag, block_diag_kron, haar_unitary,
+                     project)
 from .representation import Structure, acl
 from .serialize import matrix_to_json, vector_to_json
 
@@ -117,11 +118,24 @@ def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _commutant_function(s: Structure, rng: np.random.Generator, f) -> np.ndarray:
+    """f(h) for a random Hermitian h = Q (+)(I_k (x) h_i) Q^H of the commutant,
+    read off the block decomposition.  Each h_i is a Gaussian Hermitian
+    m_i x m_i matrix scaled like the commutant's trace-orthonormal basis, and
+    f acts on its eigenvalues (one eigh per block)."""
+    dec = s.algebra.block_decomposition()
+    parts = []
+    for k, m in dec.blocks:
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        w, v = np.linalg.eigh(np.sqrt(s.dim / k) * (g + g.conj().T) / 2)
+        parts.append(np.kron(np.eye(k), (v * f(w)) @ v.conj().T))
+    q = dec.change_of_basis
+    return q @ block_diag(*parts) @ q.conj().T
+
+
 def commuting_unitary(s: Structure, rng: np.random.Generator) -> np.ndarray:
     """A unitary commuting with the algebra (hence preserving a central H_d)."""
-    h = s.algebra.commutant().random_hermitian_element(rng)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return _commutant_function(s, rng, lambda w: np.exp(1j * w))
 
 
 def random_in_algebra_state(s: Structure, rng: np.random.Generator,
@@ -546,7 +560,4 @@ def _functional_trial(report, s, rng, t):
 
 
 def _random_psd_commutant(s: Structure, rng: np.random.Generator) -> np.ndarray:
-    h = s.algebra.commutant().random_hermitian_element(rng)
-    w, v = np.linalg.eigh(h)
-    lam = np.clip(w, 0.0, None)
-    return (v * lam) @ v.conj().T
+    return _commutant_function(s, rng, lambda w: np.clip(w, 0.0, None))

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import _append_to_row_basis, _orthonormal_rows
-from .linalg import ToleranceBreach, haar_unitary, project
+from .linalg import Subspace, ToleranceBreach, haar_unitary
 from .representation import (
     Structure,
+    _join_discrete,
     acl,
     cyclic_subspace,
     extend_with_summand,
@@ -30,6 +31,11 @@ def _as_tuple(vectors, n: int):
     if arr.shape[1] != n:
         raise ValueError(f"vectors of length {arr.shape[1]} do not fit dimension {n}")
     return arr, single
+
+
+def _project_rows(sub: Subspace, vs: np.ndarray) -> np.ndarray:
+    """Orthogonal projections of the rows of vs onto the subspace."""
+    return (vs @ sub.basis.conj()) @ sub.basis.T
 
 
 def spanning_word_length(s: Structure) -> int:
@@ -86,10 +92,15 @@ def type_of(s: Structure, vectors, base) -> TypeDescriptor:
     """Descriptor of tp(vectors / base): projections onto the cyclic subspace
     of the base, and the moments of the residuals against s.moment_basis."""
     vs, _ = _as_tuple(vectors, s.dim)
-    he = cyclic_subspace(s, base)
-    bp = np.array([project(he, v) for v in vs])
+    return _type_over(s, vs, cyclic_subspace(s, base))
+
+
+def _type_over(s: Structure, vs: np.ndarray, closure: Subspace) -> TypeDescriptor:
+    """type_of with the base's cyclic subspace already computed."""
+    bp = _project_rows(closure, vs)
     res = vs - bp
-    moments = np.einsum("dab,jb,ka->djk", s.moment_basis, res, res.conj())
+    # entry [d, j, k] = <a_d r_j, r_k>
+    moments = (res.conj() @ (s.moment_basis @ res.T)).transpose(0, 2, 1)
     return TypeDescriptor(bp, moments, s)
 
 
@@ -143,15 +154,10 @@ def is_independent(s: Structure, vectors, base, extra) -> IndependenceReport:
     against the largest entry norm.
     """
     vs, _ = _as_tuple(vectors, s.dim)
-    small = acl(s, base)
-    big = acl(s, list(base) + list(extra))
-    witnesses = []
-    defect = 0.0
-    for v in vs:
-        p1 = project(small, v)
-        p2 = project(big, v)
-        witnesses.append((p1, p2))
-        defect = max(defect, float(np.linalg.norm(p2 - p1)))
+    p1 = _project_rows(acl(s, base), vs)
+    p2 = _project_rows(acl(s, list(base) + list(extra)), vs)
+    witnesses = list(zip(p1, p2))
+    defect = float(np.max(np.linalg.norm(p2 - p1, axis=1), initial=0.0))
     scale = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
     return IndependenceReport(bool(s.tol.close(defect, scale)), defect, witnesses)
 
@@ -173,15 +179,16 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     subspace of the residuals; each output vector is the base projection plus
     the fresh embedded copy of its residual.  Both defining conditions (the
     projection match and the residual type match) are verified numerically
-    before returning.
+    before returning.  The three closures (of the base, the residuals and
+    the extension set) are computed once each and shared by the checks.
     """
     vs, single = _as_tuple(vectors, s.dim)
     _check_base_extension(base, extension, s.tol)
-    base_cl = acl(s, base)
-    proj = np.array([project(base_cl, v) for v in vs])
+    base_cyc = cyclic_subspace(s, base)
+    proj = _project_rows(_join_discrete(s, base_cyc), vs)
     res = vs - proj
 
-    hr = cyclic_subspace(s, list(res))
+    hr = cyclic_subspace(s, res)
     rot = None
     if seed is not None and hr.dim:
         rot = haar_unitary(hr.dim, np.random.default_rng([seed, 0x0F0E]))
@@ -194,16 +201,15 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     f_emb = [np.concatenate([np.asarray(f, dtype=complex).ravel(),
                              np.zeros(k, dtype=complex)]) for f in extension]
 
-    ext_cl = acl(shat, f_emb)
-    for j in range(vs.shape[0]):
-        want = np.concatenate([proj[j], np.zeros(k, dtype=complex)])
-        got = project(ext_cl, vprime[j])
-        if not s.tol.certified(np.linalg.norm(got - want), np.linalg.norm(vs[j])):
-            raise ToleranceBreach(
-                f"non-forking projection condition failed by {np.linalg.norm(got - want):.2e}")
-    d_old = type_of(s, res, base)
-    residual_new = vprime - np.array([project(ext_cl, w) for w in vprime])
-    d_new = type_of(shat, residual_new, f_emb)
+    ext_cyc = cyclic_subspace(shat, f_emb)
+    got = _project_rows(_join_discrete(shat, ext_cyc), vprime)
+    miss = np.linalg.norm(got - np.hstack([proj, np.zeros_like(compressed)]), axis=1)
+    failed = ~s.tol.certified(miss, np.linalg.norm(vs, axis=1))
+    if np.any(failed):
+        raise ToleranceBreach(
+            f"non-forking projection condition failed by {np.max(miss[failed]):.2e}")
+    d_old = _type_over(s, res, base_cyc)
+    d_new = _type_over(shat, vprime - got, ext_cyc)
     gap = descriptor_distance(d_old, d_new)
     # projections scale as |v|, moments as |v|^2
     size = float(np.max(np.linalg.norm(vs, axis=1)))
@@ -217,8 +223,7 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
 def canonical_base(s: Structure, vectors, base):
     """Canonical base of tp(vectors / base): projections onto the base's cyclic subspace."""
     vs, single = _as_tuple(vectors, s.dim)
-    he = cyclic_subspace(s, base)
-    out = np.array([project(he, v) for v in vs])
+    out = _project_rows(cyclic_subspace(s, base), vs)
     return out[0] if single else out
 
 
@@ -244,8 +249,7 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     if k < 1:
         raise ValueError("the copy count must be at least 1")
     v = np.asarray(v, dtype=complex).ravel()
-    base_cl = acl(s, base)
-    p = project(base_cl, v)
+    p = _project_rows(acl(s, base), v)
     r = v - p
     hr = cyclic_subspace(s, [r])
     b = hr.basis
@@ -260,8 +264,8 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     total = n + k * size
     copies = np.zeros((k, total), dtype=complex)
     copies[:, :n] = p
-    for i in range(k):
-        copies[i, n + i * size: n + (i + 1) * size] = rc
+    # copy i carries rc in the i-th summand: the diagonal of the (k, k, size) tails
+    copies[:, n:].reshape(k, k, size)[np.arange(k), np.arange(k)] = rc
     tails = copies[:, n:]
     gram = tails @ tails.conj().T
     expect = np.linalg.norm(r) ** 2 * np.eye(k)
@@ -295,20 +299,15 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         raise ValueError("epsilon must be strictly positive")
     vs, single = _as_tuple(vectors, s.dim)
     pool = [np.asarray(f, dtype=complex).ravel() for f in pool]
-    full_cl = acl(s, pool)
-    targets = np.array([project(full_cl, v) for v in vs])
+    targets = _project_rows(acl(s, pool), vs)
+
+    def worst_defect(cl):
+        return float(np.max(np.linalg.norm(targets - _project_rows(cl, vs), axis=1),
+                            initial=0.0))
 
     chosen: list[int] = []
-
-    def worst_defect(idx_list):
-        sub_cl = acl(s, [pool[i] for i in idx_list])
-        return max(
-            (float(np.linalg.norm(targets[j] - project(sub_cl, vs[j])))
-             for j in range(vs.shape[0])),
-            default=0.0,
-        ), sub_cl
-
-    current, sub_cl = worst_defect(chosen)
+    sub_cl = acl(s, [])
+    current = worst_defect(sub_cl)
     size = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
     while current >= epsilon:
         best = None
@@ -318,17 +317,15 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
             cand_cl = acl(s, [pool[j] for j in chosen] + [pool[i]])
             if cand_cl.dim <= sub_cl.dim:
                 continue
-            score = max(
-                float(np.linalg.norm(targets[j] - project(cand_cl, vs[j])))
-                for j in range(vs.shape[0]))
+            score = worst_defect(cand_cl)
             # the first of near-equal scores wins
             if best is None or (score < best[0] and not s.tol.close(best[0] - score, size)):
-                best = (score, i)
+                best = (score, i, cand_cl)
         if best is None:
             break
-        chosen.append(best[1])
-        current, sub_cl = worst_defect(chosen)
+        current, pick, sub_cl = best
+        chosen.append(pick)
 
-    replacements = vs - targets + np.array([project(sub_cl, v) for v in vs])
+    replacements = vs - targets + _project_rows(sub_cl, vs)
     out = replacements[0] if single else replacements
     return FiniteBase(list(chosen), [pool[i] for i in chosen], out, current)

@@ -62,7 +62,7 @@ CLUSTER_GAP = 1e-6
 
 def _require_finite(a: np.ndarray, what: str = "input") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.size and (not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
@@ -109,7 +109,7 @@ class Subspace:
         q, _ = np.linalg.qr(np.hstack([self.basis, np.eye(self.ambient_dim, dtype=complex)]))
         comp = q[:, self.dim:self.ambient_dim]
         # re-orthonormalize the complement against rounding in the QR pass
-        return orthonormalize(list(comp.T), self.ambient_dim, self.tol)
+        return orthonormalize(comp.T, self.ambient_dim, self.tol)
 
     def isclose(self, other: "Subspace") -> bool:
         """Equality as subspaces: same ambient space and rank, and the sine of
@@ -152,22 +152,29 @@ def block_diag_kron(parts, mults) -> np.ndarray:
 def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of `vectors` as a Subspace; rank decided by relative SVD cutoff.
 
-    `vectors` is an iterable of equal-length 1-d arrays.  An empty iterable
-    yields the zero subspace of `ambient_dim`, which must then be given.
+    `vectors` is a 2-d array whose rows are the vectors, taken as it is, or an
+    iterable of equal-length 1-d arrays.  An empty iterable yields the zero
+    subspace of `ambient_dim`, which must then be given.
     """
-    mats = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    if not mats:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim is required for an empty span")
-        return zero_subspace(ambient_dim, tol)
-    n = mats[0].size
-    if any(m.size != n for m in mats):
-        raise ValueError("input vectors have mismatched lengths")
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        a = vectors
+    else:
+        mats = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+        if not mats:
+            if ambient_dim is None:
+                raise ValueError("ambient_dim is required for an empty span")
+            return zero_subspace(ambient_dim, tol)
+        if any(m.size != mats[0].size for m in mats):
+            raise ValueError("input vectors have mismatched lengths")
+        a = np.array(mats)
+    n = a.shape[1]
     if ambient_dim is not None and n != ambient_dim:
         raise ValueError(f"vectors live in dimension {n}, expected {ambient_dim}")
-    a = _require_finite(np.array(mats), "span input")
+    a = _require_finite(a, "span input")
+    if not a.size:
+        return zero_subspace(n, tol)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
+    if s[0] <= 0:
         return zero_subspace(n, tol)
     rank = int(np.sum(s > tol.rank_cut(s[0])))
     # rows of vh span the row space of a; transposing without conjugation
@@ -189,8 +196,7 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     """Smallest subspace containing both summands."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    cols = list(s1.basis.T) + list(s2.basis.T)
-    return orthonormalize(cols, s1.ambient_dim, s1.tol)
+    return orthonormalize(np.hstack([s1.basis, s2.basis]).T, s1.ambient_dim, s1.tol)
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
@@ -204,8 +210,7 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     # null vectors (x, y) satisfy B1 x = B2 y, an intersection element
     null_mask = np.concatenate([s, np.zeros(max(0, vh.shape[0] - s.size))]) <= s1.tol.rank_cut(s[0])
     null = vh[null_mask].conj().T
-    members = [s1.basis @ null[: s1.dim, j] for j in range(null.shape[1])]
-    return orthonormalize(members, s1.ambient_dim, s1.tol)
+    return orthonormalize((s1.basis @ null[: s1.dim]).T, s1.ambient_dim, s1.tol)
 
 
 def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL):

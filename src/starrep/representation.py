@@ -13,6 +13,7 @@ from .algebra import StarAlgebra, generate_algebra, span_algebra
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    ToleranceBreach,
     Tolerances,
     _require_finite,
     block_diag,
@@ -107,13 +108,28 @@ def cyclic_subspace(s: Structure, vectors) -> Subspace:
             raise ValueError(f"vector of length {v.size} does not fit dimension {n}")
     if not vecs:
         return zero_subspace(n, s.tol)
-    images = np.einsum("kab,mb->kma", s.algebra.basis, np.array(vecs)).reshape(-1, n)
-    return orthonormalize(list(images), n, s.tol)
+    # row (k, m) is a_k v_m
+    images = np.array(vecs) @ s.algebra.basis.transpose(0, 2, 1)
+    return orthonormalize(images.reshape(-1, n), n, s.tol)
 
 
 def acl(s: Structure, vectors) -> Subspace:
-    """Algebraic closure: the cyclic subspace joined with the discrete part."""
-    return subspace_sum(cyclic_subspace(s, vectors), s.discrete)
+    """Algebraic closure: the cyclic subspace joined with the discrete part.
+
+    With no discrete part this is the cyclic subspace (dcl) itself, and with
+    an empty cyclic subspace it is the discrete part, so only a proper join
+    costs a second SVD.
+    """
+    return _join_discrete(s, cyclic_subspace(s, vectors))
+
+
+def _join_discrete(s: Structure, cyc: Subspace) -> Subspace:
+    """acl from an already computed cyclic subspace."""
+    if s.discrete.dim == 0:
+        return cyc
+    if cyc.dim == 0:
+        return s.discrete
+    return subspace_sum(cyc, s.discrete)
 
 
 def essential_discrete_parts(s: Structure, v: np.ndarray):
@@ -181,7 +197,7 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     mats = [b.conj().T @ a @ b for a in s.algebra.basis]
     algebra = span_algebra(mats, k, s.tol, generators=gens)
     disc = subspace_intersection(hv, s.discrete)
-    disc_comp = orthonormalize([b.conj().T @ c for c in disc.basis.T], k, s.tol)
+    disc_comp = orthonormalize((b.conj().T @ disc.basis).T, k, s.tol)
     return Structure(algebra, disc_comp, {"cyclic": b.conj().T @ v}, s.tol,
                      embedding=b)
 
@@ -199,15 +215,31 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray,
     The images of s's moment basis become the moment basis of the result,
     which keeps s's originating algebra: type moments taken in either
     structure, or in any chain of extensions, index the same basis.
+
+    The images are linearly independent, so the algebra's basis is their
+    symmetric orthonormalization G^{-1/2} images by their Gram matrix G, with
+    no rank to solve for.  G is well conditioned: the map is injective and
+    each image keeps its preimage as a block, so G dominates the Gram matrix
+    n0 I of the origin's trace-orthonormal basis (n0 the origin's dimension),
+    while a compression at most doubles it: n0 I <= G <= 2^c n0 I after c
+    extensions.  Its rank is certified all the same; ToleranceBreach if it
+    fails.
     """
     b = summand_basis
     if rotation is not None:
         b = b @ rotation
     n, k = s.dim, b.shape[1]
     images = _summand_images(s.moment_basis, b)
+    flat = images.reshape(len(images), -1)
+    w, v = np.linalg.eigh(flat @ flat.conj().T)
+    if w.size and not w[0] > s.tol.rank_cut(w[-1]):
+        raise ToleranceBreach(
+            f"summand images are not linearly independent (Gram eigenvalues {w[0]:.2e} "
+            f"against {w[-1]:.2e})")
+    basis = np.sqrt(n + k) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
     gens = s.algebra.generators
     gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)
-    algebra = span_algebra(images, n + k, s.tol, generators=list(gens))
+    algebra = StarAlgebra(n + k, basis, list(gens), s.tol, validate=False)
     d1 = s.discrete.basis
     disc = np.zeros((n + k, d1.shape[1]), dtype=complex)
     disc[:n, :] = d1

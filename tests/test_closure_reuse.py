@@ -1,0 +1,307 @@
+"""Each closure of the forking calculus is computed once per call.
+
+The reference routes below are the straightforward ones, kept as oracles:
+acl always joins through subspace_sum, finite_base recomputes the chosen
+closure after each pick, and nonforking_extension recomputes both closures
+through type_of and orthonormalizes the extension's images by an SVD in
+span_algebra.  The library must agree with them, while guard tests count
+the closures and SVDs it actually makes.
+"""
+import numpy as np
+import pytest
+
+import starrep.independence
+import starrep.representation
+from starrep.algebra import generate_algebra, span_algebra
+from starrep.harness import InstanceSpec, random_structure, random_unit_vector
+from starrep.independence import (
+    TypeDescriptor,
+    _check_base_extension,
+    canonical_base,
+    descriptor_distance,
+    finite_base,
+    is_independent,
+    nonforking_extension,
+    type_of,
+)
+from starrep.linalg import (Subspace, ToleranceBreach, haar_unitary, orthonormalize, project,
+                            subspace_sum)
+from starrep.representation import (
+    Structure,
+    _summand_images,
+    acl,
+    cyclic_subspace,
+    extend_with_summand,
+    invariance_defect,
+)
+
+from conftest import E1
+
+BLOCKS = ((1, 2), (2, 1), (1, 1), (1, 1), (1, 2))
+PLANS = {
+    "essential": InstanceSpec(8, BLOCKS, (False,) * 5, seed=31),
+    "discrete": InstanceSpec(8, BLOCKS, (False, False, True, False, False), seed=32),
+}
+
+
+# ----- reference routes ------------------------------------------------------
+
+def ref_acl(s, vectors):
+    return subspace_sum(cyclic_subspace(s, vectors), s.discrete)
+
+
+def ref_type_of(s, vectors, base):
+    vs = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    he = cyclic_subspace(s, base)
+    bp = np.array([project(he, v) for v in vs])
+    res = vs - bp
+    moments = np.einsum("dab,jb,ka->djk", s.moment_basis, res, res.conj())
+    return TypeDescriptor(bp, moments, s)
+
+
+def ref_extend_with_summand(s, b):
+    n, k = s.dim, b.shape[1]
+    images = _summand_images(s.moment_basis, b)
+    gens = _summand_images(np.array(s.algebra.generators).reshape(-1, n, n), b)
+    algebra = span_algebra(images, n + k, s.tol, generators=list(gens))
+    disc = np.zeros((n + k, s.discrete.dim), dtype=complex)
+    disc[:n] = s.discrete.basis
+    out = Structure(algebra, Subspace(n + k, disc, s.tol), tol=s.tol)
+    out.embedding, out.origin, out.moment_basis = b, s.origin, images
+    return out
+
+
+def ref_nonforking_extension(s, vectors, base, extension, seed=None):
+    vs = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    _check_base_extension(base, extension, s.tol)
+    base_cl = ref_acl(s, base)
+    proj = np.array([project(base_cl, v) for v in vs])
+    res = vs - proj
+    hr = cyclic_subspace(s, list(res))
+    b = hr.basis
+    if seed is not None and hr.dim:
+        b = b @ haar_unitary(hr.dim, np.random.default_rng([seed, 0x0F0E]))
+    shat = ref_extend_with_summand(s, b)
+    k = b.shape[1]
+    vprime = np.hstack([proj, res @ b.conj()])
+    f_emb = [np.concatenate([f, np.zeros(k, dtype=complex)]) for f in extension]
+    ext_cl = ref_acl(shat, f_emb)
+    residual_new = vprime - np.array([project(ext_cl, w) for w in vprime])
+    gap = descriptor_distance(ref_type_of(s, res, base), ref_type_of(shat, residual_new, f_emb))
+    return shat, vprime, gap
+
+
+def ref_finite_base(s, vs, pool, epsilon):
+    targets = np.array([project(ref_acl(s, pool), v) for v in vs])
+
+    def score(cl):
+        return max(float(np.linalg.norm(t - project(cl, v))) for t, v in zip(targets, vs))
+
+    def worst_defect(idx):
+        sub_cl = ref_acl(s, [pool[i] for i in idx])
+        return score(sub_cl), sub_cl
+
+    chosen = []
+    current, sub_cl = worst_defect(chosen)
+    size = float(np.max(np.linalg.norm(vs, axis=1)))
+    while current >= epsilon:
+        best = None
+        for i in range(len(pool)):
+            if i in chosen:
+                continue
+            cand_cl = ref_acl(s, [pool[j] for j in chosen] + [pool[i]])
+            if cand_cl.dim <= sub_cl.dim:
+                continue
+            cand = score(cand_cl)
+            if best is None or (cand < best[0] and not s.tol.close(best[0] - cand, size)):
+                best = (cand, i)
+        if best is None:
+            break
+        chosen.append(best[1])
+        current, sub_cl = worst_defect(chosen)
+    return chosen, vs - targets + np.array([project(sub_cl, v) for v in vs]), current
+
+
+# ----- inputs ------------------------------------------------------------------
+
+def block_vectors(s, rng):
+    """One random vector in each block of the decomposition."""
+    dec = s.algebra.block_decomposition()
+    q = dec.change_of_basis
+    return [q[:, off:off + k * m] @ random_unit_vector(rng, k * m)
+            for off, (k, m) in zip(dec.offsets(), dec.blocks)]
+
+
+def essential_pool(s, rng):
+    """Block vectors of the blocks outside the discrete part."""
+    return [f for f in block_vectors(s, rng)
+            if np.linalg.norm(project(s.discrete, f)) < 1e-9]
+
+
+def assert_subspaces_match(got, want):
+    assert got.dim == want.dim
+    assert got.isclose(want)
+
+
+# ----- parity ------------------------------------------------------------------
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_closures_match_reference_routes(plan):
+    s = random_structure(PLANS[plan])
+    rng = np.random.default_rng(7)
+    v, w, e = (random_unit_vector(rng, s.dim) for _ in range(3))
+    for vectors in ([], [e], [v, w], essential_pool(s, rng)[:2]):
+        assert_subspaces_match(acl(s, vectors), ref_acl(s, vectors))
+    for tup, base, extra in (([v], [], [w]), ([v, w], [e], [e, w]), ([v], [e], [e])):
+        got = is_independent(s, tup, base, extra)
+        small, big = ref_acl(s, base), ref_acl(s, base + extra)
+        want = max(float(np.linalg.norm(project(big, x) - project(small, x))) for x in tup)
+        assert got.verdict == s.tol.close(want, 1.0)
+        assert abs(got.defect - want) <= 1e-10
+    he = cyclic_subspace(s, [e])
+    np.testing.assert_allclose(canonical_base(s, v, [e]), project(he, v), atol=1e-10)
+    got, want = type_of(s, [v, w], [e]), ref_type_of(s, [v, w], [e])
+    np.testing.assert_allclose(got.base_projections, want.base_projections, atol=1e-10)
+    np.testing.assert_allclose(got.moment_tensor, want.moment_tensor, atol=1e-10)
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_finite_base_matches_recomputing_route(plan):
+    s = random_structure(PLANS[plan])
+    rng = np.random.default_rng(8)
+    pool = essential_pool(s, rng)
+    vs = np.array([sum(pool) + random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)])
+    for eps in (1e-9, 1.5):   # every pick, then an early stop
+        got = finite_base(s, vs, pool, eps)
+        indices, replacements, defect = ref_finite_base(s, vs, pool, eps)
+        assert got.indices == indices
+        np.testing.assert_allclose(got.replacements, replacements, atol=1e-10)
+        assert abs(got.defect - defect) <= 1e-10
+    # the greedy loop made at least three picks
+    assert len(finite_base(s, vs, pool, 1e-9).indices) >= 3
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+@pytest.mark.parametrize("seed", [None, 5])
+def test_nonforking_extension_matches_reference_route(plan, seed):
+    s = random_structure(PLANS[plan])
+    rng = np.random.default_rng(9)
+    v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
+    n = s.dim
+    for tup, base, ext in (([v], [e], [e, f]), ([v, f], [], [e])):
+        shat, vprime = nonforking_extension(s, tup, base, ext, seed=seed)
+        ref, want, gap = ref_nonforking_extension(s, tup, base, ext, seed=seed)
+        assert gap <= 1e-10
+        assert shat.dim == ref.dim and shat.discrete.dim == ref.discrete.dim
+        # the summand's coordinates are fixed only up to a unitary u of the
+        # residual cyclic subspace (the SVD's choice of its basis), so both
+        # results are compared through W = I (+) u, which maps one onto the other
+        k = shat.dim - n
+        u = ref.embedding.conj().T @ shat.embedding
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(k), atol=1e-10)
+        w = np.eye(n + k, dtype=complex)
+        w[n:, n:] = u
+        np.testing.assert_allclose(vprime, want @ w.conj(), atol=1e-10)
+        assert shat.algebra.spans_equal(
+            span_algebra(w.conj().T @ ref.algebra.basis @ w, n + k))
+        f_emb = [np.concatenate([x, np.zeros(k)]) for x in ext]
+        assert descriptor_distance(type_of(shat, vprime, f_emb), type_of(ref, want, f_emb)) <= 1e-10
+
+
+def test_extension_chain_is_trace_orthonormal_and_spans_the_images():
+    s = random_structure(PLANS["discrete"])
+    rng = np.random.default_rng(10)
+    e = random_unit_vector(rng, s.dim)
+    cur, v = s, random_unit_vector(rng, s.dim)
+    for _ in range(3):
+        pad = np.zeros(cur.dim - s.dim)
+        cur, v = nonforking_extension(cur, v, [np.concatenate([e, pad])],
+                                      [np.concatenate([e, pad])])
+        n, flat = cur.dim, cur.algebra.basis.reshape(cur.algebra.size, -1)
+        np.testing.assert_allclose(flat @ flat.conj().T / n, np.eye(cur.algebra.size),
+                                   atol=1e-12)
+        assert cur.algebra.spans_equal(span_algebra(cur.moment_basis, n))
+
+
+def test_rank_deficient_extension_images_raise(monkeypatch):
+    s = random_structure(PLANS["essential"])
+    b = cyclic_subspace(s, [random_unit_vector(np.random.default_rng(11), s.dim)]).basis
+
+    def deficient(mats, basis):
+        out = _summand_images(mats, basis)
+        out[-1] = out[0]
+        return out
+
+    monkeypatch.setattr(starrep.representation, "_summand_images", deficient)
+    with pytest.raises(ToleranceBreach):
+        extend_with_summand(s, b)
+
+
+# ----- closure and SVD counts --------------------------------------------------
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    return calls
+
+
+def test_extension_and_essential_acl_svd_counts(svd_calls):
+    s = random_structure(PLANS["essential"])
+    rng = np.random.default_rng(12)
+    v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    b = cyclic_subspace(s, [v]).basis
+    svd_calls.clear()
+    extend_with_summand(s, b)
+    assert svd_calls == []
+    acl(s, [v, w])
+    assert len(svd_calls) == 1
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_calls):
+    s = random_structure(PLANS[plan])
+    rng = np.random.default_rng(13)
+    v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
+    closures = []
+    cyclic = starrep.independence.cyclic_subspace
+    monkeypatch.setattr(starrep.independence, "cyclic_subspace",
+                        lambda st, vecs: closures.append((st, len(vecs))) or cyclic(st, vecs))
+    monkeypatch.setattr(starrep.independence, "acl", None)
+    svd_calls.clear()
+    shat, _ = nonforking_extension(s, [v, f], [e], [e, f])
+    assert closures == [(s, 1), (s, 2), (shat, 2)]
+    # one SVD per closure, plus one per join with a discrete part
+    assert len(svd_calls) == 3 + 2 * (s.discrete.dim > 0)
+
+
+def test_finite_base_computes_each_candidate_closure_once(monkeypatch):
+    s = random_structure(PLANS["essential"])
+    rng = np.random.default_rng(14)
+    pool = essential_pool(s, rng)[:3]
+    v = sum(pool)
+    closures = []
+    closure = starrep.independence.acl
+    monkeypatch.setattr(starrep.independence, "acl",
+                        lambda st, vecs: closures.append(len(vecs)) or closure(st, vecs))
+    fb = finite_base(s, v, pool, 1e-9)
+    assert len(fb.indices) == 3
+    # the full pool, the empty start, then 3 + 2 + 1 candidates
+    assert closures == [3, 0, 1, 1, 1, 2, 2, 3]
+
+
+# ----- invariance stays checked against the basis --------------------------------
+
+def test_discrete_invariance_is_checked_against_the_algebra_basis():
+    # I + 1e-7 E12 generates M_2, under which span{e1} is not invariant; the
+    # letters themselves move e1 by only 1e-7 / sqrt(2) of their norm, under
+    # the certificate, so a check on the letters alone would accept it
+    e12 = np.zeros((2, 2), dtype=complex)
+    e12[0, 1] = 1
+    algebra = generate_algebra([np.eye(2) + 1e-7 * e12])
+    assert algebra.size == 4
+    disc = orthonormalize([E1], 2)
+    assert algebra.tol.certified(invariance_defect(algebra.letters(), disc.basis), 1.0)
+    with pytest.raises(ValueError, match="not invariant"):
+        Structure(algebra, discrete=disc)

@@ -86,6 +86,23 @@ def test_commuting_unitary_commutes():
     assert np.linalg.norm(resid) < 1e-9
 
 
+def test_commutant_draws_read_the_block_decomposition(monkeypatch):
+    from starrep.algebra import StarAlgebra
+    from starrep.harness import _random_psd_commutant
+    # a (2, 2) block tells I_k (x) h_i from h_i (x) I_k
+    s = random_structure(InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False, True, False), seed=5))
+    s.algebra.block_decomposition()
+    monkeypatch.setattr(StarAlgebra, "commutant", None)
+    rng = np.random.default_rng(24)
+    u, t = commuting_unitary(s, rng), _random_psd_commutant(s, rng)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-10)
+    np.testing.assert_allclose(t, t.conj().T, atol=1e-10)
+    assert np.linalg.eigvalsh(t)[0] >= -1e-10
+    for b in s.algebra.basis:
+        assert np.linalg.norm(u @ b - b @ u) < 1e-9
+        assert np.linalg.norm(t @ b - b @ t) < 1e-9
+
+
 def test_suites_pass_and_are_deterministic():
     r1 = run_freeness_suite(SPEC, trials=4)
     r2 = run_freeness_suite(SPEC, trials=4)
