@@ -6,6 +6,7 @@ basis orthonormal under the normalized trace pairing <A, B> = Tr(B^H A) / n.
 """
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -256,6 +257,8 @@ class BlockDecomposition:
 
     Conjugating every algebra element by change_of_basis^H produces the form
     direct-sum of (M_{k_i} tensor I_{m_i}), blocks sorted by (k_i, m_i).
+    `runs` holds one (first block, count c, k, m, offset) per maximal run of
+    equal shapes, so per-block work can be done as one (c, ...) stack per run.
     """
 
     def __init__(self, blocks, change_of_basis: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -267,6 +270,11 @@ class BlockDecomposition:
             raise ValueError("block sizes do not add up to the ambient dimension")
         if not tol.certified(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[0])), 1.0):
             raise ValueError("change of basis is not unitary")
+        self.runs, first, off = [], 0, 0
+        for (k, m), run in itertools.groupby(self.blocks):
+            c = len(list(run))
+            self.runs.append((first, c, k, m, off))
+            first, off = first + c, off + c * k * m
 
     @property
     def signature(self):
@@ -279,6 +287,17 @@ class BlockDecomposition:
             offs.append(cur)
             cur += k * m
         return offs
+
+    def coordinates(self, x: np.ndarray):
+        """Q^H x as one (c, k, m) stack per run, block i read as a k_i x m_i
+        matrix (the order block_parts uses): an algebra element acts on it as
+        X -> x_i X, the commutant as X -> X c."""
+        y = self.change_of_basis.conj().T @ x
+        return [y[off:off + c * k * m].reshape(c, k, m) for _, c, k, m, off in self.runs]
+
+    def stacks(self, parts):
+        """Per-block parts as one (c, k, k) stack per run."""
+        return [np.array(parts[first:first + c], dtype=complex) for first, c, *_ in self.runs]
 
     def block_parts(self, m: np.ndarray):
         """Extract the k_i x k_i compressed block of each class from an algebra

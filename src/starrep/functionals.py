@@ -1,12 +1,14 @@
 """Positive linear functionals on a matrix *-algebra.
 
-A functional is stored through its representing element under the trace
-pairing, phi(a) = Tr(rho^H a), with rho inside the algebra span, and through
-the Hermitian Wedderburn block parts sigma_i of rho, read and validated once.
-Positivity is the sigma_i being PSD, and every norm, orthogonality and
-domination question is eigenvalue arithmetic on them.  The Radon-Nikodym
-operator is solved on the same blocks, from vectors read as k_i x m_i
-matrices, in a block-adapted basis of the cyclic space.
+A functional is stored through the Hermitian Wedderburn block parts sigma_i
+of its representing element under the trace pairing, phi(a) = Tr(rho^H a),
+read and validated once; rho is built from them only when read.  Positivity
+is the sigma_i being PSD, and every norm, orthogonality and domination
+question is eigenvalue arithmetic on them.  The Radon-Nikodym operator is
+solved on the same blocks, from vectors read as k_i x m_i matrices, in a
+block-adapted basis of the cyclic space.  Blocks of equal shape (k, m) are
+contiguous, so each step is one LAPACK call or batched product per run of
+them, and a block's rank inside a run is applied by zeroing columns.
 
 Each decision compares with a scale the inputs carry, so scaling vectors by c
 (functionals by c^2) changes no verdict: a support is cut at rank_rel times
@@ -26,14 +28,20 @@ from .linalg import (ToleranceBreach, block_diag, block_diag_kron, orthonormaliz
 from .representation import Structure, acl, essential_discrete_parts
 
 
-def _hermitian(parts):
-    return [(p + p.conj().T) / 2 for p in parts]
+def _adj(x):
+    return x.conj().swapaxes(-1, -2)
+
+
+def _hermitian(stacks):
+    return [(p + _adj(p)) / 2 for p in stacks]
 
 
 class PositiveFunctional:
-    """A positive linear functional: its in-algebra trace representative `rep`
-    and the Hermitian Wedderburn block parts `parts` of it.  ValueError unless
-    the block residual puts rep in the algebra span and the parts are PSD."""
+    """A positive linear functional: its Hermitian Wedderburn block parts,
+    held as one (c, k, k) stack per run of equal block shapes.  Its
+    in-algebra trace representative `rep` and its norm are computed from them
+    on first read and then kept.  ValueError unless the block residual puts
+    rep in the algebra span and the parts are PSD."""
 
     def __init__(self, algebra: StarAlgebra, rep: np.ndarray):
         rep = np.asarray(rep, dtype=complex)
@@ -41,56 +49,73 @@ class PositiveFunctional:
             raise ValueError(f"representative must be {algebra.dim}x{algebra.dim}")
         dec = algebra.block_decomposition()
         try:
-            parts = _hermitian(dec.block_parts(rep))
+            stacks = _hermitian(dec.stacks(dec.block_parts(rep)))
         except ToleranceBreach as err:
             raise ValueError("representative does not lie in the algebra span") from err
-        w = np.concatenate([np.zeros(0)] + [np.linalg.eigvalsh(p) for p in parts])
+        w = np.concatenate([np.zeros(0)] + [np.linalg.eigvalsh(p).ravel() for p in stacks])
         if w.size and not algebra.tol.nonnegative(w.min(), np.max(np.abs(w))):
             raise ValueError(f"functional is not positive (min eigenvalue {w.min():.3e})")
-        self.algebra, self.parts, self.rep = algebra, parts, dec.assemble(parts)
+        self.algebra, self.stacks, self._rep, self._norm = algebra, stacks, None, None
 
     @classmethod
     def from_parts(cls, algebra: StarAlgebra, parts) -> PositiveFunctional:
         """The functional with block parts sigma_i, rep = Q (+)(sigma_i (x) I_{m_i}) Q^H."""
+        return cls._from_stacks(algebra, algebra.block_decomposition().stacks(parts))
+
+    @classmethod
+    def _from_stacks(cls, algebra: StarAlgebra, stacks) -> PositiveFunctional:
         phi = cls.__new__(cls)
-        phi.algebra, phi.parts = algebra, _hermitian(parts)
-        phi.rep = algebra.block_decomposition().assemble(phi.parts)
+        phi.algebra, phi.stacks, phi._rep, phi._norm = algebra, _hermitian(stacks), None, None
         return phi
+
+    @property
+    def parts(self):
+        """The block parts sigma_i, one k_i x k_i matrix per block.  Assigning
+        them replaces the stacks; a rep or norm already read is kept."""
+        return [p for stack in self.stacks for p in stack]
+
+    @parts.setter
+    def parts(self, parts):
+        self.stacks = self.algebra.block_decomposition().stacks(parts)
+
+    @property
+    def rep(self) -> np.ndarray:
+        if self._rep is None:
+            self._rep = self.algebra.block_decomposition().assemble(self.parts)
+        return self._rep
 
     def __call__(self, a: np.ndarray) -> complex:
         return complex(np.vdot(self.rep, a))
 
     def norm(self) -> float:
-        """For a positive functional the norm is the value at the identity."""
-        return float(np.real(np.trace(self.rep)))
+        """For a positive functional the norm is the value at the identity,
+        sum_i m_i Tr sigma_i."""
+        if self._norm is None:
+            runs = self.algebra.block_decomposition().runs
+            self._norm = float(sum(m * np.einsum("bii->", p).real
+                                   for (*_, m, _), p in zip(runs, self.stacks)))
+        return self._norm
 
     def __repr__(self):
         return f"PositiveFunctional(dim={self.algebra.dim}, norm={self.norm():.6g})"
 
 
-def _block_coordinates(dec, x: np.ndarray):
-    """Block i of Q^H x read as a k_i x m_i matrix (the order block_parts uses):
-    an algebra element acts on it as X -> x_i X, the commutant as X -> X c."""
-    y = dec.change_of_basis.conj().T @ x
-    return [y[off:off + k * m].reshape(k, m) for off, (k, m) in zip(dec.offsets(), dec.blocks)]
-
-
 def vector_state(s: Structure, v: np.ndarray) -> PositiveFunctional:
     """The state a -> <pi(a) v, v> of a vector.  With V_i the block coordinates
     of v, its block parts are sigma_i = V_i V_i^H / m_i, the partial trace of
-    v v^H over the m_i copies."""
+    v v^H over the m_i copies: one batched product per run."""
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != s.dim:
         raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
     dec = s.algebra.block_decomposition()
-    return PositiveFunctional.from_parts(s.algebra, [
-        vi @ vi.conj().T / m for vi, (_, m) in zip(_block_coordinates(dec, v), dec.blocks)])
+    return PositiveFunctional._from_stacks(s.algebra, [
+        y @ _adj(y) / m for y, (*_, m, _) in zip(dec.coordinates(v), dec.runs)])
 
 
-def _trace_norm(dec, parts) -> float:
-    """Multiplicity-weighted blockwise trace norm of Hermitian block parts."""
-    return sum(m * float(np.sum(np.abs(np.linalg.eigvalsh(p))))
-               for (_, m), p in zip(dec.blocks, parts))
+def _trace_norms(dec, stacks) -> float:
+    """Multiplicity-weighted blockwise trace norm of Hermitian block stacks."""
+    return float(sum(m * np.abs(np.linalg.eigvalsh(p)).sum()
+                     for (*_, m, _), p in zip(dec.runs, stacks)))
 
 
 def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
@@ -99,33 +124,29 @@ def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
     if not algebra.tol.certified(np.linalg.norm(rep - rep.conj().T), np.linalg.norm(rep)):
         raise ValueError("functional representative is not Hermitian")
     dec = algebra.block_decomposition()
-    return _trace_norm(dec, _hermitian(dec.block_parts(rep)))
+    return _trace_norms(dec, _hermitian(dec.stacks(dec.block_parts(rep))))
 
 
-def _parts_in(algebra: StarAlgebra, phi: PositiveFunctional):
-    """phi's block parts in the algebra's decomposition: its own on the same
+def _stacks_in(algebra: StarAlgebra, phi: PositiveFunctional):
+    """phi's block stacks in the algebra's decomposition: its own on the same
     algebra object, one block read on an equal span, else ValueError."""
     if phi.algebra is algebra:
-        return phi.parts
+        return phi.stacks
     if not algebra.spans_equal(phi.algebra):
         raise ValueError("functionals live on different algebras")
-    return _hermitian(algebra.block_decomposition().block_parts(phi.rep))
+    dec = algebra.block_decomposition()
+    return _hermitian(dec.stacks(dec.block_parts(phi.rep)))
 
 
-def _block_pair(phi: PositiveFunctional, psi: PositiveFunctional):
-    """phi's block decomposition with both functionals' block parts in it."""
-    return phi.algebra.block_decomposition(), phi.parts, _parts_in(phi.algebra, psi)
-
-
-def _spectra(parts):
-    """eigh of each block part, and the top eigenvalue over all of them."""
-    spectra = [np.linalg.eigh(p) for p in parts]
-    return spectra, max([0.0] + [float(w[-1]) for w, _ in spectra if w.size])
+def _run_spectra(stacks):
+    """eigh of each run's stack, and the top eigenvalue over all of them."""
+    spectra = [np.linalg.eigh(p) for p in stacks]
+    return spectra, max([0.0] + [float(w[:, -1].max()) for w, _ in spectra])
 
 
 def difference_norm(phi: PositiveFunctional, psi: PositiveFunctional) -> float:
-    dec, parts_phi, parts_psi = _block_pair(phi, psi)
-    return _trace_norm(dec, [p - q for p, q in zip(parts_phi, parts_psi)])
+    return _trace_norms(phi.algebra.block_decomposition(),
+                        [p - q for p, q in zip(phi.stacks, _stacks_in(phi.algebra, psi))])
 
 
 def is_orthogonal(phi: PositiveFunctional, psi: PositiveFunctional) -> bool:
@@ -135,15 +156,15 @@ def is_orthogonal(phi: PositiveFunctional, psi: PositiveFunctional) -> bool:
     orthogonality of the block parts; a disagreement raises, since both
     must coincide in finite dimension.
     """
-    dec, parts_phi, parts_psi = _block_pair(phi, psi)
-    tol = phi.algebra.tol
+    dec, tol = phi.algebra.block_decomposition(), phi.algebra.tol
+    stacks_psi = _stacks_in(phi.algebra, psi)
     total = phi.norm() + psi.norm()
-    gap = abs(_trace_norm(dec, [p - q for p, q in zip(parts_phi, parts_psi)]) - total)
+    gap = abs(_trace_norms(dec, [p - q for p, q in zip(phi.stacks, stacks_psi)]) - total)
     by_norm = tol.close(gap, total)
-    supports = [[v[:, w > tol.rank_cut(top)] for w, v in spectra]
-                for spectra, top in map(_spectra, (parts_phi, parts_psi))]
-    # the supports have orthonormal columns, so their overlap has scale 1
-    by_support = all(tol.certified(np.linalg.norm(sp.conj().T @ sq), 1.0)
+    supports = [[v * (w > tol.rank_cut(top))[:, None, :] for w, v in spectra]
+                for spectra, top in map(_run_spectra, (phi.stacks, stacks_psi))]
+    # the supports have orthonormal columns (the rest zeroed), so their overlap has scale 1
+    by_support = all(tol.certified(np.linalg.norm(_adj(sp) @ sq, axis=(1, 2)), 1.0).all()
                      for sp, sq in zip(*supports))
     if by_norm != by_support:
         raise ToleranceBreach(
@@ -170,7 +191,7 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     representative, which lies in the algebra.  When the functionals are not
     orthogonal the result reports the best achievable floor over the tested
     spectral projections of psi.  Each candidate projection kills the
-    eigenvalues of psi's blocks at or below a cut, so from one eigh per block
+    eigenvalues of psi's blocks at or below a cut, so from one eigh per run
     it scores psi(a) = sum_i m_i (killed eigenvalues) and
     phi(I - a) = sum_i m_i (kept diagonal of phi's block in that eigenbasis);
     only the best candidate (the first on ties) is assembled.  Eigenvalues
@@ -178,27 +199,28 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
-    dec, parts_phi, parts_psi = _block_pair(phi, psi)
-    spectra, top = _spectra(parts_psi)
+    dec = phi.algebra.block_decomposition()
+    spectra, top = _run_spectra(_stacks_in(phi.algebra, psi))
     cut = phi.algebra.tol.rank_cut(top)
     # kernel-of-support projection plus every spectral cut of psi's blocks
-    cuts = np.concatenate([[cut], cut + np.unique([x for w, _ in spectra for x in w[w > cut]])])
+    cuts = np.concatenate([[cut], cut + np.unique(np.concatenate(
+        [np.zeros(0)] + [w[w > cut] for w, _ in spectra]))])
     phi_gap = np.zeros(cuts.size)
     psi_gap = np.zeros(cuts.size)
     killed = []
-    for (w, v), sp, (_, m) in zip(spectra, parts_phi, dec.blocks):
-        # eigh sorts ascending, so each cut kills a prefix of the eigenvectors
-        count = np.searchsorted(w, cuts, side="right")
-        diag = np.real(np.einsum("ji,jk,ki->i", v.conj(), sp, v))
-        psi_gap += m * np.concatenate([[0.0], np.cumsum(w)])[count]
-        phi_gap += m * np.concatenate([np.cumsum(diag[::-1])[::-1], [0.0]])[count]
-        killed.append(count)
+    for (w, v), sp, (*_, m, _) in zip(spectra, phi.stacks, dec.runs):
+        # kill[b, i, j]: cut j kills eigenvalue i of block b (a prefix, eigh sorts ascending)
+        kill = w[:, :, None] <= cuts
+        diag = (v.conj() * (sp @ v)).sum(1).real
+        psi_gap += m * np.einsum("bi,bij->j", w, kill)
+        phi_gap += m * np.einsum("bi,bij->j", diag, ~kill)
+        killed.append(kill)
     best = int(np.argmin(np.maximum(phi_gap, psi_gap)))
     pg, sg = float(phi_gap[best]), float(psi_gap[best])
     score = max(pg, sg)
     if pg < epsilon and sg < epsilon:
-        kills = [v[:, :count[best]] for (_, v), count in zip(spectra, killed)]
-        a = dec.assemble([kill @ kill.conj().T for kill in kills])
+        kills = [v * kill[:, None, :, best] for (_, v), kill in zip(spectra, killed)]
+        a = dec.assemble([p for kill in kills for p in kill @ _adj(kill)])
         return OrthogonalityWitness(True, a, pg, sg, score)
     return OrthogonalityWitness(False, None, pg, sg, score)
 
@@ -210,22 +232,25 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
     when phi's mass on psi's kernel vanishes against phi(1); the least gamma
     is the largest generalized eigenvalue of the block parts on psi's
     support, and gamma psi - phi is certified PSD blockwise before returning.
+    Each step is one batched call per run of equal block shapes.
     """
-    _, parts_phi, parts_psi = _block_pair(phi, psi)
-    tol = phi.algebra.tol
-    spectra, top = _spectra(parts_psi)
+    tol, mass = phi.algebra.tol, phi.norm()
+    stacks_psi = _stacks_in(phi.algebra, psi)
+    spectra, top = _run_spectra(stacks_psi)
     gamma = 0.0
-    for sp, (w, v) in zip(parts_phi, spectra):
+    for sp, (w, v) in zip(phi.stacks, spectra):
         keep = w > tol.rank_cut(top)
-        kernel = v[:, ~keep]
-        if not tol.close(float(np.linalg.norm(kernel.conj().T @ sp @ kernel)), phi.norm()):
+        # phi's part in psi's eigenbasis: its block on psi's kernel is the
+        # leak, and whitened by psi's eigenvalues on the support it gives gamma
+        t = _adj(v) @ sp @ v
+        if not tol.close(np.linalg.norm(t * ~(keep[:, :, None] | keep[:, None, :]), axis=(1, 2)),
+                         mass).all():
             return False, None
-        # psi's part is diag(w) on its support, so phi's part is whitened there
-        white = v[:, keep] / np.sqrt(w[keep])
-        ratios = np.linalg.eigvalsh(white.conj().T @ sp @ white)
-        gamma = max(gamma, float(np.max(ratios, initial=0.0)))
-    least = min(float(np.linalg.eigvalsh(gamma * sq - sp)[0])
-                for sp, sq in zip(parts_phi, parts_psi))
+        white = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=keep)
+        ratios = np.linalg.eigvalsh(white[:, :, None] * t * white[:, None, :])
+        gamma = max(gamma, float(ratios.max(initial=0.0)))
+    least = min(float(np.linalg.eigvalsh(gamma * sq - sp)[:, 0].min())
+                for sp, sq in zip(phi.stacks, stacks_psi))
     if not tol.nonnegative(least, gamma * top):
         raise ToleranceBreach(f"certified gamma fails positivity (min eigenvalue {least:.3e})")
     return True, gamma
@@ -261,23 +286,26 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     of the sigma_i at or below the support cut (taken over all blocks) span
     the null space; the r_i kept ones give the space, the direct sum of
     C^{k_i} (x) C^{r_i}, with x acting as x_i (x) I_{r_i} and the cyclic
-    vector the sum of sqrt(m_i) sigma_i^{1/2} restricted to its range.  The
-    action is cross-checked against products of letters and basis elements
-    expanded in the algebra basis.  Only the zero functional is degenerate.
+    vector the sum of sqrt(m_i) sigma_i^{1/2} restricted to its range, from
+    one eigh per run of equal block shapes.  The action is cross-checked
+    against products of letters and basis elements expanded in the algebra
+    basis.  Only the zero functional is degenerate.
     """
     tol = algebra.tol
-    spectra, top = _spectra(_parts_in(algebra, phi))
+    spectra, top = _run_spectra(_stacks_in(algebra, phi))
     if not top > 0:
         raise ValueError("the functional is degenerate (vanishes at the identity)")
     dec = algebra.block_decomposition()
-    cut = tol.rank_cut(top)
-    roots = [np.sqrt(m) * v[:, w > cut] * np.sqrt(w[w > cut])
-             for (w, v), (_, m) in zip(spectra, dec.blocks)]
-    ranks = [root.shape[1] for root in roots]
+    keeps = [w > tol.rank_cut(top) for w, _ in spectra]
+    roots = [np.sqrt(m) * v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+             for (w, v), keep, (*_, m, _) in zip(spectra, keeps, dec.runs)]
+    # sqrt(m_i) sigma_i^{1/2} on its range: each block's kept columns, row by row
+    cyclic = np.concatenate([root[np.broadcast_to(keep[:, None, :], root.shape)]
+                             for root, keep in zip(roots, keeps)])
+    ranks = np.concatenate([keep.sum(1) for keep in keeps]).tolist()
     basis, n = algebra.basis, algebra.dim
     parts = dec.block_parts(basis)
     action = block_diag_kron(parts, ranks)
-    cyclic = np.concatenate([root.ravel() for root in roots])
     r = cyclic.size
     rep = GnsRep(algebra, r, action, cyclic)
     roundtrip = float(np.max(np.abs(rep.state_values()
@@ -384,7 +412,8 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     <D pi(a) w, pi(b) w> = phi_v(b^H a) is solved by D: Z -> Z delta_i with
     delta_i = G_i G_i^H, G_i = S_i^{-1} U_i^H V_i.  T = sqrt(D) is
     (+) I_{k_i} (x) sqrt(delta_i)^T and carries w to the copy
-    Q (+) U_i S_i sqrt(delta_i) Y_i^H.  D is PSD by construction.  Certified:
+    Q (+) U_i S_i sqrt(delta_i) Y_i^H, with one svd and one eigh per run of
+    equal block shapes.  D is PSD by construction.  Certified:
     V_i lies in the range of W_i, T commutes with the compressed letters of
     the algebra, and the copy carries the state of v.
     """
@@ -397,32 +426,35 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
 
     tol, n = s.tol, s.dim
     dec = s.algebra.block_decomposition()
-    svds = [np.linalg.svd(wi, full_matrices=False) for wi in _block_coordinates(dec, w)]
-    cut = tol.rank_cut(max((float(sv[0]) for _, sv, _ in svds if sv.size), default=0.0))
-    cols, deltas, outside, scale = [], [], [], []
-    for off, (k, m), vi, (u, sv, yh) in zip(dec.offsets(), dec.blocks,
-                                            _block_coordinates(dec, v), svds):
-        r = int(np.sum(sv > cut))
-        u, sv, y = u[:, :r], sv[:r], yh[:r].conj().T
-        cols.append((dec.change_of_basis[:, off:off + k * m].reshape(n, k, m) @ y.conj())
-                    .reshape(n, k * r))
-        uv = u.conj().T @ vi
-        g = uv / sv[:, None]
-        deltas.append(g @ g.conj().T)
+    svds = [np.linalg.svd(y, full_matrices=False) for y in dec.coordinates(w)]
+    cut = tol.rank_cut(max([0.0] + [float(sv[:, 0].max()) for _, sv, _ in svds]))
+    cols, keeps, roots, outside, scale = [], [], [], [], []
+    for (_, c, k, m, off), vi, (u, sv, yh) in zip(dec.runs, dec.coordinates(v), svds):
+        # one thin SVD per run; a block's columns past its rank are zeroed, then dropped
+        keep, p = sv > cut, sv.shape[1]
+        u = u * keep[:, None, :]
+        q = dec.change_of_basis[:, off:off + c * k * m].reshape(n, c, k, m)
+        cols.append(np.einsum("xcam,cjm->xcaj", q, yh).reshape(n, -1))
+        keeps.append(np.broadcast_to(keep[:, None, :], (c, k, p)).ravel())
+        uv = _adj(u) @ vi
+        g = uv * np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)[:, :, None]
+        # I_{k_i} (x) sqrt(delta_i)^T, with one eigh per run
+        roots.append(np.einsum("cd,ab,cji->caidbj", np.eye(c), np.eye(k),
+                               psd_sqrt(g @ _adj(g), tol)).reshape(c * k * p, -1))
         # U S delta S U^H - V V^H: the part of V_i outside the range of W_i
-        inside, vv = u @ uv, vi @ vi.conj().T
-        outside.append(np.linalg.norm(inside @ inside.conj().T - vv))
-        scale.append(np.linalg.norm(vv))
-    b = np.hstack(cols)
+        inside, vv = u @ uv, vi @ _adj(vi)
+        outside.append(np.linalg.norm(inside @ _adj(inside) - vv, axis=(1, 2)))
+        scale.append(np.linalg.norm(vv, axis=(1, 2)))
+    keep = np.concatenate(keeps)
+    b = np.hstack(cols)[:, keep]
     if b.shape[1] == 0:
         return RadonNikodym(np.zeros((0, 0), dtype=complex), b, np.zeros(n, dtype=complex),
                             float(gamma))
-    resid = float(np.linalg.norm(outside))
-    if not tol.certified(resid, np.linalg.norm(scale)):
+    resid = float(np.linalg.norm(np.concatenate(outside)))
+    if not tol.certified(resid, np.linalg.norm(np.concatenate(scale))):
         raise ToleranceBreach(f"Radon-Nikodym system inconsistent by {resid:.2e}")
     # sqrt of the direct sum is the direct sum of the sqrt(delta_i)
-    t_op = block_diag(*[np.kron(np.eye(k), psd_sqrt(delta, tol).T)
-                        for (k, _), delta in zip(dec.blocks, deltas)])
+    t_op = block_diag(*roots)[np.ix_(keep, keep)]
     letters = s.algebra.letters()
     comp = b.conj().T @ letters @ b
     comm_defect = float(np.max(np.linalg.norm(t_op @ comp - comp @ t_op, axis=(1, 2)),

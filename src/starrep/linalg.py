@@ -37,19 +37,23 @@ class Tolerances:
 
     def rank_cut(self, top):
         """Round-off bound for the singular values or eigenvalues of an object
-        whose largest one (over the whole object, never one block) is `top`."""
+        whose largest one (over the whole object, never one block) is `top`;
+        elementwise on arrays."""
         return self.rank_rel * top
 
     def close(self, defect, scale):
-        """An equality holds to eq_abs relative to the scale of its terms."""
+        """An equality holds to eq_abs relative to the scale of its terms;
+        elementwise on arrays."""
         return defect <= self.eq_abs * scale
 
     def certified(self, defect, scale):
-        """A postcondition holds to 100 eq_abs, room for accumulated round-off."""
+        """A postcondition holds to 100 eq_abs, room for accumulated round-off;
+        elementwise on arrays."""
         return defect <= 100 * self.eq_abs * scale
 
     def nonnegative(self, least, scale):
-        """A least eigenvalue is >= 0 to psd_abs relative to the matrix's scale."""
+        """A least eigenvalue is >= 0 to psd_abs relative to the matrix's
+        scale; elementwise on arrays."""
         return least >= -self.psd_abs * scale
 
 
@@ -235,11 +239,13 @@ def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def psd_sqrt(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Positive square root of a PSD matrix, small negative eigenvalues clipped."""
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if w.size and not tol.nonnegative(w[0], np.max(np.abs(w))):
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    """Positive square root of a PSD matrix, or of each matrix of a stack (one
+    eigh for the stack), small negative eigenvalues clipped.  Each matrix must
+    be PSD against its own largest eigenvalue magnitude, else ValueError."""
+    w, v = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    if w.size and not np.all(tol.nonnegative(w[..., 0], np.max(np.abs(w), axis=-1))):
+        raise ValueError(f"matrix is not PSD (min eigenvalue {np.min(w[..., 0]):.3e})")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

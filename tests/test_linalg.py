@@ -173,6 +173,22 @@ def test_psd_helpers(rng):
     np.testing.assert_allclose(root @ root, psd, atol=1e-9)
 
 
+def test_psd_sqrt_of_a_stack_is_the_root_of_each_member(rng):
+    g = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+    stack = g @ g.conj().transpose(0, 2, 1)
+    stack[2] *= 1e-9   # each member is judged against its own scale
+    roots = psd_sqrt(stack)
+    assert roots.shape == stack.shape
+    for root, member in zip(roots, stack):
+        np.testing.assert_allclose(root, psd_sqrt(member), rtol=0,
+                                   atol=1e-12 * np.linalg.norm(member))
+    # one member that is not PSD against its own scale fails the stack
+    stack[2] -= 1e-3 * np.eye(3) * np.linalg.norm(stack[2])
+    with pytest.raises(ValueError, match="not PSD"):
+        psd_sqrt(stack)
+    assert psd_sqrt(stack[[0, 1, 3, 4]]).shape == (4, 3, 3)
+
+
 def test_haar_unitary_is_unitary(rng):
     for n in (1, 2, 5):
         q = haar_unitary(n, rng)
