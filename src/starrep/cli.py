@@ -6,6 +6,14 @@ prints a canonical key-sorted JSON or plain-text report.
 
 Exit codes: 0 computed, 1 verdict-false under --strict, 2 input error,
 3 tolerance breach.
+
+A process loads what its subcommand runs and no more.  `import starrep`
+gives numpy and the core layers (`linalg`, `algebra`, `representation`) that
+build every scenario's Structure; the leaf layers are loaded on first use,
+here by the handler that calls them: `independence` for indep, cbase, typeq,
+extend and fbase, `functionals` for gns, orth, dom, embed and rn, and all
+three with `harness` for axioms (dcl, acl and decompose load none).  When the
+first argument names a subcommand, only that subcommand's parser is built.
 """
 from __future__ import annotations
 
@@ -16,26 +24,6 @@ import sys
 import numpy as np
 
 from .algebra import DecompositionError, generate_algebra, wedderburn_decompose
-from .functionals import (
-    PositiveFunctional,
-    embeds_as_subrepresentation,
-    gns,
-    is_dominated,
-    is_orthogonal,
-    radon_nikodym_operator,
-    types_dominated,
-    types_orthogonal,
-    vector_state,
-)
-from .harness import InstanceSpec, random_block_plan, run_freeness_suite, run_functional_suite
-from .independence import (
-    canonical_base,
-    descriptor_distance,
-    finite_base,
-    is_independent,
-    nonforking_extension,
-    type_of,
-)
 from .linalg import Subspace, ToleranceBreach, Tolerances, orthonormalize
 from .representation import Structure, acl, cyclic_subspace
 from .serialize import (
@@ -169,6 +157,8 @@ def _cmd_acl(sc: Scenario, args):
 
 
 def _cmd_indep(sc: Scenario, args):
+    from .independence import is_independent
+
     rep = is_independent(sc.structure, sc.resolve_tuple(args.tuple),
                          sc.resolve_set(args.base), sc.resolve_set(args.extension))
     report = {
@@ -183,11 +173,15 @@ def _cmd_indep(sc: Scenario, args):
 
 
 def _cmd_cbase(sc: Scenario, args):
+    from .independence import canonical_base
+
     out = canonical_base(sc.structure, sc.resolve_tuple(args.tuple), sc.resolve_set(args.base))
     return {"vectors": [vector_to_json(v) for v in np.atleast_2d(out)]}, None
 
 
 def _cmd_typeq(sc: Scenario, args):
+    from .independence import descriptor_distance, type_of
+
     base = sc.resolve_set(args.base)
     d1 = type_of(sc.structure, sc.resolve_tuple(args.tuple1), base)
     d2 = type_of(sc.structure, sc.resolve_tuple(args.tuple2), base)
@@ -197,6 +191,8 @@ def _cmd_typeq(sc: Scenario, args):
 
 
 def _cmd_extend(sc: Scenario, args):
+    from .independence import nonforking_extension
+
     shat, vprime = nonforking_extension(
         sc.structure, sc.resolve_vector(args.vector),
         sc.resolve_set(args.base), sc.resolve_set(args.extension), seed=args.seed)
@@ -208,6 +204,8 @@ def _cmd_extend(sc: Scenario, args):
 
 
 def _cmd_fbase(sc: Scenario, args):
+    from .independence import finite_base
+
     try:
         eps = float(args.epsilon)
     except ValueError:
@@ -223,6 +221,8 @@ def _cmd_fbase(sc: Scenario, args):
 
 
 def _cmd_gns(sc: Scenario, args):
+    from .functionals import PositiveFunctional, gns, vector_state
+
     algebra = sc.structure.algebra
     if args.state is not None:
         rep_mat = parse_matrix(json.loads(args.state), "--state")
@@ -240,24 +240,32 @@ def _cmd_gns(sc: Scenario, args):
 
 
 def _cmd_orth(sc: Scenario, args):
+    from .functionals import types_orthogonal
+
     verdict = types_orthogonal(sc.structure, sc.resolve_vector(args.v),
                                sc.resolve_vector(args.w), sc.resolve_set(args.base))
     return {"verdict": verdict}, verdict
 
 
 def _cmd_dom(sc: Scenario, args):
+    from .functionals import types_dominated
+
     verdict = types_dominated(sc.structure, sc.resolve_vector(args.v),
                               sc.resolve_vector(args.w), sc.resolve_set(args.base))
     return {"verdict": verdict}, verdict
 
 
 def _cmd_embed(sc: Scenario, args):
+    from .functionals import embeds_as_subrepresentation
+
     verdict = embeds_as_subrepresentation(sc.structure, sc.resolve_vector(args.v),
                                           sc.resolve_vector(args.w))
     return {"verdict": verdict}, verdict
 
 
 def _cmd_rn(sc: Scenario, args):
+    from .functionals import radon_nikodym_operator
+
     rn = radon_nikodym_operator(sc.structure, sc.resolve_vector(args.w),
                                 sc.resolve_vector(args.v))
     if rn is None:
@@ -281,6 +289,8 @@ def _cmd_decompose(sc: Scenario, args):
 
 
 def _cmd_axioms(sc: Scenario | None, args):
+    from .harness import InstanceSpec, random_block_plan, run_freeness_suite, run_functional_suite
+
     dim = args.dim
     if sc is not None and dim is None:
         dim = sc.structure.dim
@@ -322,59 +332,59 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+# positional arguments after the scenario, by subcommand
+_POSITIONALS = {
+    "dcl": ("set",), "acl": ("set",), "indep": ("tuple", "base", "extension"),
+    "cbase": ("tuple", "base"), "typeq": ("tuple1", "tuple2", "base"),
+    "extend": ("vector", "base", "extension"), "fbase": ("tuple", "extension", "epsilon"),
+    "gns": (), "orth": ("v", "w", "base"), "dom": ("v", "w", "base"), "embed": ("v", "w"),
+    "rn": ("w", "v"), "decompose": (), "axioms": (),
+}
+# the subcommands that make random choices
+_SEEDED = ("extend", "decompose", "axioms")
+
+
+def _add_subcommand(sub, name: str) -> None:
+    """Add subcommand `name` with its arguments to the subparsers action `sub`."""
+    p = sub.add_parser(name, help=_COMMANDS[name][1])
+    if name == "axioms":
+        p.add_argument("scenario", nargs="?", default=None,
+                       help="optional scenario JSON file (supplies the default dimension)")
+    else:
+        p.add_argument("scenario", help="path to a scenario JSON file")
+    p.add_argument("--tol", type=float, default=None, help="override eq_abs")
+    if name in _SEEDED:
+        p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--json", action="store_true", help="emit canonical JSON")
+    p.add_argument("--quiet", action="store_true", help="suppress output")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 1 when a boolean verdict is false")
+    for dest in _POSITIONALS[name]:
+        p.add_argument(dest)
+    if name == "gns":
+        p.add_argument("vector", nargs="?", default=None)
+        p.add_argument("--state", default=None,
+                       help="explicit representative matrix as JSON, instead of a vector")
+    elif name == "axioms":
+        p.add_argument("--trials", type=int, default=25)
+        p.add_argument("--dim", type=int, default=None)
+        p.add_argument("--blocks", default=None,
+                       help='block plan like "1,1;2,1" (k,m pairs separated by ;)')
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The starrep parser with every subcommand, or with `command`'s alone.
+
+    The one-subcommand parser spells the whole subcommand list out as its
+    metavar, so the one top-level error it can report, unrecognized
+    arguments, shows the same usage line as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="starrep",
         description="operate on C*-algebra representation scenarios")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scenario_required=True, seeded=False):
-        if scenario_required:
-            p.add_argument("scenario", help="path to a scenario JSON file")
-        else:
-            p.add_argument("scenario", nargs="?", default=None,
-                           help="optional scenario JSON file (supplies the default dimension)")
-        p.add_argument("--tol", type=float, default=None, help="override eq_abs")
-        if seeded:
-            p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument("--quiet", action="store_true", help="suppress output")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 when a boolean verdict is false")
-
-    p = sub.add_parser("dcl", help=_COMMANDS["dcl"][1]); common(p)
-    p.add_argument("set")
-    p = sub.add_parser("acl", help=_COMMANDS["acl"][1]); common(p)
-    p.add_argument("set")
-    p = sub.add_parser("indep", help=_COMMANDS["indep"][1]); common(p)
-    p.add_argument("tuple"); p.add_argument("base"); p.add_argument("extension")
-    p = sub.add_parser("cbase", help=_COMMANDS["cbase"][1]); common(p)
-    p.add_argument("tuple"); p.add_argument("base")
-    p = sub.add_parser("typeq", help=_COMMANDS["typeq"][1]); common(p)
-    p.add_argument("tuple1"); p.add_argument("tuple2"); p.add_argument("base")
-    p = sub.add_parser("extend", help=_COMMANDS["extend"][1]); common(p, seeded=True)
-    p.add_argument("vector"); p.add_argument("base"); p.add_argument("extension")
-    p = sub.add_parser("fbase", help=_COMMANDS["fbase"][1]); common(p)
-    p.add_argument("tuple"); p.add_argument("extension"); p.add_argument("epsilon")
-    p = sub.add_parser("gns", help=_COMMANDS["gns"][1]); common(p)
-    p.add_argument("vector", nargs="?", default=None)
-    p.add_argument("--state", default=None,
-                   help="explicit representative matrix as JSON, instead of a vector")
-    p = sub.add_parser("orth", help=_COMMANDS["orth"][1]); common(p)
-    p.add_argument("v"); p.add_argument("w"); p.add_argument("base")
-    p = sub.add_parser("dom", help=_COMMANDS["dom"][1]); common(p)
-    p.add_argument("v"); p.add_argument("w"); p.add_argument("base")
-    p = sub.add_parser("embed", help=_COMMANDS["embed"][1]); common(p)
-    p.add_argument("v"); p.add_argument("w")
-    p = sub.add_parser("rn", help=_COMMANDS["rn"][1]); common(p)
-    p.add_argument("w"); p.add_argument("v")
-    p = sub.add_parser("decompose", help=_COMMANDS["decompose"][1]); common(p, seeded=True)
-    p = sub.add_parser("axioms", help=_COMMANDS["axioms"][1])
-    common(p, scenario_required=False, seeded=True)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--blocks", default=None,
-                   help='block plan like "1,1;2,1" (k,m pairs separated by ;)')
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _add_subcommand(sub, name)
     return parser
 
 
@@ -393,8 +403,9 @@ def _render_text(report: dict, indent: str = "") -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
         if args.command == "gns" and args.vector is None and args.state is None:

@@ -194,8 +194,10 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     eigenvalues of psi's blocks at or below a cut, so from one eigh per run
     it scores psi(a) = sum_i m_i (killed eigenvalues) and
     phi(I - a) = sum_i m_i (kept diagonal of phi's block in that eigenbasis);
-    only the best candidate (the first on ties) is assembled.  Eigenvalues
-    within psi's support cut of a candidate's cut are killed with it.
+    only the best candidate is assembled.  Scores within `Tolerances.close`
+    of the least, against phi(1) + psi(1), tie, and the first of them (the
+    lowest cut) wins.  Eigenvalues within psi's support cut of a candidate's
+    cut are killed with it.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
@@ -215,7 +217,10 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
         psi_gap += m * np.einsum("bi,bij->j", w, kill)
         phi_gap += m * np.einsum("bi,bij->j", diag, ~kill)
         killed.append(kill)
-    best = int(np.argmin(np.maximum(phi_gap, psi_gap)))
+    # the first candidate within round-off of the least score, so that ties
+    # in exact arithmetic do not go to whichever summation order wins
+    scores = np.maximum(phi_gap, psi_gap)
+    best = int(np.argmax(phi.algebra.tol.close(scores - scores.min(), phi.norm() + psi.norm())))
     pg, sg = float(phi_gap[best]), float(psi_gap[best])
     score = max(pg, sg)
     if pg < epsilon and sg < epsilon:

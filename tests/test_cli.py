@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import starrep
 from starrep import cli
@@ -180,10 +182,87 @@ def test_text_output(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_import_does_not_load_scipy():
+CORE = {"starrep", "starrep.linalg", "starrep.algebra", "starrep.representation"}
+LEAVES = {"starrep.independence", "starrep.functionals", "starrep.harness"}
+# runs a command (or only imports starrep) in a fresh interpreter and reports
+# the starrep modules loaded; after a bare import it also checks that the
+# lazily loaded names behave as eagerly bound ones did
+PROBE = """
+import contextlib, io, json, sys
+import starrep
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    from starrep import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+out = {"loaded": sorted(m for m in sys.modules if m.startswith("starrep")),
+       "scipy": "scipy" in sys.modules}
+if argv is None:
+    out["dir"] = set(starrep.__all__) <= set(dir(starrep))
+    out["submodule"] = starrep.functionals.gns is starrep.gns
+    try:
+        starrep.no_such_name
+        out["unknown"] = False
+    except AttributeError:
+        out["unknown"] = True
+    names = {}
+    exec("from starrep import *", names)
+    out["star"] = all(names[n] is getattr(starrep, n) for n in starrep.__all__)
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("argv, leaves", [
+    (None, set()),
+    (["indep", DIAG, "e1", "", "e2"], {"independence"}),
+    (["gns", DIAG, "u"], {"functionals"}),
+    (["decompose", M2], set()),
+    (["axioms", "--trials", "1", "--seed", "5", "--dim", "4"],
+     {"independence", "functionals", "harness"}),
+], ids=["import", "indep", "gns", "decompose", "axioms"])
+def test_process_loads_only_the_layers_it_runs(argv, leaves):
     src = os.path.dirname(os.path.dirname(os.path.abspath(starrep.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, starrep; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True).stdout)
+    loaded = set(out["loaded"])
+    assert loaded & LEAVES == {f"starrep.{m}" for m in leaves}
+    assert not out["scipy"]
+    if argv is None:
+        assert loaded == CORE
+        assert out["dir"] and out["submodule"] and out["unknown"] and out["star"]
+
+
+def _subparser(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_subcommand_parser_matches_the_full_parser(name):
+    one, full = cli.build_parser(name), cli.build_parser()
+
+    def arguments(p):
+        return [(a.option_strings, a.dest, a.nargs, a.default, a.type) for a in p._actions]
+
+    assert arguments(_subparser(one, name)) == arguments(_subparser(full, name))
+    assert _subparser(one, name).format_help() == _subparser(full, name).format_help()
+    # the top-level usage, shown with an unrecognized-arguments error
+    assert one.format_usage() == full.format_usage()
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built = []
+    add = cli._add_subcommand
+    monkeypatch.setattr(cli, "_add_subcommand",
+                        lambda sub, name: built.append(name) or add(sub, name))
+    monkeypatch.setattr(sys, "argv", ["starrep", "indep", DIAG, "e1", "", "e2", "--json"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] is True
+    assert built == ["indep"]
+    built.clear()
+    with pytest.raises(SystemExit) as err:
+        cli.main(["nope"])
+    assert err.value.code == 2 and built == list(cli._COMMANDS)
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
