@@ -19,7 +19,7 @@ s = random_structure(spec)
 print("instance:", s)
 print("algebra dimension", s.algebra.size, "= sum of k_i^2 =", spec.algebra_size())
 
-free = run_freeness_suite(spec, trials=20, unitaries_per_trial=5)
+free = run_freeness_suite(spec, trials=20)
 print("\nfreeness axioms over 20 seeded trials:")
 for name, stats in sorted(free.properties.items()):
     print(f"  {name:24s} {stats.passes}/{stats.trials}  max defect {stats.max_defect:.2e}")
@@ -32,6 +32,6 @@ for name, stats in sorted(func.properties.items()):
 print("failures:", func.failures)
 
 # reports serialize canonically, so identical runs are byte-identical
-again = run_freeness_suite(spec, trials=20, unitaries_per_trial=5)
+again = run_freeness_suite(spec, trials=20)
 print("\nreports are reproducible:",
       dumps_canonical(free.to_json()) == dumps_canonical(again.to_json()))

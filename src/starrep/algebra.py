@@ -12,38 +12,11 @@ import threading
 import numpy as np
 
 from .linalg import (CLUSTER_GAP, DEFAULT_TOL, ToleranceBreach, Tolerances, _require_finite,
-                     block_diag_kron)
+                     block_diag_kron, orthonormalize, project)
 
 
 class DecompositionError(RuntimeError):
     """Spectral splitting failed to converge (numerically degenerate spectrum)."""
-
-
-def _orthonormal_rows(flat: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal row basis of the row span, relative SVD rank cutoff."""
-    if flat.shape[0] == 0:
-        return flat
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return vh[:0]
-    return vh[:int(np.sum(s > tol.rank_cut(s[0])))]
-
-
-def _append_to_row_basis(q: np.ndarray, candidates: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Extend the orthonormal row basis q by the span of candidate rows."""
-    if candidates.shape[0] == 0:
-        return q
-    resid = candidates - (candidates @ q.conj().T) @ q if q.shape[0] else candidates
-    norms = np.linalg.norm(resid, axis=1)
-    resid = resid[norms > tol.rank_cut(np.max(np.linalg.norm(candidates, axis=1)))]
-    if resid.shape[0] == 0:
-        return q
-    new_rows = _orthonormal_rows(resid, tol)
-    # one re-orthogonalization pass keeps the joint basis numerically tight
-    if q.shape[0]:
-        new_rows = new_rows - (new_rows @ q.conj().T) @ q
-        new_rows = _orthonormal_rows(new_rows, tol)
-    return np.vstack([q, new_rows]) if q.shape[0] else new_rows
 
 
 class StarAlgebra:
@@ -107,11 +80,13 @@ class StarAlgebra:
     def spans_equal(self, other: "StarAlgebra") -> bool:
         if self.dim != other.dim or self.size != other.size:
             return False
-        qa = _orthonormal_rows(self.basis.reshape(self.size, -1), self.tol)
-        fb = other.basis.reshape(other.size, -1)
-        resid = fb - (fb @ qa.conj().T) @ qa
+        width = self.dim ** 2
+        span = orthonormalize(self.basis.reshape(self.size, width), width, self.tol)
+        fb = other.basis.reshape(other.size, width)
+        resid = fb - project(span, fb)
         # every trace-orthonormal basis element has Frobenius norm sqrt(dim)
-        return self.tol.close(np.max(np.linalg.norm(resid, axis=1)), np.sqrt(self.dim))
+        return self.tol.close(np.max(np.linalg.norm(resid, axis=1), initial=0.0),
+                              np.sqrt(self.dim))
 
     # ----- structure -------------------------------------------------------
 
@@ -187,13 +162,11 @@ def generate_algebra(generators, dim: int | None = None,
 
 
 def span_algebra(mats, dim: int, tol: Tolerances = DEFAULT_TOL, generators=None) -> StarAlgebra:
-    """Wrap an already multiplicatively closed span as a StarAlgebra, unvalidated."""
-    flat = np.array([np.asarray(m, dtype=complex).ravel() for m in mats])
-    if flat.size == 0:
-        flat = flat.reshape(0, dim * dim)
-    q = _orthonormal_rows(flat, tol)
-    basis = (np.sqrt(dim) * q).reshape(-1, dim, dim) if dim else q.reshape(0, dim, dim)
-    return StarAlgebra(dim, basis, generators, tol, validate=False)
+    """Wrap an already multiplicatively closed span (a list or stack of
+    dim x dim matrices) as a StarAlgebra, unvalidated."""
+    flat = np.asarray(mats, dtype=complex).reshape(len(mats), dim * dim)
+    span = orthonormalize(flat, dim * dim, tol)
+    return StarAlgebra(dim, np.sqrt(dim) * span.basis.T, generators, tol, validate=False)
 
 
 def commutant(a: StarAlgebra) -> StarAlgebra:

@@ -133,7 +133,7 @@ def scenario_from_dict(raw: dict, tol_override: float | None = None) -> Scenario
     try:
         algebra = generate_algebra(gens, dim=dim, tol=tol)
         discrete = orthonormalize(disc_vecs, dim, tol) if disc_vecs else None
-        structure = Structure(algebra, discrete, vectors, tol)
+        structure = Structure(algebra, discrete, vectors)
     except ValueError as err:
         raise ScenarioError(f"scenario does not define a valid structure: {err}") from err
     return Scenario(structure, sets)
@@ -292,9 +292,8 @@ def _cmd_axioms(sc: Scenario | None, args):
     from .harness import InstanceSpec, random_block_plan, run_freeness_suite, run_functional_suite
 
     dim = args.dim
-    if sc is not None and dim is None:
-        dim = sc.structure.dim
-    dim = dim or 6
+    if dim is None:
+        dim = sc.structure.dim if sc is not None else 6
     seed = args.seed or 0
     if args.blocks:
         try:
@@ -415,9 +414,6 @@ def main(argv=None) -> int:
         else:
             sc = load_scenario(args.scenario, args.tol)
         report, verdict = handler(sc, args)
-    except ScenarioError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2

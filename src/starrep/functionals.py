@@ -70,13 +70,8 @@ class PositiveFunctional:
 
     @property
     def parts(self):
-        """The block parts sigma_i, one k_i x k_i matrix per block.  Assigning
-        them replaces the stacks; a rep or norm already read is kept."""
+        """The block parts sigma_i, one k_i x k_i matrix per block."""
         return [p for stack in self.stacks for p in stack]
-
-    @parts.setter
-    def parts(self, parts):
-        self.stacks = self.algebra.block_decomposition().stacks(parts)
 
     @property
     def rep(self) -> np.ndarray:
@@ -381,9 +376,7 @@ def embeds_as_subrepresentation(s: Structure, v: np.ndarray, w: np.ndarray) -> b
 
     ow = np.einsum("kab,b->ka", s.algebra.basis, w).T        # (n, d) orbit of w
     ov = np.einsum("kab,b->ka", s.algebra.basis, v).T
-    _, sv, vh = np.linalg.svd(ow, full_matrices=False)
-    rows = vh[:int(np.sum(sv > s.tol.rank_cut(sv[0])))]     # row space of the orbit of w
-    leak = float(np.linalg.norm(ov - (ov @ rows.conj().T) @ rows))
+    leak = float(np.linalg.norm(ov - project(orthonormalize(ow, s.algebra.size, s.tol), ov)))
     solvable = s.tol.certified(leak, np.linalg.norm(ov))
     if solvable != dominated:
         raise ToleranceBreach(

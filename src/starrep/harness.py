@@ -76,13 +76,13 @@ class InstanceSpec:
 def random_block_plan(dim: int, rng: np.random.Generator):
     """A random partition of dim into (k, m) blocks, k <= 3, with discrete flags."""
     blocks, remaining = [], dim
-    while remaining:
+    while remaining > 0:
         k = int(rng.integers(1, min(3, remaining) + 1))
         m = int(rng.integers(1, remaining // k + 1))
         blocks.append((k, m))
         remaining -= k * m
     flags = [bool(rng.random() < 0.3) for _ in blocks]
-    if all(flags):
+    if flags and all(flags):
         flags[int(rng.integers(len(flags)))] = False
     return tuple(blocks), tuple(flags)
 
@@ -288,8 +288,11 @@ def _trial_spec(spec: InstanceSpec, trial: int) -> InstanceSpec:
                         spec.generators, seed=spec.seed * 100003 + trial)
 
 
-def run_freeness_suite(spec: InstanceSpec, trials: int,
-                       unitaries_per_trial: int = 5) -> SuiteReport:
+# commuting unitaries drawn per freeness trial for the invariance property
+UNITARIES_PER_TRIAL = 5
+
+
+def run_freeness_suite(spec: InstanceSpec, trials: int) -> SuiteReport:
     """Execute the freeness axioms on seeded random instances."""
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -298,11 +301,11 @@ def run_freeness_suite(spec: InstanceSpec, trials: int,
         tspec = _trial_spec(spec, t)
         s = random_structure(tspec)
         rng = np.random.default_rng([tspec.seed, 0xF4EE])
-        _freeness_trial(report, tspec, s, rng, unitaries_per_trial, planted=(t % 2 == 0))
+        _freeness_trial(report, tspec, s, rng, planted=(t % 2 == 0))
     return report
 
 
-def _freeness_trial(report, tspec, s, rng, unitaries, planted):
+def _freeness_trial(report, tspec, s, rng, planted):
     n = s.dim
     tolv = s.tol.eq_abs
 
@@ -361,7 +364,7 @@ def _freeness_trial(report, tspec, s, rng, unitaries, planted):
 
     base_report = is_independent(s, v, e_set, f_extra)
     inv_ok, inv_defect = True, 0.0
-    for _ in range(unitaries):
+    for _ in range(UNITARIES_PER_TRIAL):
         u_mat = commuting_unitary(s, rng)
         keep = np.linalg.norm(
             u_mat @ s.discrete.basis

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _append_to_row_basis, _orthonormal_rows
-from .linalg import Subspace, ToleranceBreach, haar_unitary
+from .linalg import Subspace, ToleranceBreach, Tolerances, haar_unitary, orthonormalize, project
 from .representation import (
     Structure,
     _join_discrete,
@@ -33,11 +32,6 @@ def _as_tuple(vectors, n: int):
     return arr, single
 
 
-def _project_rows(sub: Subspace, vs: np.ndarray) -> np.ndarray:
-    """Orthogonal projections of the rows of vs onto the subspace."""
-    return (vs @ sub.basis.conj()) @ sub.basis.T
-
-
 def spanning_word_length(s: Structure) -> int:
     """Smallest L such that words of length <= L in the generators and their
     adjoints span the acting algebra.
@@ -53,18 +47,29 @@ def spanning_word_length(s: Structure) -> int:
         raise RuntimeError(
             "the acting algebra has no generators; word moments are unavailable")
     letters = s.algebra.letters()
-    q = _orthonormal_rows(np.eye(n, dtype=complex).reshape(1, -1), s.tol)
-    newest = q
+    q = orthonormalize(np.eye(n, dtype=complex).reshape(1, -1), n * n, s.tol)
+    newest = q.basis.T
     length = 0
-    while q.shape[0] < target:
+    while q.dim < target:
         if newest.shape[0] == 0:
             raise RuntimeError("generator words stopped growing below the algebra's dimension")
         length += 1
         words = (letters[:, None] @ newest.reshape(1, -1, n, n)).reshape(-1, n * n)
-        d = q.shape[0]
+        d = q.dim
         q = _append_to_row_basis(q, words, s.tol)
-        newest = q[d:]
+        newest = q.basis.T[d:]
     return length
+
+
+def _append_to_row_basis(q: Subspace, candidates: np.ndarray, tol: Tolerances) -> Subspace:
+    """Extend the span q by the span of the candidate rows."""
+    resid = candidates - project(q, candidates)
+    norms = np.linalg.norm(resid, axis=1)
+    resid = resid[norms > tol.rank_cut(np.max(np.linalg.norm(candidates, axis=1), initial=0.0))]
+    new = orthonormalize(resid, q.ambient_dim, tol).basis.T
+    # one re-orthogonalization pass keeps the joint basis numerically tight
+    new = orthonormalize(new - project(q, new), q.ambient_dim, tol).basis
+    return Subspace(q.ambient_dim, np.hstack([q.basis, new]), tol)
 
 
 @dataclass
@@ -97,7 +102,7 @@ def type_of(s: Structure, vectors, base) -> TypeDescriptor:
 
 def _type_over(s: Structure, vs: np.ndarray, closure: Subspace) -> TypeDescriptor:
     """type_of with the base's cyclic subspace already computed."""
-    bp = _project_rows(closure, vs)
+    bp = project(closure, vs)
     res = vs - bp
     # entry [d, j, k] = <a_d r_j, r_k>
     moments = (res.conj() @ (s.moment_basis @ res.T)).transpose(0, 2, 1)
@@ -128,10 +133,9 @@ def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
     return float(max(np.max(np.abs(gap), initial=0.0), np.max(moments, initial=0.0)))
 
 
-def descriptors_close(d1: TypeDescriptor, d2: TypeDescriptor, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = d1.structure.tol.eq_abs
-    return descriptor_distance(d1, d2) <= tol
+def descriptors_close(d1: TypeDescriptor, d2: TypeDescriptor) -> bool:
+    """Descriptor distance within the first structure's eq_abs."""
+    return descriptor_distance(d1, d2) <= d1.structure.tol.eq_abs
 
 
 @dataclass
@@ -154,8 +158,8 @@ def is_independent(s: Structure, vectors, base, extra) -> IndependenceReport:
     against the largest entry norm.
     """
     vs, _ = _as_tuple(vectors, s.dim)
-    p1 = _project_rows(acl(s, base), vs)
-    p2 = _project_rows(acl(s, list(base) + list(extra)), vs)
+    p1 = project(acl(s, base), vs)
+    p2 = project(acl(s, list(base) + list(extra)), vs)
     witnesses = list(zip(p1, p2))
     defect = float(np.max(np.linalg.norm(p2 - p1, axis=1), initial=0.0))
     scale = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
@@ -185,14 +189,14 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     vs, single = _as_tuple(vectors, s.dim)
     _check_base_extension(base, extension, s.tol)
     base_cyc = cyclic_subspace(s, base)
-    proj = _project_rows(_join_discrete(s, base_cyc), vs)
+    proj = project(_join_discrete(s, base_cyc), vs)
     res = vs - proj
 
     hr = cyclic_subspace(s, res)
-    rot = None
+    b = hr.basis
     if seed is not None and hr.dim:
-        rot = haar_unitary(hr.dim, np.random.default_rng([seed, 0x0F0E]))
-    shat = extend_with_summand(s, hr.basis, rotation=rot)
+        b = b @ haar_unitary(hr.dim, np.random.default_rng([seed, 0x0F0E]))
+    shat = extend_with_summand(s, b)
     emb = shat.embedding
     n, k = s.dim, emb.shape[1]
 
@@ -202,7 +206,7 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
                              np.zeros(k, dtype=complex)]) for f in extension]
 
     ext_cyc = cyclic_subspace(shat, f_emb)
-    got = _project_rows(_join_discrete(shat, ext_cyc), vprime)
+    got = project(_join_discrete(shat, ext_cyc), vprime)
     miss = np.linalg.norm(got - np.hstack([proj, np.zeros_like(compressed)]), axis=1)
     failed = ~s.tol.certified(miss, np.linalg.norm(vs, axis=1))
     if np.any(failed):
@@ -223,7 +227,7 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
 def canonical_base(s: Structure, vectors, base):
     """Canonical base of tp(vectors / base): projections onto the base's cyclic subspace."""
     vs, single = _as_tuple(vectors, s.dim)
-    out = _project_rows(cyclic_subspace(s, base), vs)
+    out = project(cyclic_subspace(s, base), vs)
     return out[0] if single else out
 
 
@@ -249,7 +253,7 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     if k < 1:
         raise ValueError("the copy count must be at least 1")
     v = np.asarray(v, dtype=complex).ravel()
-    p = _project_rows(acl(s, base), v)
+    p = project(acl(s, base), v)
     r = v - p
     hr = cyclic_subspace(s, [r])
     b = hr.basis
@@ -299,10 +303,10 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         raise ValueError("epsilon must be strictly positive")
     vs, single = _as_tuple(vectors, s.dim)
     pool = [np.asarray(f, dtype=complex).ravel() for f in pool]
-    targets = _project_rows(acl(s, pool), vs)
+    targets = project(acl(s, pool), vs)
 
     def worst_defect(cl):
-        return float(np.max(np.linalg.norm(targets - _project_rows(cl, vs), axis=1),
+        return float(np.max(np.linalg.norm(targets - project(cl, vs), axis=1),
                             initial=0.0))
 
     chosen: list[int] = []
@@ -326,6 +330,6 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         current, pick, sub_cl = best
         chosen.append(pick)
 
-    replacements = vs - targets + _project_rows(sub_cl, vs)
+    replacements = vs - targets + project(sub_cl, vs)
     out = replacements[0] if single else replacements
     return FiniteBase(list(chosen), [pool[i] for i in chosen], out, current)

@@ -4,6 +4,10 @@ Subspaces are stored as matrices with orthonormal columns (possibly zero
 columns for the trivial subspace).  Every numerical decision of the library
 goes through a Tolerances method, which compares a value with its natural
 scale, so verdicts do not change when the inputs are rescaled.
+
+Spans have two routines, used by every layer: `orthonormalize` is the one
+place a span's rank is decided, and `project` the one orthogonal projection
+onto a span, of a vector or of each row of a 2-d array.
 """
 from __future__ import annotations
 
@@ -32,8 +36,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_rel", "eq_abs", "psd_abs"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"tolerance {name} must be finite and strictly positive")
 
     def rank_cut(self, top):
         """Round-off bound for the singular values or eigenvalues of an object
@@ -107,13 +112,10 @@ class Subspace:
         return self.tol.close(np.linalg.norm(r), np.linalg.norm(v))
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement within the same ambient space."""
-        if self.dim == 0:
-            return Subspace(self.ambient_dim, np.eye(self.ambient_dim, dtype=complex), self.tol)
-        q, _ = np.linalg.qr(np.hstack([self.basis, np.eye(self.ambient_dim, dtype=complex)]))
-        comp = q[:, self.dim:self.ambient_dim]
-        # re-orthonormalize the complement against rounding in the QR pass
-        return orthonormalize(comp.T, self.ambient_dim, self.tol)
+        """Orthogonal complement within the same ambient space: the trailing
+        left singular vectors of the basis, whose dim singular values are 1."""
+        u, _, _ = np.linalg.svd(self.basis)
+        return Subspace(self.ambient_dim, u[:, self.dim:], self.tol)
 
     def isclose(self, other: "Subspace") -> bool:
         """Equality as subspaces: same ambient space and rank, and the sine of
@@ -187,13 +189,13 @@ def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DE
 
 
 def project(s: Subspace, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto the subspace."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != s.ambient_dim:
-        raise ValueError(f"vector of length {v.size} does not fit ambient dimension {s.ambient_dim}")
-    if s.dim == 0:
-        return np.zeros(s.ambient_dim, dtype=complex)
-    return s.basis @ (s.basis.conj().T @ v)
+    """Orthogonal projection onto the subspace of a vector, or of each row of
+    a 2-d array of row vectors."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim not in (1, 2) or v.shape[-1] != s.ambient_dim:
+        raise ValueError(
+            f"vectors of shape {v.shape} do not fit ambient dimension {s.ambient_dim}")
+    return (v @ s.basis.conj()) @ s.basis.T
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:

@@ -11,10 +11,8 @@ import numpy as np
 
 from .algebra import StarAlgebra, generate_algebra, span_algebra
 from .linalg import (
-    DEFAULT_TOL,
     Subspace,
     ToleranceBreach,
-    Tolerances,
     _require_finite,
     block_diag,
     orthonormalize,
@@ -29,10 +27,9 @@ class Structure:
     """A finite-dimensional representation with named vectors and a discrete part."""
 
     def __init__(self, algebra: StarAlgebra, discrete: Subspace | None = None,
-                 vectors: dict | None = None, tol: Tolerances | None = None,
-                 embedding: np.ndarray | None = None):
+                 vectors: dict | None = None, embedding: np.ndarray | None = None):
         self.algebra = algebra
-        self.tol = tol or algebra.tol
+        self.tol = algebra.tol
         n = algebra.dim
         self.discrete = discrete if discrete is not None else zero_subspace(n, self.tol)
         self.vectors = {str(k): np.asarray(v, dtype=complex).ravel()
@@ -150,12 +147,12 @@ def _summand_images(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def direct_sum(s1: Structure, s2: Structure, prefixes=("a", "b")) -> Structure:
+def direct_sum(s1: Structure, s2: Structure) -> Structure:
     """Direct sum of two structures carrying the same abstract algebra.
 
     Generator i of s2 acts as the second summand of generator i of s1; the
-    summed algebra is generated by the block-diagonal joins.  Vectors of both
-    summands are re-exported under prefixed names.
+    summed algebra is generated by the block-diagonal joins.  Vectors of s1
+    are re-exported as "a.<name>", those of s2 as "b.<name>".
     """
     g1, g2 = s1.algebra.generators, s2.algebra.generators
     if len(g1) != len(g2):
@@ -170,10 +167,10 @@ def direct_sum(s1: Structure, s2: Structure, prefixes=("a", "b")) -> Structure:
     disc[n1:, d1.shape[1]:] = d2
     vectors = {}
     for name, v in s1.vectors.items():
-        vectors[f"{prefixes[0]}.{name}"] = np.concatenate([v, np.zeros(n2, dtype=complex)])
+        vectors[f"a.{name}"] = np.concatenate([v, np.zeros(n2, dtype=complex)])
     for name, v in s2.vectors.items():
-        vectors[f"{prefixes[1]}.{name}"] = np.concatenate([np.zeros(n1, dtype=complex), v])
-    return Structure(algebra, Subspace(n, disc, s1.tol), vectors, s1.tol)
+        vectors[f"b.{name}"] = np.concatenate([np.zeros(n1, dtype=complex), v])
+    return Structure(algebra, Subspace(n, disc, s1.tol), vectors)
 
 
 def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
@@ -192,26 +189,24 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     gens = [b.conj().T @ g @ b for g in s.algebra.generators]
     if k == 0:
         algebra = span_algebra([], 0, s.tol, generators=gens)
-        return Structure(algebra, zero_subspace(0, s.tol), {}, s.tol,
-                         embedding=b)
-    mats = [b.conj().T @ a @ b for a in s.algebra.basis]
-    algebra = span_algebra(mats, k, s.tol, generators=gens)
+        return Structure(algebra, zero_subspace(0, s.tol), {}, embedding=b)
+    algebra = span_algebra(b.conj().T @ s.algebra.basis @ b, k, s.tol, generators=gens)
     disc = subspace_intersection(hv, s.discrete)
     disc_comp = orthonormalize((b.conj().T @ disc.basis).T, k, s.tol)
-    return Structure(algebra, disc_comp, {"cyclic": b.conj().T @ v}, s.tol,
-                     embedding=b)
+    return Structure(algebra, disc_comp, {"cyclic": b.conj().T @ v}, embedding=b)
 
 
-def extend_with_summand(s: Structure, summand_basis: np.ndarray,
-                        rotation: np.ndarray | None = None) -> Structure:
+def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
     """Adjoin a fully essential summand carrying the compression of s onto
     the invariant subspace spanned by summand_basis.
 
-    This is the direct sum of s with its cyclic compression; an optional
-    unitary rotation fixes the coordinates used for the new summand.  The new
+    This is the direct sum of s with its cyclic compression, in the
+    coordinates the orthonormal columns of summand_basis give it.  The new
     algebra is the image of the old one under x -> blkdiag(x, b^H x b), a
     *-homomorphism because span(b) is invariant, so the image of a basis is
     already a multiplicatively closed span and no word closure is needed.
+    ValueError unless b has orthonormal columns and its span is invariant
+    under the algebra, certified against its basis.
     The images of s's moment basis become the moment basis of the result,
     which keeps s's originating algebra: type moments taken in either
     structure, or in any chain of extensions, index the same basis.
@@ -225,9 +220,11 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray,
     extensions.  Its rank is certified all the same; ToleranceBreach if it
     fails.
     """
-    b = summand_basis
-    if rotation is not None:
-        b = b @ rotation
+    b = Subspace(s.dim, summand_basis, s.tol).basis
+    defect = invariance_defect(s.algebra.basis, b)
+    if not s.tol.certified(defect, 1.0):
+        raise ValueError(
+            f"summand is not invariant under the algebra (relative residual {defect:.2e})")
     n, k = s.dim, b.shape[1]
     images = _summand_images(s.moment_basis, b)
     flat = images.reshape(len(images), -1)
@@ -245,8 +242,7 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray,
     disc[:n, :] = d1
     vectors = {f"a.{name}": np.concatenate([v, np.zeros(k, dtype=complex)])
                for name, v in s.vectors.items()}
-    out = Structure(algebra, Subspace(n + k, disc, s.tol), vectors, s.tol)
-    out.embedding = b
+    out = Structure(algebra, Subspace(n + k, disc, s.tol), vectors, embedding=b)
     out.origin = s.origin
     out.moment_basis = images
     return out

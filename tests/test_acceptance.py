@@ -95,7 +95,7 @@ def test_criterion_1_gns_round_trip():
 def test_criterion_2_freeness_suite():
     total = {}
     for spec in _specs(2000, 5):
-        report = run_freeness_suite(spec, trials=20, unitaries_per_trial=5)
+        report = run_freeness_suite(spec, trials=20)
         assert report.failures == 0
         for name, stats in report.properties.items():
             agg = total.setdefault(name, [0, 0])

@@ -128,6 +128,7 @@ def test_commutant_examples():
     scalar = generate_algebra([], dim=3)
     assert commutant(scalar).size == 9
     assert commutant(span_algebra([], 0)).size == 0
+    assert span_algebra([], 0).spans_equal(span_algebra([], 0))
     m2 = generate_algebra([E12])
     assert commutant(m2).size == 1
     diag = generate_algebra([E11])

@@ -148,6 +148,17 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert cli.main(["dcl", str(bad), ""]) == 2
     # unknown vector name
     assert cli.main(["indep", DIAG, "nope", "", "e1"]) == 2
+    # an infinite tolerance, from the command line or the scenario
+    assert cli.main(["indep", DIAG, "u", "", "e1", "--tol", "inf"]) == 2
+    scenario = json.loads((SCENARIO_DIR / "diagonal.json").read_text())
+    scenario["tolerances"] = {"eq_abs": float("inf")}
+    bad.write_text(json.dumps(scenario))
+    assert cli.main(["indep", str(bad), "u", "", "e1"]) == 2
+    # a dimension of 0 is out of range, as 17 is
+    capsys.readouterr()
+    assert cli.main(["axioms", "--dim", "0", "--trials", "1"]) == 2
+    assert "instance dimension must lie in 1..16" in capsys.readouterr().err
+    assert cli.main(["axioms", "--dim", "17", "--trials", "1"]) == 2
 
 
 def test_tolerance_breach_exit_code(monkeypatch, capsys):

@@ -66,7 +66,7 @@ def ref_extend_with_summand(s, b):
     algebra = span_algebra(images, n + k, s.tol, generators=list(gens))
     disc = np.zeros((n + k, s.discrete.dim), dtype=complex)
     disc[:n] = s.discrete.basis
-    out = Structure(algebra, Subspace(n + k, disc, s.tol), tol=s.tol)
+    out = Structure(algebra, Subspace(n + k, disc, s.tol))
     out.embedding, out.origin, out.moment_basis = b, s.origin, images
     return out
 

@@ -66,6 +66,28 @@ def test_project_examples():
 def test_project_dimension_mismatch():
     with pytest.raises(ValueError):
         project(zero_subspace(2), [1, 2, 3])
+    with pytest.raises(ValueError):
+        project(full_subspace(2), np.ones((4, 3)))
+
+
+def test_project_rows_match_row_by_row(rng):
+    n = 5
+    rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    for k in (0, 2, n):
+        sub = orthonormalize(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)), n)
+        want = np.array([project(sub, r) for r in rows])
+        np.testing.assert_allclose(project(sub, rows), want, atol=1e-12)
+    assert project(sub, np.zeros((0, n))).shape == (0, n)
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_perp_is_the_orthogonal_complement(k, rng):
+    n = 6
+    sub = orthonormalize(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)), n)
+    comp = sub.perp()
+    assert comp.ambient_dim == n and comp.dim == n - k
+    np.testing.assert_allclose(comp.basis.conj().T @ comp.basis, np.eye(n - k), atol=1e-12)
+    np.testing.assert_allclose(sub.basis.conj().T @ comp.basis, 0, atol=1e-12)
 
 
 def test_projection_properties_random(rng):
@@ -199,6 +221,9 @@ def test_tolerances_must_be_positive():
     from starrep.linalg import Tolerances
     with pytest.raises(ValueError):
         Tolerances(rank_rel=0.0)
+    for name in ("rank_rel", "eq_abs", "psd_abs"):
+        with pytest.raises(ValueError):
+            Tolerances(**{name: float("inf")})
     assert DEFAULT_TOL.eq_abs == 1e-8
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from starrep.algebra import generate_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
-from starrep.linalg import Tolerances, full_subspace, orthonormalize, zero_subspace
+from starrep.linalg import Tolerances, full_subspace, orthonormalize, subspace_sum, zero_subspace
 from starrep.representation import (
     Structure,
     acl,
@@ -164,6 +164,23 @@ def test_fast_extension_matches_direct_sum(diag_structure):
     assert fast.algebra.spans_equal(slow.algebra)
 
 
+def test_essential_and_discrete_parts_span_the_space(diag_discrete_structure):
+    plan = InstanceSpec(6, ((1, 2), (2, 1), (1, 2)), (True, False, True), seed=3)
+    mixed = random_structure(plan)
+    for s in (diag_discrete_structure, mixed):
+        ess = s.essential()
+        assert ess.dim + s.discrete.dim == s.dim
+        assert subspace_sum(ess, s.discrete).isclose(full_subspace(s.dim))
+
+
+def test_extension_rejects_a_summand_that_is_not_invariant(diag_structure):
+    # span{(e1 + e2)/sqrt 2} is not invariant under diag(1, 0)
+    with pytest.raises(ValueError, match="not invariant"):
+        extend_with_summand(diag_structure, (E1 + E2)[:, None] / np.sqrt(2))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        extend_with_summand(diag_structure, 2 * E1[:, None])
+
+
 def test_structure_validation_errors(diag_structure):
     algebra = diag_structure.algebra
     with pytest.raises(ValueError):
@@ -180,5 +197,6 @@ def test_discrete_invariance_bound_follows_tolerance(diag_structure):
     tilted = orthonormalize([E2 + 1e-5 * E1], 2)
     with pytest.raises(ValueError):
         Structure(diag_structure.algebra, discrete=tilted)
-    s = Structure(diag_structure.algebra, discrete=tilted, tol=Tolerances(eq_abs=1e-6))
+    loose = generate_algebra(diag_structure.algebra.generators, tol=Tolerances(eq_abs=1e-6))
+    s = Structure(loose, discrete=tilted)
     assert s.discrete.dim == 1

@@ -182,6 +182,40 @@ def test_no_cutoff_outside_tolerances(module):
     assert found == [], f"{module}: cutoffs outside Tolerances at {found}"
 
 
+# a span's rank is decided by linalg.orthonormalize alone; the SVDs left in the
+# scanned layers decide other things: a null space, a unitary polish and the
+# per-run SVD of w
+SVD_ALLOWED = ("_commutant_basis", "_split", "radon_nikodym_operator")
+
+
+def _span_rule_violations(node, func="<module>"):
+    """(line, "<call> in <innermost enclosing function>") for each qr call, and
+    each svd call outside SVD_ALLOWED."""
+    if isinstance(node, ast.Call):
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+            node.func, "id", None)
+        if name == "qr" or (name == "svd" and func not in SVD_ALLOWED):
+            yield node.lineno, f"{name} in {func}"
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _span_rule_violations(child, func)
+
+
+@pytest.mark.parametrize("module", [m for m in SCANNED if m != "linalg.py"])
+def test_no_span_rule_outside_linalg(module):
+    path = pathlib.Path(starrep.__file__).parent / module
+    found = list(_span_rule_violations(ast.parse(path.read_text())))
+    assert found == [], f"{module}: hand-written span rules at {found}"
+
+
+def test_span_guard_sees_svd_and_qr():
+    tree = ast.parse("def f(a):\n    return np.linalg.svd(a)\n"
+                     "def _split(a):\n    return np.linalg.svd(a), np.linalg.qr(a)\n")
+    assert sorted(what for _, what in _span_rule_violations(tree)) == ["qr in _split",
+                                                                      "svd in f"]
+
+
 def test_guard_sees_literals_and_floors():
     tree = ast.parse("def f(x, tol):\n"
                      "    return x < 1e-6 * max(1.0, abs(x)) + np.maximum(1.0, x)\n"
