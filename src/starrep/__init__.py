@@ -89,24 +89,9 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "DEFAULT_TOL", "Subspace", "ToleranceBreach", "Tolerances", "full_subspace",
-    "haar_unitary", "hermitian_eig", "is_psd", "orthonormalize", "project",
-    "psd_sqrt", "subspace_intersection", "subspace_sum", "zero_subspace",
-    "BlockDecomposition", "DecompositionError", "StarAlgebra", "commutant",
-    "conditional_expectation", "double_commutant_check", "generate_algebra",
-    "wedderburn_decompose",
-    "Structure", "acl", "cyclic_subspace", "cyclic_substructure", "direct_sum",
-    "essential_discrete_parts",
-    "FiniteBase", "IndependenceReport", "MorleyCheck", "TypeDescriptor",
-    "canonical_base", "descriptor_distance", "descriptors_close", "finite_base",
-    "is_independent", "morley_average_check", "nonforking_extension", "type_of",
-    "GnsRep", "OrthogonalityWitness", "PositiveFunctional", "RadonNikodym",
-    "difference_norm", "embeds_as_subrepresentation", "functional_norm", "gns",
-    "gns_intertwiner", "is_dominated", "is_orthogonal", "orthogonality_witness",
-    "radon_nikodym_operator", "types_dominated", "types_orthogonal", "vector_state",
-    "InstanceSpec", "SuiteReport", "random_structure", "run_freeness_suite",
-    "run_functional_suite",
-]
+# every public name: the core ones imported above, then the leaves'
+__all__ = [name for name, value in globals().items()
+           if getattr(value, "__module__", "").startswith(f"{__name__}.")]
+__all__ += [name for names in _LEAVES.values() for name in names]
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 
 from .linalg import (CLUSTER_GAP, DEFAULT_TOL, ToleranceBreach, Tolerances, _require_finite,
-                     block_diag_kron, orthonormalize, project)
+                     orthonormalize, project)
 
 
 class DecompositionError(RuntimeError):
@@ -219,9 +219,6 @@ def conditional_expectation(m: np.ndarray, a: StarAlgebra) -> np.ndarray:
 
     Fixes algebra elements and maps PSD matrices to PSD elements.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (a.dim, a.dim):
-        raise ValueError(f"expected a {a.dim}x{a.dim} matrix")
     return a.from_coefficients(a.coefficients(m))
 
 
@@ -255,11 +252,7 @@ class BlockDecomposition:
 
     def offsets(self):
         """Start offset of each block in the transformed basis."""
-        offs, cur = [], 0
-        for k, m in self.blocks:
-            offs.append(cur)
-            cur += k * m
-        return offs
+        return list(itertools.accumulate([k * m for k, m in self.blocks], initial=0))[:-1]
 
     def coordinates(self, x: np.ndarray):
         """Q^H x as one (c, k, m) stack per run, block i read as a k_i x m_i
@@ -274,30 +267,40 @@ class BlockDecomposition:
 
     def block_parts(self, m: np.ndarray):
         """Extract the k_i x k_i compressed block of each class from an algebra
-        element, or from a stack of them (leading axes kept).
-
-        The m_i repeated copies are averaged, and the residual of the ideal
-        block shape is certified, element by element, against the element's
-        norm; ToleranceBreach if it fails.
-        """
+        element, or from a stack of them (leading axes kept).  The m_i copies
+        are averaged, one run of equal shapes at a time, and the residual of
+        the ideal block shape is certified, element by element, against the
+        element's norm; ToleranceBreach if it fails."""
         m = np.asarray(m, dtype=complex)
-        t = self.change_of_basis.conj().T @ m @ self.change_of_basis
-        parts = []
-        for off, (k, mult) in zip(self.offsets(), self.blocks):
-            sub = t[..., off:off + k * mult, off:off + k * mult]
-            copies = sub.reshape(sub.shape[:-2] + (k, mult, k, mult))
-            parts.append(np.einsum("...ajbj->...ab", copies) / mult)
-        ideal = block_diag_kron(parts, [mult for _, mult in self.blocks])
-        resid = np.linalg.norm(ideal - t, axis=(-2, -1))
+        resid = self.change_of_basis.conj().T @ m @ self.change_of_basis
+        stacks = []
+        for run in self.runs:
+            # the run's diagonal copies, read and then cleared of their mean
+            copies = _copies(resid, run)
+            stacks.append(copies.sum(-1) / copies.shape[-1])
+            copies -= stacks[-1][..., None]
+        resid = np.linalg.norm(resid, axis=(-2, -1))
         if not np.all(self.tol.certified(resid, np.linalg.norm(m, axis=(-2, -1)))):
             raise ToleranceBreach(
                 f"matrix is not in the algebra span (block residual {float(np.max(resid)):.2e})")
-        return parts
+        return [stack[..., i, :, :] for stack in stacks for i in range(stack.shape[-3])]
 
     def assemble(self, parts) -> np.ndarray:
         """Inverse of block_parts: build the ambient algebra element(s)."""
         q = self.change_of_basis
-        return q @ block_diag_kron(parts, [mult for _, mult in self.blocks]) @ q.conj().T
+        t = np.zeros(np.shape(parts[0])[:-2] + q.shape if parts else q.shape, dtype=complex)
+        for run in self.runs:
+            first, c, *_ = run
+            _copies(t, run)[...] = np.stack(parts[first:first + c], axis=-3)[..., None]
+        return q @ t @ q.conj().T
+
+
+def _copies(t: np.ndarray, run) -> np.ndarray:
+    """Writable (..., c, k, k, m) view of a run's diagonal blocks in block
+    coordinates t: entry (a, b) of block i in its copy j."""
+    _, c, k, m, off = run
+    sub = t[..., off:off + c * k * m, off:off + c * k * m]
+    return np.einsum("...iajibj->...iabj", sub.reshape(t.shape[:-2] + (c, k, m) * 2))
 
 
 def _cluster_eigenvalues(w: np.ndarray):

@@ -148,8 +148,7 @@ def _subspace_report(sub: Subspace) -> dict:
 
 
 def _cmd_dcl(sc: Scenario, args) -> tuple[dict, bool | None]:
-    sub = cyclic_subspace(sc.structure, sc.resolve_set(args.set))
-    return _subspace_report(sub), None
+    return _subspace_report(cyclic_subspace(sc.structure, sc.resolve_set(args.set))), None
 
 
 def _cmd_acl(sc: Scenario, args):

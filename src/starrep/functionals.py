@@ -6,9 +6,12 @@ read and validated once; rho is built from them only when read.  Positivity
 is the sigma_i being PSD, and every norm, orthogonality and domination
 question is eigenvalue arithmetic on them.  The Radon-Nikodym operator is
 solved on the same blocks, from vectors read as k_i x m_i matrices, in a
-block-adapted basis of the cyclic space.  Blocks of equal shape (k, m) are
-contiguous, so each step is one LAPACK call or batched product per run of
-them, and a block's rank inside a run is applied by zeroing columns.
+block-adapted basis of the cyclic space.  GNS keeps the cyclic vector's
+blocks, builds its action on the basis only when read, and reports defects
+that are maxima over fixed seeded random elements, not over the basis.
+Blocks of equal shape (k, m) are contiguous, so each step is one LAPACK call
+or batched product per run of them, and a block's rank inside a run is
+applied by zeroing columns.
 
 Each decision compares with a scale the inputs carry, so scaling vectors by c
 (functionals by c^2) changes no verdict: a support is cut at rank_rel times
@@ -19,12 +22,13 @@ against phi(1), certificates against the norms of what they compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import StarAlgebra
 from .linalg import (ToleranceBreach, block_diag, block_diag_kron, orthonormalize, project,
-                     psd_sqrt)
+                     psd_sqrt, stack_ranks)
 from .representation import Structure, acl, essential_discrete_parts
 
 
@@ -258,18 +262,29 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
 
 @dataclass
 class GnsRep:
-    """Cyclic representation built from a positive functional.
-
-    `action` holds one matrix per algebra basis element; the cyclic vector is
-    the class of the identity.
-    """
+    """Cyclic representation built from a positive functional, held as blocks:
+    x acts as pi(x) = (+) x_i (x) I_{r_i} on (+) C^{k_i} (x) C^{r_i}; `roots`
+    holds the cyclic vector's blocks Xi_i = sqrt(m_i) sigma_i^{1/2}, one
+    (c, k, k) stack per run with the columns off each block's support zeroed,
+    and `cyclic` the same vector, block by block and row by row.  `action`, pi
+    of every basis element (d r^2 entries), is built only when read.  The
+    defects are maxima over fixed seeded random elements, not over the basis."""
 
     algebra: StarAlgebra
     space_dim: int
-    action: np.ndarray
     cyclic: np.ndarray
+    ranks: list
+    roots: list
     roundtrip_defect: float = 0.0
     star_hom_defect: float = 0.0
+
+    def pi(self, x: np.ndarray) -> np.ndarray:
+        """(+) x_i (x) I_{r_i} for an algebra element or a stack of them."""
+        return block_diag_kron(self.algebra.block_decomposition().block_parts(x), self.ranks)
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        return self.pi(self.algebra.basis)
 
     def state_values(self) -> np.ndarray:
         """<pi(b) v, v> over the algebra basis; equals the source functional."""
@@ -284,12 +299,14 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
 
     On the Wedderburn blocks phi(x) = sum_i m_i Tr(sigma_i x_i).  Eigenvalues
     of the sigma_i at or below the support cut (taken over all blocks) span
-    the null space; the r_i kept ones give the space, the direct sum of
-    C^{k_i} (x) C^{r_i}, with x acting as x_i (x) I_{r_i} and the cyclic
-    vector the sum of sqrt(m_i) sigma_i^{1/2} restricted to its range, from
-    one eigh per run of equal block shapes.  The action is cross-checked
-    against products of letters and basis elements expanded in the algebra
-    basis.  Only the zero functional is degenerate.
+    the null space; the r_i kept ones give the space, from one eigh per run
+    of equal block shapes.  Nothing indexed by the algebra basis is built, and
+    the defects are maxima, not over the basis but at two Gaussian elements
+    x, y of a fixed seed (Freivalds 1977), of <pi(x) xi, xi> = phi(x), of
+    pi(x) pi(y) xi = pi(xy) xi and, on the kept blocks, of pi(x)^H = pi(x^H),
+    with xy and x^H formed in ambient coordinates and read through one
+    block_parts.  xi is cyclic when each Xi_i has full column rank r_i.  Only
+    the zero functional is degenerate.
     """
     tol = algebra.tol
     spectra, top = _run_spectra(_stacks_in(algebra, phi))
@@ -303,41 +320,32 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     cyclic = np.concatenate([root[np.broadcast_to(keep[:, None, :], root.shape)]
                              for root, keep in zip(roots, keeps)])
     ranks = np.concatenate([keep.sum(1) for keep in keeps]).tolist()
-    basis, n = algebra.basis, algebra.dim
-    parts = dec.block_parts(basis)
-    action = block_diag_kron(parts, ranks)
-    r = cyclic.size
-    rep = GnsRep(algebra, r, action, cyclic)
-    roundtrip = float(np.max(np.abs(rep.state_values()
-                                    - basis.reshape(len(basis), -1) @ phi.rep.conj().ravel())))
-    # pi(l)[b] against [l b] = sum_k c_k [b_k], with [x] = pi(x) xi and c the
-    # basis coordinates of l b; and pi(b)^H against pi(b^H) from coordinates,
-    # compared on the blocks the space keeps (pi(x) repeats their entries)
-    flat = basis.reshape(-1, n * n).conj().T / n
-    classes = action @ cyclic
-    letters = algebra.letters()
-    products = (letters[:, None] @ basis[None]).reshape(-1, n * n)
-    expected = ((products @ flat) @ classes).reshape(len(letters), -1, r)
-    actual = (block_diag_kron(dec.block_parts(letters), ranks) @ classes.T).transpose(0, 2, 1)
-    letter_defect = float(np.max(np.abs(actual - expected)))
-    adjoint_defect = 0.0
-    adjoints = basis.conj().transpose(0, 2, 1).reshape(-1, n * n) @ flat
-    for part in (part for part, rank in zip(parts, ranks) if rank):
-        adj_expected = (adjoints @ part.reshape(len(basis), -1)).reshape(part.shape)
-        adjoint_defect = max(adjoint_defect, float(np.max(
-            np.abs(part.conj().transpose(0, 2, 1) - adj_expected))))
-    rep.roundtrip_defect = roundtrip
+    rep = GnsRep(algebra, cyclic.size, cyclic, ranks, roots)
+    # complex Gaussian coefficients of unit norm: ||x||_F = sqrt(n), as for a basis element
+    c = np.random.default_rng(0x6E5).standard_normal((2, algebra.size, 2)) @ [1, 1j]
+    x, y = (algebra.from_coefficients(ci / np.linalg.norm(ci)) for ci in c)
+    elements = np.stack([x, y, x @ y, _adj(x)])
+    # each run's parts of x, y, xy and x^H, and the images of xi under the first three
+    parts = [p.swapaxes(0, 1) for p in dec.stacks(dec.block_parts(elements))]
+    images = [p[:3] @ root for p, root in zip(parts, roots)]
+    values = sum(np.einsum("ecaj,caj->e", im[:2], root.conj()) for im, root in zip(images, roots))
+    rep.roundtrip_defect = float(np.max(np.abs(
+        values - elements[:2].reshape(2, -1) @ phi.rep.conj().ravel())))
+    letter_defect = max(float(np.max(np.abs(p[0] @ im[1] - im[2])))
+                        for p, im in zip(parts, images))
+    kept = [p[:, keep.any(1)] for p, keep in zip(parts, keeps)]
+    adjoint_defect = max(float(np.max(np.abs(_adj(p[0]) - p[3]), initial=0.0)) for p in kept)
     rep.star_hom_defect = max(letter_defect, adjoint_defect)
-
-    if not tol.certified(roundtrip, phi.norm()):
-        raise ToleranceBreach(f"GNS state round trip off by {roundtrip:.2e}")
-    # |pi(l)[b]| <= |l| |[b]|; the adjoint check compares entries of the action
-    letter_scale = (np.max(np.linalg.norm(letters, axis=(1, 2)))
-                    * np.max(np.linalg.norm(classes, axis=1)))
+    if not tol.certified(rep.roundtrip_defect, phi.norm()):
+        raise ToleranceBreach(f"GNS state round trip off by {rep.roundtrip_defect:.2e}")
+    # |pi(x)[y]| <= |x| |[y]|; the adjoint check compares entries of pi(x)
+    letter_scale = np.linalg.norm(x) * np.sqrt(sum(np.linalg.norm(im[1]) ** 2 for im in images))
+    entry_scale = max(float(np.max(np.abs(p[0]), initial=0.0)) for p in kept)
     if not (tol.certified(letter_defect, letter_scale)
-            and tol.certified(adjoint_defect, float(np.max(np.abs(action))))):
+            and tol.certified(adjoint_defect, entry_scale)):
         raise ToleranceBreach(f"GNS action fails *-homomorphism by {rep.star_hom_defect:.2e}")
-    if orthonormalize(classes, r, tol).dim < r:
+    # pi(A) xi = (+) M_{k_i} Xi_i is the whole space iff each Xi_i has rank r_i
+    if any((r < keep.sum(1)).any() for r, keep in zip(stack_ranks(roots, tol), keeps)):
         raise ToleranceBreach("GNS cyclic vector does not generate the space")
     return rep
 

@@ -143,16 +143,13 @@ def random_in_algebra_state(s: Structure, rng: np.random.Generator,
     """Random positive functional with well-conditioned support blocks."""
     dec = s.algebra.block_decomposition()
     parts = []
-    nonzero = False
     for k, _ in dec.blocks:
         ranks = rng.random(k) < keep_prob
         lam = np.where(ranks, 0.2 + 0.8 * rng.random(k), 0.0)
         u = haar_unitary(k, rng)
         parts.append(u @ np.diag(lam) @ u.conj().T)
-        nonzero = nonzero or bool(np.any(lam))
-    if not nonzero:
-        k = dec.blocks[0][0]
-        parts[0] = np.eye(k) * (0.2 + 0.8 * rng.random())
+    if not any(p.any() for p in parts):
+        parts[0] = np.eye(dec.blocks[0][0]) * (0.2 + 0.8 * rng.random())
     return PositiveFunctional.from_parts(s.algebra, parts)
 
 

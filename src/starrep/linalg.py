@@ -5,9 +5,9 @@ columns for the trivial subspace).  Every numerical decision of the library
 goes through a Tolerances method, which compares a value with its natural
 scale, so verdicts do not change when the inputs are rescaled.
 
-Spans have two routines, used by every layer: `orthonormalize` is the one
-place a span's rank is decided, and `project` the one orthogonal projection
-onto a span, of a vector or of each row of a 2-d array.
+Every layer uses two span routines: `orthonormalize` alone decides a span's
+rank (`stack_ranks` the ranks of stacked blocks), and `project` is the one
+orthogonal projection onto a span, of a vector or each row of a 2-d array.
 """
 from __future__ import annotations
 
@@ -186,6 +186,14 @@ def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DE
     # rows of vh span the row space of a; transposing without conjugation
     # keeps the same span (conjugating would flip it)
     return Subspace(n, vh[:rank].T.copy(), tol)
+
+
+def stack_ranks(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Rank of each matrix of each stack, one batched SVD per stack, cut at
+    rank_cut of the largest singular value over all of them."""
+    svs = [np.linalg.svd(s, compute_uv=False) for s in stacks]
+    cut = tol.rank_cut(max([0.0] + [float(sv.max(initial=0.0)) for sv in svs]))
+    return [(sv > cut).sum(-1) for sv in svs]
 
 
 def project(s: Subspace, v: np.ndarray) -> np.ndarray:

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -312,6 +318,13 @@ def test_gns_round_trip_random():
         # cyclicity: the orbit of the cyclic vector spans the space
         orbit = rep.action @ rep.cyclic
         assert np.linalg.matrix_rank(orbit) == rep.space_dim
+        # pi on a stack of elements other than the ones the certificate drew
+        a, b = (st.algebra.random_hermitian_element(rng) @ st.algebra.random_hermitian_element(rng)
+                for _ in range(2))
+        pa, pb, pab, pah = rep.pi(np.stack([a, b, a @ b, a.conj().T]))
+        np.testing.assert_allclose(pab, pa @ pb, atol=1e-9 * np.abs(pab).max())
+        np.testing.assert_allclose(pah, pa.conj().T, atol=1e-12 * np.abs(pa).max())
+        assert abs(np.vdot(rep.cyclic, pa @ rep.cyclic) - phi(a)) <= 1e-9 * phi.norm()
 
 
 def test_gns_star_hom_check_catches_anti_homomorphic_blocks(monkeypatch):
@@ -329,6 +342,49 @@ def test_gns_star_hom_check_catches_anti_homomorphic_blocks(monkeypatch):
     with pytest.raises(ToleranceBreach, match="homomorphism by") as err:
         gns(full.algebra, phi)
     assert float(str(err.value).rsplit("by ", 1)[1]) > 1e-2
+
+
+def test_gns_round_trip_check_catches_a_wrong_state():
+    s = random_structure(InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False,) * 3, seed=21))
+    phi = random_in_algebra_state(s, np.random.default_rng(5))
+    phi.rep  # kept, so the ambient phi(x) no longer matches the scaled parts
+    phi.stacks = [2 * p for p in phi.stacks]
+    with pytest.raises(ToleranceBreach, match="round trip"):
+        gns(s.algebra, phi)
+
+
+def test_gns_memory_is_that_of_its_blocks():
+    # at d r^2 entries, the action of a full-rank state on full M_16 alone is 268 MB
+    full = random_structure(InstanceSpec(16, ((16, 1),), (False,), seed=23))
+    phi = planted_state(full, [16], np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        rep = gns(full.algebra, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    assert rep.space_dim == 256 and "action" not in vars(rep)
+    assert rep.roundtrip_defect <= 1e-9 and rep.star_hom_defect <= 1e-9
+
+
+def test_gns_certificate_is_deterministic():
+    s = random_structure(InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False,) * 3, seed=21))
+    phi = random_in_algebra_state(s, np.random.default_rng(6))
+    reps = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        reps.append(gns(s.algebra, phi))
+    first, second = reps
+    assert first.roundtrip_defect == second.roundtrip_defect
+    assert first.star_hom_defect == second.star_hom_defect
+    assert np.array_equal(first.cyclic, second.cyclic)
+    src = pathlib.Path(functionals.__file__).parents[1]
+    cmd = [sys.executable, "-c", "import sys; from starrep.cli import main; sys.exit(main())",
+           "gns", str(pathlib.Path(__file__).parent / "scenarios" / "m2.json"), "u", "--json"]
+    outs = [subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                           check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1] and b"star_hom_defect" in outs[0]
 
 
 def test_gns_intertwiner(diag_structure):
