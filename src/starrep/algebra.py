@@ -32,6 +32,7 @@ class StarAlgebra:
         self.tol = tol
         self._lock = threading.Lock()
         self._block = None
+        self._probes = None
         if validate and dim > 0:
             self._validate()
 
@@ -67,6 +68,23 @@ class StarAlgebra:
         c = rng.standard_normal(self.size) + 1j * rng.standard_normal(self.size)
         x = self.from_coefficients(c)
         return (x + x.conj().T) / 2
+
+    def probes(self) -> np.ndarray:
+        """x, y, xy and x^H, stacked, for two complex Gaussian elements x, y
+        of unit coefficient norm (||x||_F = sqrt(n), as for a basis element),
+        drawn once from a fixed seed and then kept, read-only: the points at
+        which a certificate over the algebra is checked (Freivalds 1977).  A
+        defect linear or bilinear in the element vanishes there only on a
+        null set."""
+        # drawn under the lock, which is not re-entrant: nothing here may call
+        # block_decomposition()
+        with self._lock:
+            if self._probes is None:
+                c = np.random.default_rng(0x6E5).standard_normal((2, self.size, 2)) @ [1, 1j]
+                x, y = (self.from_coefficients(ci / np.linalg.norm(ci)) for ci in c)
+                self._probes = np.stack([x, y, x @ y, x.conj().T])
+                self._probes.flags.writeable = False
+            return self._probes
 
     def letters(self) -> np.ndarray:
         """The generators and their adjoints (interleaved), else the basis.

@@ -2,16 +2,25 @@
 
 A functional is stored through the Hermitian Wedderburn block parts sigma_i
 of its representing element under the trace pairing, phi(a) = Tr(rho^H a),
-read and validated once; rho is built from them only when read.  Positivity
-is the sigma_i being PSD, and every norm, orthogonality and domination
-question is eigenvalue arithmetic on them.  The Radon-Nikodym operator is
-solved on the same blocks, from vectors read as k_i x m_i matrices, in a
-block-adapted basis of the cyclic space.  GNS keeps the cyclic vector's
-blocks, builds its action on the basis only when read, and reports defects
-that are maxima over fixed seeded random elements, not over the basis.
-Blocks of equal shape (k, m) are contiguous, so each step is one LAPACK call
-or batched product per run of them, and a block's rank inside a run is
-applied by zeroing columns.
+read and validated once.  Positivity is the sigma_i being PSD, and every
+norm, orthogonality and domination question is eigenvalue arithmetic on
+them.  The Radon-Nikodym operator and the embedding test are solved on the
+same blocks, from vectors read as k_i x m_i matrices.  GNS keeps the cyclic
+vector's blocks, and two GNS representations are intertwined on them.
+Nothing in this module reads the algebra basis, except GnsRep.action, built
+only when read.  Blocks of equal shape (k, m) are contiguous, so each step is
+one LAPACK call or batched product per run of them, and a block's rank inside
+a run is applied by zeroing columns.
+
+What is kept: per algebra, its block decomposition and its two probe
+elements with their product and adjoint (StarAlgebra.probes); per
+functional, its block stacks and, each on first read, rho, the norm and one
+eigh per run (PositiveFunctional.spectra).  What is certified on every call:
+the orthogonality norm gap against the block supports, the positivity of
+gamma psi - phi, the orbit-map leak of an embedding, the range and
+commutation of a Radon-Nikodym copy and its state (at the probes, in ambient
+coordinates), and the GNS state round trip, *-homomorphism (at the probes,
+read through block_parts each time) and cyclicity.
 
 Each decision compares with a scale the inputs carry, so scaling vectors by c
 (functionals by c^2) changes no verdict: a support is cut at rank_rel times
@@ -27,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import StarAlgebra
-from .linalg import (ToleranceBreach, block_diag, block_diag_kron, orthonormalize, project,
-                     psd_sqrt, stack_ranks)
+from .linalg import (ToleranceBreach, block_diag, block_diag_kron, psd_sqrt, stack_ranks,
+                     stack_svds)
 from .representation import Structure, acl, essential_discrete_parts
 
 
@@ -43,9 +52,10 @@ def _hermitian(stacks):
 class PositiveFunctional:
     """A positive linear functional: its Hermitian Wedderburn block parts,
     held as one (c, k, k) stack per run of equal block shapes.  Its
-    in-algebra trace representative `rep` and its norm are computed from them
-    on first read and then kept.  ValueError unless the block residual puts
-    rep in the algebra span and the parts are PSD."""
+    in-algebra trace representative `rep`, its norm and its `spectra` (one
+    eigh per run) are computed from them on first read and then kept;
+    assigning `stacks` drops the spectra only.  ValueError unless the block
+    residual puts rep in the algebra span and the parts are PSD."""
 
     def __init__(self, algebra: StarAlgebra, rep: np.ndarray):
         rep = np.asarray(rep, dtype=complex)
@@ -56,10 +66,10 @@ class PositiveFunctional:
             stacks = _hermitian(dec.stacks(dec.block_parts(rep)))
         except ToleranceBreach as err:
             raise ValueError("representative does not lie in the algebra span") from err
-        w = np.concatenate([np.zeros(0)] + [np.linalg.eigvalsh(p).ravel() for p in stacks])
+        self.algebra, self.stacks, self._rep, self._norm = algebra, stacks, None, None
+        w = np.concatenate([np.zeros(0)] + [ev.ravel() for ev, _ in self.spectra[0]])
         if w.size and not algebra.tol.nonnegative(w.min(), np.max(np.abs(w))):
             raise ValueError(f"functional is not positive (min eigenvalue {w.min():.3e})")
-        self.algebra, self.stacks, self._rep, self._norm = algebra, stacks, None, None
 
     @classmethod
     def from_parts(cls, algebra: StarAlgebra, parts) -> PositiveFunctional:
@@ -71,6 +81,23 @@ class PositiveFunctional:
         phi = cls.__new__(cls)
         phi.algebra, phi.stacks, phi._rep, phi._norm = algebra, _hermitian(stacks), None, None
         return phi
+
+    @property
+    def stacks(self):
+        return self._stacks
+
+    @stacks.setter
+    def stacks(self, stacks):
+        self._stacks, self._spectra = stacks, None
+
+    @property
+    def spectra(self):
+        """(eigh of each run's stack, the top eigenvalue over all of them),
+        kept: the support of every query is cut against that top."""
+        if self._spectra is None:
+            spectra = [np.linalg.eigh(p) for p in self.stacks]
+            self._spectra = spectra, max([0.0] + [float(w[:, -1].max()) for w, _ in spectra])
+        return self._spectra
 
     @property
     def parts(self):
@@ -126,26 +153,21 @@ def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
     return _trace_norms(dec, _hermitian(dec.stacks(dec.block_parts(rep))))
 
 
-def _stacks_in(algebra: StarAlgebra, phi: PositiveFunctional):
-    """phi's block stacks in the algebra's decomposition: its own on the same
-    algebra object, one block read on an equal span, else ValueError."""
+def _on(algebra: StarAlgebra, phi: PositiveFunctional) -> PositiveFunctional:
+    """phi in the algebra's decomposition: phi itself, with its kept spectra,
+    on the same algebra object; one block read on an equal span; else
+    ValueError."""
     if phi.algebra is algebra:
-        return phi.stacks
+        return phi
     if not algebra.spans_equal(phi.algebra):
         raise ValueError("functionals live on different algebras")
     dec = algebra.block_decomposition()
-    return _hermitian(dec.stacks(dec.block_parts(phi.rep)))
-
-
-def _run_spectra(stacks):
-    """eigh of each run's stack, and the top eigenvalue over all of them."""
-    spectra = [np.linalg.eigh(p) for p in stacks]
-    return spectra, max([0.0] + [float(w[:, -1].max()) for w, _ in spectra])
+    return PositiveFunctional._from_stacks(algebra, dec.stacks(dec.block_parts(phi.rep)))
 
 
 def difference_norm(phi: PositiveFunctional, psi: PositiveFunctional) -> float:
     return _trace_norms(phi.algebra.block_decomposition(),
-                        [p - q for p, q in zip(phi.stacks, _stacks_in(phi.algebra, psi))])
+                        [p - q for p, q in zip(phi.stacks, _on(phi.algebra, psi).stacks)])
 
 
 def is_orthogonal(phi: PositiveFunctional, psi: PositiveFunctional) -> bool:
@@ -156,12 +178,12 @@ def is_orthogonal(phi: PositiveFunctional, psi: PositiveFunctional) -> bool:
     must coincide in finite dimension.
     """
     dec, tol = phi.algebra.block_decomposition(), phi.algebra.tol
-    stacks_psi = _stacks_in(phi.algebra, psi)
+    psi = _on(phi.algebra, psi)
     total = phi.norm() + psi.norm()
-    gap = abs(_trace_norms(dec, [p - q for p, q in zip(phi.stacks, stacks_psi)]) - total)
+    gap = abs(_trace_norms(dec, [p - q for p, q in zip(phi.stacks, psi.stacks)]) - total)
     by_norm = tol.close(gap, total)
     supports = [[v * (w > tol.rank_cut(top))[:, None, :] for w, v in spectra]
-                for spectra, top in map(_run_spectra, (phi.stacks, stacks_psi))]
+                for spectra, top in (phi.spectra, psi.spectra)]
     # the supports have orthonormal columns (the rest zeroed), so their overlap has scale 1
     by_support = all(tol.certified(np.linalg.norm(_adj(sp) @ sq, axis=(1, 2)), 1.0).all()
                      for sp, sq in zip(*supports))
@@ -201,7 +223,7 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     dec = phi.algebra.block_decomposition()
-    spectra, top = _run_spectra(_stacks_in(phi.algebra, psi))
+    spectra, top = _on(phi.algebra, psi).spectra
     cut = phi.algebra.tol.rank_cut(top)
     # kernel-of-support projection plus every spectral cut of psi's blocks
     cuts = np.concatenate([[cut], cut + np.unique(np.concatenate(
@@ -239,8 +261,8 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
     Each step is one batched call per run of equal block shapes.
     """
     tol, mass = phi.algebra.tol, phi.norm()
-    stacks_psi = _stacks_in(phi.algebra, psi)
-    spectra, top = _run_spectra(stacks_psi)
+    psi = _on(phi.algebra, psi)
+    spectra, top = psi.spectra
     gamma = 0.0
     for sp, (w, v) in zip(phi.stacks, spectra):
         keep = w > tol.rank_cut(top)
@@ -254,7 +276,7 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
         ratios = np.linalg.eigvalsh(white[:, :, None] * t * white[:, None, :])
         gamma = max(gamma, float(ratios.max(initial=0.0)))
     least = min(float(np.linalg.eigvalsh(gamma * sq - sp)[:, 0].min())
-                for sp, sq in zip(phi.stacks, stacks_psi))
+                for sp, sq in zip(phi.stacks, psi.stacks))
     if not tol.nonnegative(least, gamma * top):
         raise ToleranceBreach(f"certified gamma fails positivity (min eigenvalue {least:.3e})")
     return True, gamma
@@ -268,7 +290,7 @@ class GnsRep:
     (c, k, k) stack per run with the columns off each block's support zeroed,
     and `cyclic` the same vector, block by block and row by row.  `action`, pi
     of every basis element (d r^2 entries), is built only when read.  The
-    defects are maxima over fixed seeded random elements, not over the basis."""
+    defects are maxima over the algebra's probes, not over the basis."""
 
     algebra: StarAlgebra
     space_dim: int
@@ -286,10 +308,6 @@ class GnsRep:
     def action(self) -> np.ndarray:
         return self.pi(self.algebra.basis)
 
-    def state_values(self) -> np.ndarray:
-        """<pi(b) v, v> over the algebra basis; equals the source functional."""
-        return np.einsum("kab,b,a->k", self.action, self.cyclic, self.cyclic.conj())
-
     def __repr__(self):
         return f"GnsRep(space_dim={self.space_dim})"
 
@@ -299,17 +317,17 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
 
     On the Wedderburn blocks phi(x) = sum_i m_i Tr(sigma_i x_i).  Eigenvalues
     of the sigma_i at or below the support cut (taken over all blocks) span
-    the null space; the r_i kept ones give the space, from one eigh per run
-    of equal block shapes.  Nothing indexed by the algebra basis is built, and
-    the defects are maxima, not over the basis but at two Gaussian elements
-    x, y of a fixed seed (Freivalds 1977), of <pi(x) xi, xi> = phi(x), of
-    pi(x) pi(y) xi = pi(xy) xi and, on the kept blocks, of pi(x)^H = pi(x^H),
-    with xy and x^H formed in ambient coordinates and read through one
-    block_parts.  xi is cyclic when each Xi_i has full column rank r_i.  Only
-    the zero functional is degenerate.
+    the null space; the r_i kept ones give the space, from phi's kept
+    spectra, one eigh per run of equal block shapes.  Nothing indexed by the
+    algebra basis is built, and the defects are maxima, not over the basis
+    but at the algebra's probes x, y (StarAlgebra.probes), of
+    <pi(x) xi, xi> = phi(x), of pi(x) pi(y) xi = pi(xy) xi and, on the kept
+    blocks, of pi(x)^H = pi(x^H), with the probes' ambient xy and x^H read
+    through one block_parts on every call.  xi is cyclic when each Xi_i has
+    full column rank r_i.  Only the zero functional is degenerate.
     """
     tol = algebra.tol
-    spectra, top = _run_spectra(_stacks_in(algebra, phi))
+    spectra, top = _on(algebra, phi).spectra
     if not top > 0:
         raise ValueError("the functional is degenerate (vanishes at the identity)")
     dec = algebra.block_decomposition()
@@ -321,10 +339,7 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
                              for root, keep in zip(roots, keeps)])
     ranks = np.concatenate([keep.sum(1) for keep in keeps]).tolist()
     rep = GnsRep(algebra, cyclic.size, cyclic, ranks, roots)
-    # complex Gaussian coefficients of unit norm: ||x||_F = sqrt(n), as for a basis element
-    c = np.random.default_rng(0x6E5).standard_normal((2, algebra.size, 2)) @ [1, 1j]
-    x, y = (algebra.from_coefficients(ci / np.linalg.norm(ci)) for ci in c)
-    elements = np.stack([x, y, x @ y, _adj(x)])
+    elements = algebra.probes()
     # each run's parts of x, y, xy and x^H, and the images of xi under the first three
     parts = [p.swapaxes(0, 1) for p in dec.stacks(dec.block_parts(elements))]
     images = [p[:3] @ root for p, root in zip(parts, roots)]
@@ -339,7 +354,8 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     if not tol.certified(rep.roundtrip_defect, phi.norm()):
         raise ToleranceBreach(f"GNS state round trip off by {rep.roundtrip_defect:.2e}")
     # |pi(x)[y]| <= |x| |[y]|; the adjoint check compares entries of pi(x)
-    letter_scale = np.linalg.norm(x) * np.sqrt(sum(np.linalg.norm(im[1]) ** 2 for im in images))
+    letter_scale = np.linalg.norm(elements[0]) * np.sqrt(sum(np.linalg.norm(im[1]) ** 2
+                                                             for im in images))
     entry_scale = max(float(np.max(np.abs(p[0]), initial=0.0)) for p in kept)
     if not (tol.certified(letter_defect, letter_scale)
             and tol.certified(adjoint_defect, entry_scale)):
@@ -351,41 +367,75 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
 
 
 def gns_intertwiner(rep1: GnsRep, rep2: GnsRep):
-    """Best unitary intertwiner matching cyclic vectors, with its defect.
+    """The unitary intertwiner carrying one cyclic vector to the other, with
+    its defect.
 
-    Returns (U, defect) where defect bounds the violation of U pi_1 = pi_2 U,
-    U v_1 = v_2 and unitarity; a defect at tolerance certifies the two
-    representations pointedly isomorphic.
+    Pointed GNS representations are equivalent exactly when their states are
+    equal (Murphy 1990, ch. 3).  With equal block ranks both act as
+    pi(x) = (+) x_i (x) I_{r_i}, so every intertwiner is U = (+) I_{k_i} (x) u_i
+    and U xi_1 = xi_2 reads Xi^1_i u_i^T = Xi^2_i on the roots.  Their columns
+    are orthogonal, so the least-squares u_i^T is
+    diag(1 / ||column of Xi^1_i||^2) Xi^1_i^H Xi^2_i, one batched product per
+    run, with no cutoff: the columns off the supports are exactly zero.
+    Returns (u, defect): u holds one (c, k, k) stack per run, rows and columns
+    off the supports zeroed, and the defect is the larger of the largest
+    entries of Xi^1_i u_i^T - Xi^2_i and of u_i^H u_i - I on the supports; U
+    commutes with pi by construction.  A defect at tolerance certifies the two
+    representations pointedly isomorphic.  Different block ranks give
+    (None, inf).
     """
-    if rep1.space_dim != rep2.space_dim:
+    if rep1.algebra is not rep2.algebra:
+        raise ValueError("GNS representations of different algebras")
+    if rep1.ranks != rep2.ranks:
         return None, float("inf")
-    y1 = np.concatenate([rep1.action @ rep1.cyclic, rep1.cyclic[None, :]], axis=0).T
-    y2 = np.concatenate([rep2.action @ rep2.cyclic, rep2.cyclic[None, :]], axis=0).T
-    u, *_ = np.linalg.lstsq(y1.T, y2.T, rcond=None)
-    u = u.T
-    defect = float(np.max(np.abs(u @ y1 - y2)))
-    defect = max(defect, float(np.max(np.abs(u.conj().T @ u - np.eye(rep1.space_dim)))))
-    inter = np.einsum("ab,kbc->kac", u, rep1.action) - np.einsum("kab,bc->kac", rep2.action, u)
-    if inter.size:
-        defect = max(defect, float(np.max(np.abs(inter))))
-    return u, defect
+    us, defect = [], 0.0
+    for xi1, xi2 in zip(rep1.roots, rep2.roots):
+        norms = np.einsum("cjk,cjk->ck", xi1.conj(), xi1).real
+        support = norms > 0
+        ut = np.divide(1.0, norms, out=np.zeros_like(norms), where=support)[:, :, None] * (
+            _adj(xi1) @ xi2)
+        u = ut.swapaxes(-1, -2)
+        us.append(u)
+        unitarity = _adj(u) @ u - support[:, :, None] * np.eye(support.shape[1])
+        defect = max(defect, float(np.max(np.abs(xi1 @ ut - xi2))),
+                     float(np.max(np.abs(unitarity))))
+    return us, defect
+
+
+def _orbit_leak(s: Structure, v: np.ndarray, w: np.ndarray):
+    """(leak, scale) of the orbit map pi(a) w -> pi(a) v, read on the blocks.
+
+    The map exists and is bounded exactly when each V_i lies in the range of
+    W_i.  Over a trace-orthonormal basis of the algebra, its part on the
+    kernel of a -> pi(a) w has Frobenius norm sqrt(n) times
+    leak = sqrt(sum_i (k_i/m_i) ||V_i - P_{W_i} V_i||^2), and the whole map
+    sqrt(n) times scale = sqrt(sum_i (k_i/m_i) ||V_i||^2), so leak / scale is
+    the orbit route's ratio.  The singular values of a -> pi(a) w are
+    sqrt(n/m_i) times those of W_i, so the ranges are cut on W_i / sqrt(m_i).
+    """
+    dec = s.algebra.block_decomposition()
+    ws = [y / np.sqrt(m) for y, (*_, m, _) in zip(dec.coordinates(w), dec.runs)]
+    leak = scale = 0.0
+    for (u, _, _, keep), vi, (*_, k, m, _) in zip(stack_svds(ws, s.tol), dec.coordinates(v),
+                                                    dec.runs):
+        u = u * keep[:, None, :]
+        leak += k / m * np.linalg.norm(vi - u @ (_adj(u) @ vi)) ** 2
+        scale += k / m * np.linalg.norm(vi) ** 2
+    return float(np.sqrt(leak)), float(np.sqrt(scale))
 
 
 def embeds_as_subrepresentation(s: Structure, v: np.ndarray, w: np.ndarray) -> bool:
     """Whether the cyclic representation of v embeds into that of w (pointedly).
 
-    Decided by state domination phi_v <= phi_w and cross-checked by direct
-    solvability of the orbit map pi(a) w -> pi(a) v, which exists and is
-    bounded exactly under domination.
+    Decided by state domination phi_v <= phi_w and cross-checked on the
+    blocks by solvability of the orbit map pi(a) w -> pi(a) v (_orbit_leak),
+    which exists and is bounded exactly under domination.
     """
     v = np.asarray(v, dtype=complex).ravel()
     w = np.asarray(w, dtype=complex).ravel()
     dominated, _ = is_dominated(vector_state(s, v), vector_state(s, w))
-
-    ow = np.einsum("kab,b->ka", s.algebra.basis, w).T        # (n, d) orbit of w
-    ov = np.einsum("kab,b->ka", s.algebra.basis, v).T
-    leak = float(np.linalg.norm(ov - project(orthonormalize(ow, s.algebra.size, s.tol), ov)))
-    solvable = s.tol.certified(leak, np.linalg.norm(ov))
+    leak, scale = _orbit_leak(s, v, w)
+    solvable = s.tol.certified(leak, scale)
     if solvable != dominated:
         raise ToleranceBreach(
             f"domination and orbit-map solvability disagree (leak {leak:.3e})")
@@ -421,7 +471,7 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     Q (+) U_i S_i sqrt(delta_i) Y_i^H, with one svd and one eigh per run of
     equal block shapes.  D is PSD by construction.  Certified:
     V_i lies in the range of W_i, T commutes with the compressed letters of
-    the algebra, and the copy carries the state of v.
+    the algebra, and the copy carries the state of v at the algebra's probes.
     """
     v = np.asarray(v, dtype=complex).ravel()
     w = np.asarray(w, dtype=complex).ravel()
@@ -432,12 +482,11 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
 
     tol, n = s.tol, s.dim
     dec = s.algebra.block_decomposition()
-    svds = [np.linalg.svd(y, full_matrices=False) for y in dec.coordinates(w)]
-    cut = tol.rank_cut(max([0.0] + [float(sv[:, 0].max()) for _, sv, _ in svds]))
     cols, keeps, roots, outside, scale = [], [], [], [], []
-    for (_, c, k, m, off), vi, (u, sv, yh) in zip(dec.runs, dec.coordinates(v), svds):
+    for (_, c, k, m, off), vi, (u, sv, yh, keep) in zip(dec.runs, dec.coordinates(v),
+                                                        stack_svds(dec.coordinates(w), tol)):
         # one thin SVD per run; a block's columns past its rank are zeroed, then dropped
-        keep, p = sv > cut, sv.shape[1]
+        p = sv.shape[1]
         u = u * keep[:, None, :]
         q = dec.change_of_basis[:, off:off + c * k * m].reshape(n, c, k, m)
         cols.append(np.einsum("xcam,cjm->xcaj", q, yh).reshape(n, -1))
@@ -469,11 +518,10 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     if not tol.certified(comm_defect, np.linalg.norm(t_op) * comp_norm):
         raise ToleranceBreach(f"Radon-Nikodym operator leaves the commutant by {comm_defect:.2e}")
     copy = b @ (t_op @ (b.conj().T @ w))
-    # phi_copy(b_k) - phi_v(b_k) = Tr(b_k (copy copy^H - v v^H)) for every basis element
-    basis = s.algebra.basis
-    gap = basis.reshape(len(basis), -1) @ (np.outer(copy.conj(), copy)
-                                           - np.outer(v.conj(), v)).ravel()
-    state_gap = float(np.max(np.abs(gap), initial=0.0))
+    # phi_copy - phi_v at the probes x, y, in ambient coordinates, so not through Q: a
+    # nonzero functional on the algebra vanishes there only on a null set
+    x = s.algebra.probes()[:2]
+    state_gap = float(np.max(np.abs((x @ copy) @ copy.conj() - (x @ v) @ v.conj())))
     if not tol.certified(state_gap, phi_v.norm()):
         raise ToleranceBreach(f"realized copy carries the wrong state (gap {state_gap:.2e})")
     return RadonNikodym(t_op, b, copy, float(gamma))
@@ -483,9 +531,11 @@ def _residual_states(s: Structure, vectors, base):
     """Vector states of the essential parts of the residuals over acl(base);
     a vector inside acl(base) to tolerance has the zero residual."""
     closure = acl(s, base)
-    return [vector_state(s, 0 * v if closure.contains(v) else
-                         essential_discrete_parts(s, v - project(closure, v))[0])
-            for v in (np.asarray(x, dtype=complex).ravel() for x in vectors)]
+    states = []
+    for v in (np.asarray(x, dtype=complex).ravel() for x in vectors):
+        r, inside = closure.residual(v)
+        states.append(vector_state(s, 0 * v if inside else essential_discrete_parts(s, r)[0]))
+    return states
 
 
 def types_orthogonal(s: Structure, v: np.ndarray, w: np.ndarray, base) -> bool:

@@ -6,8 +6,9 @@ goes through a Tolerances method, which compares a value with its natural
 scale, so verdicts do not change when the inputs are rescaled.
 
 Every layer uses two span routines: `orthonormalize` alone decides a span's
-rank (`stack_ranks` the ranks of stacked blocks), and `project` is the one
-orthogonal projection onto a span, of a vector or each row of a 2-d array.
+rank (`stack_ranks` the ranks of stacked blocks, `stack_svds` their ranges),
+and `project` is the one orthogonal projection onto a span, of a vector or
+each row of a 2-d array.
 """
 from __future__ import annotations
 
@@ -106,10 +107,15 @@ class Subspace:
     def project(self, v: np.ndarray) -> np.ndarray:
         return project(self, v)
 
-    def contains(self, v: np.ndarray) -> bool:
+    def residual(self, v: np.ndarray):
+        """(v minus its projection, whether v lies in the subspace): v is
+        inside when that residual is close to zero at the scale of v."""
         v = np.asarray(v, dtype=complex)
         r = v - self.project(v)
-        return self.tol.close(np.linalg.norm(r), np.linalg.norm(v))
+        return r, bool(self.tol.close(np.linalg.norm(r), np.linalg.norm(v)))
+
+    def contains(self, v: np.ndarray) -> bool:
+        return self.residual(v)[1]
 
     def perp(self) -> "Subspace":
         """Orthogonal complement within the same ambient space: the trailing
@@ -188,12 +194,27 @@ def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DE
     return Subspace(n, vh[:rank].T.copy(), tol)
 
 
+def _common_cut(svs, tol: Tolerances):
+    """rank_cut of the largest singular value over all the given stacks."""
+    return tol.rank_cut(max([0.0] + [float(sv.max(initial=0.0)) for sv in svs]))
+
+
 def stack_ranks(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
     """Rank of each matrix of each stack, one batched SVD per stack, cut at
     rank_cut of the largest singular value over all of them."""
     svs = [np.linalg.svd(s, compute_uv=False) for s in stacks]
-    cut = tol.rank_cut(max([0.0] + [float(sv.max(initial=0.0)) for sv in svs]))
+    cut = _common_cut(svs, tol)
     return [(sv > cut).sum(-1) for sv in svs]
+
+
+def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Thin SVD of each matrix of each stack, one batched call per stack, as
+    (u, s, vh, keep) per stack: keep marks the singular values above rank_cut
+    of the largest one over all of them, and the columns of u it marks span
+    each range."""
+    svds = [np.linalg.svd(s, full_matrices=False) for s in stacks]
+    cut = _common_cut([sv for _, sv, _ in svds], tol)
+    return [(u, sv, vh, sv > cut) for u, sv, vh in svds]
 
 
 def project(s: Subspace, v: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ import pytest
 from starrep.algebra import generate_algebra
 from starrep.functionals import (
     PositiveFunctional,
+    _orbit_leak,
     difference_norm,
+    embeds_as_subrepresentation,
     functional_norm,
     gns,
     is_dominated,
@@ -21,7 +23,8 @@ from starrep.functionals import (
     vector_state,
 )
 from starrep.harness import disjoint_state_pair
-from starrep.linalg import block_diag, block_diag_kron, haar_unitary, psd_sqrt
+from starrep.linalg import (block_diag, block_diag_kron, haar_unitary, orthonormalize, project,
+                            psd_sqrt)
 from starrep.representation import Structure
 
 RUNS = ((2, 2),) * 3 + ((1, 1),) * 4 + ((3, 1),)
@@ -298,6 +301,41 @@ def test_batched_radon_nikodym_matches_the_per_block_loop(plan):
         assert_rel(got.v_copy, copy)
         assert abs(got.gamma - gamma) <= 1e-12 * max(gamma, 1.0)
     assert dominated == 3
+
+
+def ref_orbit_leak(s, v, w):
+    """The n x d orbit-map route embeds_as_subrepresentation took before the
+    blocks: the orbit of v over the basis, less its projection onto the span
+    the orbit of w gives.  Returns the leak and the orbit's norm."""
+    ow = np.einsum("kab,b->ka", s.algebra.basis, w).T
+    ov = np.einsum("kab,b->ka", s.algebra.basis, v).T
+    span = orthonormalize(ow, s.algebra.size, s.tol)
+    return np.linalg.norm(ov - project(span, ov)), np.linalg.norm(ov)
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_block_embedding_leak_matches_the_orbit_map(plan):
+    s = planted(PLANS[plan], seed=sorted(PLANS).index(plan) + 91)
+    rng = np.random.default_rng(92)
+    dec = s.algebra.block_decomposition()
+    # w generic, with zero blocks beside fuller ones, and of rank one
+    ws = [[cgauss(rng, k, m) for k, m in dec.blocks], ranked_coords(s, rng, mixed_ranks),
+          ranked_coords(s, rng, lambda i, k, m: 1)]
+    verdicts = set()
+    for wc in ws:
+        # v inside the range of w blockwise, generic, and on a sub-support
+        for vc in ([wi @ cgauss(rng, wi.shape[1], wi.shape[1]) for wi in wc],
+                   [cgauss(rng, k, m) for k, m in dec.blocks],
+                   ranked_coords(s, rng, lambda i, k, m: (i + 1) % 2)):
+            w, v = from_coords(s, wc), from_coords(s, vc)
+            leak, scale = _orbit_leak(s, v, w)
+            ref_leak, ref_scale = ref_orbit_leak(s, v, w)
+            assert abs(leak / scale - ref_leak / ref_scale) <= 1e-12
+            verdict = s.tol.certified(leak, scale)
+            assert verdict == s.tol.certified(ref_leak, ref_scale)
+            assert verdict == embeds_as_subrepresentation(s, v, w)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ----- one LAPACK call per run ------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -344,6 +345,21 @@ def test_gns_star_hom_check_catches_anti_homomorphic_blocks(monkeypatch):
     assert float(str(err.value).rsplit("by ", 1)[1]) > 1e-2
 
 
+def test_spectra_are_kept_until_the_stacks_are_reassigned():
+    s = random_structure(InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False,) * 3, seed=21))
+    phi = random_in_algebra_state(s, np.random.default_rng(7))
+    spectra, top = phi.spectra
+    assert phi.spectra[0] is spectra
+    rep, norm = phi.rep, phi.norm()
+    phi.stacks = [2 * p for p in phi.stacks]
+    doubled, doubled_top = phi.spectra
+    assert doubled is not spectra and doubled_top == pytest.approx(2 * top, rel=1e-12)
+    for (w, _), (w2, _) in zip(spectra, doubled):
+        np.testing.assert_allclose(w2, 2 * w, rtol=0, atol=1e-12 * top)
+    # only the spectra are dropped: rep and the norm stay as they were read
+    assert phi.rep is rep and phi.norm() == norm
+
+
 def test_gns_round_trip_check_catches_a_wrong_state():
     s = random_structure(InstanceSpec(8, ((2, 2), (1, 3), (1, 1)), (False,) * 3, seed=21))
     phi = random_in_algebra_state(s, np.random.default_rng(5))
@@ -366,6 +382,31 @@ def test_gns_memory_is_that_of_its_blocks():
     assert peak < 16 * 2 ** 20, peak
     assert rep.space_dim == 256 and "action" not in vars(rep)
     assert rep.roundtrip_defect <= 1e-9 and rep.star_hom_defect <= 1e-9
+
+
+def test_gns_intertwiner_costs_what_its_blocks_cost():
+    # each dense action on full M_48 would hold d r^2 = 48^6 entries, 195 GB
+    rng = np.random.default_rng(9)
+    full = generate_algebra([rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+                             for _ in range(2)])
+    dec = full.block_decomposition()
+    phi, psi = (PositiveFunctional(full, dec.assemble([g @ g.conj().T])) for g in
+                rng.standard_normal((2, 48, 48)) + 1j * rng.standard_normal((2, 48, 48)))
+    # the same state read back from its representative: equal up to round-off
+    again = PositiveFunctional(full, phi.rep)
+    reps = [gns(full, f) for f in (phi, again, psi)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        _, same = gns_intertwiner(reps[0], reps[1])
+        u, other = gns_intertwiner(reps[0], reps[2])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 10 * 2 ** 20, (elapsed, peak)
+    assert same <= 1e-8 and other > 1e-6
+    assert [x.shape for x in u] == [(1, 48, 48)]
 
 
 def test_gns_certificate_is_deterministic():

@@ -13,6 +13,8 @@ from starrep.linalg import (
     orthonormalize,
     project,
     psd_sqrt,
+    stack_ranks,
+    stack_svds,
     subspace_intersection,
     subspace_sum,
     zero_subspace,
@@ -61,6 +63,20 @@ def test_project_examples():
     u = np.array([1, 1]) / np.sqrt(2)
     got = project(orthonormalize([[1, 0]], 2), u)
     np.testing.assert_allclose(got, [1 / np.sqrt(2), 0], atol=1e-12)
+
+
+def test_residual_is_the_part_off_the_span_with_the_contains_verdict():
+    s = orthonormalize([[1, 0, 0], [0, 1, 1]], 3)
+    inside = np.array([2.0, 1j, 1j])
+    r, verdict = s.residual(inside)
+    np.testing.assert_allclose(r, 0, atol=1e-12)
+    assert verdict is True and s.contains(inside)
+    # a round-off-sized component off the span is still inside; a real one is not
+    off = np.array([0, 1, -1]) / np.sqrt(2)
+    assert s.residual(inside + 1e-14 * off)[1] and s.contains(inside + 1e-14 * off)
+    r, verdict = s.residual(inside + 0.5 * off)
+    np.testing.assert_allclose(r, 0.5 * off, atol=1e-12)
+    assert verdict is False and not s.contains(inside + 0.5 * off)
 
 
 def test_project_dimension_mismatch():
@@ -243,3 +259,15 @@ def test_block_diag_kron_matches_kron_reference(rng):
                                   want[0])
     np.testing.assert_array_equal(block_diag(np.eye(2), 3 * np.ones((1, 1))),
                                   np.diag([1.0, 1.0, 3.0]))
+
+
+def test_stack_svds_cut_over_all_stacks(rng):
+    # a rank-two stack, and one at 1e-10 of its scale: cut against the top of
+    # both, the small stack is round-off, as stack_ranks decides
+    stacks = [rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2)),
+              1e-10 * (rng.standard_normal((2, 3, 1)) @ rng.standard_normal((2, 1, 2)))]
+    svds = stack_svds(stacks)
+    assert [keep.sum(-1).tolist() for *_, keep in svds] == [[2, 2], [0, 0]]
+    assert [r.tolist() for r in stack_ranks(stacks)] == [[2, 2], [0, 0]]
+    for (u, sv, vh, _), stack in zip(svds, stacks):
+        np.testing.assert_allclose((u * sv[:, None, :]) @ vh, stack, atol=1e-12)

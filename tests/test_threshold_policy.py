@@ -183,9 +183,8 @@ def test_no_cutoff_outside_tolerances(module):
 
 
 # a span's rank is decided by linalg.orthonormalize alone; the SVDs left in the
-# scanned layers decide other things: a null space, a unitary polish and the
-# per-run SVD of w
-SVD_ALLOWED = ("_commutant_basis", "_split", "radon_nikodym_operator")
+# scanned layers decide other things: a null space and a unitary polish
+SVD_ALLOWED = ("_commutant_basis", "_split")
 
 
 def _span_rule_violations(node, func="<module>"):
@@ -214,6 +213,30 @@ def test_span_guard_sees_svd_and_qr():
                      "def _split(a):\n    return np.linalg.svd(a), np.linalg.qr(a)\n")
     assert sorted(what for _, what in _span_rule_violations(tree)) == ["qr in _split",
                                                                       "svd in f"]
+
+
+def _basis_reads(node, scope=()):
+    """(line, "Class.function") of each read of an attribute named basis."""
+    if isinstance(node, ast.Attribute) and node.attr == "basis" and isinstance(node.ctx, ast.Load):
+        yield node.lineno, ".".join(scope) or "<module>"
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = (*scope, node.name)
+    for child in ast.iter_child_nodes(node):
+        yield from _basis_reads(child, scope)
+
+
+def test_functionals_read_the_algebra_basis_only_in_gns_action():
+    # every query and certificate works on the Wedderburn blocks; only the
+    # lazily built GnsRep.action is indexed by the basis
+    path = pathlib.Path(starrep.__file__).parent / "functionals.py"
+    found = list(_basis_reads(ast.parse(path.read_text())))
+    assert {scope for _, scope in found} == {"GnsRep.action"}, found
+
+
+def test_basis_guard_sees_reads_in_their_scope():
+    tree = ast.parse("class A:\n    def f(self):\n        return self.basis\n"
+                     "def g(s):\n    s.basis = 1\n    return s.algebra.basis\n")
+    assert list(_basis_reads(tree)) == [(3, "A.f"), (6, "g")]
 
 
 def test_guard_sees_literals_and_floors():
