@@ -40,10 +40,10 @@ print("recovered blocks (k_i, m_i):", dec.blocks)            # [(1, 1), (2, 2)]
 
 # the change of basis makes every element visibly block diagonal
 x = alg.random_hermitian_element(rng)
-parts = dec.block_parts(x)
-print("compressed block shapes:", [p.shape for p in parts])
-print("assembling the parts reproduces the element:",
-      np.allclose(dec.assemble(parts), x))
+stacks = dec.block_parts(x)    # one (c, k, k) stack per run of c equal blocks
+print("compressed block stacks:", [p.shape for p in stacks])  # [(1, 1, 1), (1, 2, 2)]
+print("assembling the stacks reproduces the element:",
+      np.allclose(dec.assemble(stacks), x))
 
 # the trace-pairing conditional expectation projects onto the span
 noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

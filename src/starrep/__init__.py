@@ -21,8 +21,6 @@ from .linalg import (
     Tolerances,
     full_subspace,
     haar_unitary,
-    hermitian_eig,
-    is_psd,
     orthonormalize,
     project,
     psd_sqrt,

@@ -3,6 +3,11 @@
 A StarAlgebra is a linear span of n x n complex matrices that contains the
 identity and is closed under products and adjoints.  The span is carried as a
 basis orthonormal under the normalized trace pairing <A, B> = Tr(B^H A) / n.
+
+Its Wedderburn blocks (BlockDecomposition) are sorted by shape (k, m), and
+block data has one layout: one (..., c, k, k) stack per run of c equal
+shapes, as block_parts reads it from algebra elements and assemble writes it
+back.
 """
 from __future__ import annotations
 
@@ -120,6 +125,11 @@ class StarAlgebra:
     # ----- validation -------------------------------------------------------
 
     def _validate(self):
+        n, d = self.dim, self.size
+        flat = self.basis.reshape(d, n * n)
+        gram = flat @ flat.conj().T / n
+        if not self.tol.certified(np.max(np.abs(gram - np.eye(d)), initial=0.0), 1.0):
+            raise ValueError("algebra basis is not trace-orthonormal")
         if not self.contains(self.identity()):
             raise ValueError("algebra span does not contain the identity")
         for k in range(self.size):
@@ -127,8 +137,6 @@ class StarAlgebra:
                 raise ValueError("algebra span is not closed under adjoints")
         # products checked pairwise: all b_i b_j as one GEMM, rows (i, a) and
         # columns (j, c), then projected back onto the span by two more
-        n, d = self.dim, self.size
-        flat = self.basis.reshape(d, n * n)
         prods = self.basis.reshape(d * n, n) @ self.basis.transpose(1, 0, 2).reshape(n, d * n)
         prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
         recon = (prods @ flat.conj().T / n) @ flat
@@ -246,7 +254,8 @@ class BlockDecomposition:
     Conjugating every algebra element by change_of_basis^H produces the form
     direct-sum of (M_{k_i} tensor I_{m_i}), blocks sorted by (k_i, m_i).
     `runs` holds one (first block, count c, k, m, offset) per maximal run of
-    equal shapes, so per-block work can be done as one (c, ...) stack per run.
+    equal shapes, and all block data (block_parts, assemble, coordinates) is
+    one (c, ...) stack per run, blocks in order inside it.
     """
 
     def __init__(self, blocks, change_of_basis: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -268,10 +277,6 @@ class BlockDecomposition:
     def signature(self):
         return tuple(self.blocks)
 
-    def offsets(self):
-        """Start offset of each block in the transformed basis."""
-        return list(itertools.accumulate([k * m for k, m in self.blocks], initial=0))[:-1]
-
     def coordinates(self, x: np.ndarray):
         """Q^H x as one (c, k, m) stack per run, block i read as a k_i x m_i
         matrix (the order block_parts uses): an algebra element acts on it as
@@ -279,16 +284,12 @@ class BlockDecomposition:
         y = self.change_of_basis.conj().T @ x
         return [y[off:off + c * k * m].reshape(c, k, m) for _, c, k, m, off in self.runs]
 
-    def stacks(self, parts):
-        """Per-block parts as one (c, k, k) stack per run."""
-        return [np.array(parts[first:first + c], dtype=complex) for first, c, *_ in self.runs]
-
     def block_parts(self, m: np.ndarray):
-        """Extract the k_i x k_i compressed block of each class from an algebra
-        element, or from a stack of them (leading axes kept).  The m_i copies
-        are averaged, one run of equal shapes at a time, and the residual of
-        the ideal block shape is certified, element by element, against the
-        element's norm; ToleranceBreach if it fails."""
+        """The k_i x k_i compressed blocks x_i of an algebra element, or of a
+        stack of them (leading axes kept), as one (..., c, k, k) stack per run.
+        The m_i copies are averaged, and the residual of the ideal block shape
+        is certified, element by element, against the element's norm;
+        ToleranceBreach if it fails."""
         m = np.asarray(m, dtype=complex)
         resid = self.change_of_basis.conj().T @ m @ self.change_of_basis
         stacks = []
@@ -301,15 +302,16 @@ class BlockDecomposition:
         if not np.all(self.tol.certified(resid, np.linalg.norm(m, axis=(-2, -1)))):
             raise ToleranceBreach(
                 f"matrix is not in the algebra span (block residual {float(np.max(resid)):.2e})")
-        return [stack[..., i, :, :] for stack in stacks for i in range(stack.shape[-3])]
+        return stacks
 
-    def assemble(self, parts) -> np.ndarray:
-        """Inverse of block_parts: build the ambient algebra element(s)."""
+    def assemble(self, stacks) -> np.ndarray:
+        """Inverse of block_parts: the ambient algebra element(s) with the
+        given (..., c, k, k) stack per run."""
         q = self.change_of_basis
-        t = np.zeros(np.shape(parts[0])[:-2] + q.shape if parts else q.shape, dtype=complex)
-        for run in self.runs:
-            first, c, *_ = run
-            _copies(t, run)[...] = np.stack(parts[first:first + c], axis=-3)[..., None]
+        t = np.zeros(np.shape(stacks[0])[:-3] + q.shape if stacks else q.shape, dtype=complex)
+        for run, stack in zip(self.runs, stacks):
+            copies = _copies(t, run)
+            copies[...] = np.reshape(stack, copies.shape[:-1] + (1,))
         return q @ t @ q.conj().T
 
 
@@ -427,15 +429,17 @@ def _split(comm: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
 
 def _closed_form_basis(dec: BlockDecomposition, commutant: bool = False) -> np.ndarray:
     """Trace-orthonormal basis of A = Q (+)(M_k (x) I_m) Q^H, or of its
-    commutant Q (+)(I_k (x) M_m) Q^H.  With c the columns of one block read as
-    (n, k, m), Q (E_ab (x) I_m) Q^H = sum_j c[:, a, j] c[:, b, j]^H; the
-    commutant swaps the roles of k and m."""
+    commutant Q (+)(I_k (x) M_m) Q^H, block by block.  With c the columns of
+    one run read as (n, c, k, m), block i gives
+    Q (E_ab (x) I_m) Q^H = sum_j c[:, i, a, j] c[:, i, b, j]^H; the commutant
+    swaps the roles of k and m."""
     q = dec.change_of_basis
     n = q.shape[0]
     out = [np.zeros((0, n, n), dtype=complex)]
-    for off, (k, m) in zip(dec.offsets(), dec.blocks):
-        c = q[:, off:off + k * m].reshape(n, k, m)
+    for _, c, k, m, off in dec.runs:
+        cols = q[:, off:off + c * k * m].reshape(n, c, k, m)
         if commutant:
-            c, k, m = c.transpose(0, 2, 1), m, k
-        out.append(np.sqrt(n / m) * np.einsum("xaj,ybj->abxy", c, c.conj()).reshape(-1, n, n))
+            cols, k, m = cols.swapaxes(2, 3), m, k
+        out.append(np.sqrt(n / m) * np.einsum("xiaj,yibj->iabxy", cols, cols.conj())
+                   .reshape(-1, n, n))
     return np.concatenate(out)

@@ -338,8 +338,9 @@ _POSITIONALS = {
     "gns": (), "orth": ("v", "w", "base"), "dom": ("v", "w", "base"), "embed": ("v", "w"),
     "rn": ("w", "v"), "decompose": (), "axioms": (),
 }
-# the subcommands that make random choices
+# the subcommands that make random choices, and those that return a verdict
 _SEEDED = ("extend", "decompose", "axioms")
+_VERDICTS = ("indep", "typeq", "orth", "dom", "embed", "rn", "axioms")
 
 
 def _add_subcommand(sub, name: str) -> None:
@@ -355,8 +356,9 @@ def _add_subcommand(sub, name: str) -> None:
         p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
     p.add_argument("--quiet", action="store_true", help="suppress output")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 when a boolean verdict is false")
+    if name in _VERDICTS:
+        p.add_argument("--strict", action="store_true",
+                       help="exit 1 when a boolean verdict is false")
     for dest in _POSITIONALS[name]:
         p.add_argument(dest)
     if name == "gns":
@@ -426,7 +428,7 @@ def main(argv=None) -> int:
             sys.stdout.write(dumps_canonical(report))
         else:
             print(_render_text(report))
-    if args.strict and verdict is False:
+    if getattr(args, "strict", False) and verdict is False:
         return 1
     return 0
 

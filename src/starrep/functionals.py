@@ -2,15 +2,19 @@
 
 A functional is stored through the Hermitian Wedderburn block parts sigma_i
 of its representing element under the trace pairing, phi(a) = Tr(rho^H a),
-read and validated once.  Positivity is the sigma_i being PSD, and every
-norm, orthogonality and domination question is eigenvalue arithmetic on
-them.  The Radon-Nikodym operator and the embedding test are solved on the
-same blocks, from vectors read as k_i x m_i matrices.  GNS keeps the cyclic
-vector's blocks, and two GNS representations are intertwined on them.
-Nothing in this module reads the algebra basis, except GnsRep.action, built
-only when read.  Blocks of equal shape (k, m) are contiguous, so each step is
-one LAPACK call or batched product per run of them, and a block's rank inside
-a run is applied by zeroing columns.
+read and validated once, or given trusted to PositiveFunctional.from_stacks.
+Positivity is the sigma_i being PSD, and every norm, orthogonality and
+domination question is eigenvalue arithmetic on them.  The Radon-Nikodym
+operator and the embedding test are solved on the same blocks, from vectors
+read as k_i x m_i matrices.  GNS keeps the cyclic vector's blocks, and two
+GNS representations are intertwined on them.  Nothing in this module reads
+the algebra basis, except GnsRep.action, built only when read.
+
+All block data is in the algebra's one layout, a (c, k, k) stack per run of
+c blocks of equal shape (k, m) (BlockDecomposition.block_parts), so each step
+is one LAPACK call or batched product per run, and a block's rank inside a
+run is applied by zeroing columns.  Only GnsRep.pi splits runs into blocks,
+since its block ranks differ inside a run.
 
 What is kept: per algebra, its block decomposition and its two probe
 elements with their product and adjoint (StarAlgebra.probes); per
@@ -63,7 +67,7 @@ class PositiveFunctional:
             raise ValueError(f"representative must be {algebra.dim}x{algebra.dim}")
         dec = algebra.block_decomposition()
         try:
-            stacks = _hermitian(dec.stacks(dec.block_parts(rep)))
+            stacks = _hermitian(dec.block_parts(rep))
         except ToleranceBreach as err:
             raise ValueError("representative does not lie in the algebra span") from err
         self.algebra, self.stacks, self._rep, self._norm = algebra, stacks, None, None
@@ -72,12 +76,10 @@ class PositiveFunctional:
             raise ValueError(f"functional is not positive (min eigenvalue {w.min():.3e})")
 
     @classmethod
-    def from_parts(cls, algebra: StarAlgebra, parts) -> PositiveFunctional:
-        """The functional with block parts sigma_i, rep = Q (+)(sigma_i (x) I_{m_i}) Q^H."""
-        return cls._from_stacks(algebra, algebra.block_decomposition().stacks(parts))
-
-    @classmethod
-    def _from_stacks(cls, algebra: StarAlgebra, stacks) -> PositiveFunctional:
+    def from_stacks(cls, algebra: StarAlgebra, stacks) -> PositiveFunctional:
+        """The functional with block parts sigma_i, one (c, k, k) stack per run
+        and symmetrised, rep = Q (+)(sigma_i (x) I_{m_i}) Q^H; trusted, not
+        validated."""
         phi = cls.__new__(cls)
         phi.algebra, phi.stacks, phi._rep, phi._norm = algebra, _hermitian(stacks), None, None
         return phi
@@ -100,14 +102,9 @@ class PositiveFunctional:
         return self._spectra
 
     @property
-    def parts(self):
-        """The block parts sigma_i, one k_i x k_i matrix per block."""
-        return [p for stack in self.stacks for p in stack]
-
-    @property
     def rep(self) -> np.ndarray:
         if self._rep is None:
-            self._rep = self.algebra.block_decomposition().assemble(self.parts)
+            self._rep = self.algebra.block_decomposition().assemble(self.stacks)
         return self._rep
 
     def __call__(self, a: np.ndarray) -> complex:
@@ -134,7 +131,7 @@ def vector_state(s: Structure, v: np.ndarray) -> PositiveFunctional:
     if v.size != s.dim:
         raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
     dec = s.algebra.block_decomposition()
-    return PositiveFunctional._from_stacks(s.algebra, [
+    return PositiveFunctional.from_stacks(s.algebra, [
         y @ _adj(y) / m for y, (*_, m, _) in zip(dec.coordinates(v), dec.runs)])
 
 
@@ -150,7 +147,7 @@ def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
     if not algebra.tol.certified(np.linalg.norm(rep - rep.conj().T), np.linalg.norm(rep)):
         raise ValueError("functional representative is not Hermitian")
     dec = algebra.block_decomposition()
-    return _trace_norms(dec, _hermitian(dec.stacks(dec.block_parts(rep))))
+    return _trace_norms(dec, _hermitian(dec.block_parts(rep)))
 
 
 def _on(algebra: StarAlgebra, phi: PositiveFunctional) -> PositiveFunctional:
@@ -162,7 +159,7 @@ def _on(algebra: StarAlgebra, phi: PositiveFunctional) -> PositiveFunctional:
     if not algebra.spans_equal(phi.algebra):
         raise ValueError("functionals live on different algebras")
     dec = algebra.block_decomposition()
-    return PositiveFunctional._from_stacks(algebra, dec.stacks(dec.block_parts(phi.rep)))
+    return PositiveFunctional.from_stacks(algebra, dec.block_parts(phi.rep))
 
 
 def difference_norm(phi: PositiveFunctional, psi: PositiveFunctional) -> float:
@@ -246,7 +243,7 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     score = max(pg, sg)
     if pg < epsilon and sg < epsilon:
         kills = [v * kill[:, None, :, best] for (_, v), kill in zip(spectra, killed)]
-        a = dec.assemble([p for kill in kills for p in kill @ _adj(kill)])
+        a = dec.assemble([kill @ _adj(kill) for kill in kills])
         return OrthogonalityWitness(True, a, pg, sg, score)
     return OrthogonalityWitness(False, None, pg, sg, score)
 
@@ -301,8 +298,11 @@ class GnsRep:
     star_hom_defect: float = 0.0
 
     def pi(self, x: np.ndarray) -> np.ndarray:
-        """(+) x_i (x) I_{r_i} for an algebra element or a stack of them."""
-        return block_diag_kron(self.algebra.block_decomposition().block_parts(x), self.ranks)
+        """(+) x_i (x) I_{r_i} for an algebra element or a stack of them; the
+        runs are split into blocks here, since ranks differ inside a run."""
+        stacks = self.algebra.block_decomposition().block_parts(x)
+        return block_diag_kron([p for stack in stacks for p in np.moveaxis(stack, -3, 0)],
+                               self.ranks)
 
     @cached_property
     def action(self) -> np.ndarray:
@@ -341,7 +341,7 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     rep = GnsRep(algebra, cyclic.size, cyclic, ranks, roots)
     elements = algebra.probes()
     # each run's parts of x, y, xy and x^H, and the images of xi under the first three
-    parts = [p.swapaxes(0, 1) for p in dec.stacks(dec.block_parts(elements))]
+    parts = dec.block_parts(elements)
     images = [p[:3] @ root for p, root in zip(parts, roots)]
     values = sum(np.einsum("ecaj,caj->e", im[:2], root.conj()) for im, root in zip(images, roots))
     rep.roundtrip_defect = float(np.max(np.abs(

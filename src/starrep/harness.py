@@ -138,32 +138,41 @@ def commuting_unitary(s: Structure, rng: np.random.Generator) -> np.ndarray:
     return _commutant_function(s, rng, lambda w: np.exp(1j * w))
 
 
+def _zero_stacks(algebra):
+    """Zero block parts, one (c, k, k) stack per run, and their views block by
+    block in block order, for the builders to fill."""
+    stacks = [np.zeros((c, k, k), dtype=complex)
+              for _, c, k, _, _ in algebra.block_decomposition().runs]
+    return stacks, [p for stack in stacks for p in stack]
+
+
 def random_in_algebra_state(s: Structure, rng: np.random.Generator,
                             keep_prob: float = 0.7) -> PositiveFunctional:
     """Random positive functional with well-conditioned support blocks."""
-    dec = s.algebra.block_decomposition()
-    parts = []
-    for k, _ in dec.blocks:
+    stacks, parts = _zero_stacks(s.algebra)
+    for p in parts:
+        k = p.shape[0]
         ranks = rng.random(k) < keep_prob
         lam = np.where(ranks, 0.2 + 0.8 * rng.random(k), 0.0)
         u = haar_unitary(k, rng)
-        parts.append(u @ np.diag(lam) @ u.conj().T)
+        p[...] = u @ np.diag(lam) @ u.conj().T
     if not any(p.any() for p in parts):
-        parts[0] = np.eye(dec.blocks[0][0]) * (0.2 + 0.8 * rng.random())
-    return PositiveFunctional.from_parts(s.algebra, parts)
+        parts[0][...] = np.eye(parts[0].shape[0]) * (0.2 + 0.8 * rng.random())
+    return PositiveFunctional.from_stacks(s.algebra, stacks)
 
 
 def _compress_state(phi: PositiveFunctional, rng: np.random.Generator) -> PositiveFunctional:
     """A functional dominated by phi: spectral truncation of each block part,
     keeping phi's top eigenvalue when the draw keeps none."""
-    spectra = [np.linalg.eigh(sigma) for sigma in phi.parts]
+    spectra = [(w, v) for ws, vs in phi.spectra[0] for w, v in zip(ws, vs)]
     keep = [(w > 1e-10) & (rng.random(w.size) < 0.8) for w, _ in spectra]
     if not any(k.any() for k in keep):
         top = int(np.argmax([w[-1] for w, _ in spectra]))
         keep[top][-1] = spectra[top][0][-1] > 1e-10
-    parts = [(v[:, k] * (w[k] * (0.2 + 1.8 * rng.random(k.sum())))) @ v[:, k].conj().T
-             for (w, v), k in zip(spectra, keep)]
-    return PositiveFunctional.from_parts(phi.algebra, parts)
+    stacks, parts = _zero_stacks(phi.algebra)
+    for p, (w, v), k in zip(parts, spectra, keep):
+        p[...] = (v[:, k] * (w[k] * (0.2 + 1.8 * rng.random(k.sum())))) @ v[:, k].conj().T
+    return PositiveFunctional.from_stacks(phi.algebra, stacks)
 
 
 def disjoint_state_pair(s: Structure, rng: np.random.Generator):
@@ -179,28 +188,21 @@ def disjoint_state_pair(s: Structure, rng: np.random.Generator):
         r = int(rng.integers(1, k))
         lam1 = np.concatenate([0.2 + 0.8 * rng.random(r), np.zeros(k - r)])
         lam2 = np.concatenate([np.zeros(r), 0.2 + 0.8 * rng.random(k - r)])
-        parts1 = [u @ np.diag(lam1) @ u.conj().T]
-        parts2 = [u @ np.diag(lam2) @ u.conj().T]
+        stacks1 = [(u @ np.diag(lam1) @ u.conj().T)[None]]
+        stacks2 = [(u @ np.diag(lam2) @ u.conj().T)[None]]
     else:
         split = rng.random(b) < 0.5
         if np.all(split):
             split[int(rng.integers(b))] = False
         if not np.any(split):
             split[int(rng.integers(b))] = True
-        parts1, parts2 = [], []
+        (stacks1, parts1), (stacks2, parts2) = _zero_stacks(s.algebra), _zero_stacks(s.algebra)
         for i, (k, _) in enumerate(dec.blocks):
             lam = 0.2 + 0.8 * rng.random(k)
             u = haar_unitary(k, rng)
-            sigma = u @ np.diag(lam) @ u.conj().T
-            zero = np.zeros((k, k), dtype=complex)
-            if split[i]:
-                parts1.append(sigma)
-                parts2.append(zero)
-            else:
-                parts1.append(zero)
-                parts2.append(sigma)
-    return (PositiveFunctional.from_parts(s.algebra, parts1),
-            PositiveFunctional.from_parts(s.algebra, parts2))
+            (parts1 if split[i] else parts2)[i][...] = u @ np.diag(lam) @ u.conj().T
+    return (PositiveFunctional.from_stacks(s.algebra, stacks1),
+            PositiveFunctional.from_stacks(s.algebra, stacks2))
 
 
 def overlapping_state_pair(s: Structure, rng: np.random.Generator):
@@ -551,8 +553,8 @@ def _functional_trial(report, s, rng, t):
         consider(x / opn)
     signs = []
     for sigma in dec.block_parts(phi_h_rep):
-        wv, vv = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-        signs.append(vv @ np.diag(np.sign(wv)) @ vv.conj().T)
+        wv, vv = np.linalg.eigh((sigma + sigma.conj().swapaxes(-1, -2)) / 2)
+        signs.append((vv * np.sign(wv)[:, None, :]) @ vv.conj().swapaxes(-1, -2))
     consider(dec.assemble(signs))
     if small_blocks:
         ok = ok and best >= 0.95 * nrm - 1e-9

@@ -27,16 +27,15 @@ class Tolerances:
     natural scale of what it judges (see the methods).
 
     rank_rel: singular-value or eigenvalue cutoff for rank and support.
-    eq_abs: tolerance for equality comparisons.
-    psd_abs: how negative an eigenvalue may be while still counting as PSD.
+    eq_abs: tolerance for equality comparisons, certificates and how negative
+    an eigenvalue may be while still counting as PSD.
     """
 
     rank_rel: float = 1e-9
     eq_abs: float = 1e-8
-    psd_abs: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel", "eq_abs", "psd_abs"):
+        for name in ("rank_rel", "eq_abs"):
             value = getattr(self, name)
             if not (value > 0 and np.isfinite(value)):
                 raise ValueError(f"tolerance {name} must be finite and strictly positive")
@@ -58,9 +57,9 @@ class Tolerances:
         return defect <= 100 * self.eq_abs * scale
 
     def nonnegative(self, least, scale):
-        """A least eigenvalue is >= 0 to psd_abs relative to the matrix's
+        """A least eigenvalue is >= 0 to eq_abs relative to the matrix's
         scale; elementwise on arrays."""
-        return least >= -self.psd_abs * scale
+        return least >= -self.eq_abs * scale
 
 
 DEFAULT_TOL = Tolerances()
@@ -246,27 +245,6 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     null_mask = np.concatenate([s, np.zeros(max(0, vh.shape[0] - s.size))]) <= s1.tol.rank_cut(s[0])
     null = vh[null_mask].conj().T
     return orthonormalize((s1.basis @ null[: s1.dim]).T, s1.ambient_dim, s1.tol)
-
-
-def hermitian_eig(m: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Spectral decomposition of a Hermitian matrix.
-
-    Returns (eigenvalues in descending order, matching unitary of eigenvectors).
-    Raises ValueError if the input is not Hermitian within tolerance.
-    """
-    m = _require_finite(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("hermitian_eig expects a square matrix")
-    if not tol.close(np.linalg.norm(m - m.conj().T), np.linalg.norm(m)):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def is_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Positive semidefiniteness of a Hermitian matrix within psd_abs of its norm."""
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return bool(w.size == 0 or tol.nonnegative(w[0], np.max(np.abs(w))))
 
 
 def psd_sqrt(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

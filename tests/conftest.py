@@ -14,6 +14,17 @@ E2 = np.array([0, 1], dtype=complex)
 U = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
+def per_block(stacks):
+    """Block data held as one (..., c, k, k) stack per run, split into one
+    (..., k, k) part per block, in block order, for per-block references."""
+    return [p for stack in stacks for p in np.moveaxis(stack, -3, 0)]
+
+
+def per_run(dec, parts):
+    """One k_i x k_i part per block, stacked into one (c, k, k) stack per run."""
+    return [np.array(parts[first:first + c], dtype=complex) for first, c, *_ in dec.runs]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -4,6 +4,7 @@ Each test exercises its criterion at the stated tolerance over seeded random
 populations and prints a single PASS line (visible with pytest -s); any
 assertion failure marks the criterion red.
 """
+import itertools
 import json
 import time
 
@@ -158,7 +159,7 @@ def _conditioned_vector(s, rng):
     dec = s.algebra.block_decomposition()
     n = s.dim
     coords = np.zeros(n, dtype=complex)
-    for off, (k, m) in zip(dec.offsets(), dec.blocks):
+    for off, (k, m) in zip(itertools.accumulate([k * m for k, m in dec.blocks], initial=0), dec.blocks):
         r = min(k, m)
         u = haar_unitary(k, rng)
         vmat = haar_unitary(m, rng)

@@ -124,6 +124,16 @@ def test_star_algebra_rejects_span_not_closed_under_products():
         StarAlgebra(3, basis)
 
 
+def test_star_algebra_rejects_a_basis_that_is_not_trace_orthonormal():
+    eye, e22 = np.eye(2, dtype=complex), np.diag([0.0, 1.0]).astype(complex)
+    # both spans contain I, but coordinates are read off by the trace pairing
+    for basis in ([eye, E11], [E11, e22]):
+        with pytest.raises(ValueError, match="not trace-orthonormal"):
+            StarAlgebra(2, np.array(basis))
+    diagonal = StarAlgebra(2, np.sqrt(2) * np.array([E11, e22]))
+    assert diagonal.size == 2 and diagonal.contains(eye)
+
+
 def test_commutant_examples():
     scalar = generate_algebra([], dim=3)
     assert commutant(scalar).size == 9

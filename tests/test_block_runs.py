@@ -5,6 +5,8 @@ here verbatim in substance: one eigh, eigvalsh, svd or product per block, and
 supports cut by slicing.  The batched queries must give the same verdicts,
 ranks and shapes, and the same numbers to 1e-12 relative.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from starrep.harness import disjoint_state_pair
 from starrep.linalg import (block_diag, block_diag_kron, haar_unitary, orthonormalize, project,
                             psd_sqrt)
 from starrep.representation import Structure
+
+from conftest import per_block, per_run
 
 RUNS = ((2, 2),) * 3 + ((1, 1),) * 4 + ((3, 1),)
 PLANS = {"runs": RUNS, "diag20": ((1, 1),) * 20, "full6": ((6, 1),)}
@@ -77,9 +81,13 @@ def _h(p):
     return (p + p.conj().T) / 2
 
 
+def offsets(dec):
+    return list(itertools.accumulate([k * m for k, m in dec.blocks], initial=0))[:-1]
+
+
 def ref_coordinates(dec, x):
     y = dec.change_of_basis.conj().T @ x
-    return [y[off:off + k * m].reshape(k, m) for off, (k, m) in zip(dec.offsets(), dec.blocks)]
+    return [y[off:off + k * m].reshape(k, m) for off, (k, m) in zip(offsets(dec), dec.blocks)]
 
 
 def ref_vector_parts(s, v):
@@ -130,7 +138,7 @@ def ref_witness(dec, tol, parts_phi, parts_psi, epsilon):
     element = None
     if pg < epsilon and sg < epsilon:
         kills = [v[:, :count[best]] for (_, v), count in zip(spectra, killed)]
-        element = dec.assemble([kill @ kill.conj().T for kill in kills])
+        element = dec.assemble(per_run(dec, [kill @ kill.conj().T for kill in kills]))
     return element is not None, element, pg, sg, max(pg, sg)
 
 
@@ -157,7 +165,7 @@ def ref_radon_nikodym(s, w, v):
     svds = [np.linalg.svd(wi, full_matrices=False) for wi in ref_coordinates(dec, w)]
     cut = tol.rank_cut(max((float(sv[0]) for _, sv, _ in svds if sv.size), default=0.0))
     cols, roots = [], []
-    for off, (k, m), vi, (u, sv, yh) in zip(dec.offsets(), dec.blocks,
+    for off, (k, m), vi, (u, sv, yh) in zip(offsets(dec), dec.blocks,
                                             ref_coordinates(dec, v), svds):
         r = int(np.sum(sv > cut))
         u, sv, y = u[:, :r], sv[:r], yh[:r].conj().T
@@ -177,7 +185,7 @@ def ref_gns(algebra, parts):
     roots = [np.sqrt(m) * v[:, w > cut] * np.sqrt(w[w > cut])
              for (w, v), (_, m) in zip(spectra, dec.blocks)]
     ranks = [root.shape[1] for root in roots]
-    action = block_diag_kron(dec.block_parts(algebra.basis), ranks)
+    action = block_diag_kron(per_block(dec.block_parts(algebra.basis)), ranks)
     return action, np.concatenate([root.ravel() for root in roots])
 
 
@@ -203,7 +211,7 @@ def states(s, rng):
         for i, (k, _) in enumerate(dec.blocks):
             g = cgauss(rng, k, min(k, (i + shift) % 3))
             parts.append(g @ g.conj().T)
-        out.append((PositiveFunctional.from_parts(s.algebra, parts), None))
+        out.append((PositiveFunctional.from_stacks(s.algebra, per_run(dec, parts)), None))
     out += [(phi, None) for phi in disjoint_state_pair(s, rng)]
     return out
 
@@ -215,9 +223,9 @@ def test_batched_queries_match_the_per_block_loops(plan):
     rng = np.random.default_rng(62)
     pool = states(s, rng)
     for phi, v in pool:
-        want = ref_vector_parts(s, v) if v is not None else phi.parts
+        want = ref_vector_parts(s, v) if v is not None else per_block(phi.stacks)
         scale = max(1.0, ref_norm(dec, want))
-        for got, ref in zip(phi.parts, want):
+        for got, ref in zip(per_block(phi.stacks), want):
             assert_rel(got, ref, scale)
         assert abs(phi.norm() - ref_norm(dec, want)) <= 1e-12 * scale
         assert abs(functional_norm(s.algebra, phi.rep)
@@ -231,19 +239,20 @@ def test_batched_queries_match_the_per_block_loops(plan):
     for phi, _ in pool:
         for psi, _ in pool:
             mass = phi.norm() + psi.norm()
-            diff = [p - q for p, q in zip(phi.parts, psi.parts)]
+            parts_phi, parts_psi = per_block(phi.stacks), per_block(psi.stacks)
+            diff = [p - q for p, q in zip(parts_phi, parts_psi)]
             assert abs(difference_norm(phi, psi) - ref_trace_norm(dec, diff)) <= 1e-12 * mass
-            by_norm, by_support = ref_is_orthogonal(dec, tol, phi.parts, psi.parts)
+            by_norm, by_support = ref_is_orthogonal(dec, tol, parts_phi, parts_psi)
             assert by_norm == by_support == is_orthogonal(phi, psi)
-            dominated, gamma = ref_is_dominated(dec, tol, phi.parts, psi.parts)
+            dominated, gamma = ref_is_dominated(dec, tol, parts_phi, parts_psi)
             got = is_dominated(phi, psi)
             assert got[0] == dominated
             if dominated:
                 assert abs(got[1] - gamma) <= 1e-12 * max(gamma, 1.0)
             verdicts.add((by_norm, dominated))
             for eps in (1e-6, 0.5):
-                success, element, pg, sg, score = ref_witness(dec, tol, phi.parts,
-                                                              psi.parts, eps)
+                success, element, pg, sg, score = ref_witness(dec, tol, parts_phi,
+                                                              parts_psi, eps)
                 wit = orthogonality_witness(phi, psi, eps)
                 assert wit.success == success
                 assert abs(wit.floor - score) <= 1e-12 * mass
@@ -270,7 +279,8 @@ def test_witness_ties_go_to_the_first_candidate():
     for eps in (1e-6, 0.5):
         wit = orthogonality_witness(phi, phi, eps)
         assert abs(wit.phi_gap - mass) <= 1e-12 * mass and abs(wit.psi_gap) <= 1e-12 * mass
-        _, _, pg, sg, _ = ref_witness(dec, tol, phi.parts, phi.parts, eps)
+        parts = per_block(phi.stacks)
+        _, _, pg, sg, _ = ref_witness(dec, tol, parts, parts, eps)
         assert abs(wit.phi_gap - pg) <= 1e-12 * mass and abs(wit.psi_gap - sg) <= 1e-12 * mass
 
 

@@ -7,6 +7,8 @@ through type_of and orthonormalizes the extension's images by an SVD in
 span_algebra.  The library must agree with them, while guard tests count
 the closures and SVDs it actually makes.
 """
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ def block_vectors(s, rng):
     dec = s.algebra.block_decomposition()
     q = dec.change_of_basis
     return [q[:, off:off + k * m] @ random_unit_vector(rng, k * m)
-            for off, (k, m) in zip(dec.offsets(), dec.blocks)]
+            for off, (k, m) in zip(itertools.accumulate([k * m for k, m in dec.blocks], initial=0), dec.blocks)]
 
 
 def essential_pool(s, rng):

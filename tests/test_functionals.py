@@ -38,7 +38,7 @@ from starrep.independence import nonforking_extension
 from starrep.linalg import Subspace, ToleranceBreach, haar_unitary, psd_sqrt
 from starrep.representation import Structure, cyclic_subspace
 
-from conftest import E1, E2, U
+from conftest import E1, E2, U, per_block, per_run
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -90,7 +90,7 @@ def test_vector_state_parts_match_conditional_expectation():
             phi = vector_state(s, v)
             rho = conditional_expectation(np.outer(v, v.conj()), s.algebra)
             np.testing.assert_allclose(phi.rep, rho, atol=1e-12)
-            for got, want in zip(phi.parts, dec.block_parts(rho)):
+            for got, want in zip(per_block(phi.stacks), per_block(dec.block_parts(rho))):
                 np.testing.assert_allclose(got, (want + want.conj().T) / 2, atol=1e-12)
 
 
@@ -102,11 +102,12 @@ def test_from_parts_round_trip():
         gs = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
               for k, _ in dec.blocks]
         parts = [g @ g.conj().T for g in gs]
-        phi = PositiveFunctional.from_parts(s.algebra, parts)
-        for got, again, want in zip(phi.parts, dec.block_parts(phi.rep), parts):
+        phi = PositiveFunctional.from_stacks(s.algebra, per_run(dec, parts))
+        for got, again, want in zip(per_block(phi.stacks), per_block(dec.block_parts(phi.rep)),
+                                    parts):
             np.testing.assert_allclose(got, want, atol=1e-12)
             np.testing.assert_allclose(again, want, atol=1e-12)
-        for got, want in zip(PositiveFunctional(s.algebra, phi.rep).parts, parts):
+        for got, want in zip(per_block(PositiveFunctional(s.algebra, phi.rep).stacks), parts):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -295,7 +296,7 @@ def planted_state(s, ranks, rng):
     for (k, _), r in zip(dec.blocks, ranks):
         g = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
         parts.append(g @ g.conj().T)
-    return PositiveFunctional(s.algebra, dec.assemble(parts))
+    return PositiveFunctional(s.algebra, dec.assemble(per_run(dec, parts)))
 
 
 def test_gns_round_trip_random():
@@ -390,7 +391,7 @@ def test_gns_intertwiner_costs_what_its_blocks_cost():
     full = generate_algebra([rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
                              for _ in range(2)])
     dec = full.block_decomposition()
-    phi, psi = (PositiveFunctional(full, dec.assemble([g @ g.conj().T])) for g in
+    phi, psi = (PositiveFunctional(full, dec.assemble([(g @ g.conj().T)[None]])) for g in
                 rng.standard_normal((2, 48, 48)) + 1j * rng.standard_normal((2, 48, 48)))
     # the same state read back from its representative: equal up to round-off
     again = PositiveFunctional(full, phi.rep)
@@ -559,7 +560,7 @@ def ambient_witness(phi, psi, epsilon):
     evaluating both functionals on it; the first best wins."""
     algebra, tol = phi.algebra, phi.algebra.tol
     dec = algebra.block_decomposition()
-    parts = [(p + p.conj().T) / 2 for p in dec.block_parts(psi.rep)]
+    parts = [(p + p.conj().T) / 2 for p in per_block(dec.block_parts(psi.rep))]
     # psi's support cut: rank_rel times its top eigenvalue over all blocks
     eigs = np.concatenate([np.linalg.eigvalsh(sigma) for sigma in parts])
     support = tol.rank_rel * max(float(eigs.max()), 0.0)
@@ -570,7 +571,7 @@ def ambient_witness(phi, psi, epsilon):
             w, v = np.linalg.eigh(sigma)
             kill = v[:, w <= th + support]
             blocks.append(kill @ kill.conj().T)
-        a = dec.assemble(blocks)
+        a = dec.assemble(per_run(dec, blocks))
         pg = float(np.real(phi(np.eye(algebra.dim)) - phi(a)))
         sg = float(np.real(psi(a)))
         if best is None or max(pg, sg) < best[0]:

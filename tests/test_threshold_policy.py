@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import functools
 import inspect
+import json
 import pathlib
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import starrep
 from starrep.algebra import BlockDecomposition, generate_algebra, span_algebra
-from starrep.cli import build_parser
+from starrep.cli import build_parser, main
 from starrep.functionals import (
     PositiveFunctional,
     embeds_as_subrepresentation,
@@ -31,7 +32,7 @@ from starrep.harness import InstanceSpec, random_structure
 from starrep.linalg import Tolerances, ToleranceBreach
 from starrep.representation import Structure
 
-from conftest import E1, E2
+from conftest import E1, E2, SCENARIO_DIR
 
 PLANS = (InstanceSpec(9, ((1, 2), (2, 2), (3, 1)), (False, False, True), seed=61),
          InstanceSpec(9, ((2, 1), (1, 3), (2, 2)), (False,) * 3, seed=62),
@@ -249,7 +250,7 @@ def test_guard_sees_literals_and_floors():
 
 
 def test_one_policy_has_no_new_knobs():
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_rel", "eq_abs", "psd_abs"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_rel", "eq_abs"]
     assert "validate" not in inspect.signature(PositiveFunctional).parameters
     assert "check" not in inspect.signature(BlockDecomposition.block_parts).parameters
     assert "validate" not in inspect.signature(span_algebra).parameters
@@ -257,3 +258,21 @@ def test_one_policy_has_no_new_knobs():
     # --seed is registered only where a subcommand reads it
     with pytest.raises(SystemExit):
         build_parser().parse_args(["dcl", "s.json", "v", "--seed", "1"])
+    # and --strict only where a subcommand returns a verdict
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["dcl", "s.json", "v", "--strict"])
+
+
+def test_eq_abs_decides_positivity(tmp_path):
+    # the parts (1) and (-1e-6) fail positivity at eq_abs = 1e-8 and pass at 1e-4
+    rep = np.diag([1.0, -1e-6])
+    with pytest.raises(ValueError, match="not positive"):
+        PositiveFunctional(generate_algebra([np.diag([1.0, 0.0])]), rep)
+    loose = generate_algebra([np.diag([1.0, 0.0])], tol=Tolerances(eq_abs=1e-4))
+    assert PositiveFunctional(loose, rep).norm() == pytest.approx(1 - 1e-6)
+    # psd_abs was folded into eq_abs: a scenario that sets it is an input error
+    scenario = json.loads((SCENARIO_DIR / "diagonal.json").read_text())
+    scenario["tolerances"] = {"psd_abs": 1e-8}
+    path = tmp_path / "psd_abs.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["dcl", str(path), "", "--quiet"]) == 2
