@@ -31,7 +31,7 @@ from .independence import (
     nonforking_extension,
     type_of,
 )
-from .linalg import (Subspace, ToleranceBreach, block_diag, block_diag_kron, haar_unitary,
+from .linalg import (Subspace, ToleranceBreach, block_diag_kron, haar_unitary,
                      project)
 from .representation import Structure, acl
 from .serialize import matrix_to_json, vector_to_json
@@ -121,16 +121,22 @@ def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 def _commutant_function(s: Structure, rng: np.random.Generator, f) -> np.ndarray:
     """f(h) for a random Hermitian h = Q (+)(I_k (x) h_i) Q^H of the commutant,
     read off the block decomposition.  Each h_i is a Gaussian Hermitian
-    m_i x m_i matrix scaled like the commutant's trace-orthonormal basis, and
-    f acts on its eigenvalues (one eigh per block)."""
+    m_i x m_i matrix scaled like the commutant's trace-orthonormal basis,
+    drawn block by block in block order, and f acts on its eigenvalues (one
+    eigh per run of equal block shapes)."""
     dec = s.algebra.block_decomposition()
-    parts = []
-    for k, m in dec.blocks:
-        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        w, v = np.linalg.eigh(np.sqrt(s.dim / k) * (g + g.conj().T) / 2)
-        parts.append(np.kron(np.eye(k), (v * f(w)) @ v.conj().T))
+    t = np.zeros((s.dim, s.dim), dtype=complex)
+    for _, c, k, m, off in dec.runs:
+        # block i draws its real, then its imaginary m x m part
+        g = rng.standard_normal((c, 2, m, m))
+        g = g[:, 0] + 1j * g[:, 1]
+        w, v = np.linalg.eigh(np.sqrt(s.dim / k) * (g + g.conj().swapaxes(-1, -2)) / 2)
+        fh = (v * f(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        # copy a of block i is the diagonal m x m block k * i + a of the run
+        sub = t[off:off + c * k * m, off:off + c * k * m].reshape(c * k, m, c * k, m)
+        np.einsum("pjpb->pjb", sub)[...] = np.repeat(fh, k, axis=0)
     q = dec.change_of_basis
-    return q @ block_diag(*parts) @ q.conj().T
+    return q @ t @ q.conj().T
 
 
 def commuting_unitary(s: Structure, rng: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,12 @@ extensions, canonical bases, averaged copies and finite bases.
 A tuple is independent from F over E when its projections onto acl(E) and
 acl(E u F) coincide.  Types are captured by the projections onto the cyclic
 subspace of the base together with the moment data of the residuals.
+
+Closures grow by increments: acl(C u {f}) = acl(C) + dcl(f), as both summands
+are invariant and H_d lies in acl(C).  The greedy finite base solves dcl(f)
+once per pool element and ranks a whole round of candidate joins in one
+batched SVD (`linalg.stack_svds`), cut at the unit scale of their orthonormal
+halves.
 """
 from __future__ import annotations
 
@@ -11,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Subspace, ToleranceBreach, Tolerances, haar_unitary, orthonormalize, project
+from .linalg import (Subspace, ToleranceBreach, Tolerances, haar_unitary, orthonormalize, project,
+                     stack_svds)
 from .representation import (
     Structure,
     _join_discrete,
@@ -126,9 +133,11 @@ def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
     if not (o1 is o2 or np.array_equal(o1.basis, o2.basis)):
         raise ValueError("descriptors come from structures over different algebras")
     p1, p2 = d1.base_projections, d2.base_projections
-    n = max(p1.shape[1], p2.shape[1])
-    gap = (np.pad(p1, ((0, 0), (0, n - p1.shape[1])))
-           - np.pad(p2, ((0, 0), (0, n - p2.shape[1]))))
+    if p1.shape[1] < p2.shape[1]:
+        p1, p2 = p2, p1
+    # the longer minus the zero-padded shorter; only the entries' sizes count
+    gap = p1.copy()
+    gap[:, :p2.shape[1]] -= p2
     moments = np.linalg.norm(d1.moment_tensor - d2.moment_tensor, axis=0)
     return float(max(np.max(np.abs(gap), initial=0.0), np.max(moments, initial=0.0)))
 
@@ -298,37 +307,55 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
     projection defect, stopping once every entry moved by less than epsilon.
     Each replacement keeps the residual and swaps the full-pool projection for
     the sub-pool projection, which makes the independence exact.
+
+    A candidate's closure is an increment: acl(C u {f}) = acl(C) + dcl(f),
+    since both summands are invariant and H_d lies in acl(C).  So dcl(f) is
+    solved once per pool element, and each round ranks every remaining
+    candidate's [acl(C) | dcl(f)], zero-padded to one width, in one batched
+    SVD; the winner's kept left singular vectors are the next acl(C).  Both
+    halves of each stacked matrix are orthonormal, so its largest singular
+    value lies in [1, sqrt 2] and the common cut sits at the unit scale,
+    whatever the norms of the pool vectors.  A candidate whose kept rank does
+    not exceed dim acl(C) adds nothing and is skipped.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     vs, single = _as_tuple(vectors, s.dim)
     pool = [np.asarray(f, dtype=complex).ravel() for f in pool]
     targets = project(acl(s, pool), vs)
+    dcls = [cyclic_subspace(s, [f]).basis for f in pool]
 
     def worst_defect(cl):
-        return float(np.max(np.linalg.norm(targets - project(cl, vs), axis=1),
-                            initial=0.0))
+        # the largest row defect of one basis, or of each basis of a stack
+        return np.max(np.linalg.norm(targets - project(cl, vs), axis=-1), axis=-1,
+                      initial=0.0)
 
     chosen: list[int] = []
     sub_cl = acl(s, [])
-    current = worst_defect(sub_cl)
+    current = float(worst_defect(sub_cl))
     size = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
-    while current >= epsilon:
+    rest = list(range(len(pool)))
+    while current >= epsilon and rest:
+        d = sub_cl.dim
+        stacked = np.zeros((len(rest), s.dim, d + max(dcls[i].shape[1] for i in rest)),
+                           dtype=complex)
+        stacked[:, :, :d] = sub_cl.basis
+        for c, i in enumerate(rest):
+            stacked[c, :, d:d + dcls[i].shape[1]] = dcls[i]
+        [(u, _, _, keep)] = stack_svds([stacked], s.tol)
+        scores = worst_defect(u * keep[:, None, :])
         best = None
-        for i in range(len(pool)):
-            if i in chosen:
+        for c, score in enumerate(scores):
+            if keep[c].sum() <= d:
                 continue
-            cand_cl = acl(s, [pool[j] for j in chosen] + [pool[i]])
-            if cand_cl.dim <= sub_cl.dim:
-                continue
-            score = worst_defect(cand_cl)
             # the first of near-equal scores wins
             if best is None or (score < best[0] and not s.tol.close(best[0] - score, size)):
-                best = (score, i, cand_cl)
+                best = (float(score), c)
         if best is None:
             break
-        current, pick, sub_cl = best
-        chosen.append(pick)
+        current, c = best
+        sub_cl = Subspace(s.dim, u[c][:, keep[c]], s.tol)
+        chosen.append(rest.pop(c))
 
     replacements = vs - targets + project(sub_cl, vs)
     out = replacements[0] if single else replacements

@@ -7,8 +7,8 @@ scale, so verdicts do not change when the inputs are rescaled.
 
 Every layer uses two span routines: `orthonormalize` alone decides a span's
 rank (`stack_ranks` the ranks of stacked blocks, `stack_svds` their ranges),
-and `project` is the one orthogonal projection onto a span, of a vector or
-each row of a 2-d array.
+and `project` is the one orthogonal projection onto a span (or onto each
+span of a stack of bases), of a vector or each row of a 2-d array.
 """
 from __future__ import annotations
 
@@ -216,14 +216,19 @@ def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
     return [(u, sv, vh, sv > cut) for u, sv, vh in svds]
 
 
-def project(s: Subspace, v: np.ndarray) -> np.ndarray:
+def project(s, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the subspace of a vector, or of each row of
-    a 2-d array of row vectors."""
+    a 2-d array of row vectors.
+
+    `s` is a Subspace, or a (c, n, r) stack of bases with orthonormal or zero
+    columns, onto each of which v is projected: a (c, ...) stack of results.
+    """
+    basis = s.basis if isinstance(s, Subspace) else s
     v = np.asarray(v, dtype=complex)
-    if v.ndim not in (1, 2) or v.shape[-1] != s.ambient_dim:
+    if v.ndim not in (1, 2) or v.shape[-1] != basis.shape[-2]:
         raise ValueError(
-            f"vectors of shape {v.shape} do not fit ambient dimension {s.ambient_dim}")
-    return (v @ s.basis.conj()) @ s.basis.T
+            f"vectors of shape {v.shape} do not fit ambient dimension {basis.shape[-2]}")
+    return (v @ basis.conj()) @ basis.swapaxes(-1, -2)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:

@@ -1,11 +1,16 @@
 """Each closure of the forking calculus is computed once per call.
 
 The reference routes below are the straightforward ones, kept as oracles:
-acl always joins through subspace_sum, finite_base recomputes the chosen
-closure after each pick, and nonforking_extension recomputes both closures
-through type_of and orthonormalizes the extension's images by an SVD in
-span_algebra.  The library must agree with them, while guard tests count
-the closures and SVDs it actually makes.
+acl always joins through subspace_sum, finite_base recomputes acl of every
+candidate sub-pool from its vectors and the chosen closure after each pick,
+and nonforking_extension recomputes both closures through type_of and
+orthonormalizes the extension's images by an SVD in span_algebra.  The
+library must agree with them, while guard tests count the closures and SVDs
+it actually makes: finite_base solves acl of the full pool once and dcl(f)
+once per pool element, then joins acl(chosen) + dcl(f) for every candidate
+of a round in one batched SVD.  Pools with repeated, zero or rescaled
+elements check the skip path and that the joins' cut ignores the pool's
+norms.
 """
 import itertools
 
@@ -278,19 +283,52 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
     assert len(svd_calls) == 3 + 2 * (s.discrete.dim > 0)
 
 
-def test_finite_base_computes_each_candidate_closure_once(monkeypatch):
-    s = random_structure(PLANS["essential"])
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_finite_base_solves_each_pool_closure_once(plan, monkeypatch, svd_calls):
+    s = random_structure(PLANS[plan])
     rng = np.random.default_rng(14)
-    pool = essential_pool(s, rng)[:3]
-    v = sum(pool)
-    closures = []
-    closure = starrep.independence.acl
+    pool = essential_pool(s, rng)
+    closures, cyclics = [], []
+    closure, cyclic = starrep.independence.acl, starrep.independence.cyclic_subspace
     monkeypatch.setattr(starrep.independence, "acl",
                         lambda st, vecs: closures.append(len(vecs)) or closure(st, vecs))
-    fb = finite_base(s, v, pool, 1e-9)
-    assert len(fb.indices) == 3
-    # the full pool, the empty start, then 3 + 2 + 1 candidates
-    assert closures == [3, 0, 1, 1, 1, 2, 2, 3]
+    monkeypatch.setattr(starrep.independence, "cyclic_subspace",
+                        lambda st, vecs: cyclics.append(len(vecs)) or cyclic(st, vecs))
+    svd_calls.clear()
+    fb = finite_base(s, sum(pool), pool, 1e-9)
+    rounds = len(fb.indices)
+    assert rounds == len(pool)
+    # the full pool and the empty start; then dcl(f) once per pool element
+    assert closures == [len(pool), 0]
+    assert cyclics == [1] * len(pool)
+    # acl(pool) and its join, one SVD per dcl(f), one batched SVD per round
+    assert len(svd_calls) == 1 + (s.discrete.dim > 0) + len(pool) + rounds
+    assert len(svd_calls) == {"discrete": 10, "essential": 11}[plan]
+
+
+EDGE_POOLS = {
+    "duplicate": lambda pool: pool[:2] + [pool[0], 2 * pool[0]] + pool[2:],
+    "zero": lambda pool: pool[:1] + [np.zeros_like(pool[0])] + pool[1:],
+    "tiny": lambda pool: [1e-6 * f for f in pool],
+    "huge": lambda pool: [1e6 * f for f in pool],
+}
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+@pytest.mark.parametrize("edge", sorted(EDGE_POOLS))
+def test_finite_base_edge_pools_match_recomputing_route(plan, edge):
+    # repeated and zero elements take the skip path; scaled pools check that
+    # the increment's cut does not depend on the pool's norms
+    s = random_structure(PLANS[plan])
+    rng = np.random.default_rng(8)
+    base = essential_pool(s, rng)
+    vs = np.array([sum(base) + random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)])
+    pool = EDGE_POOLS[edge](base)
+    got = finite_base(s, vs, pool, 1e-9)
+    indices, replacements, defect = ref_finite_base(s, vs, pool, 1e-9)
+    assert got.indices == indices
+    np.testing.assert_allclose(got.replacements, replacements, atol=1e-10)
+    assert abs(got.defect - defect) <= 1e-10
 
 
 # ----- invariance stays checked against the basis --------------------------------

@@ -7,6 +7,7 @@ from starrep.cli import main, scenario_from_dict
 from starrep.functionals import is_dominated, is_orthogonal
 from starrep.harness import (
     InstanceSpec,
+    _commutant_function,
     _compress_state,
     commuting_unitary,
     disjoint_state_pair,
@@ -18,6 +19,7 @@ from starrep.harness import (
     run_functional_suite,
     scenario_of,
 )
+from starrep.linalg import block_diag
 from starrep.serialize import dumps_canonical
 
 SPEC = InstanceSpec(6, ((1, 1), (2, 1), (1, 3)), (False, False, True), seed=3)
@@ -101,6 +103,34 @@ def test_commutant_draws_read_the_block_decomposition(monkeypatch):
     for b in s.algebra.basis:
         assert np.linalg.norm(u @ b - b @ u) < 1e-9
         assert np.linalg.norm(t @ b - b @ t) < 1e-9
+
+
+def ref_commutant_function(s, rng, f):
+    """One eigh and one Kronecker product per block, joined by block_diag."""
+    dec = s.algebra.block_decomposition()
+    parts = []
+    for k, m in dec.blocks:
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        w, v = np.linalg.eigh(np.sqrt(s.dim / k) * (g + g.conj().T) / 2)
+        parts.append(np.kron(np.eye(k), (v * f(w)) @ v.conj().T))
+    q = dec.change_of_basis
+    return q @ block_diag(*parts) @ q.conj().T
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec(8, ((1, 1),) * 8, (False,) * 8, seed=6),
+    InstanceSpec(16, ((1, 1), (1, 1), (1, 2), (1, 2), (2, 1), (2, 2), (2, 2)),
+                 (False, False, True, False, False, True, False), seed=7),
+], ids=["diagonal", "mixed"])
+@pytest.mark.parametrize("f", [lambda w: np.exp(1j * w), lambda w: np.clip(w, 0.0, None)],
+                         ids=["unitary", "psd"])
+def test_commutant_function_keeps_the_per_block_draws(spec, f):
+    s = random_structure(spec)
+    assert any(c > 1 for _, c, _, _, _ in s.algebra.block_decomposition().runs)
+    rng, ref_rng = np.random.default_rng(25), np.random.default_rng(25)
+    got, want = _commutant_function(s, rng, f), ref_commutant_function(s, ref_rng, f)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_suites_pass_and_are_deterministic():

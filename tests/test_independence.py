@@ -5,6 +5,7 @@ import starrep.independence
 from starrep.algebra import StarAlgebra, generate_algebra, span_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
 from starrep.independence import (
+    TypeDescriptor,
     canonical_base,
     descriptor_distance,
     descriptors_close,
@@ -212,6 +213,35 @@ def test_descriptor_distance_rejects_unrelated_algebras(diag_structure):
     assert other.algebra.size == diag_structure.algebra.size
     with pytest.raises(ValueError):
         descriptor_distance(type_of(diag_structure, U, []), type_of(other, U, []))
+
+
+def test_descriptor_distance_pads_the_shorter_projection_bit_for_bit():
+    s = random_structure(InstanceSpec(6, ((2, 2), (1, 2)), (False, True), seed=9))
+    rng = np.random.default_rng(19)
+    v, e = random_unit_vector(rng, 6), random_unit_vector(rng, 6)
+    s1, v1 = nonforking_extension(s, v, [e], [e])
+    e1 = np.concatenate([e, np.zeros(s1.dim - s.dim)])
+    size = s.algebra.size
+
+    def padded(d1, d2):
+        p1, p2 = d1.base_projections, d2.base_projections
+        n = max(p1.shape[1], p2.shape[1])
+        gap = (np.pad(p1, ((0, 0), (0, n - p1.shape[1])))
+               - np.pad(p2, ((0, 0), (0, n - p2.shape[1]))))
+        moments = np.linalg.norm(d1.moment_tensor - d2.moment_tensor, axis=0)
+        return float(max(np.max(np.abs(gap), initial=0.0), np.max(moments, initial=0.0)))
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    pairs = [(type_of(s, v, [e]), type_of(s1, v1 + 1e-3 * noise(s1.dim), [e1])),
+             # equal moments, so the projections decide the distance
+             (TypeDescriptor(noise(2, s.dim), np.zeros((size, 2, 2)), s),
+              TypeDescriptor(noise(2, s1.dim), np.zeros((size, 2, 2)), s1))]
+    for short, long in pairs:
+        assert short.base_projections.shape[1] < long.base_projections.shape[1]
+        assert descriptor_distance(short, long) == padded(short, long)
+        assert descriptor_distance(long, short) == padded(long, short)
 
 
 
