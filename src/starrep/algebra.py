@@ -8,6 +8,11 @@ Its Wedderburn blocks (BlockDecomposition) are sorted by shape (k, m), and
 block data has one layout: one (..., c, k, k) stack per run of c equal
 shapes, as block_parts reads it from algebra elements and assemble writes it
 back.
+
+Every certificate over the algebra is checked at the probes x, y that
+StarAlgebra.probes() draws once from a fixed seed, and holds with probability
+one over it.  A basis element weighs under 1/d in a probe with probability
+under 1/d, so linear defects count d times (at x and y), products d^2 times.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ class StarAlgebra:
         self.basis = basis
         self.generators = [np.asarray(g, dtype=complex) for g in (generators or [])]
         self.tol = tol
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._block = None
         self._probes = None
         if validate and dim > 0:
@@ -62,8 +67,7 @@ class StarAlgebra:
         return np.einsum("k,kab->ab", np.asarray(c, dtype=complex), self.basis)
 
     def contains(self, m: np.ndarray) -> bool:
-        m = np.asarray(m, dtype=complex)
-        r = m - self.from_coefficients(self.coefficients(m))
+        r = m - conditional_expectation(m, self)
         return self.tol.close(np.linalg.norm(r), np.linalg.norm(m))
 
     def identity(self) -> np.ndarray:
@@ -75,14 +79,10 @@ class StarAlgebra:
         return (x + x.conj().T) / 2
 
     def probes(self) -> np.ndarray:
-        """x, y, xy and x^H, stacked, for two complex Gaussian elements x, y
-        of unit coefficient norm (||x||_F = sqrt(n), as for a basis element),
-        drawn once from a fixed seed and then kept, read-only: the points at
-        which a certificate over the algebra is checked (Freivalds 1977).  A
-        defect linear or bilinear in the element vanishes there only on a
-        null set."""
-        # drawn under the lock, which is not re-entrant: nothing here may call
-        # block_decomposition()
+        """x, y, xy and x^H, stacked, for two complex Gaussian elements of unit
+        coefficient norm (||x||_F = sqrt(n)), drawn once from a fixed seed and
+        kept, read-only: each certificate over its elements is made there
+        (Freivalds 1977), sure up to a null set of seeds, at d or d^2 times."""
         with self._lock:
             if self._probes is None:
                 c = np.random.default_rng(0x6E5).standard_normal((2, self.size, 2)) @ [1, 1j]
@@ -125,6 +125,7 @@ class StarAlgebra:
     # ----- validation -------------------------------------------------------
 
     def _validate(self):
+        """Closure at the fixed-seed probes: adjoints d times, products d^2 (module docstring)."""
         n, d = self.dim, self.size
         flat = self.basis.reshape(d, n * n)
         gram = flat @ flat.conj().T / n
@@ -132,17 +133,11 @@ class StarAlgebra:
             raise ValueError("algebra basis is not trace-orthonormal")
         if not self.contains(self.identity()):
             raise ValueError("algebra span does not contain the identity")
-        for k in range(self.size):
-            if not self.contains(self.basis[k].conj().T):
-                raise ValueError("algebra span is not closed under adjoints")
-        # products checked pairwise: all b_i b_j as one GEMM, rows (i, a) and
-        # columns (j, c), then projected back onto the span by two more
-        prods = self.basis.reshape(d * n, n) @ self.basis.transpose(1, 0, 2).reshape(n, d * n)
-        prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
-        recon = (prods @ flat.conj().T / n) @ flat
-        recon -= prods
-        err = np.max(np.abs(recon)) if recon.size else 0.0
-        if not self.tol.certified(err, float(np.max(np.abs(self.basis))) ** 2 * self.dim):
+        x, y, xy, xh = self.probes()
+        off = [np.linalg.norm(m - conditional_expectation(m, self)) for m in (xh, y.conj().T, xy)]
+        if not self.tol.close(d * max(off[:2]), np.linalg.norm(x)):
+            raise ValueError("algebra span is not closed under adjoints")
+        if not self.tol.certified(d * d * off[2], np.linalg.norm(x) * np.linalg.norm(y)):
             raise ValueError("algebra span is not closed under products")
 
 
@@ -357,9 +352,9 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     """Simultaneous block diagonalization of a matrix *-algebra.
 
     Decomposes the algebra's letters with _decompose.  The result is also
-    certified by the block form of every basis element and by
-    sum k_i^2 == dim A.  Raises DecompositionError after 5 fruitless seed
-    retries.
+    certified by sum k_i^2 == dim A and by the block form of the probes, with
+    probability one over their seed, unscaled: a wrong Q moves every element.
+    Raises DecompositionError after 5 fruitless seed retries.
     """
     if a.dim == 0:
         return BlockDecomposition([], np.zeros((0, 0), dtype=complex), a.tol)
@@ -369,7 +364,7 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
         if sum(k * k for k, _ in dec.blocks) != a.size:
             raise DecompositionError(
                 f"block sizes {dec.blocks} do not account for the algebra dimension {a.size}")
-        dec.block_parts(a.basis)
+        dec.block_parts(a.probes())
         return dec
 
     return _with_seed_retries(attempt, seed, "block decomposition")

@@ -23,9 +23,9 @@ from .representation import (
     Structure,
     _join_discrete,
     acl,
+    algebra_invariance_defect,
     cyclic_subspace,
     extend_with_summand,
-    invariance_defect,
 )
 
 
@@ -257,7 +257,8 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     orthogonal residual summands, so the distance of the k-average to the
     stationary part is exactly ||residual|| / sqrt(k).  The copies are built
     in one k-fold direct sum (identical to iterating the extension); copy
-    orthogonality and the compression isometry are verified numerically.
+    orthogonality, the compression isometry and the invariance of the residual's
+    cyclic subspace (d-scaled, at the probes) are verified numerically.
     """
     if k < 1:
         raise ValueError("the copy count must be at least 1")
@@ -270,19 +271,18 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     rc = b.conj().T @ r
     if not s.tol.certified(abs(np.linalg.norm(rc) - np.linalg.norm(r)), np.linalg.norm(r)):
         raise ToleranceBreach("residual compression is not isometric")
-    if not s.tol.certified(invariance_defect(s.algebra.basis, b), 1.0):
+    if not s.tol.certified(algebra_invariance_defect(s.algebra, b), 1.0):
         raise ToleranceBreach("residual cyclic subspace is not invariant under the algebra")
 
     n = s.dim
     total = n + k * size
     copies = np.zeros((k, total), dtype=complex)
     copies[:, :n] = p
-    # copy i carries rc in the i-th summand: the diagonal of the (k, k, size) tails
-    copies[:, n:].reshape(k, k, size)[np.arange(k), np.arange(k)] = rc
-    tails = copies[:, n:]
-    gram = tails @ tails.conj().T
-    expect = np.linalg.norm(r) ** 2 * np.eye(k)
-    if not s.tol.certified(np.max(np.abs(gram - expect)), np.linalg.norm(r) ** 2):
+    # copy i carries rc in summand i alone, so the copies' Gram is their summands' norms
+    tails = copies[:, n:].reshape(k, k, size)
+    tails[np.arange(k), np.arange(k)] = rc
+    gap = np.linalg.norm(tails, axis=2) ** 2 - np.linalg.norm(r) ** 2 * np.eye(k)
+    if not s.tol.certified(np.max(np.abs(gap)), np.linalg.norm(r) ** 2):
         raise ToleranceBreach("independent copies are not orthonormal")
     average = copies.mean(axis=0)
     limit = np.concatenate([p, np.zeros(k * size, dtype=complex)])

@@ -76,7 +76,7 @@ class Structure:
             return
         if not self.algebra.contains(np.eye(n, dtype=complex)):
             raise ValueError("the acting algebra does not contain the identity")
-        defect = invariance_defect(self.algebra.basis, self.discrete.basis)
+        defect = algebra_invariance_defect(self.algebra, self.discrete.basis)
         if not self.tol.certified(defect, 1.0):
             raise ValueError(
                 "declared discrete subspace is not invariant under the algebra "
@@ -88,12 +88,16 @@ def invariance_defect(mats: np.ndarray, b: np.ndarray) -> float:
 
     Zero exactly when span(b) (orthonormal columns) is invariant under every a.
     """
-    if not b.shape[1]:
-        return 0.0
     img = mats @ b
     resid = np.linalg.norm(img - b @ (b.conj().T @ img), axis=(1, 2))
     norms = np.linalg.norm(mats, axis=(1, 2))
     return float(np.max(resid[norms > 0] / norms[norms > 0], initial=0.0))
+
+
+def algebra_invariance_defect(algebra: StarAlgebra, b: np.ndarray) -> float:
+    """d times invariance_defect at the algebra's probes x, y (see algebra.py);
+    0, with no probes drawn, when b has no columns."""
+    return algebra.size * invariance_defect(algebra.probes()[:2], b) if b.shape[1] else 0.0
 
 
 def cyclic_subspace(s: Structure, vectors) -> Subspace:
@@ -206,7 +210,7 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
     *-homomorphism because span(b) is invariant, so the image of a basis is
     already a multiplicatively closed span and no word closure is needed.
     ValueError unless b has orthonormal columns and its span is invariant
-    under the algebra, certified against its basis.
+    under the algebra, checked d-scaled at the probes (algebra_invariance_defect).
     The images of s's moment basis become the moment basis of the result,
     which keeps s's originating algebra: type moments taken in either
     structure, or in any chain of extensions, index the same basis.
@@ -221,7 +225,7 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
     fails.
     """
     b = Subspace(s.dim, summand_basis, s.tol).basis
-    defect = invariance_defect(s.algebra.basis, b)
+    defect = algebra_invariance_defect(s.algebra, b)
     if not s.tol.certified(defect, 1.0):
         raise ValueError(
             f"summand is not invariant under the algebra (relative residual {defect:.2e})")

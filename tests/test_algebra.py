@@ -1,3 +1,8 @@
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +129,27 @@ def test_star_algebra_rejects_span_not_closed_under_products():
         StarAlgebra(3, basis)
 
 
+def test_star_algebra_rejects_span_not_closed_under_adjoints():
+    # trace-orthonormal, unital and closed under products (E12 E12 = 0), but
+    # the adjoint E21 is outside
+    with pytest.raises(ValueError, match="adjoints"):
+        StarAlgebra(2, np.array([np.eye(2), np.sqrt(2) * E12]))
+
+
+def test_validation_holds_no_pairwise_basis_products():
+    # the d^2 n^2 tensor of all basis products took 769 MB on full M_16
+    rng = np.random.default_rng(16)
+    basis = generate_algebra([rng.standard_normal((16, 16))]).basis
+    assert basis.shape == (256, 16, 16)
+    tracemalloc.start()
+    try:
+        StarAlgebra(16, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_star_algebra_rejects_a_basis_that_is_not_trace_orthonormal():
     eye, e22 = np.eye(2, dtype=complex), np.diag([0.0, 1.0]).astype(complex)
     # both spans contain I, but coordinates are read off by the trace pairing
@@ -191,6 +217,32 @@ def planted_algebra(plan, seed):
     n = sum(k * m for k, m in plan)
     spec = InstanceSpec(n, tuple(plan), (False,) * len(plan), seed=seed)
     return random_structure(spec).algebra
+
+
+def test_decomposition_and_probes_are_drawn_once_across_threads():
+    # block_decomposition() certifies the blocks at the probes under the lock
+    # that probes() takes again, so the lock must be re-entrant
+    generated = planted_algebra([(1, 2), (2, 2)], 4)
+    bare = StarAlgebra(generated.dim, generated.basis, validate=False)
+    results = []
+
+    def work():
+        results.append((bare.block_decomposition(), bare.probes()))
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(dec is results[0][0] and p is results[0][1] for dec, p in results)
 
 
 def test_wedderburn_block_form_and_seed_independence():

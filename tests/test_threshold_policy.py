@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starrep
-from starrep.algebra import BlockDecomposition, generate_algebra, span_algebra
+from starrep.algebra import BlockDecomposition, StarAlgebra, generate_algebra, span_algebra
 from starrep.cli import build_parser, main
 from starrep.functionals import (
     PositiveFunctional,
@@ -29,8 +29,8 @@ from starrep.functionals import (
     vector_state,
 )
 from starrep.harness import InstanceSpec, random_structure
-from starrep.linalg import Tolerances, ToleranceBreach
-from starrep.representation import Structure
+from starrep.linalg import Tolerances, ToleranceBreach, block_diag, orthonormalize
+from starrep.representation import Structure, invariance_defect
 
 from conftest import E1, E2, SCENARIO_DIR
 
@@ -240,6 +240,64 @@ def test_basis_guard_sees_reads_in_their_scope():
     assert list(_basis_reads(tree)) == [(3, "A.f"), (6, "g")]
 
 
+# every certificate over an algebra is checked at its probes, never over its basis
+CERTIFYING = ("algebra.py", "representation.py", "independence.py")
+
+
+def _basis_roots(node):
+    """Source of each object whose .basis the expression reads."""
+    return {ast.unparse(sub.value) for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == "basis"}
+
+
+def _basis_certificates(node, func="<module>"):
+    """(line, "<what> in <function>") for each .basis read passed as the
+    matrices of invariance_defect or to block_parts, and each product of two
+    .basis reads of one object."""
+    what = None
+    if isinstance(node, ast.Call):
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+            node.func, "id", None)
+        if name == "invariance_defect" and node.args and _basis_roots(node.args[0]):
+            what = "invariance_defect"
+        elif name == "block_parts" and any(_basis_roots(a) for a in node.args):
+            what = "block_parts"
+        elif name in ("matmul", "dot", "einsum") and any(
+                _basis_roots(a) & _basis_roots(b)
+                for i, a in enumerate(node.args) for b in node.args[i + 1:]):
+            what = "basis product"
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and _basis_roots(node.left) & _basis_roots(node.right)):
+        what = "basis product"
+    if what:
+        yield node.lineno, f"{what} in {func}"
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _basis_certificates(child, func)
+
+
+@pytest.mark.parametrize("module", CERTIFYING)
+def test_no_certificate_reads_the_algebra_basis(module):
+    path = pathlib.Path(starrep.__file__).parent / module
+    found = list(_basis_certificates(ast.parse(path.read_text())))
+    assert found == [], f"{module}: certificates over the basis at {found}"
+
+
+def test_certificate_guard_sees_basis_arguments_and_products():
+    tree = ast.parse("def f(s, a, dec, b):\n"
+                     "    invariance_defect(s.algebra.basis, b)\n"
+                     "    invariance_defect(a.probes()[:2], s.discrete.basis)\n"
+                     "    dec.block_parts(a.basis)\n"
+                     "    dec.block_parts(a.probes())\n"
+                     "    p = a.basis.reshape(-1, 3) @ a.basis[0].T\n"
+                     "    q = b.conj().T @ s.algebra.basis @ b\n"
+                     "    return np.einsum('iab,jbc->ijac', a.basis, a.basis.conj())\n")
+    assert list(_basis_certificates(tree)) == [
+        (2, "invariance_defect in f"), (4, "block_parts in f"), (6, "basis product in f"),
+        (8, "basis product in f")]
+
+
 def test_guard_sees_literals_and_floors():
     tree = ast.parse("def f(x, tol):\n"
                      "    return x < 1e-6 * max(1.0, abs(x)) + np.maximum(1.0, x)\n"
@@ -276,3 +334,95 @@ def test_eq_abs_decides_positivity(tmp_path):
     path = tmp_path / "psd_abs.json"
     path.write_text(json.dumps(scenario))
     assert main(["dcl", str(path), "", "--quiet"]) == 2
+
+
+# ----- certificates at the probes are no looser than over the basis -------------
+# Each sweep finds the smallest t (on one grid) at which a certificate rejects,
+# once through the library and once through the check over every basis element
+# that it replaced, kept here as the reference: the library must reject at no
+# larger t, and accept t = 0.
+
+SWEEP = np.logspace(-9, -2, 71)
+E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def _first_rejected(rejects):
+    return next((t for t in SWEEP if rejects(t)), np.inf)
+
+
+def _rejects(build, match):
+    try:
+        build()
+    except ValueError as err:
+        assert match in str(err)
+        return True
+    return False
+
+
+def _with_full_block(mats, k):
+    """Trace-orthonormal basis of span(mats) (+) M_k."""
+    m = len(mats[0])
+    units = np.eye(k * k).reshape(k * k, k, k)
+    return span_algebra([block_diag(x, np.zeros((k, k))) for x in mats]
+                        + [block_diag(np.zeros((m, m)), u) for u in units], m + k).basis
+
+
+def _basis_rejects_adjoints(a):
+    return not all(a.contains(b.conj().T) for b in a.basis)
+
+
+def _basis_rejects_products(a):
+    # all b_i b_j as one GEMM, projected back onto the span, judged by their
+    # largest entry against max|b|^2 n
+    n, d = a.dim, a.size
+    flat = a.basis.reshape(d, n * n)
+    prods = a.basis.reshape(d * n, n) @ a.basis.transpose(1, 0, 2).reshape(n, d * n)
+    prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
+    err = np.max(np.abs((prods @ flat.conj().T / n) @ flat - prods))
+    return not a.tol.certified(err, float(np.max(np.abs(a.basis))) ** 2 * n)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_probe_invariance_is_no_looser_than_the_basis(n):
+    # span{e1 + t e2} under the diagonal algebra; the basis rejects from 1.26e-6
+    algebra = generate_algebra([np.diag(np.arange(n, dtype=float))])
+    e = np.eye(n)
+
+    def tilted(t):
+        return orthonormalize([e[0] + t * e[1]], n)
+
+    ref = _first_rejected(lambda t: not algebra.tol.certified(
+        invariance_defect(algebra.basis, tilted(t).basis), 1.0))
+    got = _first_rejected(lambda t: _rejects(
+        lambda: Structure(algebra, discrete=tilted(t)), "not invariant"))
+    assert got <= ref < np.inf
+    assert not _rejects(lambda: Structure(algebra, discrete=tilted(0.0)), "not invariant")
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_probe_products_are_no_looser_than_the_basis(k):
+    # span{I_3, diag(1, -1, 1 + t)} (+) M_k: diag(1, -1, 1 + t)^2 leaves the
+    # span for t != 0; the basis rejects from 2.0e-5, 3.2e-5 and 5.0e-5
+    def basis(t):
+        return _with_full_block([np.eye(3), np.diag([1, -1, 1 + t])], k)
+
+    ref = _first_rejected(lambda t: _basis_rejects_products(
+        StarAlgebra(3 + k, basis(t), validate=False)))
+    got = _first_rejected(lambda t: _rejects(lambda: StarAlgebra(3 + k, basis(t)), "products"))
+    assert got <= ref < np.inf
+    assert not _rejects(lambda: StarAlgebra(3 + k, basis(0.0)), "products")
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_probe_adjoints_are_no_looser_than_the_basis(k):
+    # span{I_2, sqrt 2 (cos th E12 + sin th E21)} (+) M_k is closed under
+    # products for every th, and under adjoints only at th = pi / 4
+    def basis(t):
+        th = np.pi / 4 + t
+        return _with_full_block([np.eye(2), np.sqrt(2) * (np.cos(th) * E12 + np.sin(th) * E12.T)], k)
+
+    ref = _first_rejected(lambda t: _basis_rejects_adjoints(
+        StarAlgebra(2 + k, basis(t), validate=False)))
+    got = _first_rejected(lambda t: _rejects(lambda: StarAlgebra(2 + k, basis(t)), "adjoints"))
+    assert got <= ref < np.inf
+    assert not _rejects(lambda: StarAlgebra(2 + k, basis(0.0)), "adjoints")
