@@ -10,9 +10,11 @@ shapes, as block_parts reads it from algebra elements and assemble writes it
 back.
 
 Every certificate over the algebra is checked at the probes x, y that
-StarAlgebra.probes() draws once from a fixed seed, and holds with probability
+StarAlgebra.probes() draws once from a fixed key, and holds with probability
 one over it.  A basis element weighs under 1/d in a probe with probability
 under 1/d, so linear defects count d times (at x and y), products d^2 times.
+The probes and the random elements a decomposition splits on are drawn by
+linalg.Draws from fixed keys, so every process draws the same ones.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ import threading
 
 import numpy as np
 
-from .linalg import (CLUSTER_GAP, DEFAULT_TOL, ToleranceBreach, Tolerances, _require_finite,
-                     orthonormalize, project)
+from .linalg import (CLUSTER_GAP, DEFAULT_TOL, Draws, ToleranceBreach, Tolerances,
+                     _require_finite, orthonormalize, project)
 
 
 class DecompositionError(RuntimeError):
@@ -61,10 +63,13 @@ class StarAlgebra:
         m = np.asarray(m, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
-        return np.einsum("kab,ab->k", self.basis.conj(), m) / max(self.dim, 1)
+        # sum_ab conj(b_kab) m_ab, as conj(b . conj(m)): no conjugated copy of the basis
+        flat = self.basis.reshape(self.size, self.dim * self.dim)
+        return (flat @ m.conj().ravel()).conj() / max(self.dim, 1)
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
-        return np.einsum("k,kab->ab", np.asarray(c, dtype=complex), self.basis)
+        c = np.asarray(c, dtype=complex)
+        return (c @ self.basis.reshape(self.size, self.dim * self.dim)).reshape(self.dim, self.dim)
 
     def contains(self, m: np.ndarray) -> bool:
         r = m - conditional_expectation(m, self)
@@ -73,19 +78,22 @@ class StarAlgebra:
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
-    def random_hermitian_element(self, rng: np.random.Generator) -> np.ndarray:
+    def random_hermitian_element(self, rng) -> np.ndarray:
+        """(x + x^H)/2 for x with complex Gaussian coefficients; rng is a
+        Draws or a numpy Generator."""
         c = rng.standard_normal(self.size) + 1j * rng.standard_normal(self.size)
         x = self.from_coefficients(c)
         return (x + x.conj().T) / 2
 
     def probes(self) -> np.ndarray:
         """x, y, xy and x^H, stacked, for two complex Gaussian elements of unit
-        coefficient norm (||x||_F = sqrt(n)), drawn once from a fixed seed and
-        kept, read-only: each certificate over its elements is made there
-        (Freivalds 1977), sure up to a null set of seeds, at d or d^2 times."""
+        coefficient norm (||x||_F = sqrt(n)), drawn once from a fixed key by
+        linalg.Draws and kept, read-only: each certificate over its elements
+        is made there (Freivalds 1977), sure up to a null set of draws, at d
+        or d^2 times."""
         with self._lock:
             if self._probes is None:
-                c = np.random.default_rng(0x6E5).standard_normal((2, self.size, 2)) @ [1, 1j]
+                c = Draws(0x6E5).standard_normal((2, self.size, 2)) @ [1, 1j]
                 x, y = (self.from_coefficients(ci / np.linalg.norm(ci)) for ci in c)
                 self._probes = np.stack([x, y, x @ y, x.conj().T])
                 self._probes.flags.writeable = False
@@ -197,8 +205,7 @@ def commutant(a: StarAlgebra) -> StarAlgebra:
     return StarAlgebra(a.dim, basis, tol=a.tol, validate=False)
 
 
-def _commutant_basis(letters: np.ndarray, n: int, tol: Tolerances,
-                     rng: np.random.Generator) -> np.ndarray:
+def _commutant_basis(letters: np.ndarray, n: int, tol: Tolerances, rng) -> np.ndarray:
     """Trace-orthonormal basis of the matrices commuting with every letter.
 
     The letters must be closed under adjoints.  A matrix X commuting with them
@@ -337,12 +344,12 @@ def _cluster_eigenvalues(w: np.ndarray):
 
 
 def _with_seed_retries(attempt, seed: int, what: str):
-    """attempt(rng) on up to 5 seeded generators.  A failed count or a
+    """attempt(rng) on up to 5 keyed Draws.  A failed count or a
     ToleranceBreach from a block-form certificate moves on to the next seed."""
     last_err = None
     for i in range(5):
         try:
-            return attempt(np.random.default_rng([seed, i, 0x57ED]))
+            return attempt(Draws([seed, i, 0x57ED]))
         except (DecompositionError, ToleranceBreach) as err:
             last_err = err
     raise DecompositionError(f"{what} failed after 5 seed retries: {last_err}")
@@ -370,8 +377,7 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     return _with_seed_retries(attempt, seed, "block decomposition")
 
 
-def _decompose(letters: np.ndarray, n: int, tol: Tolerances,
-               rng: np.random.Generator) -> BlockDecomposition:
+def _decompose(letters: np.ndarray, n: int, tol: Tolerances, rng) -> BlockDecomposition:
     """The one place A' is solved: _commutant_basis, split by _split, and
     certified by the block form of every letter."""
     comm = StarAlgebra(n, _commutant_basis(letters, n, tol, rng), tol=tol, validate=False)
@@ -380,7 +386,7 @@ def _decompose(letters: np.ndarray, n: int, tol: Tolerances,
     return dec
 
 
-def _split(comm: StarAlgebra, rng: np.random.Generator) -> BlockDecomposition:
+def _split(comm: StarAlgebra, rng) -> BlockDecomposition:
     """Wedderburn blocks read off a commutant A' = direct-sum of (I_{k_i} tensor M_{m_i}).
 
     The eigenspaces of one random Hermitian element of A' are the irreducible

@@ -14,6 +14,8 @@ here by the handler that calls them: `independence` for indep, cbase, typeq,
 extend and fbase, `functionals` for gns, orth, dom, embed and rn, and all
 three with `harness` for axioms (dcl, acl and decompose load none).  When the
 first argument names a subcommand, only that subcommand's parser is built.
+No subcommand imports numpy.random: extend, decompose and axioms key their
+draws by --seed through linalg.Draws, and a negative seed is an input error.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import sys
 import numpy as np
 
 from .algebra import DecompositionError, generate_algebra, wedderburn_decompose
-from .linalg import Subspace, ToleranceBreach, Tolerances, orthonormalize
+from .linalg import Draws, Subspace, ToleranceBreach, Tolerances, orthonormalize
 from .representation import Structure, acl, cyclic_subspace
 from .serialize import (
     SCHEMA_VERSION,
@@ -302,7 +304,7 @@ def _cmd_axioms(sc: Scenario | None, args):
             raise ScenarioError(f"cannot parse block plan {args.blocks!r}")
         flags = tuple(False for _ in blocks)
     else:
-        rng = np.random.default_rng([seed, 0xB10C])
+        rng = Draws([seed, 0xB10C])
         blocks, flags = random_block_plan(dim, rng)
     spec = InstanceSpec(dim, blocks, flags, generators=2, seed=seed)
     free = run_freeness_suite(spec, args.trials)

@@ -215,7 +215,8 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     only the best candidate is assembled.  Scores within `Tolerances.close`
     of the least, against phi(1) + psi(1), tie, and the first of them (the
     lowest cut) wins.  Eigenvalues within psi's support cut of a candidate's
-    cut are killed with it.
+    cut are killed with it.  A gap counts as below epsilon only when it is
+    below by more than that same round-off, so an exact tie is no witness.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
@@ -238,10 +239,11 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     # the first candidate within round-off of the least score, so that ties
     # in exact arithmetic do not go to whichever summation order wins
     scores = np.maximum(phi_gap, psi_gap)
-    best = int(np.argmax(phi.algebra.tol.close(scores - scores.min(), phi.norm() + psi.norm())))
+    tol, scale = phi.algebra.tol, phi.norm() + psi.norm()
+    best = int(np.argmax(tol.close(scores - scores.min(), scale)))
     pg, sg = float(phi_gap[best]), float(psi_gap[best])
     score = max(pg, sg)
-    if pg < epsilon and sg < epsilon:
+    if not tol.close(epsilon - score, scale):
         kills = [v * kill[:, None, :, best] for (_, v), kill in zip(spectra, killed)]
         a = dec.assemble([kill @ _adj(kill) for kill in kills])
         return OrthogonalityWitness(True, a, pg, sg, score)

@@ -4,6 +4,10 @@ Structures are generated with known block anatomy so every verdict has a
 planted ground truth available; suites execute the independence and
 functional invariants on seeded random instances and report per-property
 tallies with replayable failure exemplars.
+
+Every draw comes from a linalg.Draws keyed by the instance spec and the
+trial, so identical specs give identical reports in every process.  The
+helpers that take `rng` accept a Draws or a numpy Generator.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from .independence import (
     nonforking_extension,
     type_of,
 )
-from .linalg import (Subspace, ToleranceBreach, block_diag_kron, haar_unitary,
+from .linalg import (Draws, Subspace, ToleranceBreach, block_diag_kron, haar_unitary,
                      project)
 from .representation import Structure, acl
 from .serialize import matrix_to_json, vector_to_json
@@ -73,7 +77,7 @@ class InstanceSpec:
         return flat
 
 
-def random_block_plan(dim: int, rng: np.random.Generator):
+def random_block_plan(dim: int, rng):
     """A random partition of dim into (k, m) blocks, k <= 3, with discrete flags."""
     blocks, remaining = [], dim
     while remaining > 0:
@@ -94,7 +98,7 @@ def random_structure(spec: InstanceSpec) -> Structure:
     algebra almost surely; RuntimeError if they do not.  Flagged blocks form
     the discrete part.
     """
-    rng = np.random.default_rng(spec.rng_key())
+    rng = Draws(spec.rng_key())
     n = spec.dim
     q = haar_unitary(n, rng)
 
@@ -113,12 +117,12 @@ def random_structure(spec: InstanceSpec) -> Structure:
     return Structure(algebra, Subspace(n, q[:, flagged], algebra.tol))
 
 
-def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_unit_vector(rng, n: int) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
 
-def _commutant_function(s: Structure, rng: np.random.Generator, f) -> np.ndarray:
+def _commutant_function(s: Structure, rng, f) -> np.ndarray:
     """f(h) for a random Hermitian h = Q (+)(I_k (x) h_i) Q^H of the commutant,
     read off the block decomposition.  Each h_i is a Gaussian Hermitian
     m_i x m_i matrix scaled like the commutant's trace-orthonormal basis,
@@ -139,7 +143,7 @@ def _commutant_function(s: Structure, rng: np.random.Generator, f) -> np.ndarray
     return q @ t @ q.conj().T
 
 
-def commuting_unitary(s: Structure, rng: np.random.Generator) -> np.ndarray:
+def commuting_unitary(s: Structure, rng) -> np.ndarray:
     """A unitary commuting with the algebra (hence preserving a central H_d)."""
     return _commutant_function(s, rng, lambda w: np.exp(1j * w))
 
@@ -152,8 +156,7 @@ def _zero_stacks(algebra):
     return stacks, [p for stack in stacks for p in stack]
 
 
-def random_in_algebra_state(s: Structure, rng: np.random.Generator,
-                            keep_prob: float = 0.7) -> PositiveFunctional:
+def random_in_algebra_state(s: Structure, rng, keep_prob: float = 0.7) -> PositiveFunctional:
     """Random positive functional with well-conditioned support blocks."""
     stacks, parts = _zero_stacks(s.algebra)
     for p in parts:
@@ -167,7 +170,7 @@ def random_in_algebra_state(s: Structure, rng: np.random.Generator,
     return PositiveFunctional.from_stacks(s.algebra, stacks)
 
 
-def _compress_state(phi: PositiveFunctional, rng: np.random.Generator) -> PositiveFunctional:
+def _compress_state(phi: PositiveFunctional, rng) -> PositiveFunctional:
     """A functional dominated by phi: spectral truncation of each block part,
     keeping phi's top eigenvalue when the draw keeps none."""
     spectra = [(w, v) for ws, vs in phi.spectra[0] for w, v in zip(ws, vs)]
@@ -181,7 +184,7 @@ def _compress_state(phi: PositiveFunctional, rng: np.random.Generator) -> Positi
     return PositiveFunctional.from_stacks(phi.algebra, stacks)
 
 
-def disjoint_state_pair(s: Structure, rng: np.random.Generator):
+def disjoint_state_pair(s: Structure, rng):
     """Planted orthogonal pair: states with orthogonal supports in every block."""
     dec = s.algebra.block_decomposition()
     b = len(dec.blocks)
@@ -211,7 +214,7 @@ def disjoint_state_pair(s: Structure, rng: np.random.Generator):
             PositiveFunctional.from_stacks(s.algebra, stacks2))
 
 
-def overlapping_state_pair(s: Structure, rng: np.random.Generator):
+def overlapping_state_pair(s: Structure, rng):
     """Planted non-orthogonal pair: full-support states share every block."""
     phi = random_in_algebra_state(s, rng, keep_prob=1.1)
     psi = random_in_algebra_state(s, rng, keep_prob=1.1)
@@ -305,7 +308,7 @@ def run_freeness_suite(spec: InstanceSpec, trials: int) -> SuiteReport:
     for t in range(trials):
         tspec = _trial_spec(spec, t)
         s = random_structure(tspec)
-        rng = np.random.default_rng([tspec.seed, 0xF4EE])
+        rng = Draws([tspec.seed, 0xF4EE])
         _freeness_trial(report, tspec, s, rng, planted=(t % 2 == 0))
     return report
 
@@ -424,7 +427,7 @@ def run_functional_suite(spec: InstanceSpec, trials: int) -> SuiteReport:
     for t in range(trials):
         tspec = _trial_spec(spec, t)
         s = random_structure(tspec)
-        rng = np.random.default_rng([tspec.seed, 0xFC17])
+        rng = Draws([tspec.seed, 0xFC17])
         _functional_trial(report, s, rng, t)
     return report
 
@@ -567,5 +570,5 @@ def _functional_trial(report, s, rng, t):
     report.stat("norm_lower_bound").record(ok, max(0.0, best - nrm))
 
 
-def _random_psd_commutant(s: Structure, rng: np.random.Generator) -> np.ndarray:
+def _random_psd_commutant(s: Structure, rng) -> np.ndarray:
     return _commutant_function(s, rng, lambda w: np.clip(w, 0.0, None))

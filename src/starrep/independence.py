@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (Subspace, ToleranceBreach, Tolerances, haar_unitary, orthonormalize, project,
-                     stack_svds)
+from .linalg import (Draws, Subspace, ToleranceBreach, Tolerances, haar_unitary, orthonormalize,
+                     project, stack_svds)
 from .representation import (
     Structure,
     _join_discrete,
@@ -204,7 +204,7 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     hr = cyclic_subspace(s, res)
     b = hr.basis
     if seed is not None and hr.dim:
-        b = b @ haar_unitary(hr.dim, np.random.default_rng([seed, 0x0F0E]))
+        b = b @ haar_unitary(hr.dim, Draws([seed, 0x0F0E]))
     shat = extend_with_summand(s, b)
     emb = shat.embedding
     n, k = s.dim, emb.shape[1]

@@ -9,9 +9,14 @@ Every layer uses two span routines: `orthonormalize` alone decides a span's
 rank (`stack_ranks` the ranks of stacked blocks, `stack_svds` their ranges),
 and `project` is the one orthogonal projection onto a span (or onto each
 span of a stack of bases), of a vector or each row of a 2-d array.
+
+Every random draw of the library comes from a keyed `Draws`, so no process
+imports numpy.random.
 """
 from __future__ import annotations
 
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,8 +267,51 @@ def psd_sqrt(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase correction."""
+class Draws:
+    """Reproducible random draws keyed by a non-negative int or a sequence of
+    them, from the standard library's Mersenne Twister (Matsumoto & Nishimura
+    1998), seeded by the key's words in decimal joined by commas.  It offers
+    the part of numpy's Generator that the library calls, and every helper
+    that takes a generator accepts either.  A negative key word raises
+    ValueError, as numpy's SeedSequence does."""
+
+    def __init__(self, key):
+        try:
+            words = [operator.index(key)]
+        except TypeError:
+            words = [operator.index(w) for w in key]
+        if min(words, default=0) < 0:
+            raise ValueError(f"random keys must be non-negative, got {min(words)}")
+        self._bits = random.Random(",".join(map(str, words)))
+
+    def _uniform(self, count: int) -> np.ndarray:
+        """count uniforms on [0, 1), each from 53 random bits."""
+        raw = np.frombuffer(self._bits.randbytes(8 * count), dtype="<u8")
+        return (raw >> np.uint64(11)) * 2.0 ** -53
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Gaussians by Box-Muller: each pair of uniforms gives two."""
+        count = int(np.prod(shape))
+        u = self._uniform(2 * -(-count // 2)).reshape(2, -1)
+        r, t = np.sqrt(-2.0 * np.log1p(-u[0])), 2 * np.pi * u[1]
+        return np.concatenate([r * np.cos(t), r * np.sin(t)])[:count].reshape(shape)
+
+    def random(self, size=None):
+        """A uniform on [0, 1), or an array of them of shape `size`."""
+        if size is None:
+            return float(self._uniform(1)[0])
+        return self._uniform(int(np.prod(size))).reshape(size)
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """A uniform integer in [low, high), or in [0, low) without high."""
+        if high is None:
+            low, high = 0, low
+        return self._bits.randrange(int(low), int(high))
+
+
+def haar_unitary(n: int, rng) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian with phase
+    correction; rng is a Draws or a numpy Generator."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

@@ -35,9 +35,27 @@ def parse_complex(obj, where: str = "value") -> complex:
     return z
 
 
+def _finite_pairs(obj, ndim: int):
+    """A decoded JSON list that numpy reads as a finite int or float array of
+    ndim - 1 nesting levels of [re, im] pairs, as one complex array without a
+    per-entry pass; None for anything else (all-bool pairs, strings, NaN or
+    inf, ragged rows, bare numbers, ints past int64), which the per-entry
+    parsers then judge with their own messages."""
+    try:
+        a = np.array(obj)
+    except (ValueError, OverflowError):
+        return None
+    if a.ndim != ndim or a.shape[-1] != 2 or a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        return None
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
 def parse_vector(obj, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list):
         raise ValueError(f"{where}: expected a list of [re, im] pairs")
+    fast = _finite_pairs(obj, 2)
+    if fast is not None:
+        return fast
     return np.array([parse_complex(x, f"{where}[{i}]") for i, x in enumerate(obj)],
                     dtype=complex)
 
@@ -45,6 +63,9 @@ def parse_vector(obj, where: str = "vector") -> np.ndarray:
 def parse_matrix(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{where}: expected a non-empty nested list")
+    fast = _finite_pairs(obj, 3)
+    if fast is not None:
+        return fast
     rows = [parse_vector(r, f"{where}[{i}]") for i, r in enumerate(obj)]
     width = rows[0].size
     if any(r.size != width for r in rows):

@@ -196,8 +196,8 @@ def test_text_output(capsys):
 CORE = {"starrep", "starrep.linalg", "starrep.algebra", "starrep.representation"}
 LEAVES = {"starrep.independence", "starrep.functionals", "starrep.harness"}
 # runs a command (or only imports starrep) in a fresh interpreter and reports
-# the starrep modules loaded; after a bare import it also checks that the
-# lazily loaded names behave as eagerly bound ones did
+# the starrep modules loaded and whether numpy.random was; after a bare import
+# it also checks that the lazily loaded names behave as eagerly bound ones did
 PROBE = """
 import contextlib, io, json, sys
 import starrep
@@ -207,7 +207,7 @@ if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
 out = {"loaded": sorted(m for m in sys.modules if m.startswith("starrep")),
-       "scipy": "scipy" in sys.modules}
+       "scipy": "scipy" in sys.modules, "numpy.random": "numpy.random" in sys.modules}
 if argv is None:
     out["dir"] = set(starrep.__all__) <= set(dir(starrep))
     out["submodule"] = starrep.functionals.gns is starrep.gns
@@ -230,7 +230,9 @@ print(json.dumps(out))
     (["decompose", M2], set()),
     (["axioms", "--trials", "1", "--seed", "5", "--dim", "4"],
      {"independence", "functionals", "harness"}),
-], ids=["import", "indep", "gns", "decompose", "axioms"])
+    (["extend", DIAG, "e1", "", "E2", "--seed", "3"], {"independence"}),
+    (["decompose", M2, "--seed", "1"], set()),
+], ids=["import", "indep", "gns", "decompose", "axioms", "extend-seeded", "decompose-seeded"])
 def test_process_loads_only_the_layers_it_runs(argv, leaves):
     src = os.path.dirname(os.path.dirname(os.path.abspath(starrep.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -240,9 +242,20 @@ def test_process_loads_only_the_layers_it_runs(argv, leaves):
     loaded = set(out["loaded"])
     assert loaded & LEAVES == {f"starrep.{m}" for m in leaves}
     assert not out["scipy"]
+    assert not out["numpy.random"]
     if argv is None:
         assert loaded == CORE
         assert out["dir"] and out["submodule"] and out["unknown"] and out["star"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", DIAG, "e1", "", "E2"],
+    ["decompose", M2],
+    ["axioms", "--trials", "1", "--dim", "4"],
+], ids=["extend", "decompose", "axioms"])
+def test_negative_seed_is_an_input_error(argv, capsys):
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def _subparser(parser, name):

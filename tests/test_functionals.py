@@ -251,6 +251,25 @@ def test_witness_examples(diag_structure):
         orthogonality_witness(phi1, phi2, 0.0)
 
 
+def test_witness_at_an_exact_tie_does_not_rest_on_round_off(m2_structure):
+    # on M_2, killing the support of psi = state((e1 + e2)/sqrt 2) leaves
+    # phi = state(e1) a gap of exactly 1/2; psi's stacks moved by 1e-15
+    # relative move that gap by round-off either way, and the verdict at
+    # epsilon = 1/2 must not follow it
+    s = m2_structure
+    phi, psi = vector_state(s, E1), vector_state(s, U)
+    for pattern in ([[1, 0], [0, 0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]):
+        outcomes = set()
+        for delta in (1e-15, -1e-15):
+            moved = PositiveFunctional.from_stacks(
+                s.algebra, [p * (1 + delta * np.array(pattern)) for p in psi.stacks])
+            wit = orthogonality_witness(phi, moved, 0.5)
+            assert abs(wit.phi_gap - 0.5) <= 1e-14 and abs(wit.psi_gap) <= 1e-14
+            outcomes.add(wit.success)
+        assert outcomes == {False}
+    assert orthogonality_witness(phi, psi, 0.5 + 1e-6).success
+
+
 def test_domination_examples(diag_structure, m2_structure):
     s = diag_structure
     phi1, phiu = vector_state(s, E1), vector_state(s, U)

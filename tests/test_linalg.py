@@ -1,8 +1,14 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import starrep
+from starrep.harness import random_unit_vector
 from starrep.linalg import (
     DEFAULT_TOL,
+    Draws,
     Subspace,
     block_diag,
     block_diag_kron,
@@ -196,6 +202,69 @@ def test_haar_unitary_is_unitary(rng):
     for n in (1, 2, 5):
         q = haar_unitary(n, rng)
         np.testing.assert_allclose(q.conj().T @ q, np.eye(n), atol=1e-12)
+
+
+def _stream(key):
+    d = Draws(key)
+    return (d.standard_normal((3, 2)).tolist(), d.random(), d.random(4).tolist(),
+            d.integers(7), d.integers(3, 1 << 40), d.standard_normal(5).tolist())
+
+
+def test_draws_are_keyed():
+    assert _stream([4, 0xF4EE]) == _stream([4, 0xF4EE])
+    assert _stream(9) == _stream([9])
+    streams = [_stream(k) for k in (0, 1, [0, 1], [1, 0], [0, 1, 0], [12], [1, 2], 1 << 80)]
+    assert all(a != b for i, a in enumerate(streams) for b in streams[i + 1:])
+    with pytest.raises(ValueError, match="non-negative"):
+        Draws([3, -1])
+    with pytest.raises(ValueError, match="non-negative"):
+        Draws(-1)
+
+
+def test_draws_have_the_right_laws():
+    n = 10 ** 5
+    d = Draws([2024, 5])
+    z = d.standard_normal(n)
+    assert z.shape == (n,) and d.standard_normal((2, 3, 1)).shape == (2, 3, 1)
+    # the mean has deviation n^-1/2, the sample variance (2/n)^1/2
+    assert abs(z.mean()) <= 5 / np.sqrt(n)
+    assert abs(z.var() - 1) <= 5 * np.sqrt(2 / n)
+    u = d.random(n)
+    assert 0 <= u.min() and u.max() < 1 and isinstance(d.random(), float)
+    assert abs(u.mean() - 0.5) <= 5 / np.sqrt(12 * n)
+    ints = [d.integers(2, 5) for _ in range(300)] + [d.integers(3) for _ in range(300)]
+    assert set(ints[:300]) == {2, 3, 4} and set(ints[300:]) == {0, 1, 2}
+
+
+def test_helpers_take_draws_or_a_numpy_generator(rng):
+    for source in (rng, Draws(3)):
+        q = haar_unitary(4, source)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(4), atol=1e-12)
+        assert abs(np.linalg.norm(random_unit_vector(source, 5)) - 1) <= 1e-12
+
+
+def _numpy_random_uses(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield node.lineno
+        if isinstance(node, ast.Import) and any(a.name.startswith("numpy.random")
+                                                for a in node.names):
+            yield node.lineno
+        if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            yield node.lineno
+
+
+def test_the_library_never_references_numpy_random():
+    # every draw goes through linalg.Draws, so no process imports numpy.random
+    src = pathlib.Path(starrep.__file__).parent
+    found = {p.name: lines for p in sorted(src.glob("*.py"))
+             if (lines := list(_numpy_random_uses(ast.parse(p.read_text()))))}
+    assert found == {}
+    bad = "import numpy.random\nfrom numpy import random\nx = np.random.default_rng(1)\n"
+    assert list(_numpy_random_uses(ast.parse(bad))) == [1, 2, 3]
 
 
 def test_tolerances_must_be_positive():
