@@ -18,6 +18,7 @@ linalg.Draws from fixed keys, so every process draws the same ones.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 
@@ -100,13 +101,15 @@ class StarAlgebra:
             return self._probes
 
     def letters(self) -> np.ndarray:
-        """The generators and their adjoints (interleaved), else the basis.
+        """The generators and their adjoints (interleaved), else the probes x,
+        y and theirs, which generate the algebra with probability one (the
+        sum k_i^2 == d certificate of wedderburn_decompose catches a miss).
 
         Commuting with the letters is commuting with the algebra, and a unital
         span closed under left multiplication by them is closed under the
         algebra.
         """
-        return _letters(self.generators, self.dim) if self.generators else self.basis
+        return _letters(self.generators or self.probes()[:2], self.dim)
 
     def spans_equal(self, other: "StarAlgebra") -> bool:
         if self.dim != other.dim or self.size != other.size:
@@ -257,7 +260,8 @@ class BlockDecomposition:
     direct-sum of (M_{k_i} tensor I_{m_i}), blocks sorted by (k_i, m_i).
     `runs` holds one (first block, count c, k, m, offset) per maximal run of
     equal shapes, and all block data (block_parts, assemble, coordinates) is
-    one (c, ...) stack per run, blocks in order inside it.
+    one (c, ...) stack per run, blocks in order inside it; only the closures'
+    private _padded copies of Q are not.
     """
 
     def __init__(self, blocks, change_of_basis: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -278,6 +282,23 @@ class BlockDecomposition:
     @property
     def signature(self):
         return tuple(self.blocks)
+
+    @functools.cached_property
+    def _padded(self):
+        """Q as one zero-padded (nb, M, K, n) array, M and K the largest m_i
+        and k_i: [i, j, a] is column (a, j) of block i, zero for a >= k_i or
+        j >= m_i.  With it, its conjugate scaled by sqrt(n / m_i) and the
+        (nb, 1, K) mask of a < k_i.  Read only by representation.cyclic_subspace."""
+        q = self.change_of_basis
+        n = q.shape[0]
+        k, m = np.array(self.blocks).T
+        out = np.zeros((len(k), m.max(), k.max(), n), dtype=complex)
+        for first, c, kr, mr, off in self.runs:
+            out[first:first + c, :mr, :kr] = q[:, off:off + c * kr * mr].reshape(
+                n, c, kr, mr).transpose(1, 3, 2, 0)
+        scaled = out.conj() * np.sqrt(n / m)[:, None, None, None]
+        out.flags.writeable = scaled.flags.writeable = False
+        return out, scaled, np.arange(k.max()) < k[:, None, None]
 
     def coordinates(self, x: np.ndarray):
         """Q^H x as one (c, k, m) stack per run, block i read as a k_i x m_i

@@ -29,6 +29,7 @@ from .functionals import (
     vector_state,
 )
 from .independence import (
+    _type_over,
     descriptor_distance,
     finite_base,
     is_independent,
@@ -37,7 +38,7 @@ from .independence import (
 )
 from .linalg import (Draws, Subspace, ToleranceBreach, block_diag_kron, haar_unitary,
                      project)
-from .representation import Structure, acl
+from .representation import Structure, _in_extension, _join_discrete, cyclic_subspace
 from .serialize import matrix_to_json, vector_to_json
 
 
@@ -396,12 +397,13 @@ def _freeness_trial(report, tspec, s, rng, planted):
 
     if shat is not None:
         descs = []
+        # closures of ext_to in an extension are its closures in s, padded
+        ext_cyc = cyclic_subspace(s, ext_to)
         for seed in (int(rng.integers(1 << 30)), int(rng.integers(1 << 30))):
             sh, vp = nonforking_extension(s, v, ext_base, ext_to, seed=seed)
-            k = sh.dim - s.dim
-            f_emb = [np.concatenate([f, np.zeros(k, dtype=complex)]) for f in ext_to]
-            res = np.atleast_2d(vp - project(acl(sh, f_emb), vp))
-            descs.append(type_of(sh, res, f_emb))
+            cyc = _in_extension(ext_cyc, sh.dim - s.dim)
+            res = np.atleast_2d(vp - project(_join_discrete(sh, cyc), vp))
+            descs.append(_type_over(sh, res, cyc))
         gap = descriptor_distance(descs[0], descs[1])
         report.stat("stationarity").record(gap <= 1e-8, gap)
 

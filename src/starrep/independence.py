@@ -21,6 +21,7 @@ from .linalg import (Draws, Subspace, ToleranceBreach, Tolerances, haar_unitary,
                      project, stack_svds)
 from .representation import (
     Structure,
+    _in_extension,
     _join_discrete,
     acl,
     algebra_invariance_defect,
@@ -193,7 +194,8 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     the fresh embedded copy of its residual.  Both defining conditions (the
     projection match and the residual type match) are verified numerically
     before returning.  The three closures (of the base, the residuals and
-    the extension set) are computed once each and shared by the checks.
+    the extension set) are computed once each, all in s, and shared by the
+    checks.
     """
     vs, single = _as_tuple(vectors, s.dim)
     _check_base_extension(base, extension, s.tol)
@@ -206,15 +208,12 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     if seed is not None and hr.dim:
         b = b @ haar_unitary(hr.dim, Draws([seed, 0x0F0E]))
     shat = extend_with_summand(s, b)
-    emb = shat.embedding
-    n, k = s.dim, emb.shape[1]
-
-    compressed = res @ emb.conj()
+    compressed = res @ b.conj()
     vprime = np.hstack([proj, compressed])
-    f_emb = [np.concatenate([np.asarray(f, dtype=complex).ravel(),
-                             np.zeros(k, dtype=complex)]) for f in extension]
 
-    ext_cyc = cyclic_subspace(shat, f_emb)
+    # the extension set has no summand part, so its cyclic subspace in shat
+    # is the one in s, padded: shat is never decomposed
+    ext_cyc = _in_extension(cyclic_subspace(s, extension), b.shape[1])
     got = project(_join_discrete(shat, ext_cyc), vprime)
     miss = np.linalg.norm(got - np.hstack([proj, np.zeros_like(compressed)]), axis=1)
     failed = ~s.tol.certified(miss, np.linalg.norm(vs, axis=1))

@@ -86,16 +86,25 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         ambient_dim = int(ambient_dim)
-        basis = _require_finite(basis, "subspace basis")
+        basis = np.asarray(basis, dtype=complex)
         if basis.ndim == 1:
             basis = basis[:, None] if basis.size else basis.reshape(ambient_dim, 0)
-        if basis.ndim != 2 or basis.shape[0] != ambient_dim:
-            raise ValueError(
-                f"subspace basis of shape {basis.shape} does not fit ambient dimension {ambient_dim}")
-        if basis.shape[1] > ambient_dim:
-            raise ValueError("subspace basis has more columns than the ambient dimension")
-        gram = basis.conj().T @ basis
-        if basis.shape[1] and not tol.certified(np.max(np.abs(gram - np.eye(basis.shape[1]))), 1.0):
+        # one pass: a non-finite entry makes the Gram non-finite, so the
+        # finiteness test runs only on a rejected basis, to name the fault
+        r = basis.shape[1] if basis.ndim == 2 else 0
+        ok = basis.ndim == 2 and basis.shape[0] == ambient_dim and r <= ambient_dim
+        if ok and r:
+            with np.errstate(invalid="ignore", over="ignore"):
+                gram = basis.conj().T @ basis
+            gram.reshape(-1)[::r + 1] -= 1
+            ok = tol.certified(np.abs(gram).max(), 1.0)
+        if not ok:
+            _require_finite(basis, "subspace basis")
+            if basis.ndim != 2 or basis.shape[0] != ambient_dim:
+                raise ValueError(f"subspace basis of shape {basis.shape} does not fit "
+                                 f"ambient dimension {ambient_dim}")
+            if r > ambient_dim:
+                raise ValueError("subspace basis has more columns than the ambient dimension")
             raise ValueError("subspace basis columns are not orthonormal")
         self.ambient_dim = int(ambient_dim)
         self.basis = basis

@@ -3,7 +3,8 @@
 A Structure couples a matrix *-algebra acting on C^n with an algebra-invariant
 "discrete" subspace H_d and a bag of named vectors.  Every closure and
 independence computation downstream is taken relative to the declared
-H_d / H_e split.
+H_d / H_e split.  Closures are solved on the algebra's Wedderburn blocks
+(cyclic_subspace), never against its basis.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .linalg import (
     block_diag,
     orthonormalize,
     project,
+    stack_svds,
     subspace_intersection,
     subspace_sum,
     zero_subspace,
@@ -101,17 +103,29 @@ def algebra_invariance_defect(algebra: StarAlgebra, b: np.ndarray) -> float:
 
 
 def cyclic_subspace(s: Structure, vectors) -> Subspace:
-    """Closed span of all algebra images of the given vectors (the dcl of the set)."""
+    """Closed span of all algebra images of the given vectors (the dcl of the set).
+
+    On the blocks A = Q (+)(M_{k_i} (x) I_{m_i}) Q^H it is Q (+)(C^{k_i} (x) R_i),
+    R_i the row span of the (t k_i) x m_i stack of the vectors' blocks.  The
+    images under a trace-orthonormal basis have singular values sqrt(n / m_i)
+    sigma(stack i), so the stacks so scaled are cut as the images would be.
+    """
     vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     n = s.dim
     for v in vecs:
         if v.size != n:
             raise ValueError(f"vector of length {v.size} does not fit dimension {n}")
-    if not vecs:
+    if not vecs or n == 0:
         return zero_subspace(n, s.tol)
-    # row (k, m) is a_k v_m
-    images = np.array(vecs) @ s.algebra.basis.transpose(0, 2, 1)
-    return orthonormalize(images.reshape(-1, n), n, s.tol)
+    vs = _require_finite(np.array(vecs), "span input")
+    q, scaled, rows = s.algebra.block_decomposition()._padded
+    nb, mm, kk, _ = q.shape
+    # [i, j, (a, v)]: sqrt(n / m_i) times entry (a, j) of vector v's block i
+    stack = (scaled.reshape(-1, n) @ vs.T).reshape(nb, mm, -1)
+    [(u, _, _, keep)] = stack_svds([stack], s.tol)
+    # [i, r, a]: Q (e_a (x) w_ir), w_ir the r-th left singular vector of stack i
+    basis = (u.swapaxes(1, 2) @ q.reshape(nb, mm, -1)).reshape(nb, -1, kk, n)
+    return Subspace(n, basis[keep[:, :, None] & rows].T, s.tol)
 
 
 def acl(s: Structure, vectors) -> Subspace:
@@ -131,6 +145,13 @@ def _join_discrete(s: Structure, cyc: Subspace) -> Subspace:
     if cyc.dim == 0:
         return s.discrete
     return subspace_sum(cyc, s.discrete)
+
+
+def _in_extension(sub: Subspace, k: int) -> Subspace:
+    """sub padded with k zero rows: a set with no summand part has this cyclic
+    subspace in an extension of s by a k-dimensional summand when sub is its
+    cyclic subspace in s, since the extension acts on s's coordinates as s."""
+    return Subspace(sub.ambient_dim + k, np.vstack([sub.basis, np.zeros((k, sub.dim))]), sub.tol)
 
 
 def essential_discrete_parts(s: Structure, v: np.ndarray):

@@ -1,25 +1,30 @@
 """Each closure of the forking calculus is computed once per call.
 
 The reference routes below are the straightforward ones, kept as oracles:
-acl always joins through subspace_sum, finite_base recomputes acl of every
-candidate sub-pool from its vectors and the chosen closure after each pick,
-and nonforking_extension recomputes both closures through type_of and
-orthonormalizes the extension's images by an SVD in span_algebra.  The
-library must agree with them, while guard tests count the closures and SVDs
-it actually makes: finite_base solves acl of the full pool once and dcl(f)
-once per pool element, then joins acl(chosen) + dcl(f) for every candidate
-of a round in one batched SVD.  Pools with repeated, zero or rescaled
-elements check the skip path and that the joins' cut ignores the pool's
-norms.
+the cyclic subspace is the span of the images a_k v of every vector under a
+trace-orthonormal basis a_k of the algebra (the library solves it on the
+Wedderburn blocks), acl always joins through subspace_sum, finite_base
+recomputes acl of every candidate sub-pool from its vectors and the chosen
+closure after each pick, and nonforking_extension recomputes both closures
+through type_of and orthonormalizes the extension's images by an SVD in
+span_algebra.  The library must agree with them, while guard tests count the
+closures and SVDs it actually makes: finite_base solves acl of the full pool
+once and dcl(f) once per pool element, then joins acl(chosen) + dcl(f) for
+every candidate of a round in one batched SVD, and nonforking_extension
+takes the extension set's closure in its parent.  Pools with repeated, zero
+or rescaled elements check the skip path and that the joins' cut ignores the
+pool's norms; vectors with a part just either side of the cut check that
+the blocks are cut where the basis route cuts.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import starrep.independence
 import starrep.representation
-from starrep.algebra import generate_algebra, span_algebra
+from starrep.algebra import StarAlgebra, generate_algebra, span_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
 from starrep.independence import (
     TypeDescriptor,
@@ -31,13 +36,14 @@ from starrep.independence import (
     nonforking_extension,
     type_of,
 )
-from starrep.linalg import (Subspace, ToleranceBreach, haar_unitary, orthonormalize, project,
-                            subspace_sum)
+from starrep.linalg import (Subspace, ToleranceBreach, Tolerances, haar_unitary, orthonormalize,
+                            project, subspace_sum)
 from starrep.representation import (
     Structure,
     _summand_images,
     acl,
     cyclic_subspace,
+    cyclic_substructure,
     extend_with_summand,
     invariance_defect,
 )
@@ -53,13 +59,22 @@ PLANS = {
 
 # ----- reference routes ------------------------------------------------------
 
+def ref_cyclic_subspace(s, vectors):
+    vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+    if not vecs:
+        return Subspace(s.dim, np.zeros((s.dim, 0)), s.tol)
+    # row (k, m) is a_k v_m
+    images = np.array(vecs) @ s.algebra.basis.transpose(0, 2, 1)
+    return orthonormalize(images.reshape(-1, s.dim), s.dim, s.tol)
+
+
 def ref_acl(s, vectors):
-    return subspace_sum(cyclic_subspace(s, vectors), s.discrete)
+    return subspace_sum(ref_cyclic_subspace(s, vectors), s.discrete)
 
 
 def ref_type_of(s, vectors, base):
     vs = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    he = cyclic_subspace(s, base)
+    he = ref_cyclic_subspace(s, base)
     bp = np.array([project(he, v) for v in vs])
     res = vs - bp
     moments = np.einsum("dab,jb,ka->djk", s.moment_basis, res, res.conj())
@@ -84,7 +99,7 @@ def ref_nonforking_extension(s, vectors, base, extension, seed=None):
     base_cl = ref_acl(s, base)
     proj = np.array([project(base_cl, v) for v in vs])
     res = vs - proj
-    hr = cyclic_subspace(s, list(res))
+    hr = ref_cyclic_subspace(s, list(res))
     b = hr.basis
     if seed is not None and hr.dim:
         b = b @ haar_unitary(hr.dim, np.random.default_rng([seed, 0x0F0E]))
@@ -165,11 +180,121 @@ def test_closures_match_reference_routes(plan):
         want = max(float(np.linalg.norm(project(big, x) - project(small, x))) for x in tup)
         assert got.verdict == s.tol.close(want, 1.0)
         assert abs(got.defect - want) <= 1e-10
-    he = cyclic_subspace(s, [e])
+    he = ref_cyclic_subspace(s, [e])
     np.testing.assert_allclose(canonical_base(s, v, [e]), project(he, v), atol=1e-10)
     got, want = type_of(s, [v, w], [e]), ref_type_of(s, [v, w], [e])
     np.testing.assert_allclose(got.base_projections, want.base_projections, atol=1e-10)
     np.testing.assert_allclose(got.moment_tensor, want.moment_tensor, atol=1e-10)
+
+
+# plans with multiplicities (rank deficient blocks), a full matrix algebra and
+# the diagonal one, beside the two above
+CLOSURE_PLANS = {
+    **PLANS,
+    "multiple": InstanceSpec(12, ((1, 1), (2, 2), (1, 3), (3, 1), (1, 1)), (False,) * 5, seed=33),
+    "full": InstanceSpec(6, ((6, 1),), (False,), seed=34),
+    "diagonal": InstanceSpec(6, ((1, 1),) * 6, (True,) + (False,) * 5, seed=35),
+}
+
+
+def closure_inputs(s, rng):
+    """Named vector lists: tuples, zero vectors, vectors inside one block, and
+    rescaled ones."""
+    v, w, e = (random_unit_vector(rng, s.dim) for _ in range(3))
+    zero = np.zeros(s.dim, dtype=complex)
+    out = {"empty": [], "zero": [zero], "one": [v], "pair": [v, w], "triple": [v, w, e],
+           "with zero": [v, zero], "tiny": [1e-6 * v, 1e-6 * w], "huge": [1e6 * v, 1e6 * w]}
+    blocks = block_vectors(s, rng)
+    out.update({f"block {i}": [f] for i, f in enumerate(blocks)})
+    out["blocks"] = blocks[:2] + [blocks[0] - blocks[-1]]
+    return out
+
+
+def assert_cyclic_subspaces_match(s, vectors, sine=None):
+    """Equal dimension, and the largest principal angle's sine within eq_abs
+    or the given bound."""
+    got, want = cyclic_subspace(s, vectors), ref_cyclic_subspace(s, vectors)
+    assert got.dim == want.dim
+    gap = np.linalg.norm(want.basis - got.basis @ (got.basis.conj().T @ want.basis), 2)
+    assert gap <= (s.tol.eq_abs if sine is None else sine), gap
+    return got
+
+
+@pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
+def test_block_closures_match_the_basis_route(plan):
+    s = random_structure(CLOSURE_PLANS[plan])
+    rng = np.random.default_rng(15)
+    for name, vectors in closure_inputs(s, rng).items():
+        got = assert_cyclic_subspaces_match(s, vectors)
+        assert_subspaces_match(acl(s, vectors), ref_acl(s, vectors))
+        if name in ("empty", "zero"):
+            assert got.dim == 0
+    assert cyclic_subspace(s, [random_unit_vector(rng, s.dim)]).dim == sum(
+        k * min(k, m) for k, m in CLOSURE_PLANS[plan].blocks)
+
+
+@pytest.mark.parametrize("plan", sorted(set(CLOSURE_PLANS) - {"full"}))
+@pytest.mark.parametrize("rank_rel", [None, 1e-4])
+def test_block_closures_cut_where_the_basis_route_cuts(plan, rank_rel):
+    # a vector in the first block plus a part in another, of multiplicity
+    # m_i other than the first's if there is one, from 1/10 to 10 times
+    # rank_rel of its size: steps of 10^(1/8) < sqrt 2 cross the cut between
+    # the singular values' sqrt(n / m_i) scales
+    s = random_structure(CLOSURE_PLANS[plan])
+    if rank_rel is not None:
+        tol = Tolerances(rank_rel=rank_rel)
+        s = Structure(generate_algebra(s.algebra.generators, tol=tol),
+                      Subspace(s.dim, s.discrete.basis, tol))
+    dec = s.algebra.block_decomposition()
+    blocks = block_vectors(s, np.random.default_rng(16))
+    j = max(range(1, len(blocks)), key=lambda i: (dec.blocks[i][1] != dec.blocks[0][1], i))
+    a, b = blocks[0], blocks[j]
+    # the basis route's singular vectors of a singular value t times the
+    # largest are accurate to about 1e-16 / t, not to eq_abs
+    dims = [assert_cyclic_subspaces_match(s, [a + t * b], sine=max(s.tol.eq_abs, 1e-14 / t)).dim
+            for t in s.tol.rank_rel * np.geomspace(0.1, 10.0, 17)]
+    one = cyclic_subspace(s, [a]).dim
+    assert (dims[0], dims[-1]) == (one, one + cyclic_subspace(s, [b]).dim)
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_block_closures_of_bare_extended_and_sub_structures(plan):
+    s = random_structure(PLANS[plan])
+    rng = np.random.default_rng(17)
+    v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    bare = Structure(StarAlgebra(s.dim, s.algebra.basis), s.discrete)
+    assert bare.algebra.generators == [] and bare.algebra._block is None
+    shat = extend_with_summand(s, cyclic_subspace(s, [v]).basis)
+    sub = cyclic_substructure(s, v + w)
+    for t in (bare, shat, sub):
+        for vectors in closure_inputs(t, rng).values():
+            assert_cyclic_subspaces_match(t, vectors)
+    assert sorted(bare.algebra._block.blocks) == sorted(PLANS[plan].blocks)
+
+
+def test_block_closures_reject_non_finite_vectors():
+    # with the basis route's message, and before any product can warn
+    s = random_structure(PLANS["essential"])
+    v = random_unit_vector(np.random.default_rng(19), s.dim)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="span input contains non-finite entries"):
+            cyclic_subspace(s, [v, np.full(s.dim, bad)])
+
+
+def test_closure_builds_nothing_indexed_by_the_algebra_basis():
+    # full M_32 has d = 1024: the images against the basis alone are 1 MB,
+    # the basis 16 MB; the blocks need 16 kB
+    rng = np.random.default_rng(18)
+    s = Structure(generate_algebra([rng.standard_normal((32, 32))]))
+    v, w = random_unit_vector(rng, 32), random_unit_vector(rng, 32)
+    assert s.algebra.size == 1024 and cyclic_subspace(s, [v]).dim == 32
+    tracemalloc.start()
+    try:
+        got = cyclic_subspace(s, [v, w])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dim == 32 and peak < 2 ** 18, peak
 
 
 @pytest.mark.parametrize("plan", sorted(PLANS))
@@ -278,7 +403,9 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
     monkeypatch.setattr(starrep.independence, "acl", None)
     svd_calls.clear()
     shat, _ = nonforking_extension(s, [v, f], [e], [e, f])
-    assert closures == [(s, 1), (s, 2), (shat, 2)]
+    # the extension set's closure is taken in s and padded: shat is never decomposed
+    assert closures == [(s, 1), (s, 2), (s, 2)]
+    assert shat.algebra._block is None
     # one SVD per closure, plus one per join with a discrete part
     assert len(svd_calls) == 3 + 2 * (s.discrete.dim > 0)
 

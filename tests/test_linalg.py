@@ -175,6 +175,49 @@ def test_subspace_validation():
         Subspace(2, np.eye(3))
 
 
+def ref_subspace_error(ambient_dim, basis):
+    """The checks of Subspace, one after another: finiteness, shape, column
+    count, then orthonormality by the Gram matrix against I."""
+    basis = np.asarray(basis, dtype=complex)
+    if not np.isfinite(basis).all():
+        return "subspace basis contains non-finite entries"
+    if basis.ndim == 1:
+        basis = basis[:, None] if basis.size else basis.reshape(ambient_dim, 0)
+    if basis.ndim != 2 or basis.shape[0] != ambient_dim:
+        return f"subspace basis of shape {basis.shape} does not fit ambient dimension {ambient_dim}"
+    if basis.shape[1] > ambient_dim:
+        return "subspace basis has more columns than the ambient dimension"
+    with np.errstate(over="ignore", invalid="ignore"):   # 1e200 overflows
+        gram = basis.conj().T @ basis
+    if basis.shape[1] and not DEFAULT_TOL.certified(np.max(np.abs(gram - np.eye(basis.shape[1]))), 1.0):
+        return "subspace basis columns are not orthonormal"
+    return None
+
+
+def test_subspace_rejects_what_each_check_rejects_with_its_message():
+    # the one-pass check names the same fault as the checks made in turn
+    e = np.eye(3, dtype=complex)
+    nan, inf = np.nan, np.inf
+    cases = [
+        (3, e[:, :2]), (3, e[:, 0]), (3, np.zeros(0)), (3, np.zeros((3, 0))),
+        (3, np.where(e > 0, nan, 0)[:, :2]), (3, np.array([1, inf, 0])),
+        (3, np.array([[1, 0], [0, 1], [0, -inf]])), (3, np.array([[1j * nan], [0], [0]])),
+        (3, np.array([[1, 0], [0, 1], [0, 0], [nan, 0]])),        # non-finite and mis-shaped
+        (2, e), (3, e[:2]), (3, np.ones((3, 1, 1))), (3, np.array(1.0)), (3, e[0, :2]),
+        (2, np.zeros((2, 3))), (2, np.full((2, 3), inf)),          # more columns than rows
+        (2, np.array([[1.0, 1.0], [0.0, 0.0]])), (3, 2 * e), (3, 1e200 * e),
+        (3, e + 1e-6), (3, e + 1e-9),
+    ]
+    for n, basis in cases:
+        want = ref_subspace_error(n, basis)   # no warning either: warnings are errors here
+        if want is None:
+            assert Subspace(n, basis).dim == np.asarray(basis).reshape(n, -1).shape[1]
+        else:
+            with pytest.raises(ValueError) as err:
+                Subspace(n, basis)
+            assert str(err.value) == want
+
+
 def test_psd_helpers(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     psd = m @ m.conj().T

@@ -234,6 +234,14 @@ def test_functionals_read_the_algebra_basis_only_in_gns_action():
     assert {scope for _, scope in found} == {"GnsRep.action"}, found
 
 
+def test_closures_read_no_algebra_basis():
+    # dcl and acl are solved on the Wedderburn blocks
+    path = pathlib.Path(starrep.__file__).parent / "representation.py"
+    found = list(_basis_reads(ast.parse(path.read_text())))
+    assert "cyclic_substructure" in {scope for _, scope in found}
+    assert [f for f in found if f[1] in ("cyclic_subspace", "acl")] == [], found
+
+
 def test_basis_guard_sees_reads_in_their_scope():
     tree = ast.parse("class A:\n    def f(self):\n        return self.basis\n"
                      "def g(s):\n    s.basis = 1\n    return s.algebra.basis\n")
