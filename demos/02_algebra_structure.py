@@ -40,8 +40,11 @@ print("recovered blocks (k_i, m_i):", dec.blocks)            # [(1, 1), (2, 2)]
 
 # the change of basis makes every element visibly block diagonal
 x = alg.random_hermitian_element(rng)
-stacks = dec.block_parts(x)    # one (c, k, k) stack per run of c equal blocks
-print("compressed block stacks:", [p.shape for p in stacks])  # [(1, 1, 1), (1, 2, 2)]
+# one zero-padded (c, K, K) stack per block group: the blocks with k <= 4 share
+# one, padded to its largest k (and, in coordinates, m); each larger k has its
+# own, so at worst a 1 x 1 block is held as 4 x 4
+stacks = dec.block_parts(x)
+print("compressed block stacks:", [p.shape for p in stacks])  # [(2, 2, 2)]
 print("assembling the stacks reproduces the element:",
       np.allclose(dec.assemble(stacks), x))
 

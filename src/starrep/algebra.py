@@ -5,9 +5,13 @@ identity and is closed under products and adjoints.  The span is carried as a
 basis orthonormal under the normalized trace pairing <A, B> = Tr(B^H A) / n.
 
 Its Wedderburn blocks (BlockDecomposition) are sorted by shape (k, m), and
-block data has one layout: one (..., c, k, k) stack per run of c equal
-shapes, as block_parts reads it from algebra elements and assemble writes it
-back.
+block data has one layout: one zero-padded (..., c, K, K) stack per block
+group, as block_parts reads it from algebra elements and assemble writes it
+back.  Every block with k <= 4 is in one group, padded to that group's
+largest k and m; each larger k has a group of its own, padded only in m.  So
+a block of k > 4 is never padded, nor pads a small one, and the worst case
+is the small group, where a 1 x 1 block's part is padded to at most 4 x 4
+(16 entries) and its coordinates to at most 4 x M, M the group's largest m.
 
 Every certificate over the algebra is checked at the probes x, y that
 StarAlgebra.probes() draws once from a fixed key, and holds with probability
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
+import types
 
 import numpy as np
 
@@ -253,15 +258,42 @@ def conditional_expectation(m: np.ndarray, a: StarAlgebra) -> np.ndarray:
     return a.from_coefficients(a.coefficients(m))
 
 
+# blocks with k <= SMALL_K share one padded group; each larger k has its own
+SMALL_K = 4
+
+
+class BlockGroup:
+    """Blocks first, ..., first + c - 1 of a decomposition, held zero-padded
+    to the largest k and m among them, K and M: their parts as one
+    (c, K, K) stack (parts_shape), their coordinates as one (c, K, M) stack.
+    k and m are the blocks' own shapes, offsets their first coordinates;
+    index[i, a, j] is the coordinate of entry (a, j) of block i in Q^H x, or
+    n (a zero) for a >= k_i or j >= m_i, and rows[i, a] marks a < k_i."""
+
+    def __init__(self, first: int, shapes, offsets, n: int):
+        self.first = first
+        self.k, self.m = np.array(shapes, dtype=int).reshape(-1, 2).T
+        a = np.arange(self.k.max())[None, :, None]
+        j = np.arange(self.m.max())[None, None, :]
+        inside = (a < self.k[:, None, None]) & (j < self.m[:, None, None])
+        self.index = np.where(inside, offsets[:, None, None] + a * self.m[:, None, None] + j, n)
+        self.rows = inside[:, :, 0]
+
+    @property
+    def parts_shape(self) -> tuple:
+        return (len(self.k),) + self.index.shape[1:2] * 2
+
+
 class BlockDecomposition:
     """Wedderburn block data: sizes (k_i, m_i) and the block-diagonalizing unitary.
 
     Conjugating every algebra element by change_of_basis^H produces the form
     direct-sum of (M_{k_i} tensor I_{m_i}), blocks sorted by (k_i, m_i).
-    `runs` holds one (first block, count c, k, m, offset) per maximal run of
-    equal shapes, and all block data (block_parts, assemble, coordinates) is
-    one (c, ...) stack per run, blocks in order inside it; only the closures'
-    private _padded copies of Q are not.
+    `groups` holds the BlockGroups (module docstring), and all block data
+    (block_parts, assemble, coordinates) is one zero-padded (c, ...) stack
+    per group, blocks in order inside it.  `runs` holds one (first block,
+    count c, k, m, offset) per maximal run of equal shapes, for the closed
+    form basis and the closures' private _padded copies of Q.
     """
 
     def __init__(self, blocks, change_of_basis: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -269,15 +301,22 @@ class BlockDecomposition:
         self.change_of_basis = np.asarray(change_of_basis, dtype=complex)
         self.tol = tol
         q = self.change_of_basis
-        if sum(k * m for k, m in self.blocks) != q.shape[0]:
+        n = q.shape[0]
+        if sum(k * m for k, m in self.blocks) != n:
             raise ValueError("block sizes do not add up to the ambient dimension")
-        if not tol.certified(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[0])), 1.0):
+        if not tol.certified(np.linalg.norm(q.conj().T @ q - np.eye(n)), 1.0):
             raise ValueError("change of basis is not unitary")
         self.runs, first, off = [], 0, 0
         for (k, m), run in itertools.groupby(self.blocks):
             c = len(list(run))
             self.runs.append((first, c, k, m, off))
             first, off = first + c, off + c * k * m
+        offsets = np.cumsum([0] + [k * m for k, m in self.blocks])
+        self.groups, first = [], 0
+        for _, group in itertools.groupby(self.blocks, key=lambda b: max(b[0], SMALL_K)):
+            shapes = list(group)
+            self.groups.append(BlockGroup(first, shapes, offsets[first:first + len(shapes)], n))
+            first += len(shapes)
 
     @property
     def signature(self):
@@ -288,7 +327,8 @@ class BlockDecomposition:
         """Q as one zero-padded (nb, M, K, n) array, M and K the largest m_i
         and k_i: [i, j, a] is column (a, j) of block i, zero for a >= k_i or
         j >= m_i.  With it, its conjugate scaled by sqrt(n / m_i) and the
-        (nb, 1, K) mask of a < k_i.  Read only by representation.cyclic_subspace."""
+        (nb, 1, K) mask of a < k_i.  Read by representation.cyclic_subspace,
+        and sliced per group by functionals.radon_nikodym_operator."""
         q = self.change_of_basis
         n = q.shape[0]
         k, m = np.array(self.blocks).T
@@ -301,49 +341,89 @@ class BlockDecomposition:
         return out, scaled, np.arange(k.max()) < k[:, None, None]
 
     def coordinates(self, x: np.ndarray):
-        """Q^H x as one (c, k, m) stack per run, block i read as a k_i x m_i
-        matrix (the order block_parts uses): an algebra element acts on it as
-        X -> x_i X, the commutant as X -> X c."""
+        """Q^H x as one zero-padded (c, K, M) stack per group, block i read as
+        a k_i x m_i matrix (the order block_parts uses): an algebra element
+        acts on it as X -> x_i X, the commutant as X -> X c."""
         y = self.change_of_basis.conj().T @ x
-        return [y[off:off + c * k * m].reshape(c, k, m) for _, c, k, m, off in self.runs]
+        if self._copies.pads:
+            y = np.append(y, 0)  # the zero the padding reads
+        return [y[g.index] for g in self.groups]
 
     def block_parts(self, m: np.ndarray):
         """The k_i x k_i compressed blocks x_i of an algebra element, or of a
-        stack of them (leading axes kept), as one (..., c, k, k) stack per run.
-        The m_i copies are averaged, and the residual of the ideal block shape
-        is certified, element by element, against the element's norm;
-        ToleranceBreach if it fails."""
+        stack of them (leading axes kept), as one zero-padded (..., c, K, K)
+        stack per group.  The m_i copies are averaged, and the residual of
+        the ideal block shape is certified, element by element, against the
+        element's norm; ToleranceBreach if it fails."""
         m = np.asarray(m, dtype=complex)
-        resid = self.change_of_basis.conj().T @ m @ self.change_of_basis
-        stacks = []
-        for run in self.runs:
-            # the run's diagonal copies, read and then cleared of their mean
-            copies = _copies(resid, run)
-            stacks.append(copies.sum(-1) / copies.shape[-1])
-            copies -= stacks[-1][..., None]
-        resid = np.linalg.norm(resid, axis=(-2, -1))
+        q = self.change_of_basis
+        lead, n = m.shape[:-2], q.shape[0]
+        at = self._copies
+        # Q^H m Q, its diagonal copies read and then cleared of their mean
+        t = (q.conj().T @ m @ q).reshape(lead + (n * n,))
+        copies = t[..., at.take]
+        if at.spread is None:
+            mean, t[..., at.take] = copies, 0
+        else:
+            mean = np.add.reduceat(copies, at.starts, axis=-1) / at.reps
+            t[..., at.take] = copies - mean[..., at.spread]
+        resid = np.linalg.norm(t, axis=-1)
         if not np.all(self.tol.certified(resid, np.linalg.norm(m, axis=(-2, -1)))):
             raise ToleranceBreach(
                 f"matrix is not in the algebra span (block residual {float(np.max(resid)):.2e})")
-        return stacks
+        if at.part is not None:
+            flat, mean = mean, np.zeros(lead + (at.bounds[-1],), dtype=complex)
+            mean[..., at.part] = flat
+        return [mean[..., start:end].reshape(lead + g.parts_shape)
+                for g, start, end in zip(self.groups, at.bounds, at.bounds[1:])]
 
     def assemble(self, stacks) -> np.ndarray:
         """Inverse of block_parts: the ambient algebra element(s) with the
-        given (..., c, k, k) stack per run."""
+        given (..., c, K, K) stack per group, entries past k_i ignored."""
         q = self.change_of_basis
-        t = np.zeros(np.shape(stacks[0])[:-3] + q.shape if stacks else q.shape, dtype=complex)
-        for run, stack in zip(self.runs, stacks):
-            copies = _copies(t, run)
-            copies[...] = np.reshape(stack, copies.shape[:-1] + (1,))
-        return q @ t @ q.conj().T
+        n = q.shape[0]
+        lead = np.shape(stacks[0])[:-3] if stacks else ()
+        at = self._copies
+        flat = np.concatenate([np.zeros(lead + (0,))] + [
+            np.reshape(stack, lead + (-1,)) for stack in stacks], axis=-1)
+        t = np.zeros(lead + (n * n,), dtype=complex)
+        t[..., at.take] = flat if at.fill is None else flat[..., at.fill]
+        return q @ t.reshape(lead + (n, n)) @ q.conj().T
 
+    def per_block(self, stacks):
+        """Each block's (..., k_i, k_i) part of (..., c, K, K) group stacks,
+        in block order, as views."""
+        return [stack[..., i, :k, :k] for g, stack in zip(self.groups, stacks)
+                for i, k in enumerate(g.k)]
 
-def _copies(t: np.ndarray, run) -> np.ndarray:
-    """Writable (..., c, k, k, m) view of a run's diagonal blocks in block
-    coordinates t: entry (a, b) of block i in its copy j."""
-    _, c, k, m, off = run
-    sub = t[..., off:off + c * k * m, off:off + c * k * m]
-    return np.einsum("...iajibj->...iabj", sub.reshape(t.shape[:-2] + (c, k, m) * 2))
+    @functools.cached_property
+    def _copies(self):
+        """Where the parts sit in Q^H x Q, flattened.  take holds entry (a, b)
+        of copy j of block i, the m_i copies of each (i, a, b) in a row from
+        starts, reps of them; spread maps each entry taken to its (i, a, b),
+        part each (i, a, b) to its place in the group stacks laid end to end
+        (bounds), and fill each entry taken to that place.  spread, part and
+        fill are None where they are the identity, and pads tells whether
+        any group is padded."""
+        n = self.change_of_basis.shape[0]
+        take, reps, part, bounds = [], [], [], [0]
+        for g in self.groups:
+            # [i, a, b, j]: entry (a, b) of block i in its copy j, where all are in range
+            rows, cols = g.index[:, :, None, :], g.index[:, None, :, :]
+            inside = (rows < n) & (cols < n)
+            take.append((rows * n + cols)[inside])
+            count = inside.sum(-1).ravel()  # m_i for each (i, a, b) inside, else 0
+            reps.append(count[count > 0])
+            part.append(bounds[-1] + np.flatnonzero(count))
+            bounds.append(bounds[-1] + count.size)
+        take, reps, part = (np.concatenate([np.zeros(0, dtype=int)] + x)
+                            for x in (take, reps, part))
+        spread = None if (reps == 1).all() else np.repeat(np.arange(reps.size), reps)
+        part = None if part.size == bounds[-1] else part
+        fill = part if spread is None else spread if part is None else part[spread]
+        return types.SimpleNamespace(take=take, starts=np.cumsum(reps) - reps, reps=reps,
+                                     spread=spread, part=part, fill=fill, bounds=bounds,
+                                     pads=any((g.index == n).any() for g in self.groups))
 
 
 def _cluster_eigenvalues(w: np.ndarray):

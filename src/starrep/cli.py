@@ -410,8 +410,8 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
-        if args.command == "gns" and args.vector is None and args.state is None:
-            raise ScenarioError("gns needs a vector name or --state")
+        if args.command == "gns" and (args.vector is None) == (args.state is None):
+            raise ScenarioError("gns needs a vector name or --state, not both")
         if args.command == "axioms":
             sc = load_scenario(args.scenario, args.tol) if args.scenario else None
         else:

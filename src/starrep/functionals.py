@@ -10,16 +10,22 @@ read as k_i x m_i matrices.  GNS keeps the cyclic vector's blocks, and two
 GNS representations are intertwined on them.  Nothing in this module reads
 the algebra basis, except GnsRep.action, built only when read.
 
-All block data is in the algebra's one layout, a (c, k, k) stack per run of
-c blocks of equal shape (k, m) (BlockDecomposition.block_parts), so each step
-is one LAPACK call or batched product per run, and a block's rank inside a
-run is applied by zeroing columns.  Only GnsRep.pi splits runs into blocks,
-since its block ranks differ inside a run.
+All block data is in the algebra's one layout, a zero-padded (c, K, K)
+stack per block group (BlockDecomposition.groups: every block with k <= 4 in
+one group, padded to its largest k and m, and each larger k in a group of
+its own, padded only in m), so each step is one LAPACK call or batched
+product per group, and a block's rank inside a group is applied by zeroing
+columns.  Padded rows and columns are exact zeros: their eigenvalues fall at
+or below every support cut, and they add nothing to traces, norms, witness
+scores or least eigenvalues.  Masks are needed only where blocks are read
+out: the GNS cyclic vector, GnsRep.pi and the Radon-Nikodym basis.  The
+worst case is the small group's padding, a 1 x 1 block held as at most 4 x 4
+parts and 4 x M coordinates, M the group's largest m.
 
 What is kept: per algebra, its block decomposition and its two probe
 elements with their product and adjoint (StarAlgebra.probes); per
 functional, its block stacks and, each on first read, rho, the norm and one
-eigh per run (PositiveFunctional.spectra).  What is certified on every call:
+eigh per group (PositiveFunctional.spectra).  What is certified on every call:
 the orthogonality norm gap against the block supports, the positivity of
 gamma psi - phi, the orbit-map leak of an embedding, the range and
 commutation of a Radon-Nikodym copy and its state (at the probes, in ambient
@@ -55,9 +61,9 @@ def _hermitian(stacks):
 
 class PositiveFunctional:
     """A positive linear functional: its Hermitian Wedderburn block parts,
-    held as one (c, k, k) stack per run of equal block shapes.  Its
+    held as one zero-padded (c, K, K) stack per block group.  Its
     in-algebra trace representative `rep`, its norm and its `spectra` (one
-    eigh per run) are computed from them on first read and then kept;
+    eigh per group) are computed from them on first read and then kept;
     assigning `stacks` drops the spectra only.  ValueError unless the block
     residual puts rep in the algebra span and the parts are PSD."""
 
@@ -77,9 +83,9 @@ class PositiveFunctional:
 
     @classmethod
     def from_stacks(cls, algebra: StarAlgebra, stacks) -> PositiveFunctional:
-        """The functional with block parts sigma_i, one (c, k, k) stack per run
-        and symmetrised, rep = Q (+)(sigma_i (x) I_{m_i}) Q^H; trusted, not
-        validated."""
+        """The functional with block parts sigma_i, one (c, K, K) stack per
+        group, zero past each k_i, and symmetrised,
+        rep = Q (+)(sigma_i (x) I_{m_i}) Q^H; trusted, not validated."""
         phi = cls.__new__(cls)
         phi.algebra, phi.stacks, phi._rep, phi._norm = algebra, _hermitian(stacks), None, None
         return phi
@@ -94,7 +100,7 @@ class PositiveFunctional:
 
     @property
     def spectra(self):
-        """(eigh of each run's stack, the top eigenvalue over all of them),
+        """(eigh of each group's stack, the top eigenvalue over all of them),
         kept: the support of every query is cut against that top."""
         if self._spectra is None:
             spectra = [np.linalg.eigh(p) for p in self.stacks]
@@ -114,9 +120,9 @@ class PositiveFunctional:
         """For a positive functional the norm is the value at the identity,
         sum_i m_i Tr sigma_i."""
         if self._norm is None:
-            runs = self.algebra.block_decomposition().runs
-            self._norm = float(sum(m * np.einsum("bii->", p).real
-                                   for (*_, m, _), p in zip(runs, self.stacks)))
+            groups = self.algebra.block_decomposition().groups
+            self._norm = float(sum(g.m @ np.einsum("bii->b", p).real
+                                   for g, p in zip(groups, self.stacks)))
         return self._norm
 
     def __repr__(self):
@@ -126,19 +132,19 @@ class PositiveFunctional:
 def vector_state(s: Structure, v: np.ndarray) -> PositiveFunctional:
     """The state a -> <pi(a) v, v> of a vector.  With V_i the block coordinates
     of v, its block parts are sigma_i = V_i V_i^H / m_i, the partial trace of
-    v v^H over the m_i copies: one batched product per run."""
+    v v^H over the m_i copies: one batched product per group."""
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != s.dim:
         raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
     dec = s.algebra.block_decomposition()
     return PositiveFunctional.from_stacks(s.algebra, [
-        y @ _adj(y) / m for y, (*_, m, _) in zip(dec.coordinates(v), dec.runs)])
+        y @ _adj(y) / g.m[:, None, None] for y, g in zip(dec.coordinates(v), dec.groups)])
 
 
 def _trace_norms(dec, stacks) -> float:
     """Multiplicity-weighted blockwise trace norm of Hermitian block stacks."""
-    return float(sum(m * np.abs(np.linalg.eigvalsh(p)).sum()
-                     for (*_, m, _), p in zip(dec.runs, stacks)))
+    return float(sum(g.m @ np.abs(np.linalg.eigvalsh(p)).sum(-1)
+                     for g, p in zip(dec.groups, stacks)))
 
 
 def functional_norm(algebra: StarAlgebra, rep: np.ndarray) -> float:
@@ -209,7 +215,7 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     representative, which lies in the algebra.  When the functionals are not
     orthogonal the result reports the best achievable floor over the tested
     spectral projections of psi.  Each candidate projection kills the
-    eigenvalues of psi's blocks at or below a cut, so from one eigh per run
+    eigenvalues of psi's blocks at or below a cut, so from one eigh per group
     it scores psi(a) = sum_i m_i (killed eigenvalues) and
     phi(I - a) = sum_i m_i (kept diagonal of phi's block in that eigenbasis);
     only the best candidate is assembled.  Scores within `Tolerances.close`
@@ -229,12 +235,13 @@ def orthogonality_witness(phi: PositiveFunctional, psi: PositiveFunctional,
     phi_gap = np.zeros(cuts.size)
     psi_gap = np.zeros(cuts.size)
     killed = []
-    for (w, v), sp, (*_, m, _) in zip(spectra, phi.stacks, dec.runs):
+    for (w, v), sp, g in zip(spectra, phi.stacks, dec.groups):
         # kill[b, i, j]: cut j kills eigenvalue i of block b (a prefix, eigh sorts ascending)
         kill = w[:, :, None] <= cuts
         diag = (v.conj() * (sp @ v)).sum(1).real
-        psi_gap += m * np.einsum("bi,bij->j", w, kill)
-        phi_gap += m * np.einsum("bi,bij->j", diag, ~kill)
+        weights = g.m[:, None]
+        psi_gap += np.einsum("bi,bij->j", weights * w, kill)
+        phi_gap += np.einsum("bi,bij->j", weights * diag, ~kill)
         killed.append(kill)
     # the first candidate within round-off of the least score, so that ties
     # in exact arithmetic do not go to whichever summation order wins
@@ -257,7 +264,7 @@ def is_dominated(phi: PositiveFunctional, psi: PositiveFunctional):
     when phi's mass on psi's kernel vanishes against phi(1); the least gamma
     is the largest generalized eigenvalue of the block parts on psi's
     support, and gamma psi - phi is certified PSD blockwise before returning.
-    Each step is one batched call per run of equal block shapes.
+    Each step is one batched call per block group.
     """
     tol, mass = phi.algebra.tol, phi.norm()
     psi = _on(phi.algebra, psi)
@@ -286,10 +293,11 @@ class GnsRep:
     """Cyclic representation built from a positive functional, held as blocks:
     x acts as pi(x) = (+) x_i (x) I_{r_i} on (+) C^{k_i} (x) C^{r_i}; `roots`
     holds the cyclic vector's blocks Xi_i = sqrt(m_i) sigma_i^{1/2}, one
-    (c, k, k) stack per run with the columns off each block's support zeroed,
-    and `cyclic` the same vector, block by block and row by row.  `action`, pi
-    of every basis element (d r^2 entries), is built only when read.  The
-    defects are maxima over the algebra's probes, not over the basis."""
+    zero-padded (c, K, K) stack per group with the columns off each block's
+    support zeroed, and `cyclic` the same vector, block by block and row by
+    row.  `action`, pi of every basis element (d r^2 entries), is built only
+    when read.  The defects are maxima over the algebra's probes, not over
+    the basis."""
 
     algebra: StarAlgebra
     space_dim: int
@@ -301,10 +309,9 @@ class GnsRep:
 
     def pi(self, x: np.ndarray) -> np.ndarray:
         """(+) x_i (x) I_{r_i} for an algebra element or a stack of them; the
-        runs are split into blocks here, since ranks differ inside a run."""
-        stacks = self.algebra.block_decomposition().block_parts(x)
-        return block_diag_kron([p for stack in stacks for p in np.moveaxis(stack, -3, 0)],
-                               self.ranks)
+        groups are split into blocks here, since ranks differ inside a group."""
+        dec = self.algebra.block_decomposition()
+        return block_diag_kron(dec.per_block(dec.block_parts(x)), self.ranks)
 
     @cached_property
     def action(self) -> np.ndarray:
@@ -320,9 +327,9 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     On the Wedderburn blocks phi(x) = sum_i m_i Tr(sigma_i x_i).  Eigenvalues
     of the sigma_i at or below the support cut (taken over all blocks) span
     the null space; the r_i kept ones give the space, from phi's kept
-    spectra, one eigh per run of equal block shapes.  Nothing indexed by the
-    algebra basis is built, and the defects are maxima, not over the basis
-    but at the algebra's probes x, y (StarAlgebra.probes), of
+    spectra, one eigh per block group.  Nothing indexed by the algebra
+    basis is built, and the defects are maxima, not over the basis but at
+    the algebra's probes x, y (StarAlgebra.probes), of
     <pi(x) xi, xi> = phi(x), of pi(x) pi(y) xi = pi(xy) xi and, on the kept
     blocks, of pi(x)^H = pi(x^H), with the probes' ambient xy and x^H read
     through one block_parts on every call.  xi is cyclic when each Xi_i has
@@ -334,15 +341,15 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
         raise ValueError("the functional is degenerate (vanishes at the identity)")
     dec = algebra.block_decomposition()
     keeps = [w > tol.rank_cut(top) for w, _ in spectra]
-    roots = [np.sqrt(m) * v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
-             for (w, v), keep, (*_, m, _) in zip(spectra, keeps, dec.runs)]
-    # sqrt(m_i) sigma_i^{1/2} on its range: each block's kept columns, row by row
-    cyclic = np.concatenate([root[np.broadcast_to(keep[:, None, :], root.shape)]
-                             for root, keep in zip(roots, keeps)])
+    roots = [np.sqrt(g.m)[:, None, None] * v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+             for (w, v), keep, g in zip(spectra, keeps, dec.groups)]
+    # sqrt(m_i) sigma_i^{1/2} on its range: each block's kept columns, its k_i rows
+    cyclic = np.concatenate([root[g.rows[:, :, None] & keep[:, None, :]]
+                             for root, keep, g in zip(roots, keeps, dec.groups)])
     ranks = np.concatenate([keep.sum(1) for keep in keeps]).tolist()
     rep = GnsRep(algebra, cyclic.size, cyclic, ranks, roots)
     elements = algebra.probes()
-    # each run's parts of x, y, xy and x^H, and the images of xi under the first three
+    # each group's parts of x, y, xy and x^H, and the images of xi under the first three
     parts = dec.block_parts(elements)
     images = [p[:3] @ root for p, root in zip(parts, roots)]
     values = sum(np.einsum("ecaj,caj->e", im[:2], root.conj()) for im, root in zip(images, roots))
@@ -378,11 +385,11 @@ def gns_intertwiner(rep1: GnsRep, rep2: GnsRep):
     and U xi_1 = xi_2 reads Xi^1_i u_i^T = Xi^2_i on the roots.  Their columns
     are orthogonal, so the least-squares u_i^T is
     diag(1 / ||column of Xi^1_i||^2) Xi^1_i^H Xi^2_i, one batched product per
-    run, with no cutoff: the columns off the supports are exactly zero.
-    Returns (u, defect): u holds one (c, k, k) stack per run, rows and columns
-    off the supports zeroed, and the defect is the larger of the largest
-    entries of Xi^1_i u_i^T - Xi^2_i and of u_i^H u_i - I on the supports; U
-    commutes with pi by construction.  A defect at tolerance certifies the two
+    group, with no cutoff: the columns off the supports are exactly zero.
+    Returns (u, defect): u holds one (c, K, K) stack per group, rows and
+    columns off the supports zeroed, and the defect is the larger of the
+    largest entries of Xi^1_i u_i^T - Xi^2_i and of u_i^H u_i - I on the
+    supports; U commutes with pi by construction.  A defect at tolerance certifies the two
     representations pointedly isomorphic.  Different block ranks give
     (None, inf).
     """
@@ -416,13 +423,13 @@ def _orbit_leak(s: Structure, v: np.ndarray, w: np.ndarray):
     sqrt(n/m_i) times those of W_i, so the ranges are cut on W_i / sqrt(m_i).
     """
     dec = s.algebra.block_decomposition()
-    ws = [y / np.sqrt(m) for y, (*_, m, _) in zip(dec.coordinates(w), dec.runs)]
+    ws = [y / np.sqrt(g.m)[:, None, None] for y, g in zip(dec.coordinates(w), dec.groups)]
     leak = scale = 0.0
-    for (u, _, _, keep), vi, (*_, k, m, _) in zip(stack_svds(ws, s.tol), dec.coordinates(v),
-                                                    dec.runs):
+    for (u, _, _, keep), vi, g in zip(stack_svds(ws, s.tol), dec.coordinates(v), dec.groups):
         u = u * keep[:, None, :]
-        leak += k / m * np.linalg.norm(vi - u @ (_adj(u) @ vi)) ** 2
-        scale += k / m * np.linalg.norm(vi) ** 2
+        vi = vi * np.sqrt(g.k / g.m)[:, None, None]  # so that squared norms carry k_i / m_i
+        leak += np.linalg.norm(vi - u @ (_adj(u) @ vi)) ** 2
+        scale += np.linalg.norm(vi) ** 2
     return float(np.sqrt(leak)), float(np.sqrt(scale))
 
 
@@ -460,6 +467,36 @@ class RadonNikodym:
     gamma: float
 
 
+def _block_svds(dec, coords, tol):
+    """Thin SVDs of the blocks of group coordinate stacks, in the group
+    layout: (u, s, vh, keep) per group, zero past each block's own shape,
+    keep cut as stack_svds cuts.  LAPACK is called once per run of equal
+    block shapes, on the blocks themselves: zero padding changes the phases
+    zgesdd gives the singular vectors, and the Radon-Nikodym basis shows
+    them."""
+    views, owners = [], []
+    for index, (g, stack) in enumerate(zip(dec.groups, coords)):
+        for first, count, k, m, _ in dec.runs:
+            if g.first <= first < g.first + len(g.k):
+                views.append(stack[first - g.first:first - g.first + count, :k, :m])
+                owners.append((index, first - g.first))
+    svds = stack_svds(views, tol)
+    out = []
+    for index, stack in enumerate(coords):
+        runs = [(i, svd) for (owner, i), svd in zip(owners, svds) if owner == index]
+        if len(runs) == 1:  # the group is one run, so nothing is padded
+            out.append(runs[0][1])
+            continue
+        c, k, m = stack.shape
+        p = min(k, m)
+        out.append((np.zeros((c, k, p), dtype=complex), np.zeros((c, p)),
+                    np.zeros((c, p, m), dtype=complex), np.zeros((c, p), dtype=bool)))
+        for i, svd in runs:
+            for full, part in zip(out[-1], svd):
+                full[(slice(i, i + len(part)),) + tuple(map(slice, part.shape[1:]))] = part
+    return out
+
+
 def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     """The Radon-Nikodym operator realizing phi_v inside the cyclic space of w.
 
@@ -470,8 +507,9 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     <D pi(a) w, pi(b) w> = phi_v(b^H a) is solved by D: Z -> Z delta_i with
     delta_i = G_i G_i^H, G_i = S_i^{-1} U_i^H V_i.  T = sqrt(D) is
     (+) I_{k_i} (x) sqrt(delta_i)^T and carries w to the copy
-    Q (+) U_i S_i sqrt(delta_i) Y_i^H, with one svd and one eigh per run of
-    equal block shapes.  D is PSD by construction.  Certified:
+    Q (+) U_i S_i sqrt(delta_i) Y_i^H, with one eigh per block group and
+    one svd per run of equal block shapes (_block_svds).  D is PSD by
+    construction.  Certified:
     V_i lies in the range of W_i, T commutes with the compressed letters of
     the algebra, and the copy carries the state of v at the algebra's probes.
     """
@@ -484,18 +522,22 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
 
     tol, n = s.tol, s.dim
     dec = s.algebra.block_decomposition()
+    padded = dec._padded[0]
     cols, keeps, roots, outside, scale = [], [], [], [], []
-    for (_, c, k, m, off), vi, (u, sv, yh, keep) in zip(dec.runs, dec.coordinates(v),
-                                                        stack_svds(dec.coordinates(w), tol)):
-        # one thin SVD per run; a block's columns past its rank are zeroed, then dropped
+    for grp, vi, (u, sv, yh, keep) in zip(dec.groups, dec.coordinates(v),
+                                          _block_svds(dec, dec.coordinates(w), tol)):
+        # the columns past a block's rank and the rows past its k_i are
+        # zeroed, then dropped
+        c, k, m = grp.index.shape
         p = sv.shape[1]
         u = u * keep[:, None, :]
-        q = dec.change_of_basis[:, off:off + c * k * m].reshape(n, c, k, m)
-        cols.append(np.einsum("xcam,cjm->xcaj", q, yh).reshape(n, -1))
-        keeps.append(np.broadcast_to(keep[:, None, :], (c, k, p)).ravel())
+        # [c, m, a]: column (a, m) of block c, sliced from the padded Q
+        q = padded[grp.first:grp.first + c, :m, :k]
+        cols.append(np.einsum("cmax,cjm->xcaj", q, yh).reshape(n, -1))
+        keeps.append((grp.rows[:, :, None] & keep[:, None, :]).ravel())
         uv = _adj(u) @ vi
         g = uv * np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)[:, :, None]
-        # I_{k_i} (x) sqrt(delta_i)^T, with one eigh per run
+        # I_{k_i} (x) sqrt(delta_i)^T, with one eigh per group
         roots.append(np.einsum("cd,ab,cji->caidbj", np.eye(c), np.eye(k),
                                psd_sqrt(g @ _adj(g), tol)).reshape(c * k * p, -1))
         # U S delta S U^H - V V^H: the part of V_i outside the range of W_i

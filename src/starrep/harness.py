@@ -150,11 +150,11 @@ def commuting_unitary(s: Structure, rng) -> np.ndarray:
 
 
 def _zero_stacks(algebra):
-    """Zero block parts, one (c, k, k) stack per run, and their views block by
-    block in block order, for the builders to fill."""
-    stacks = [np.zeros((c, k, k), dtype=complex)
-              for _, c, k, _, _ in algebra.block_decomposition().runs]
-    return stacks, [p for stack in stacks for p in stack]
+    """Zero block parts, one (c, K, K) stack per block group, and their
+    k_i x k_i views block by block in block order, for the builders to fill."""
+    dec = algebra.block_decomposition()
+    stacks = [np.zeros(g.parts_shape, dtype=complex) for g in dec.groups]
+    return stacks, dec.per_block(stacks)
 
 
 def random_in_algebra_state(s: Structure, rng, keep_prob: float = 0.7) -> PositiveFunctional:
@@ -174,7 +174,9 @@ def random_in_algebra_state(s: Structure, rng, keep_prob: float = 0.7) -> Positi
 def _compress_state(phi: PositiveFunctional, rng) -> PositiveFunctional:
     """A functional dominated by phi: spectral truncation of each block part,
     keeping phi's top eigenvalue when the draw keeps none."""
-    spectra = [(w, v) for ws, vs in phi.spectra[0] for w, v in zip(ws, vs)]
+    # block by block, unpadded: each block draws k_i uniforms, as it did per run
+    parts = phi.algebra.block_decomposition().per_block(phi.stacks)
+    spectra = [np.linalg.eigh(p) for p in parts]
     keep = [(w > 1e-10) & (rng.random(w.size) < 0.8) for w, _ in spectra]
     if not any(k.any() for k in keep):
         top = int(np.argmax([w[-1] for w, _ in spectra]))
@@ -230,13 +232,13 @@ class PropertyStats:
     exemplar: dict | None = None
 
     def record(self, ok: bool, defect: float = 0.0, exemplar: dict | None = None):
+        """Tally one trial.  The exemplar is the first one given, replaced by
+        each failing trial's: passing defects are often round-off, and the
+        largest of them would pick the exemplar by summation order."""
         self.trials += 1
         self.passes += int(ok)
-        if defect >= self.max_defect:
-            self.max_defect = float(defect)
-            if exemplar is not None:
-                self.exemplar = exemplar
-        if not ok and exemplar is not None:
+        self.max_defect = max(self.max_defect, float(defect))
+        if exemplar is not None and (not ok or self.exemplar is None):
             self.exemplar = exemplar
 
 

@@ -14,15 +14,24 @@ E2 = np.array([0, 1], dtype=complex)
 U = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
-def per_block(stacks):
-    """Block data held as one (..., c, k, k) stack per run, split into one
-    (..., k, k) part per block, in block order, for per-block references."""
-    return [p for stack in stacks for p in np.moveaxis(stack, -3, 0)]
+def per_block(dec, stacks):
+    """Block data held as one zero-padded (..., c, K, K) stack per block
+    group, split into one (..., k_i, k_i) part per block, in block order, for
+    per-block references."""
+    return [stack[..., i, :k, :k] for g, stack in zip(dec.groups, stacks)
+            for i, k in enumerate(g.k)]
 
 
-def per_run(dec, parts):
-    """One k_i x k_i part per block, stacked into one (c, k, k) stack per run."""
-    return [np.array(parts[first:first + c], dtype=complex) for first, c, *_ in dec.runs]
+def per_group(dec, parts):
+    """One k_i x k_i part per block, zero-padded into one (c, K, K) stack per
+    block group."""
+    stacks = []
+    for g in dec.groups:
+        stack = np.zeros(g.parts_shape, dtype=complex)
+        for i, k in enumerate(g.k):
+            stack[i, :k, :k] = parts[g.first + i]
+        stacks.append(stack)
+    return stacks
 
 
 @pytest.fixture

@@ -1,16 +1,17 @@
-"""The functional calculus batched over runs of equal Wedderburn block shapes.
+"""The functional calculus batched over zero-padded Wedderburn block groups.
 
 The references below are the per-block loops the batched code replaced, kept
 here verbatim in substance: one eigh, eigvalsh, svd or product per block, and
 supports cut by slicing.  The batched queries must give the same verdicts,
-ranks and shapes, and the same numbers to 1e-12 relative.
+ranks and shapes, and the same numbers to 1e-12 relative.  The plans include
+groups that split: a large block beside small ones, and k from 1 to 5.
 """
 import itertools
 
 import numpy as np
 import pytest
 
-from starrep.algebra import generate_algebra
+from starrep.algebra import BlockDecomposition, generate_algebra
 from starrep.functionals import (
     PositiveFunctional,
     _orbit_leak,
@@ -29,10 +30,13 @@ from starrep.linalg import (block_diag, block_diag_kron, haar_unitary, orthonorm
                             psd_sqrt)
 from starrep.representation import Structure
 
-from conftest import per_block, per_run
+from conftest import per_block, per_group
 
 RUNS = ((2, 2),) * 3 + ((1, 1),) * 4 + ((3, 1),)
-PLANS = {"runs": RUNS, "diag20": ((1, 1),) * 20, "full6": ((6, 1),)}
+PLANS = {"runs": RUNS, "diag20": ((1, 1),) * 20, "full6": ((6, 1),),
+         "lopsided": ((6, 1),) + ((1, 1),) * 4,
+         "ladder": ((1, 1),) * 2 + ((1, 3),) + ((2, 1),) * 2 + ((3, 2),) + ((4, 1),)
+         + ((5, 1),) * 2 + ((5, 2),)}
 
 
 def planted(blocks, seed):
@@ -138,7 +142,7 @@ def ref_witness(dec, tol, parts_phi, parts_psi, epsilon):
     element = None
     if pg < epsilon and sg < epsilon:
         kills = [v[:, :count[best]] for (_, v), count in zip(spectra, killed)]
-        element = dec.assemble(per_run(dec, [kill @ kill.conj().T for kill in kills]))
+        element = dec.assemble(per_group(dec, [kill @ kill.conj().T for kill in kills]))
     return element is not None, element, pg, sg, max(pg, sg)
 
 
@@ -185,7 +189,7 @@ def ref_gns(algebra, parts):
     roots = [np.sqrt(m) * v[:, w > cut] * np.sqrt(w[w > cut])
              for (w, v), (_, m) in zip(spectra, dec.blocks)]
     ranks = [root.shape[1] for root in roots]
-    action = block_diag_kron(per_block(dec.block_parts(algebra.basis)), ranks)
+    action = block_diag_kron(per_block(dec, dec.block_parts(algebra.basis)), ranks)
     return action, np.concatenate([root.ravel() for root in roots])
 
 
@@ -211,7 +215,7 @@ def states(s, rng):
         for i, (k, _) in enumerate(dec.blocks):
             g = cgauss(rng, k, min(k, (i + shift) % 3))
             parts.append(g @ g.conj().T)
-        out.append((PositiveFunctional.from_stacks(s.algebra, per_run(dec, parts)), None))
+        out.append((PositiveFunctional.from_stacks(s.algebra, per_group(dec, parts)), None))
     out += [(phi, None) for phi in disjoint_state_pair(s, rng)]
     return out
 
@@ -223,9 +227,9 @@ def test_batched_queries_match_the_per_block_loops(plan):
     rng = np.random.default_rng(62)
     pool = states(s, rng)
     for phi, v in pool:
-        want = ref_vector_parts(s, v) if v is not None else per_block(phi.stacks)
+        want = ref_vector_parts(s, v) if v is not None else per_block(dec, phi.stacks)
         scale = max(1.0, ref_norm(dec, want))
-        for got, ref in zip(per_block(phi.stacks), want):
+        for got, ref in zip(per_block(dec, phi.stacks), want):
             assert_rel(got, ref, scale)
         assert abs(phi.norm() - ref_norm(dec, want)) <= 1e-12 * scale
         assert abs(functional_norm(s.algebra, phi.rep)
@@ -239,7 +243,7 @@ def test_batched_queries_match_the_per_block_loops(plan):
     for phi, _ in pool:
         for psi, _ in pool:
             mass = phi.norm() + psi.norm()
-            parts_phi, parts_psi = per_block(phi.stacks), per_block(psi.stacks)
+            parts_phi, parts_psi = per_block(dec, phi.stacks), per_block(dec, psi.stacks)
             diff = [p - q for p, q in zip(parts_phi, parts_psi)]
             assert abs(difference_norm(phi, psi) - ref_trace_norm(dec, diff)) <= 1e-12 * mass
             by_norm, by_support = ref_is_orthogonal(dec, tol, parts_phi, parts_psi)
@@ -279,7 +283,7 @@ def test_witness_ties_go_to_the_first_candidate():
     for eps in (1e-6, 0.5):
         wit = orthogonality_witness(phi, phi, eps)
         assert abs(wit.phi_gap - mass) <= 1e-12 * mass and abs(wit.psi_gap) <= 1e-12 * mass
-        parts = per_block(phi.stacks)
+        parts = per_block(dec, phi.stacks)
         _, _, pg, sg, _ = ref_witness(dec, tol, parts, parts, eps)
         assert abs(wit.phi_gap - pg) <= 1e-12 * mass and abs(wit.psi_gap - sg) <= 1e-12 * mass
 
@@ -382,3 +386,75 @@ def test_queries_make_one_lapack_call_per_run_and_only_gns_reads_rep(monkeypatch
         assert len(calls) <= budget, (name, calls)
         assert all(shape in ((20, 1, 1), (20, 20)) for _, shape in calls), (name, calls)
         assert len(reads) == rep_reads, name
+
+
+# ----- the grouping rule and one LAPACK call per group ------------------------
+
+def groups_of(blocks):
+    n = sum(k * m for k, m in blocks)
+    return BlockDecomposition(sorted(blocks), np.eye(n)).groups
+
+
+def test_blocks_group_by_the_small_k_rule():
+    # single-shape plans: one group, nothing padded
+    for blocks in (((1, 1),) * 20, ((2, 2),) * 3, ((6, 1),), ((5, 2),) * 2, ((12, 1),)):
+        [g] = groups_of(blocks)
+        assert g.index.shape == (len(blocks),) + blocks[0] and g.rows.all()
+        assert (g.index < sum(k * m for k, m in blocks)).all()
+    # the mixed12 and mixed20 plans of perfbench/functionals_workload.py batch whole
+    for blocks in (((1, 2), (2, 2), (3, 1), (1, 3)), ((1, 2), (2, 2), (3, 2), (2, 3), (1, 2))):
+        [g] = groups_of(blocks)
+        assert g.index.shape == (len(blocks), 3, 3)
+    # a block with k > 4 is never padded in k, nor pads a small one
+    lopsided = {"12+1x8": ((12, 1),) + ((1, 1),) * 8, "24+2x4": ((24, 1),) + ((2, 2),) * 4}
+    for name, blocks in {**PLANS, **lopsided}.items():
+        groups = groups_of(blocks)
+        assert [b for g in groups for b in zip(g.k, g.m)] == sorted(blocks), name
+        for g in groups:
+            size = g.index.shape[1]
+            assert size <= 4 or (g.k == size).all(), name
+            assert g.rows.sum() == g.k.sum(), name
+    assert [g.index.shape for g in groups_of(lopsided["12+1x8"])] == [(8, 1, 1), (1, 12, 1)]
+    assert [g.index.shape for g in groups_of(PLANS["ladder"])] == [(7, 4, 3), (3, 5, 2)]
+
+
+def lapack_calls(monkeypatch, plan, seed):
+    """The eigh, eigvalsh and svd calls of four queries on a planted plan, each
+    from fresh vector states of a dominated pair, and the plan's run count."""
+    s = planted(plan, seed)
+    dec = s.algebra.block_decomposition()
+    rng = np.random.default_rng(seed)
+    wc = [cgauss(rng, k, m) for k, m in dec.blocks]
+    w = from_coords(s, wc)
+    v = from_coords(s, [wi @ cgauss(rng, wi.shape[1], wi.shape[1]) for wi in wc])
+    queries = {
+        "is_dominated": lambda: is_dominated(vector_state(s, v), vector_state(s, w)),
+        "gns": lambda: gns(s.algebra, vector_state(s, v)),
+        "orthogonality_witness": lambda: orthogonality_witness(vector_state(s, v),
+                                                               vector_state(s, w), 0.5),
+        "radon_nikodym_operator": lambda: radon_nikodym_operator(s, w, v),
+    }
+    calls, counts = [], {}
+    with monkeypatch.context() as patch:
+        for name in ("eigh", "eigvalsh", "svd"):
+            real = getattr(np.linalg, name)
+            patch.setattr(np.linalg, name, lambda a, *args, _real=real, _name=name, **kw:
+                          calls.append(_name) or _real(a, *args, **kw))
+        for query, run in queries.items():
+            calls.clear()
+            assert run() is not None
+            counts[query] = {name: calls.count(name) for name in ("eigh", "eigvalsh", "svd")}
+    return counts, len(dec.runs)
+
+
+def test_lapack_calls_do_not_grow_with_the_runs_in_a_group(monkeypatch):
+    one, runs_one = lapack_calls(monkeypatch, ((2, 2),) * 3, 83)
+    four, runs_four = lapack_calls(monkeypatch, ((1, 2), (1, 3), (2, 2), (3, 1)), 84)
+    assert (runs_one, runs_four) == (1, 4)
+    for query, counts in one.items():
+        want = dict(counts)
+        if query == "radon_nikodym_operator":
+            # its svd alone stays per run: zero padding would change the phases
+            # of the singular vectors its block-adapted basis is built from
+            want["svd"] += runs_four - runs_one
+        assert four[query] == want, (query, counts, four[query])

@@ -90,6 +90,17 @@ def test_gns_command(capsys):
     assert abs(rep["cyclic_norm"] - np.sqrt(2)) < 1e-10
 
 
+@pytest.mark.parametrize("vector", ["e1", "nosuch"])
+def test_gns_rejects_a_vector_name_with_state(capsys, vector):
+    # the state would be used and the name ignored, known or not
+    code = cli.main(["gns", DIAG, vector, "--state", "[[[1,0],[0,0]],[[0,0],[1,0]]]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not both" in captured.err
+    code = cli.main(["gns", DIAG])
+    assert code == 2 and "vector name or --state" in capsys.readouterr().err
+
+
 def test_orth_dom_embed_rn_commands(capsys):
     assert run(capsys, "orth", DIAG, "e1", "e2", "")[1]["verdict"] is True
     assert run(capsys, "orth", DIAG, "u", "u", "")[1]["verdict"] is False

@@ -38,7 +38,7 @@ from starrep.independence import nonforking_extension
 from starrep.linalg import Subspace, ToleranceBreach, haar_unitary, psd_sqrt
 from starrep.representation import Structure, cyclic_subspace
 
-from conftest import E1, E2, U, per_block, per_run
+from conftest import E1, E2, U, per_block, per_group
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -90,7 +90,7 @@ def test_vector_state_parts_match_conditional_expectation():
             phi = vector_state(s, v)
             rho = conditional_expectation(np.outer(v, v.conj()), s.algebra)
             np.testing.assert_allclose(phi.rep, rho, atol=1e-12)
-            for got, want in zip(per_block(phi.stacks), per_block(dec.block_parts(rho))):
+            for got, want in zip(per_block(dec, phi.stacks), per_block(dec, dec.block_parts(rho))):
                 np.testing.assert_allclose(got, (want + want.conj().T) / 2, atol=1e-12)
 
 
@@ -102,12 +102,12 @@ def test_from_parts_round_trip():
         gs = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
               for k, _ in dec.blocks]
         parts = [g @ g.conj().T for g in gs]
-        phi = PositiveFunctional.from_stacks(s.algebra, per_run(dec, parts))
-        for got, again, want in zip(per_block(phi.stacks), per_block(dec.block_parts(phi.rep)),
-                                    parts):
+        phi = PositiveFunctional.from_stacks(s.algebra, per_group(dec, parts))
+        for got, again, want in zip(per_block(dec, phi.stacks),
+                                    per_block(dec, dec.block_parts(phi.rep)), parts):
             np.testing.assert_allclose(got, want, atol=1e-12)
             np.testing.assert_allclose(again, want, atol=1e-12)
-        for got, want in zip(per_block(PositiveFunctional(s.algebra, phi.rep).stacks), parts):
+        for got, want in zip(per_block(dec, PositiveFunctional(s.algebra, phi.rep).stacks), parts):
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -315,7 +315,7 @@ def planted_state(s, ranks, rng):
     for (k, _), r in zip(dec.blocks, ranks):
         g = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
         parts.append(g @ g.conj().T)
-    return PositiveFunctional(s.algebra, dec.assemble(per_run(dec, parts)))
+    return PositiveFunctional(s.algebra, dec.assemble(per_group(dec, parts)))
 
 
 def test_gns_round_trip_random():
@@ -579,7 +579,7 @@ def ambient_witness(phi, psi, epsilon):
     evaluating both functionals on it; the first best wins."""
     algebra, tol = phi.algebra, phi.algebra.tol
     dec = algebra.block_decomposition()
-    parts = [(p + p.conj().T) / 2 for p in per_block(dec.block_parts(psi.rep))]
+    parts = [(p + p.conj().T) / 2 for p in per_block(dec, dec.block_parts(psi.rep))]
     # psi's support cut: rank_rel times its top eigenvalue over all blocks
     eigs = np.concatenate([np.linalg.eigvalsh(sigma) for sigma in parts])
     support = tol.rank_rel * max(float(eigs.max()), 0.0)
@@ -590,7 +590,7 @@ def ambient_witness(phi, psi, epsilon):
             w, v = np.linalg.eigh(sigma)
             kill = v[:, w <= th + support]
             blocks.append(kill @ kill.conj().T)
-        a = dec.assemble(per_run(dec, blocks))
+        a = dec.assemble(per_group(dec, blocks))
         pg = float(np.real(phi(np.eye(algebra.dim)) - phi(a)))
         sg = float(np.real(psi(a)))
         if best is None or max(pg, sg) < best[0]:

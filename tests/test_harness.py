@@ -7,6 +7,7 @@ from starrep.cli import main, scenario_from_dict
 from starrep.functionals import is_dominated, is_orthogonal
 from starrep.harness import (
     InstanceSpec,
+    PropertyStats,
     _commutant_function,
     _compress_state,
     commuting_unitary,
@@ -156,6 +157,20 @@ def test_scenario_round_trip():
     assert sc.structure.algebra.spans_equal(s.algebra)
     assert sc.structure.discrete.isclose(s.discrete)
     np.testing.assert_allclose(sc.resolve_vector("v"), v, atol=1e-12)
+
+
+def test_passing_property_keeps_its_first_exemplar():
+    stats = PropertyStats()
+    stats.record(True, 1e-15, {"trial": 0})
+    stats.record(True, 2e-15, {"trial": 1})
+    # round-off in a passing defect does not pick the exemplar
+    assert stats.exemplar == {"trial": 0} and stats.max_defect == 2e-15
+    stats.record(False, 0.0, {"trial": 2})
+    stats.record(True, 3e-15, {"trial": 3})
+    assert stats.exemplar == {"trial": 2} and stats.max_defect == 3e-15
+    stats.record(False, 1.0, {"trial": 4})
+    assert stats.exemplar == {"trial": 4} and stats.max_defect == 1.0
+    assert (stats.passes, stats.trials) == (3, 5)
 
 
 def test_exemplars_replay_through_cli(tmp_path, capsys):
