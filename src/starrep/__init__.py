@@ -41,6 +41,7 @@ from .algebra import (
 from .representation import (
     Structure,
     acl,
+    closures,
     cyclic_subspace,
     cyclic_substructure,
     direct_sum,

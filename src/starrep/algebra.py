@@ -327,8 +327,9 @@ class BlockDecomposition:
         """Q as one zero-padded (nb, M, K, n) array, M and K the largest m_i
         and k_i: [i, j, a] is column (a, j) of block i, zero for a >= k_i or
         j >= m_i.  With it, its conjugate scaled by sqrt(n / m_i) and the
-        (nb, 1, K) mask of a < k_i.  Read by representation.cyclic_subspace,
-        and sliced per group by functionals.radon_nikodym_operator."""
+        (nb, 1, K) mask of a < k_i.  Read by representation's closures when
+        some m_i > 1, and sliced per group by
+        functionals.radon_nikodym_operator."""
         q = self.change_of_basis
         n = q.shape[0]
         k, m = np.array(self.blocks).T
@@ -339,6 +340,17 @@ class BlockDecomposition:
         scaled = out.conj() * np.sqrt(n / m)[:, None, None, None]
         out.flags.writeable = scaled.flags.writeable = False
         return out, scaled, np.arange(k.max()) < k[:, None, None]
+
+    @functools.cached_property
+    def _unit_blocks(self):
+        """For a multiplicity-free decomposition (every m_i = 1), each block's
+        first coordinate in Q^H x and its k_i, else None: block i is then the
+        k_i consecutive coordinates from its first.  Read by
+        representation's closures in place of _padded."""
+        if any(m != 1 for _, m in self.blocks):
+            return None
+        k = np.array([k for k, _ in self.blocks], dtype=int)
+        return np.cumsum(k) - k, k
 
     def coordinates(self, x: np.ndarray):
         """Q^H x as one zero-padded (c, K, M) stack per group, block i read as

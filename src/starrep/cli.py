@@ -181,14 +181,13 @@ def _cmd_cbase(sc: Scenario, args):
 
 
 def _cmd_typeq(sc: Scenario, args):
-    from .independence import descriptor_distance, type_of
+    from .independence import descriptor_distance, descriptors_close, type_of
 
     base = sc.resolve_set(args.base)
     d1 = type_of(sc.structure, sc.resolve_tuple(args.tuple1), base)
     d2 = type_of(sc.structure, sc.resolve_tuple(args.tuple2), base)
-    dist = descriptor_distance(d1, d2)
-    equal = dist <= sc.structure.tol.eq_abs
-    return {"equal": equal, "distance": dist}, equal
+    equal = descriptors_close(d1, d2)
+    return {"equal": equal, "distance": descriptor_distance(d1, d2)}, equal
 
 
 def _cmd_extend(sc: Scenario, args):

@@ -38,7 +38,7 @@ from .independence import (
 )
 from .linalg import (Draws, Subspace, ToleranceBreach, block_diag_kron, haar_unitary,
                      project)
-from .representation import Structure, _in_extension, _join_discrete, cyclic_subspace
+from .representation import Structure, _in_extension, closures
 from .serialize import matrix_to_json, vector_to_json
 
 
@@ -400,11 +400,11 @@ def _freeness_trial(report, tspec, s, rng, planted):
     if shat is not None:
         descs = []
         # closures of ext_to in an extension are its closures in s, padded
-        ext_cyc = cyclic_subspace(s, ext_to)
+        ext_closures = closures(s, ext_to)
         for seed in (int(rng.integers(1 << 30)), int(rng.integers(1 << 30))):
             sh, vp = nonforking_extension(s, v, ext_base, ext_to, seed=seed)
-            cyc = _in_extension(ext_cyc, sh.dim - s.dim)
-            res = np.atleast_2d(vp - project(_join_discrete(sh, cyc), vp))
+            cyc, cl = (_in_extension(c, sh.dim - s.dim) for c in ext_closures)
+            res = np.atleast_2d(vp - project(cl, vp))
             descs.append(_type_over(sh, res, cyc))
         gap = descriptor_distance(descs[0], descs[1])
         report.stat("stationarity").record(gap <= 1e-8, gap)

@@ -22,9 +22,9 @@ from .linalg import (Draws, Subspace, ToleranceBreach, Tolerances, haar_unitary,
 from .representation import (
     Structure,
     _in_extension,
-    _join_discrete,
     acl,
     algebra_invariance_defect,
+    closures,
     cyclic_subspace,
     extend_with_summand,
 )
@@ -100,6 +100,19 @@ class TypeDescriptor:
     def tuple_len(self) -> int:
         return self.base_projections.shape[0]
 
+    @property
+    def size(self) -> float:
+        """Largest entry norm of the described tuple: |v|^2 = |p|^2 + |r|^2,
+        and |r|^2 = <1 r, r> is read off the moments, since the identity has
+        the coordinates conj(tr a_k) / n in the originating algebra's
+        trace-orthonormal basis, and a unital *-homomorphism keeps them for
+        the images."""
+        origin = self.structure.origin
+        one = np.trace(origin.basis, axis1=1, axis2=2).conj() / max(origin.dim, 1)
+        residual = np.einsum("k,kii->i", one, self.moment_tensor).real
+        square = np.linalg.norm(self.base_projections, axis=1) ** 2 + residual
+        return float(np.sqrt(max(np.max(square, initial=0.0), 0.0)))
+
 
 def type_of(s: Structure, vectors, base) -> TypeDescriptor:
     """Descriptor of tp(vectors / base): projections onto the cyclic subspace
@@ -128,6 +141,11 @@ def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
     extension keeps its parent's space as the leading coordinates.  Structures
     over different algebras raise ValueError.
     """
+    return float(max(_descriptor_gaps(d1, d2)))
+
+
+def _descriptor_gaps(d1: TypeDescriptor, d2: TypeDescriptor):
+    """(base projection gap, moment gap) of descriptor_distance."""
     if d1.tuple_len != d2.tuple_len:
         raise ValueError("descriptors describe tuples of different lengths")
     o1, o2 = d1.structure.origin, d2.structure.origin
@@ -140,12 +158,18 @@ def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
     gap = p1.copy()
     gap[:, :p2.shape[1]] -= p2
     moments = np.linalg.norm(d1.moment_tensor - d2.moment_tensor, axis=0)
-    return float(max(np.max(np.abs(gap), initial=0.0), np.max(moments, initial=0.0)))
+    return float(np.max(np.abs(gap), initial=0.0)), float(np.max(moments, initial=0.0))
 
 
 def descriptors_close(d1: TypeDescriptor, d2: TypeDescriptor) -> bool:
-    """Descriptor distance within the first structure's eq_abs."""
-    return descriptor_distance(d1, d2) <= d1.structure.tol.eq_abs
+    """Whether two descriptors agree to the first structure's eq_abs at the
+    scale of the tuples: the projection gap against eq_abs size and the
+    moment gap against eq_abs size^2, size the larger of the two tuples'
+    largest entry norms, so a common rescaling keeps the verdict."""
+    projections, moments = _descriptor_gaps(d1, d2)
+    size = max(d1.size, d2.size)
+    tol = d1.structure.tol
+    return bool(tol.close(projections, size) and tol.close(moments, size * size))
 
 
 @dataclass
@@ -193,14 +217,14 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     subspace of the residuals; each output vector is the base projection plus
     the fresh embedded copy of its residual.  Both defining conditions (the
     projection match and the residual type match) are verified numerically
-    before returning.  The three closures (of the base, the residuals and
-    the extension set) are computed once each, all in s, and shared by the
-    checks.
+    before returning.  The closures of the base, the residuals and the
+    extension set are solved once each, all in s, dcl and acl of a set from
+    one solve (representation.closures), and shared by the checks.
     """
     vs, single = _as_tuple(vectors, s.dim)
     _check_base_extension(base, extension, s.tol)
-    base_cyc = cyclic_subspace(s, base)
-    proj = project(_join_discrete(s, base_cyc), vs)
+    base_cyc, base_cl = closures(s, base)
+    proj = project(base_cl, vs)
     res = vs - proj
 
     hr = cyclic_subspace(s, res)
@@ -211,10 +235,10 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     compressed = res @ b.conj()
     vprime = np.hstack([proj, compressed])
 
-    # the extension set has no summand part, so its cyclic subspace in shat
-    # is the one in s, padded: shat is never decomposed
-    ext_cyc = _in_extension(cyclic_subspace(s, extension), b.shape[1])
-    got = project(_join_discrete(shat, ext_cyc), vprime)
+    # the extension set has no summand part, so its closures in shat are
+    # the ones in s, padded: shat is never decomposed
+    ext_cyc, ext_cl = (_in_extension(c, b.shape[1]) for c in closures(s, extension))
+    got = project(ext_cl, vprime)
     miss = np.linalg.norm(got - np.hstack([proj, np.zeros_like(compressed)]), axis=1)
     failed = ~s.tol.certified(miss, np.linalg.norm(vs, axis=1))
     if np.any(failed):

@@ -207,9 +207,10 @@ def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DE
     return Subspace(n, vh[:rank].T.copy(), tol)
 
 
-def _common_cut(svs, tol: Tolerances):
-    """rank_cut of the largest singular value over all the given stacks."""
-    return tol.rank_cut(max([0.0] + [float(sv.max(initial=0.0)) for sv in svs]))
+def _common_cut(svs, tol: Tolerances, top: float = 0.0):
+    """rank_cut of the largest singular value over all the given stacks, or
+    of top if that is larger."""
+    return tol.rank_cut(max([top] + [float(sv.max(initial=0.0)) for sv in svs]))
 
 
 def stack_ranks(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -220,13 +221,14 @@ def stack_ranks(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
     return [(sv > cut).sum(-1) for sv in svs]
 
 
-def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
+def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL, top: float = 0.0) -> list:
     """Thin SVD of each matrix of each stack, one batched call per stack, as
     (u, s, vh, keep) per stack: keep marks the singular values above rank_cut
-    of the largest one over all of them, and the columns of u it marks span
-    each range."""
+    of the largest one over all of them, or of `top` when the stacks are
+    part of a larger object whose largest is top, and the columns of u it
+    marks span each range."""
     svds = [np.linalg.svd(s, full_matrices=False) for s in stacks]
-    cut = _common_cut([sv for _, sv, _ in svds], tol)
+    cut = _common_cut([sv for _, sv, _ in svds], tol, top)
     return [(u, sv, vh, sv > cut) for u, sv, vh in svds]
 
 

@@ -3,8 +3,14 @@
 A Structure couples a matrix *-algebra acting on C^n with an algebra-invariant
 "discrete" subspace H_d and a bag of named vectors.  Every closure and
 independence computation downstream is taken relative to the declared
-H_d / H_e split.  Closures are solved on the algebra's Wedderburn blocks
-(cyclic_subspace), never against its basis.
+H_d / H_e split.  Closures are solved on the algebra's Wedderburn blocks,
+never against its basis: dcl(E) = Q (+)(C^{k_i} (x) R_i), R_i the row span of
+E's block coordinates, and acl(E) = dcl(E) + H_d block by block, with H_d's
+own rows S_i solved once per structure.  A block that H_d fills is taken
+whole, one it misses keeps R_i, and only a block it meets in part joins
+[R_i | S_i], in one batched SVD, so no closure makes an n-dimensional SVD.
+On a multiplicity-free decomposition (every m_i = 1) a block's one singular
+value is its norm, and the closures are columns of Q, with no SVD at all.
 """
 from __future__ import annotations
 
@@ -20,7 +26,6 @@ from .linalg import (
     project,
     stack_svds,
     subspace_intersection,
-    subspace_sum,
     zero_subspace,
 )
 
@@ -31,6 +36,7 @@ class Structure:
     def __init__(self, algebra: StarAlgebra, discrete: Subspace | None = None,
                  vectors: dict | None = None, embedding: np.ndarray | None = None):
         self.algebra = algebra
+        self._discrete_blocks = None  # H_d on the blocks, kept by _discrete_blocks
         self.tol = algebra.tol
         n = algebra.dim
         self.discrete = discrete if discrete is not None else zero_subspace(n, self.tol)
@@ -106,51 +112,143 @@ def cyclic_subspace(s: Structure, vectors) -> Subspace:
     """Closed span of all algebra images of the given vectors (the dcl of the set).
 
     On the blocks A = Q (+)(M_{k_i} (x) I_{m_i}) Q^H it is Q (+)(C^{k_i} (x) R_i),
-    R_i the row span of the (t k_i) x m_i stack of the vectors' blocks.  The
-    images under a trace-orthonormal basis have singular values sqrt(n / m_i)
-    sigma(stack i), so the stacks so scaled are cut as the images would be.
+    R_i the row span of the (t k_i) x m_i stack of the vectors' blocks
+    (_block_rows).
     """
+    return _closure(s, _vector_rows(s, vectors))
+
+
+def acl(s: Structure, vectors) -> Subspace:
+    """Algebraic closure: the cyclic subspace joined with the discrete part,
+    block by block (_acl_rows)."""
+    return _acl(s, _vector_rows(s, vectors))
+
+
+def closures(s: Structure, vectors) -> tuple[Subspace, Subspace]:
+    """(dcl, acl) of the set from one solve of its block rows."""
+    rows = _vector_rows(s, vectors)
+    dcl = _closure(s, rows)
+    return dcl, dcl if s.discrete.dim == 0 else _acl(s, rows)
+
+
+def _vector_rows(s: Structure, vectors):
+    """_block_rows of the vectors, or None for an empty set or space."""
     vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     n = s.dim
     for v in vecs:
         if v.size != n:
             raise ValueError(f"vector of length {v.size} does not fit dimension {n}")
     if not vecs or n == 0:
-        return zero_subspace(n, s.tol)
-    vs = _require_finite(np.array(vecs), "span input")
-    q, scaled, rows = s.algebra.block_decomposition()._padded
-    nb, mm, kk, _ = q.shape
+        return None
+    return _block_rows(s.algebra.block_decomposition(),
+                       _require_finite(np.array(vecs), "span input"), s.tol)
+
+
+def _block_rows(dec, vs: np.ndarray, tol):
+    """Orthonormal bases of the row spans R_i of dcl(rows of vs), block by
+    block: (u, keep), u an (nb, M, M) stack whose kept columns (keep, (nb, M))
+    span each R_i in C^{m_i}, zero-padded to M, the largest m_i.
+
+    The images of the vectors under a trace-orthonormal basis of the algebra
+    have singular values sqrt(n / m_i) sigma(stack i), each k_i times, so
+    the stacks so scaled are cut as the images would be, at rank_rel times
+    the largest over all blocks.  Where every m_i = 1, block i is k_i
+    consecutive coordinates of Q^H v and its one singular value their norm
+    (the sqrt(n) is common to all): one GEMM and one reduction, with u = 1.
+    Otherwise one GEMM against the padded conjugate copy of Q gives every
+    stack, transposed, and one batched SVD ranks them.
+    """
+    unit = dec._unit_blocks
+    if unit is not None:
+        y = vs @ dec.change_of_basis.conj()
+        norms = np.sqrt(np.add.reduceat((np.abs(y) ** 2).sum(0), unit[0]))
+        return np.ones((norms.size, 1, 1)), (norms > tol.rank_cut(norms.max()))[:, None]
+    q, scaled, _ = dec._padded
+    nb, mm, _, n = q.shape
     # [i, j, (a, v)]: sqrt(n / m_i) times entry (a, j) of vector v's block i
     stack = (scaled.reshape(-1, n) @ vs.T).reshape(nb, mm, -1)
-    [(u, _, _, keep)] = stack_svds([stack], s.tol)
-    # [i, r, a]: Q (e_a (x) w_ir), w_ir the r-th left singular vector of stack i
+    [(u, _, _, keep)] = stack_svds([stack], tol)
+    if u.shape[2] < mm:  # K t < M: pad, so that every (u, keep) has one shape
+        u = np.concatenate([u, np.zeros((nb, mm, mm - u.shape[2]))], axis=2)
+        keep = np.concatenate([keep, np.zeros((nb, mm - keep.shape[1]), dtype=bool)], axis=1)
+    return u, keep
+
+
+def _closure(s: Structure, rows) -> Subspace:
+    """The subspace Q (+)(C^{k_i} (x) R_i) of block rows (u, keep), or the
+    zero subspace for None: on a multiplicity-free decomposition the kept
+    blocks' columns of Q, else the basis Q (e_a (x) w_ir) of the kept
+    columns w_ir of u, from one batched product with the padded Q."""
+    if rows is None:
+        return zero_subspace(s.dim, s.tol)
+    u, keep = rows
+    dec = s.algebra.block_decomposition()
+    unit = dec._unit_blocks
+    if unit is not None:
+        return Subspace(s.dim, dec.change_of_basis[:, np.repeat(keep[:, 0], unit[1])], s.tol)
+    q, _, inside = dec._padded
+    nb, mm, kk, n = q.shape
+    # [i, r, a]: Q (e_a (x) w_ir), w_ir the r-th column of u's block i
     basis = (u.swapaxes(1, 2) @ q.reshape(nb, mm, -1)).reshape(nb, -1, kk, n)
-    return Subspace(n, basis[keep[:, :, None] & rows].T, s.tol)
+    return Subspace(n, basis[keep[:, :, None] & inside].T, s.tol)
 
 
-def acl(s: Structure, vectors) -> Subspace:
-    """Algebraic closure: the cyclic subspace joined with the discrete part.
-
-    With no discrete part this is the cyclic subspace (dcl) itself, and with
-    an empty cyclic subspace it is the discrete part, so only a proper join
-    costs a second SVD.
-    """
-    return _join_discrete(s, cyclic_subspace(s, vectors))
-
-
-def _join_discrete(s: Structure, cyc: Subspace) -> Subspace:
-    """acl from an already computed cyclic subspace."""
-    if s.discrete.dim == 0:
-        return cyc
-    if cyc.dim == 0:
+def _acl(s: Structure, rows) -> Subspace:
+    """acl from the dcl's block rows: the discrete part itself when the dcl
+    is zero, the dcl when the discrete part is, else _acl_rows."""
+    if rows is None or not rows[1].any():
         return s.discrete
-    return subspace_sum(cyc, s.discrete)
+    if s.discrete.dim == 0:
+        return _closure(s, rows)
+    return _closure(s, _acl_rows(s, *rows))
+
+
+def _discrete_blocks(s: Structure):
+    """The discrete part's block rows S_i (_block_rows of its basis), with
+    masks of the blocks it fills (S_i = C^{m_i}) and of those it meets only
+    in part: (full, partial, u, keep).  H_d is invariant (Structure checks
+    it), so these are its own rows.  Solved on the first call and kept on s,
+    keyed to its discrete part and algebra; on a multiplicity-free
+    decomposition every S_i is all or nothing, decided by a norm."""
+    cached = s._discrete_blocks
+    if cached is None or cached[0] is not s.discrete or cached[1] is not s.algebra:
+        dec = s.algebra.block_decomposition()
+        u, keep = _block_rows(dec, s.discrete.basis.T, s.tol)
+        rank, m = keep.sum(1), np.array([m for _, m in dec.blocks])
+        cached = s._discrete_blocks = (s.discrete, s.algebra, rank == m,
+                                       (rank > 0) & (rank < m), u, keep)
+    return cached[2:]
+
+
+def _acl_rows(s: Structure, u: np.ndarray, keep: np.ndarray):
+    """Block rows of acl = dcl + H_d from those of dcl, R_i + S_i: S_i where
+    H_d fills block i, R_i where it misses it, and where it meets it in part
+    the range of [R_i | S_i], one batched SVD over those blocks.
+
+    H_d is invariant, so the n-dimensional join of the two orthonormal bases
+    has the singular values of [R_i | S_i] over the blocks, each k_i times:
+    1 where one of them is zero, sqrt 2 on R_i where S_i is everything, and
+    the partial blocks' own.  Their SVD is cut at rank_rel times the largest
+    of those, as the n-dimensional join would cut it.
+    """
+    full, partial, du, dkeep = _discrete_blocks(s)
+    rows = np.where(full[:, None, None], du, u)
+    kept = np.where(full[:, None], dkeep, keep)
+    if partial.any():
+        join = np.concatenate([u[partial] * keep[partial, None, :],
+                               du[partial] * dkeep[partial, None, :]], axis=2)
+        top = np.sqrt(2.0) if (full & keep.any(1)).any() else 1.0
+        [(ju, _, _, jkeep)] = stack_svds([join], s.tol, top=top)
+        rows[partial], kept[partial] = ju, jkeep
+    return rows, kept
 
 
 def _in_extension(sub: Subspace, k: int) -> Subspace:
     """sub padded with k zero rows: a set with no summand part has this cyclic
     subspace in an extension of s by a k-dimensional summand when sub is its
-    cyclic subspace in s, since the extension acts on s's coordinates as s."""
+    cyclic subspace in s, since the extension acts on s's coordinates as s,
+    and this acl when sub is its acl in s, since the extension's discrete
+    part is s's, padded."""
     return Subspace(sub.ambient_dim + k, np.vstack([sub.basis, np.zeros((k, sub.dim))]), sub.tol)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,29 @@ def test_dcl_acl_commands(capsys):
     assert abs(rep["basis"][0][1][0]) == 1  # spanned by e2
     code, rep = run(capsys, "dcl", DIAG, "both")
     assert rep["dimension"] == 2
+
+
+def _scaled_scenario(tmp_path, path, vectors):
+    raw = json.loads(Path(path).read_text())
+    raw["vectors"].update({name: [[z.real, z.imag] for z in np.asarray(v, dtype=complex)]
+                           for name, v in vectors.items()})
+    out = tmp_path / "scaled.json"
+    out.write_text(json.dumps(raw))
+    return str(out)
+
+
+def test_typeq_verdict_is_scale_invariant(tmp_path, capsys):
+    # c e1 against c (0.8 e1 + 0.6 e2) on the diagonal algebra differ in
+    # type at every scale, y and e^{0.7i} y on M_2 agree at every scale,
+    # though their distances move as c^2
+    y = np.array([0.6, 0.48 + 0.64j])
+    pairs = [(DIAG, np.array([1.0, 0.0]), np.array([0.8, 0.6]), False),
+             (M2, y, np.exp(0.7j) * y, True)]
+    for path, a, b, equal in pairs:
+        for c in 10.0 ** np.arange(-9, 8):
+            scenario = _scaled_scenario(tmp_path, path, {"a": c * a, "b": c * b})
+            code, rep = run(capsys, "typeq", scenario, "a", "b", "")
+            assert rep["equal"] is equal, (path, c, rep["distance"])
 
 
 def test_typeq_command(capsys):

@@ -11,10 +11,13 @@ span_algebra.  The library must agree with them, while guard tests count the
 closures and SVDs it actually makes: finite_base solves acl of the full pool
 once and dcl(f) once per pool element, then joins acl(chosen) + dcl(f) for
 every candidate of a round in one batched SVD, and nonforking_extension
-takes the extension set's closure in its parent.  Pools with repeated, zero
-or rescaled elements check the skip path and that the joins' cut ignores the
-pool's norms; vectors with a part just either side of the cut check that
-the blocks are cut where the basis route cuts.
+takes the extension set's closures in its parent, dcl and acl of a set
+from one solve.  acl joins the discrete part block by block, with no
+n-dimensional span, and a multiplicity-free structure closes with no SVD at
+all.  Pools with repeated, zero or rescaled elements check the skip path and
+that the joins' cut ignores the pool's norms; vectors with a part just
+either side of the cut check that the blocks, and the blocks the discrete
+part meets in part, are cut where the basis route cuts.
 """
 import itertools
 import tracemalloc
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 import starrep.independence
+import starrep.linalg
 import starrep.representation
 from starrep.algebra import StarAlgebra, generate_algebra, span_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
@@ -42,6 +46,7 @@ from starrep.representation import (
     Structure,
     _summand_images,
     acl,
+    closures,
     cyclic_subspace,
     cyclic_substructure,
     extend_with_summand,
@@ -187,14 +192,38 @@ def test_closures_match_reference_routes(plan):
     np.testing.assert_allclose(got.moment_tensor, want.moment_tensor, atol=1e-10)
 
 
-# plans with multiplicities (rank deficient blocks), a full matrix algebra and
-# the diagonal one, beside the two above
+# plans with multiplicities (rank deficient blocks), a full matrix algebra,
+# the diagonal one, and one whose discrete part meets a block in part
+# (closure_structure), beside the two above
 CLOSURE_PLANS = {
     **PLANS,
     "multiple": InstanceSpec(12, ((1, 1), (2, 2), (1, 3), (3, 1), (1, 1)), (False,) * 5, seed=33),
     "full": InstanceSpec(6, ((6, 1),), (False,), seed=34),
     "diagonal": InstanceSpec(6, ((1, 1),) * 6, (True,) + (False,) * 5, seed=35),
+    "partial": InstanceSpec(7, ((2, 2), (1, 1), (1, 2)), (False, True, False), seed=36),
 }
+
+
+def class_columns(s):
+    """The columns of Q for the (2, 2) class of s as an (n, 2, 2) array:
+    [:, a, j] is column (a, j), and Q (C^2 (x) w) = class_columns(s) @ w is
+    one copy of the class for a unit w in C^2."""
+    dec = s.algebra.block_decomposition()
+    i = dec.blocks.index((2, 2))
+    off = sum(k * m for k, m in dec.blocks[:i])
+    return dec.change_of_basis[:, off:off + 4].reshape(-1, 2, 2)
+
+
+def closure_structure(plan):
+    """random_structure of the plan; on "partial", its discrete part gains
+    one of the two copies of the (2, 2) class (ROADMAP item 10's case), so
+    acl joins that block in part."""
+    s = random_structure(CLOSURE_PLANS[plan])
+    if plan != "partial":
+        return s
+    w = random_unit_vector(np.random.default_rng(36), 2)
+    copy = class_columns(s) @ w
+    return Structure(s.algebra, Subspace(s.dim, np.hstack([s.discrete.basis, copy]), s.tol))
 
 
 def closure_inputs(s, rng):
@@ -222,11 +251,21 @@ def assert_cyclic_subspaces_match(s, vectors, sine=None):
 
 @pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
 def test_block_closures_match_the_basis_route(plan):
-    s = random_structure(CLOSURE_PLANS[plan])
+    s = closure_structure(plan)
     rng = np.random.default_rng(15)
-    for name, vectors in closure_inputs(s, rng).items():
+    inputs = closure_inputs(s, rng)
+    if plan == "partial":
+        # inside the discrete part, in its complement, and in both
+        d = s.discrete.basis @ random_unit_vector(rng, s.discrete.dim)
+        other = s.discrete.perp().basis @ random_unit_vector(rng, s.dim - s.discrete.dim)
+        inputs.update({"discrete": [d], "essential": [other], "mixed": [d + other]})
+    for name, vectors in inputs.items():
         got = assert_cyclic_subspaces_match(s, vectors)
-        assert_subspaces_match(acl(s, vectors), ref_acl(s, vectors))
+        want = ref_acl(s, vectors)
+        assert_subspaces_match(acl(s, vectors), want)
+        dcl, cl = closures(s, vectors)
+        assert_subspaces_match(dcl, got)
+        assert_subspaces_match(cl, want)
         if name in ("empty", "zero"):
             assert got.dim == 0
     assert cyclic_subspace(s, [random_unit_vector(rng, s.dim)]).dim == sum(
@@ -373,9 +412,11 @@ def test_rank_deficient_extension_images_raise(monkeypatch):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
+    """The shape of each matrix or stack handed to np.linalg.svd."""
     calls = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *r, **kw: calls.append(np.shape(a)) or svd(a, *r, **kw))
     return calls
 
 
@@ -391,23 +432,102 @@ def test_extension_and_essential_acl_svd_counts(svd_calls):
     assert len(svd_calls) == 1
 
 
+def test_acl_classifies_the_discrete_blocks_once(svd_calls):
+    # the dcl's SVD and, on the first acl, the discrete part's; a new
+    # discrete part is classified again
+    s = random_structure(PLANS["discrete"])
+    rng = np.random.default_rng(20)
+    v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    svd_calls.clear()
+    first = acl(s, [v, w])
+    assert len(svd_calls) == 2
+    svd_calls.clear()
+    assert acl(s, [v, w]).isclose(first) and len(svd_calls) == 1
+    s.discrete = Subspace(s.dim, s.discrete.basis.copy(), s.tol)
+    svd_calls.clear()
+    assert acl(s, [v, w]).isclose(first) and len(svd_calls) == 2
+
+
+@pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
+def test_acl_makes_no_n_dimensional_span(plan, monkeypatch, svd_calls):
+    # every SVD of a closure is on the blocks, at most m_i rows high, and no
+    # span is joined in C^n
+    s = closure_structure(plan)
+    inputs = closure_inputs(s, np.random.default_rng(21))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure joined in C^n")
+
+    for module in (starrep.linalg, starrep.representation):
+        for name in ("subspace_sum", "orthonormalize"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    svd_calls.clear()
+    for vectors in inputs.values():
+        acl(s, vectors)
+        closures(s, vectors)
+    assert all(shape[-2] <= max(m for _, m in s.algebra.block_decomposition().blocks)
+               for shape in svd_calls)
+
+
+@pytest.mark.parametrize("plan", ["full", "diagonal"])
+def test_multiplicity_free_closures_make_no_svd(plan, svd_calls):
+    # every m_i = 1: a block's one singular value is its norm, and the
+    # closures are columns of Q, with no padded copy of it
+    s = closure_structure(plan)
+    dec = s.algebra.block_decomposition()
+    inputs = closure_inputs(s, np.random.default_rng(22))
+    svd_calls.clear()
+    for vectors in inputs.values():
+        cyclic_subspace(s, vectors)
+        acl(s, vectors)
+        closures(s, vectors)
+    assert svd_calls == [] and "_padded" not in vars(dec)
+
+
+def test_partial_join_cuts_where_subspace_sum_cuts():
+    # a vector of the (2, 2) class whose row is the discrete copy's w turned
+    # by t towards the other copy: the join's least singular value is about
+    # t / sqrt 2, swept across rank_rel times the join's largest
+    s = closure_structure("partial")
+    w = random_unit_vector(np.random.default_rng(36), 2)
+    perp = np.array([-w[1].conj(), w[0].conj()])
+    x = random_unit_vector(np.random.default_rng(23), 2)
+    cols = class_columns(s).reshape(-1, 4)
+    dims = []
+    for t in 2 * s.tol.rank_rel * np.geomspace(0.1, 10.0, 16):
+        v = cols @ np.outer(x, w + t * perp).ravel()
+        got, want = acl(s, [v]), ref_acl(s, [v])
+        assert got.dim == want.dim
+        # a direction of singular value t is accurate to about 1e-16 / t
+        gap = np.linalg.norm(want.basis - got.basis @ (got.basis.conj().T @ want.basis), 2)
+        assert gap <= max(s.tol.eq_abs, 1e-14 / t), gap
+        dims.append(got.dim)
+    assert (dims[0], dims[-1]) == (s.discrete.dim, s.discrete.dim + 2)
+
+
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_calls):
     s = random_structure(PLANS[plan])
     rng = np.random.default_rng(13)
     v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
-    closures = []
-    cyclic = starrep.independence.cyclic_subspace
+    calls = []
+    cyclic, both = starrep.independence.cyclic_subspace, starrep.independence.closures
     monkeypatch.setattr(starrep.independence, "cyclic_subspace",
-                        lambda st, vecs: closures.append((st, len(vecs))) or cyclic(st, vecs))
+                        lambda st, vecs: calls.append(("dcl", st, len(vecs))) or cyclic(st, vecs))
+    monkeypatch.setattr(starrep.independence, "closures",
+                        lambda st, vecs: calls.append(("both", st, len(vecs))) or both(st, vecs))
     monkeypatch.setattr(starrep.independence, "acl", None)
     svd_calls.clear()
     shat, _ = nonforking_extension(s, [v, f], [e], [e, f])
-    # the extension set's closure is taken in s and padded: shat is never decomposed
-    assert closures == [(s, 1), (s, 2), (s, 2)]
+    # the extension set's closures are taken in s and padded: shat is never decomposed
+    assert calls == [("both", s, 1), ("dcl", s, 2), ("both", s, 2)]
     assert shat.algebra._block is None
-    # one SVD per closure, plus one per join with a discrete part
-    assert len(svd_calls) == 3 + 2 * (s.discrete.dim > 0)
+    # one SVD per closure and none for a join; on a fresh structure, one
+    # more for the discrete part's blocks
+    assert len(svd_calls) == 3 + (s.discrete.dim > 0)
+    svd_calls.clear()
+    nonforking_extension(s, [v, f], [e], [e, f])
+    assert len(svd_calls) == 3
 
 
 @pytest.mark.parametrize("plan", sorted(PLANS))
@@ -428,7 +548,8 @@ def test_finite_base_solves_each_pool_closure_once(plan, monkeypatch, svd_calls)
     # the full pool and the empty start; then dcl(f) once per pool element
     assert closures == [len(pool), 0]
     assert cyclics == [1] * len(pool)
-    # acl(pool) and its join, one SVD per dcl(f), one batched SVD per round
+    # acl(pool) and, on this fresh structure, the discrete part's blocks;
+    # one SVD per dcl(f), one batched SVD per round
     assert len(svd_calls) == 1 + (s.discrete.dim > 0) + len(pool) + rounds
     assert len(svd_calls) == {"discrete": 10, "essential": 11}[plan]
 
