@@ -36,9 +36,8 @@ from .independence import (
     nonforking_extension,
     type_of,
 )
-from .linalg import (Draws, Subspace, ToleranceBreach, block_diag_kron, haar_unitary,
-                     project)
-from .representation import Structure, _in_extension, closures
+from .linalg import Draws, Subspace, ToleranceBreach, block_diag_kron, haar_unitary
+from .representation import Structure, _closure_bases, _project_leading
 from .serialize import matrix_to_json, vector_to_json
 
 
@@ -400,12 +399,12 @@ def _freeness_trial(report, tspec, s, rng, planted):
     if shat is not None:
         descs = []
         # closures of ext_to in an extension are its closures in s, padded
-        ext_closures = closures(s, ext_to)
+        cyc, cl = _closure_bases(s, ext_to)
         for seed in (int(rng.integers(1 << 30)), int(rng.integers(1 << 30))):
             sh, vp = nonforking_extension(s, v, ext_base, ext_to, seed=seed)
-            cyc, cl = (_in_extension(c, sh.dim - s.dim) for c in ext_closures)
-            res = np.atleast_2d(vp - project(cl, vp))
-            descs.append(_type_over(sh, res, cyc))
+            vp = np.atleast_2d(vp)
+            res = vp - _project_leading(cl, vp, s.dim)
+            descs.append(_type_over(sh, res, _project_leading(cyc, res, s.dim)))
         gap = descriptor_distance(descs[0], descs[1])
         report.stat("stationarity").record(gap <= 1e-8, gap)
 

@@ -5,11 +5,17 @@ A tuple is independent from F over E when its projections onto acl(E) and
 acl(E u F) coincide.  Types are captured by the projections onto the cyclic
 subspace of the base together with the moment data of the residuals.
 
+On a multiplicity-free decomposition a closure is a set of whole blocks, a
+mask over Q's columns, so the queries project as Q(mask o Q^H v) and build no
+Subspace (representation._closure_basis); elsewhere they project onto the
+Subspaces the block rows give.
+
 Closures grow by increments: acl(C u {f}) = acl(C) + dcl(f), as both summands
-are invariant and H_d lies in acl(C).  The greedy finite base solves dcl(f)
-once per pool element and ranks a whole round of candidate joins in one
-batched SVD (`linalg.stack_svds`), cut at the unit scale of their orthonormal
-halves.
+are invariant and H_d lies in acl(C).  The greedy finite base works on block
+rows: it solves acl of the pool and dcl(f) once each, joins acl(C) + dcl(f)
+block by block (a mask OR where every m_i = 1, else one batched SVD over the
+blocks both sides meet, representation._join_rows), and scores the
+candidates from the tuple's block coordinates.
 """
 from __future__ import annotations
 
@@ -18,13 +24,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (Draws, Subspace, ToleranceBreach, Tolerances, haar_unitary, orthonormalize,
-                     project, stack_svds)
+                     project)
 from .representation import (
     Structure,
-    _in_extension,
-    acl,
+    _acl_block_rows,
+    _check_rows,
+    _closure_basis,
+    _closure_bases,
+    _each_rows,
+    _from_rows,
+    _join_rows,
+    _project_leading,
+    _tuple_rows,
+    _vector_rows,
     algebra_invariance_defect,
-    closures,
     cyclic_subspace,
     extend_with_summand,
 )
@@ -118,12 +131,12 @@ def type_of(s: Structure, vectors, base) -> TypeDescriptor:
     """Descriptor of tp(vectors / base): projections onto the cyclic subspace
     of the base, and the moments of the residuals against s.moment_basis."""
     vs, _ = _as_tuple(vectors, s.dim)
-    return _type_over(s, vs, cyclic_subspace(s, base))
+    return _type_over(s, vs, project(_closure_basis(s, _vector_rows(s, base)), vs))
 
 
-def _type_over(s: Structure, vs: np.ndarray, closure: Subspace) -> TypeDescriptor:
-    """type_of with the base's cyclic subspace already computed."""
-    bp = project(closure, vs)
+def _type_over(s: Structure, vs: np.ndarray, bp: np.ndarray) -> TypeDescriptor:
+    """type_of with the projections onto the base's cyclic subspace already
+    computed."""
     res = vs - bp
     # entry [d, j, k] = <a_d r_j, r_k>
     moments = (res.conj() @ (s.moment_basis @ res.T)).transpose(0, 2, 1)
@@ -192,8 +205,8 @@ def is_independent(s: Structure, vectors, base, extra) -> IndependenceReport:
     against the largest entry norm.
     """
     vs, _ = _as_tuple(vectors, s.dim)
-    p1 = project(acl(s, base), vs)
-    p2 = project(acl(s, list(base) + list(extra)), vs)
+    p1 = project(_closure_basis(s, _vector_rows(s, base), discrete=True), vs)
+    p2 = project(_closure_basis(s, _vector_rows(s, list(base) + list(extra)), discrete=True), vs)
     witnesses = list(zip(p1, p2))
     defect = float(np.max(np.linalg.norm(p2 - p1, axis=1), initial=0.0))
     scale = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
@@ -217,13 +230,16 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     subspace of the residuals; each output vector is the base projection plus
     the fresh embedded copy of its residual.  Both defining conditions (the
     projection match and the residual type match) are verified numerically
-    before returning.  The closures of the base, the residuals and the
-    extension set are solved once each, all in s, dcl and acl of a set from
-    one solve (representation.closures), and shared by the checks.
+    before returning: the projections within eq_abs of the tuple's size, the
+    residual types' projection gap within eq_abs of it and their moment gap
+    within eq_abs of its square, all with certified's room.  The closures of
+    the base, the residuals and the extension set are solved once each, all
+    in s, dcl and acl of a set from one solve (representation._closure_bases),
+    and shared by the checks.
     """
     vs, single = _as_tuple(vectors, s.dim)
     _check_base_extension(base, extension, s.tol)
-    base_cyc, base_cl = closures(s, base)
+    base_cyc, base_cl = _closure_bases(s, base)
     proj = project(base_cl, vs)
     res = vs - proj
 
@@ -237,20 +253,22 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
 
     # the extension set has no summand part, so its closures in shat are
     # the ones in s, padded: shat is never decomposed
-    ext_cyc, ext_cl = (_in_extension(c, b.shape[1]) for c in closures(s, extension))
-    got = project(ext_cl, vprime)
+    ext_cyc, ext_cl = _closure_bases(s, extension)
+    got = _project_leading(ext_cl, vprime, s.dim)
     miss = np.linalg.norm(got - np.hstack([proj, np.zeros_like(compressed)]), axis=1)
     failed = ~s.tol.certified(miss, np.linalg.norm(vs, axis=1))
     if np.any(failed):
         raise ToleranceBreach(
             f"non-forking projection condition failed by {np.max(miss[failed]):.2e}")
-    d_old = _type_over(s, res, base_cyc)
-    d_new = _type_over(shat, vprime - got, ext_cyc)
-    gap = descriptor_distance(d_old, d_new)
+    d_old = _type_over(s, res, project(base_cyc, res))
+    resid = vprime - got
+    d_new = _type_over(shat, resid, _project_leading(ext_cyc, resid, s.dim))
+    projections, moments = _descriptor_gaps(d_old, d_new)
     # projections scale as |v|, moments as |v|^2
     size = float(np.max(np.linalg.norm(vs, axis=1)))
-    if not s.tol.certified(gap, size + size * size):
-        raise ToleranceBreach(f"residual type condition failed by {gap:.2e}")
+    if not (s.tol.certified(projections, size) and s.tol.certified(moments, size * size)):
+        raise ToleranceBreach(
+            f"residual type condition failed by {max(projections, moments):.2e}")
     if single:
         return shat, vprime[0]
     return shat, vprime
@@ -259,7 +277,7 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
 def canonical_base(s: Structure, vectors, base):
     """Canonical base of tp(vectors / base): projections onto the base's cyclic subspace."""
     vs, single = _as_tuple(vectors, s.dim)
-    out = project(cyclic_subspace(s, base), vs)
+    out = project(_closure_basis(s, _vector_rows(s, base)), vs)
     return out[0] if single else out
 
 
@@ -286,7 +304,7 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     if k < 1:
         raise ValueError("the copy count must be at least 1")
     v = np.asarray(v, dtype=complex).ravel()
-    p = project(acl(s, base), v)
+    p = project(_closure_basis(s, _vector_rows(s, base), discrete=True), v)
     r = v - p
     hr = cyclic_subspace(s, [r])
     b = hr.basis
@@ -304,7 +322,9 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     # copy i carries rc in summand i alone, so the copies' Gram is their summands' norms
     tails = copies[:, n:].reshape(k, k, size)
     tails[np.arange(k), np.arange(k)] = rc
-    gap = np.linalg.norm(tails, axis=2) ** 2 - np.linalg.norm(r) ** 2 * np.eye(k)
+    # |tails[i, j]|^2, read once over a real view of the tails
+    real = tails.view(float)
+    gap = np.einsum("ijx,ijx->ij", real, real) - np.linalg.norm(r) ** 2 * np.eye(k)
     if not s.tol.certified(np.max(np.abs(gap)), np.linalg.norm(r) ** 2):
         raise ToleranceBreach("independent copies are not orthonormal")
     average = copies.mean(axis=0)
@@ -332,44 +352,59 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
     the sub-pool projection, which makes the independence exact.
 
     A candidate's closure is an increment: acl(C u {f}) = acl(C) + dcl(f),
-    since both summands are invariant and H_d lies in acl(C).  So dcl(f) is
-    solved once per pool element, and each round ranks every remaining
-    candidate's [acl(C) | dcl(f)], zero-padded to one width, in one batched
-    SVD; the winner's kept left singular vectors are the next acl(C).  Both
-    halves of each stacked matrix are orthonormal, so its largest singular
-    value lies in [1, sqrt 2] and the common cut sits at the unit scale,
-    whatever the norms of the pool vectors.  A candidate whose kept rank does
-    not exceed dim acl(C) adds nothing and is skipped.
+    since both summands are invariant and H_d lies in acl(C).  So acl of the
+    pool and dcl(f) are solved once each, as block rows, and each round joins
+    every remaining candidate's rows with acl(C)'s, block by block
+    (representation._join_rows: a mask OR where every m_i = 1, else one
+    batched SVD over the blocks both sides meet, cut as the n-dimensional
+    join of the two orthonormal closures would be, at the unit scale,
+    whatever the norms of the pool vectors).  The candidates are scored on
+    the tuple's block coordinates, where Q is unitary, and a candidate whose
+    joined dimension does not exceed dim acl(C) adds nothing and is skipped.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     vs, single = _as_tuple(vectors, s.dim)
     pool = [np.asarray(f, dtype=complex).ravel() for f in pool]
-    targets = project(acl(s, pool), vs)
-    dcls = [cyclic_subspace(s, [f]).basis for f in pool]
+    full = _acl_block_rows(s, pool)
+    dec = s.algebra.block_decomposition()
+    k = np.array([k for k, _ in dec.blocks])
+    z = _tuple_rows(s, vs)
+    if dec._unit_blocks is None:
+        def onto(rows):
+            # z projected onto block rows, or onto each set of a stack of them
+            u, keep = rows
+            return project((u * keep[..., None, :])[..., None, :, :], z)
 
-    def worst_defect(cl):
-        # the largest row defect of one basis, or of each basis of a stack
-        return np.max(np.linalg.norm(targets - project(cl, vs), axis=-1), axis=-1,
-                      initial=0.0)
+        target = onto(full)
+
+        def squares(rows):
+            gap = target - onto(rows)
+            return (gap.real ** 2 + gap.imag ** 2).sum((-1, -3, -4))
+    else:  # z holds the squared block norms, and a block is in a closure or not
+        def squares(rows):
+            return (rows[1][..., 0] ^ full[1][:, 0]) @ z
+
+    def worst_defect(rows):
+        # the largest row defect of one set of block rows, or of each of a stack
+        return np.sqrt(np.max(squares(rows), axis=-1, initial=0.0))
 
     chosen: list[int] = []
-    sub_cl = acl(s, [])
-    current = float(worst_defect(sub_cl))
+    sub = _acl_block_rows(s, [])
+    current = float(worst_defect(sub))
     size = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
     rest = list(range(len(pool)))
+    if rest:
+        dcl_u, dcl_keep = _each_rows(s, np.array(pool))
+        if dec._unit_blocks is None:  # rows from SVDs, never made Subspaces
+            _check_rows(np.concatenate([full[0][None], dcl_u]),
+                        np.concatenate([full[1][None], dcl_keep]), s.tol)
     while current >= epsilon and rest:
-        d = sub_cl.dim
-        stacked = np.zeros((len(rest), s.dim, d + max(dcls[i].shape[1] for i in rest)),
-                           dtype=complex)
-        stacked[:, :, :d] = sub_cl.basis
-        for c, i in enumerate(rest):
-            stacked[c, :, d:d + dcls[i].shape[1]] = dcls[i]
-        [(u, _, _, keep)] = stack_svds([stacked], s.tol)
-        scores = worst_defect(u * keep[:, None, :])
+        joined = _join_rows(s, sub, (dcl_u[rest], dcl_keep[rest]))
+        d, dims = sub[1].sum(-1) @ k, joined[1].sum(-1) @ k
         best = None
-        for c, score in enumerate(scores):
-            if keep[c].sum() <= d:
+        for c, (score, dim) in enumerate(zip(worst_defect(joined).tolist(), dims.tolist())):
+            if dim <= d:
                 continue
             # the first of near-equal scores wins
             if best is None or (score < best[0] and not s.tol.close(best[0] - score, size)):
@@ -377,9 +412,13 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         if best is None:
             break
         current, c = best
-        sub_cl = Subspace(s.dim, u[c][:, keep[c]], s.tol)
+        sub = joined[0][c], joined[1][c]
         chosen.append(rest.pop(c))
 
-    replacements = vs - targets + project(sub_cl, vs)
+    if dec._unit_blocks is None:
+        moved = _from_rows(s, target - onto(sub))
+    else:  # the block norms do not give the coordinates back
+        moved = project(_closure_basis(s, full), vs) - project(_closure_basis(s, sub), vs)
+    replacements = vs - moved
     out = replacements[0] if single else replacements
     return FiniteBase(list(chosen), [pool[i] for i in chosen], out, current)

@@ -6,9 +6,9 @@ goes through a Tolerances method, which compares a value with its natural
 scale, so verdicts do not change when the inputs are rescaled.
 
 Every layer uses two span routines: `orthonormalize` alone decides a span's
-rank (`stack_ranks` the ranks of stacked blocks, `stack_svds` their ranges),
-and `project` is the one orthogonal projection onto a span (or onto each
-span of a stack of bases), of a vector or each row of a 2-d array.
+rank (`stack_ranks` the ranks of stacked blocks, `stack_svds` and `set_svds`
+their ranges), and `project` is the one orthogonal projection onto a span (or
+onto each span of a stack of bases), of a vector or each row of an array.
 
 Every random draw of the library comes from a keyed `Draws`, so no process
 imports numpy.random.
@@ -232,16 +232,26 @@ def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL, top: float = 0.0) -> list:
     return [(u, sv, vh, sv > cut) for u, sv, vh in svds]
 
 
+def set_svds(sets, tol: Tolerances = DEFAULT_TOL):
+    """Thin SVD of each matrix of a (P, ...) stack of P sets of them, in one
+    batched call, as (u, s, vh, keep): keep marks the singular values above
+    rank_cut of the largest one of their own set, as stack_svds would cut
+    each set alone."""
+    u, sv, vh = np.linalg.svd(sets, full_matrices=False)
+    top = sv.reshape(len(sv), -1).max(axis=1, initial=0.0)
+    return u, sv, vh, sv > tol.rank_cut(top).reshape((-1,) + (1,) * (sv.ndim - 1))
+
+
 def project(s, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the subspace of a vector, or of each row of
-    a 2-d array of row vectors.
+    an array of row vectors.
 
-    `s` is a Subspace, or a (c, n, r) stack of bases with orthonormal or zero
-    columns, onto each of which v is projected: a (c, ...) stack of results.
+    `s` is a Subspace, or a basis or a stack of bases with orthonormal or
+    zero columns, its leading axes broadcast against those of v.
     """
     basis = s.basis if isinstance(s, Subspace) else s
     v = np.asarray(v, dtype=complex)
-    if v.ndim not in (1, 2) or v.shape[-1] != basis.shape[-2]:
+    if v.ndim == 0 or v.shape[-1] != basis.shape[-2]:
         raise ValueError(
             f"vectors of shape {v.shape} do not fit ambient dimension {basis.shape[-2]}")
     return (v @ basis.conj()) @ basis.swapaxes(-1, -2)

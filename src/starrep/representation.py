@@ -10,7 +10,10 @@ own rows S_i solved once per structure.  A block that H_d fills is taken
 whole, one it misses keeps R_i, and only a block it meets in part joins
 [R_i | S_i], in one batched SVD, so no closure makes an n-dimensional SVD.
 On a multiplicity-free decomposition (every m_i = 1) a block's one singular
-value is its norm, and the closures are columns of Q, with no SVD at all.
+value is its norm, and the closures are columns of Q, with no SVD at all;
+the forking queries then project by a mask over them (_closure_basis).
+Block rows also serve as closures themselves, joined block by block
+(_join_rows) and projected in block coordinates (_tuple_rows).
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .linalg import (
     block_diag,
     orthonormalize,
     project,
+    set_svds,
     stack_svds,
     subspace_intersection,
     zero_subspace,
@@ -160,17 +164,25 @@ def _block_rows(dec, vs: np.ndarray, tol):
     """
     unit = dec._unit_blocks
     if unit is not None:
+        # vs may also be a (P, t, n) stack of sets, each cut on its own
         y = vs @ dec.change_of_basis.conj()
-        norms = np.sqrt(np.add.reduceat((np.abs(y) ** 2).sum(0), unit[0]))
-        return np.ones((norms.size, 1, 1)), (norms > tol.rank_cut(norms.max()))[:, None]
+        norms = np.sqrt(np.add.reduceat((np.abs(y) ** 2).sum(-2), unit[0], axis=-1))
+        keep = norms > tol.rank_cut(norms.max(-1, keepdims=True, initial=0.0))
+        return np.ones(norms.shape + (1, 1)), keep[..., None]
     q, scaled, _ = dec._padded
     nb, mm, _, n = q.shape
     # [i, j, (a, v)]: sqrt(n / m_i) times entry (a, j) of vector v's block i
     stack = (scaled.reshape(-1, n) @ vs.T).reshape(nb, mm, -1)
     [(u, _, _, keep)] = stack_svds([stack], tol)
-    if u.shape[2] < mm:  # K t < M: pad, so that every (u, keep) has one shape
-        u = np.concatenate([u, np.zeros((nb, mm, mm - u.shape[2]))], axis=2)
-        keep = np.concatenate([keep, np.zeros((nb, mm - keep.shape[1]), dtype=bool)], axis=1)
+    return _padded_rows(u, keep, mm) if u.shape[2] < mm else (u, keep)
+
+
+def _padded_rows(u: np.ndarray, keep: np.ndarray, mm: int):
+    """(u, keep) with zero columns added up to M = mm, for stacks narrower
+    than M (K t < M), so that every (u, keep) has one shape."""
+    u = np.concatenate([u, np.zeros(u.shape[:-1] + (mm - u.shape[-1],))], axis=-1)
+    keep = np.concatenate([keep, np.zeros(keep.shape[:-1] + (mm - keep.shape[-1],), dtype=bool)],
+                          axis=-1)
     return u, keep
 
 
@@ -243,13 +255,132 @@ def _acl_rows(s: Structure, u: np.ndarray, keep: np.ndarray):
     return rows, kept
 
 
-def _in_extension(sub: Subspace, k: int) -> Subspace:
-    """sub padded with k zero rows: a set with no summand part has this cyclic
-    subspace in an extension of s by a k-dimensional summand when sub is its
-    cyclic subspace in s, since the extension acts on s's coordinates as s,
-    and this acl when sub is its acl in s, since the extension's discrete
+def _closure_basis(s: Structure, rows, discrete: bool = False):
+    """What linalg.project projects onto the closure of block rows with (dcl,
+    or acl with `discrete`).  On a multiplicity-free decomposition it is Q
+    with the columns outside the closure zeroed, which projects as
+    Q(mask o Q^H v): no Subspace is built, as BlockDecomposition's unitarity
+    certificate bounds the Gram of every subset of Q's columns.  On any
+    other, the Subspace _closure or _acl builds."""
+    dec = s.algebra.block_decomposition()
+    unit = dec._unit_blocks
+    if unit is None:
+        return _acl(s, rows) if discrete else _closure(s, rows)
+    kept = np.zeros(unit[1].size, dtype=bool) if rows is None else rows[1][:, 0]
+    if discrete and s.discrete.dim:
+        kept = kept | _discrete_blocks(s)[0]
+    return dec.change_of_basis * np.repeat(kept, unit[1])
+
+
+def _closure_bases(s: Structure, vectors):
+    """(dcl, acl) of the set as _closure_basis gives them, from one solve of
+    its block rows."""
+    rows = _vector_rows(s, vectors)
+    dcl = _closure_basis(s, rows)
+    return dcl, dcl if s.discrete.dim == 0 else _closure_basis(s, rows, discrete=True)
+
+
+def _project_leading(closure, vs: np.ndarray, n: int) -> np.ndarray:
+    """Projection of the rows of vs, in an extension of an n-dimensional s by
+    a summand, onto the closure there of a set with no summand part, from
+    its closure in s: the projection of their leading n coordinates,
+    zero-padded, as the extension acts on them as s does and its discrete
     part is s's, padded."""
-    return Subspace(sub.ambient_dim + k, np.vstack([sub.basis, np.zeros((k, sub.dim))]), sub.tol)
+    out = np.zeros_like(vs)
+    out[:, :n] = project(closure, vs[:, :n])
+    return out
+
+
+def _acl_block_rows(s: Structure, vectors):
+    """Block rows (u, keep) of acl of the set, shaped as _block_rows shapes
+    them (M = 1 on a multiplicity-free decomposition), none kept for an
+    empty set in a structure with no discrete part."""
+    rows = _vector_rows(s, vectors)
+    if s.discrete.dim:
+        return _discrete_blocks(s)[2:] if rows is None else _acl_rows(s, *rows)
+    if rows is None:
+        dec = s.algebra.block_decomposition()
+        nb = len(dec.blocks)
+        mm = 1 if dec._unit_blocks is not None else max(m for _, m in dec.blocks)
+        rows = np.zeros((nb, mm, mm)), np.zeros((nb, mm), dtype=bool)
+    return rows
+
+
+def _each_rows(s: Structure, vs: np.ndarray):
+    """dcl block rows of each row of vs alone, stacked as (P, nb, M, M) u and
+    (P, nb, M) keep, from one solve: _block_rows of each, in one batched SVD
+    that cuts each vector's stacks on their own (linalg.set_svds)."""
+    dec = s.algebra.block_decomposition()
+    if dec._unit_blocks is not None:
+        return _block_rows(dec, vs[:, None, :], s.tol)
+    q, scaled, _ = dec._padded
+    nb, mm, kk, n = q.shape
+    # [p, i, j, a]: sqrt(n / m_i) times entry (a, j) of vector p's block i
+    u, _, _, keep = set_svds((vs @ scaled.reshape(-1, n).T).reshape(-1, nb, mm, kk), s.tol)
+    return _padded_rows(u, keep, mm) if kk < mm else (u, keep)
+
+
+def _join_rows(s: Structure, a, b):
+    """Block rows of R_i + R'_i from one set of block rows (u, keep), a, and
+    each set of a stack of them, b.  On a multiplicity-free decomposition
+    every R_i is 0 or C^1, so the keeps are OR-ed.  Otherwise a block where
+    one side has no rows takes the other's, and the blocks where both do
+    take the range of [R_i | R'_i], one batched SVD over all of them.  The
+    n-dimensional join of the two orthonormal closures has those blocks'
+    singular values, each k_i times, and 1 on the one-sided blocks, so its
+    largest lies in [1, sqrt 2] and the SVD is cut at rank_rel times the
+    largest of 1 and its own.  The SVD's rows are checked orthonormal
+    (_check_rows)."""
+    (ua, ka), (ub, kb) = a, b
+    if s.algebra.block_decomposition()._unit_blocks is not None:
+        keep = ka | kb
+        return np.ones(keep.shape + (1,)), keep
+    has_a, has_b = ka.any(-1), kb.any(-1)
+    u = np.where(has_a[:, None, None], ua, ub)
+    keep = np.where(has_a[:, None], ka, kb)
+    both = has_a & has_b
+    if both.any():
+        c, i = both.nonzero()
+        join = np.concatenate([ua[i] * ka[i][:, None, :], ub[c, i] * kb[c, i][:, None, :]],
+                              axis=2)
+        [(ju, _, _, jkeep)] = stack_svds([join], s.tol, top=1.0)
+        _check_rows(ju, jkeep, s.tol)
+        u[both], keep[both] = ju, jkeep
+    return u, keep
+
+
+def _check_rows(u: np.ndarray, keep: np.ndarray, tol) -> None:
+    """ToleranceBreach unless the kept columns of each stacked u are
+    orthonormal: their Gram against I, judged by certified."""
+    w = u * keep[..., None, :]
+    gram = w.conj().swapaxes(-1, -2) @ w - keep[..., None] * np.eye(keep.shape[-1])
+    if gram.size and not tol.certified(np.abs(gram).max(), 1.0):
+        raise ToleranceBreach("block rows are not orthonormal")
+
+
+def _tuple_rows(s: Structure, vs: np.ndarray) -> np.ndarray:
+    """The rows of vs in block coordinates, as block rows project them: an
+    (nb, K, t, M) stack whose [i, a, v] is row a of vector v's block i read as
+    a k_i x m_i matrix, zero past k_i and m_i, so that linalg.project onto
+    the kept columns of a block's u projects onto Q(C^{k_i} (x) R_i).  On a
+    multiplicity-free decomposition, where a closure takes each block whole
+    or not at all, the (nb, t) squared norms of the blocks instead."""
+    dec = s.algebra.block_decomposition()
+    unit = dec._unit_blocks
+    if unit is not None:
+        y = vs @ dec.change_of_basis.conj()
+        return np.add.reduceat(y.real ** 2 + y.imag ** 2, unit[0], axis=1).T
+    q = dec._padded[0]
+    nb, mm, kk, n = q.shape
+    y = (q.reshape(-1, n) @ vs.conj().T).conj()
+    return y.reshape(nb, mm, kk, -1).transpose(0, 2, 3, 1)
+
+
+def _from_rows(s: Structure, rows: np.ndarray) -> np.ndarray:
+    """The inverse of _tuple_rows off a multiplicity-free decomposition: the
+    (t, n) vectors with the given block coordinates."""
+    q = s.algebra.block_decomposition()._padded[0]
+    return rows.transpose(0, 3, 1, 2).reshape(-1, rows.shape[2]).T @ q.reshape(-1, q.shape[-1])
 
 
 def essential_discrete_parts(s: Structure, v: np.ndarray):

@@ -8,13 +8,14 @@ recomputes acl of every candidate sub-pool from its vectors and the chosen
 closure after each pick, and nonforking_extension recomputes both closures
 through type_of and orthonormalizes the extension's images by an SVD in
 span_algebra.  The library must agree with them, while guard tests count the
-closures and SVDs it actually makes: finite_base solves acl of the full pool
-once and dcl(f) once per pool element, then joins acl(chosen) + dcl(f) for
-every candidate of a round in one batched SVD, and nonforking_extension
-takes the extension set's closures in its parent, dcl and acl of a set
-from one solve.  acl joins the discrete part block by block, with no
-n-dimensional span, and a multiplicity-free structure closes with no SVD at
-all.  Pools with repeated, zero or rescaled elements check the skip path and
+closures and SVDs it actually makes.  finite_base solves acl of the full
+pool once and every dcl(f) in one more solve, as block rows, and joins
+acl(chosen) + dcl(f) block by block: an SVD only where both sides have rows
+in a block, none on a multiplicity-free structure, and no Subspace.
+nonforking_extension takes the extension set's closures in its parent, dcl
+and acl of a set from one solve.  acl joins the discrete part block by
+block, with no n-dimensional span, and a multiplicity-free structure closes
+with no SVD at all.  Pools with repeated, zero or rescaled elements check the skip path and
 that the joins' cut ignores the pool's norms; vectors with a part just
 either side of the cut check that the blocks, and the blocks the discrete
 part meets in part, are cut where the basis route cuts.
@@ -511,12 +512,12 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
     rng = np.random.default_rng(13)
     v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
     calls = []
-    cyclic, both = starrep.independence.cyclic_subspace, starrep.independence.closures
+    cyclic, both = starrep.independence.cyclic_subspace, starrep.independence._closure_bases
     monkeypatch.setattr(starrep.independence, "cyclic_subspace",
                         lambda st, vecs: calls.append(("dcl", st, len(vecs))) or cyclic(st, vecs))
-    monkeypatch.setattr(starrep.independence, "closures",
+    monkeypatch.setattr(starrep.independence, "_closure_bases",
                         lambda st, vecs: calls.append(("both", st, len(vecs))) or both(st, vecs))
-    monkeypatch.setattr(starrep.independence, "acl", None)
+    monkeypatch.setattr(starrep.independence, "_vector_rows", None)
     svd_calls.clear()
     shat, _ = nonforking_extension(s, [v, f], [e], [e, f])
     # the extension set's closures are taken in s and padded: shat is never decomposed
@@ -530,28 +531,84 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
     assert len(svd_calls) == 3
 
 
+def count_solves(monkeypatch):
+    """The block-row solves: the shape of the vectors of each
+    representation._block_rows call, and ("each", P) for each solve of P
+    vectors' dcls, one by one (_each_rows)."""
+    solves = []
+    rows, each = starrep.representation._block_rows, starrep.independence._each_rows
+    monkeypatch.setattr(starrep.representation, "_block_rows",
+                        lambda dec, vs, tol: solves.append(vs.shape[:-1]) or rows(dec, vs, tol))
+    monkeypatch.setattr(starrep.independence, "_each_rows",
+                        lambda st, vecs: solves.append(("each", len(vecs))) or each(st, vecs))
+    return solves
+
+
+def refuse_subspaces(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Subspace was built")
+
+    monkeypatch.setattr(starrep.linalg.Subspace, "__init__", refuse)
+
+
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_finite_base_solves_each_pool_closure_once(plan, monkeypatch, svd_calls):
     s = random_structure(PLANS[plan])
     rng = np.random.default_rng(14)
     pool = essential_pool(s, rng)
-    closures, cyclics = [], []
-    closure, cyclic = starrep.independence.acl, starrep.independence.cyclic_subspace
-    monkeypatch.setattr(starrep.independence, "acl",
-                        lambda st, vecs: closures.append(len(vecs)) or closure(st, vecs))
-    monkeypatch.setattr(starrep.independence, "cyclic_subspace",
-                        lambda st, vecs: cyclics.append(len(vecs)) or cyclic(st, vecs))
+    solves = count_solves(monkeypatch)
+    refuse_subspaces(monkeypatch)
     svd_calls.clear()
     fb = finite_base(s, sum(pool), pool, 1e-9)
-    rounds = len(fb.indices)
-    assert rounds == len(pool)
-    # the full pool and the empty start; then dcl(f) once per pool element
-    assert closures == [len(pool), 0]
-    assert cyclics == [1] * len(pool)
-    # acl(pool) and, on this fresh structure, the discrete part's blocks;
-    # one SVD per dcl(f), one batched SVD per round
-    assert len(svd_calls) == 1 + (s.discrete.dim > 0) + len(pool) + rounds
-    assert len(svd_calls) == {"discrete": 10, "essential": 11}[plan]
+    assert len(fb.indices) == len(pool)
+    # acl(pool), on this fresh structure the discrete part's blocks, then
+    # dcl(f) of every pool element in one solve; no Subspace anywhere
+    assert solves == ([(len(pool),)] + [(s.discrete.dim,)] * (s.discrete.dim > 0)
+                      + [("each", len(pool))])
+    # one SVD per solve; the pool's elements meet no common block, so the
+    # loop joins by taking one side's rows, with no SVD (the n-dimensional
+    # loop made one per pool element and one per round, 10 and 11 in all)
+    assert len(svd_calls) == len(solves)
+    assert len(svd_calls) <= {"discrete": 10, "essential": 11}[plan]
+
+
+@pytest.mark.parametrize("plan", ["full", "diagonal"])
+def test_multiplicity_free_finite_base_joins_masks(plan, monkeypatch, svd_calls):
+    # acl(pool) and every dcl(f) in one solve each, by norms, and no SVD
+    # and no Subspace at all
+    s = closure_structure(plan)
+    rng = np.random.default_rng(24)
+    pool = block_vectors(s, rng)
+    pool = pool + [pool[i] + pool[i + 1] for i in range(len(pool) - 1)]
+    vs = np.array([sum(pool) + random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)])
+    want = ref_finite_base(s, vs, pool, 1e-9)[0]
+    solves = count_solves(monkeypatch)
+    refuse_subspaces(monkeypatch)
+    svd_calls.clear()
+    assert finite_base(s, vs, pool, 1e-9).indices == want
+    assert solves == ([(len(pool),)] + [(s.discrete.dim,)] * (s.discrete.dim > 0)
+                      + [("each", len(pool)), (len(pool), 1)])
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("plan", ["full", "diagonal"])
+def test_multiplicity_free_queries_build_no_subspace(plan, monkeypatch, svd_calls):
+    # a closure is a mask over Q's columns: is_independent and canonical_base
+    # project through it, with no SVD and no Subspace
+    s = closure_structure(plan)
+    rng = np.random.default_rng(25)
+    v, w, e = (random_unit_vector(rng, s.dim) for _ in range(3))
+    blocks = block_vectors(s, rng)
+    queries = (([v], [], [w]), ([v, w], [e], [e, w]), ([v], [blocks[0]], [blocks[-1]]))
+    want = [(is_independent(s, tup, base, extra), canonical_base(s, tup, base))
+            for tup, base, extra in queries]
+    refuse_subspaces(monkeypatch)
+    svd_calls.clear()
+    for (rep, cb), (tup, base, extra) in zip(want, queries):
+        got = is_independent(s, tup, base, extra)
+        assert got.verdict == rep.verdict and got.defect == rep.defect
+        np.testing.assert_array_equal(canonical_base(s, tup, base), cb)
+    assert svd_calls == []
 
 
 EDGE_POOLS = {
@@ -577,6 +634,74 @@ def test_finite_base_edge_pools_match_recomputing_route(plan, edge):
     assert got.indices == indices
     np.testing.assert_allclose(got.replacements, replacements, atol=1e-10)
     assert abs(got.defect - defect) <= 1e-10
+
+
+def pair_pool(blocks):
+    """Vectors of two neighbouring blocks each, so that the joins of
+    finite_base meet blocks both sides have rows in (twice the one block's
+    vector when there is only one)."""
+    return [blocks[i] + blocks[(i + 1) % len(blocks)] for i in range(len(blocks))]
+
+
+@pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
+@pytest.mark.parametrize("kind", ["one block", "two blocks"] + sorted(EDGE_POOLS))
+def test_finite_base_matches_recomputing_route_on_every_plan(plan, kind):
+    # edge pools are made from the two-block pool, so that they join too
+    s = closure_structure(plan)
+    rng = np.random.default_rng(26)
+    blocks = block_vectors(s, rng)
+    base = blocks if kind == "one block" else pair_pool(blocks)
+    pool = EDGE_POOLS[kind](base) if kind in EDGE_POOLS else base
+    vs = np.array([sum(base) + random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)])
+    for eps in (1e-9, 0.5):
+        got = finite_base(s, vs, pool, eps)
+        indices, replacements, defect = ref_finite_base(s, vs, pool, eps)
+        assert got.indices == indices
+        np.testing.assert_allclose(got.replacements, replacements, atol=1e-10)
+        assert abs(got.defect - defect) <= 1e-10
+
+
+def test_finite_base_joins_cut_where_the_n_dimensional_join_cuts():
+    # two pool vectors of the (2, 2) class with rows w and w turned by t
+    # towards w's complement, t swept across the cut, and v in that
+    # complement: after the first pick the second adds a direction only when
+    # their join keeps it, as ref_finite_base decides
+    s = closure_structure("multiple")
+    rng = np.random.default_rng(27)
+    w, x = random_unit_vector(rng, 2), random_unit_vector(rng, 2)
+    perp = np.array([-w[1].conj(), w[0].conj()])
+    cols = class_columns(s).reshape(-1, 4)
+    v = cols @ np.outer(x, perp).ravel()
+    picks = []
+    for t in 2 * s.tol.rank_rel * np.geomspace(0.1, 10.0, 16):
+        pool = [cols @ np.outer(x, w).ravel(), cols @ np.outer(x, w + t * perp).ravel()]
+        got = finite_base(s, v, pool, 1e-12)
+        indices, replacements, defect = ref_finite_base(s, np.array([v]), pool, 1e-12)
+        assert got.indices == indices
+        np.testing.assert_allclose(got.replacements, replacements[0], atol=1e-10)
+        picks.append(len(got.indices))
+    assert (picks[0], picks[-1]) == (1, 2)
+
+
+@pytest.mark.parametrize("solve", ["rows", "join"])
+def test_finite_base_checks_its_rows_orthonormal(solve, monkeypatch):
+    # block rows from an SVD never become a Subspace in finite_base, so
+    # their Gram is checked against I: here the rows of the dcl(f)s, or of
+    # the joins alone, come out 1 % too long
+    s = closure_structure("multiple")
+    blocks = block_vectors(s, np.random.default_rng(28))
+    pool = pair_pool(blocks)
+    if solve == "rows":
+        svds = starrep.linalg.set_svds
+        monkeypatch.setattr(starrep.representation, "set_svds", lambda sets, tol: (
+            lambda u, sv, vh, keep: (1.01 * u, sv, vh, keep))(*svds(sets, tol)))
+    else:  # the joins' SVDs alone are cut at top 1
+        svds = starrep.linalg.stack_svds
+        monkeypatch.setattr(starrep.representation, "stack_svds", lambda stacks, tol, top=0.0: [
+            ((1.01 if top == 1.0 else 1.0) * u, sv, vh, keep)
+            for u, sv, vh, keep in svds(stacks, tol, top)])
+    with pytest.raises(ToleranceBreach, match="block rows are not orthonormal"):
+        finite_base(s, sum(pool), pool, 1e-9)
 
 
 # ----- invariance stays checked against the basis --------------------------------

@@ -349,3 +349,73 @@ def test_freeness_axioms_on_hand_case(diag_structure):
     rhs = (is_independent(s, U, [], [E1]).verdict
            and is_independent(s, U, [E1], [E2]).verdict)
     assert lhs == rhs
+
+
+# ----- scale equivariance ------------------------------------------------------
+
+# a plan with multiplicities and a discrete block, and a multiplicity-free one
+SCALE_PLANS = {
+    "mixed": InstanceSpec(8, ((1, 2), (2, 1), (1, 1), (3, 1)), (False, False, True, False),
+                          seed=41),
+    "diagonal": InstanceSpec(6, ((1, 1),) * 6, (True,) + (False,) * 5, seed=42),
+}
+
+
+def scale_inputs(s):
+    """Random vectors and one vector inside each Wedderburn block."""
+    rng = np.random.default_rng(43)
+    v, w, e, f = (random_unit_vector(rng, s.dim) for _ in range(4))
+    dec = s.algebra.block_decomposition()
+    q, off, blocks = dec.change_of_basis, 0, []
+    for k, m in dec.blocks:
+        blocks.append(q[:, off:off + k * m] @ random_unit_vector(rng, k * m))
+        off += k * m
+    return v, w, e, f, blocks
+
+
+def forking_outputs(s, c):
+    v, w, e, f, blocks = (np.multiply(c, x) for x in scale_inputs(s))
+    queries = (([v], [], [w]), ([v], [e], [e, f]), ([blocks[0]], [], [blocks[-1]]),
+               ([v, w], [blocks[1]], [blocks[1], e]))
+    verdicts = [is_independent(s, *q).verdict for q in queries]
+    pool = list(blocks) + [blocks[0] + blocks[1]]
+    indices = [finite_base(s, np.array([sum(pool) + v, w]), pool, c * eps).indices
+               for eps in (1e-9, 0.5)]
+    shat, vprime = nonforking_extension(s, [v, w], [e], [e, f], seed=3)
+    mc = morley_average_check(s, v, [e], 16)
+    return (verdicts, indices, canonical_base(s, [v, w], [e, f]), shat.dim, vprime, mc)
+
+
+@pytest.mark.parametrize("plan", sorted(SCALE_PLANS))
+def test_forking_calculus_is_scale_equivariant(plan):
+    # verdicts and picks stay, outputs scale by c; nothing raises
+    s = random_structure(SCALE_PLANS[plan])
+    n = s.dim
+    verdicts, indices, cb, dim, vprime, mc = forking_outputs(s, 1.0)
+    assert True in verdicts and False in verdicts and indices[0]
+    for c in (1e-6, 1e6):
+        got = forking_outputs(s, c)
+        assert got[:2] == (verdicts, indices) and got[3] == dim
+        np.testing.assert_allclose(got[2] / c, cb, atol=1e-10)
+        # the summand coordinates are fixed up to a unitary: compare their Gram
+        np.testing.assert_allclose(got[4][:, :n] / c, vprime[:, :n], atol=1e-10)
+        tail, want = got[4][:, n:] / c, vprime[:, n:]
+        np.testing.assert_allclose(tail @ tail.conj().T, want @ want.conj().T, atol=1e-10)
+        m = got[5]
+        assert abs(m.distance / c - mc.distance) <= 1e-10
+        assert abs(m.residual_norm / c - mc.residual_norm) <= 1e-10
+        np.testing.assert_allclose(m.average[:n] / c, mc.average[:n], atol=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0])
+def test_nonforking_extension_rejects_a_residual_too_long(c, monkeypatch):
+    # the extension's residual lengthened by 25 %: its moments grow by half,
+    # a gap of order c^2 that a bound of order c (the projections' scale)
+    # would accept at c = 1e-6
+    s = random_structure(SCALE_PLANS["mixed"])
+    v, _, e, f, _ = scale_inputs(s)
+    type_over = starrep.independence._type_over
+    monkeypatch.setattr(starrep.independence, "_type_over",
+                        lambda st, vs, bp: type_over(st, vs if st is s else 1.25 * vs, bp))
+    with pytest.raises(ToleranceBreach, match="residual type condition failed"):
+        nonforking_extension(s, c * v, [c * e], [c * e, c * f])

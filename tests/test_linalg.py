@@ -17,6 +17,7 @@ from starrep.linalg import (
     orthonormalize,
     project,
     psd_sqrt,
+    set_svds,
     stack_ranks,
     stack_svds,
     subspace_intersection,
@@ -348,3 +349,16 @@ def test_stack_svds_cut_over_all_stacks(rng):
     assert [r.tolist() for r in stack_ranks(stacks)] == [[2, 2], [0, 0]]
     for (u, sv, vh, _), stack in zip(svds, stacks):
         np.testing.assert_allclose((u * sv[:, None, :]) @ vh, stack, atol=1e-12)
+
+
+def test_set_svds_cut_each_set_on_its_own(rng):
+    # the same two stacks as sets: each is cut against its own top, as
+    # stack_svds cuts it alone, so the small one keeps its rank one
+    big = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+    small = 1e-10 * (rng.standard_normal((2, 3, 1)) @ rng.standard_normal((2, 1, 2)))
+    u, sv, vh, keep = set_svds(np.array([big, small]))
+    assert keep.sum(-1).tolist() == [[2, 2], [1, 1]]
+    for i, stack in enumerate((big, small)):
+        [(_, _, _, alone)] = stack_svds([stack])
+        np.testing.assert_array_equal(keep[i], alone)
+        np.testing.assert_allclose((u[i] * sv[i][:, None, :]) @ vh[i], stack, atol=1e-12)
