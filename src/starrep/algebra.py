@@ -7,7 +7,9 @@ basis orthonormal under the normalized trace pairing <A, B> = Tr(B^H A) / n.
 Its Wedderburn blocks (BlockDecomposition) are sorted by shape (k, m), and
 block data has one layout: one zero-padded (..., c, K, K) stack per block
 group, as block_parts reads it from algebra elements and assemble writes it
-back.  Every block with k <= 4 is in one group, padded to that group's
+back, and one (c, M, K, n) gather of Q's columns per group
+(BlockDecomposition.columns), which the closures and the Radon-Nikodym basis
+read.  Every block with k <= 4 is in one group, padded to that group's
 largest k and m; each larger k has a group of its own, padded only in m.  So
 a block of k > 4 is never padded, nor pads a small one, and the worst case
 is the small group, where a 1 x 1 block's part is padded to at most 4 x 4
@@ -290,10 +292,11 @@ class BlockDecomposition:
     Conjugating every algebra element by change_of_basis^H produces the form
     direct-sum of (M_{k_i} tensor I_{m_i}), blocks sorted by (k_i, m_i).
     `groups` holds the BlockGroups (module docstring), and all block data
-    (block_parts, assemble, coordinates) is one zero-padded (c, ...) stack
-    per group, blocks in order inside it.  `runs` holds one (first block,
-    count c, k, m, offset) per maximal run of equal shapes, for the closed
-    form basis and the closures' private _padded copies of Q.
+    (block_parts, assemble, coordinates, columns) is one zero-padded
+    (c, ...) stack per group, blocks in order inside it.  `runs` holds one
+    (first block, count c, k, m, offset) per maximal run of equal shapes, for
+    the closed form basis, the harness's per-block draws and the
+    Radon-Nikodym SVD.
     """
 
     def __init__(self, blocks, change_of_basis: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -323,42 +326,33 @@ class BlockDecomposition:
         return tuple(self.blocks)
 
     @functools.cached_property
-    def _padded(self):
-        """Q as one zero-padded (nb, M, K, n) array, M and K the largest m_i
-        and k_i: [i, j, a] is column (a, j) of block i, zero for a >= k_i or
-        j >= m_i.  With it, its conjugate scaled by sqrt(n / m_i) and the
-        (nb, 1, K) mask of a < k_i.  Read by representation's closures when
-        some m_i > 1, and sliced per group by
-        functionals.radon_nikodym_operator."""
+    def columns(self):
+        """Q's columns gathered per group, on first use: one (q, scaled) per
+        group, q the (c, M, K, n) array whose [i, j, a] is column (a, j) of
+        block i, zero for a >= k_i or j >= m_i, and scaled its conjugate times
+        sqrt(n / m_i).  Read by representation's closures and by
+        functionals.radon_nikodym_operator; together n^2 entries each where
+        no group is padded."""
         q = self.change_of_basis
         n = q.shape[0]
-        k, m = np.array(self.blocks).T
-        out = np.zeros((len(k), m.max(), k.max(), n), dtype=complex)
-        for first, c, kr, mr, off in self.runs:
-            out[first:first + c, :mr, :kr] = q[:, off:off + c * kr * mr].reshape(
-                n, c, kr, mr).transpose(1, 3, 2, 0)
-        scaled = out.conj() * np.sqrt(n / m)[:, None, None, None]
-        out.flags.writeable = scaled.flags.writeable = False
-        return out, scaled, np.arange(k.max()) < k[:, None, None]
-
-    @functools.cached_property
-    def _unit_blocks(self):
-        """For a multiplicity-free decomposition (every m_i = 1), each block's
-        first coordinate in Q^H x and its k_i, else None: block i is then the
-        k_i consecutive coordinates from its first.  Read by
-        representation's closures in place of _padded."""
-        if any(m != 1 for _, m in self.blocks):
-            return None
-        k = np.array([k for k, _ in self.blocks], dtype=int)
-        return np.cumsum(k) - k, k
+        # Q's columns as rows, then the zero row the padding reads
+        rows = np.concatenate([q.T, np.zeros((1, n))])
+        out = []
+        for g in self.groups:
+            cols = rows[g.index.swapaxes(1, 2)]
+            scaled = cols.conj() * np.sqrt(n / g.m)[:, None, None, None]
+            cols.flags.writeable = scaled.flags.writeable = False
+            out.append((cols, scaled))
+        return out
 
     def coordinates(self, x: np.ndarray):
         """Q^H x as one zero-padded (c, K, M) stack per group, block i read as
         a k_i x m_i matrix (the order block_parts uses): an algebra element
-        acts on it as X -> x_i X, the commutant as X -> X c."""
+        acts on it as X -> x_i X, the commutant as X -> X c.  An (n, t)
+        stack of vectors gives (c, K, M, t) stacks."""
         y = self.change_of_basis.conj().T @ x
         if self._copies.pads:
-            y = np.append(y, 0)  # the zero the padding reads
+            y = np.concatenate([y, np.zeros((1,) + y.shape[1:])])  # the zero row the padding reads
         return [y[g.index] for g in self.groups]
 
     def block_parts(self, m: np.ndarray):

@@ -522,17 +522,15 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
 
     tol, n = s.tol, s.dim
     dec = s.algebra.block_decomposition()
-    padded = dec._padded[0]
     cols, keeps, roots, outside, scale = [], [], [], [], []
-    for grp, vi, (u, sv, yh, keep) in zip(dec.groups, dec.coordinates(v),
-                                          _block_svds(dec, dec.coordinates(w), tol)):
+    for grp, (q, _), vi, (u, sv, yh, keep) in zip(dec.groups, dec.columns, dec.coordinates(v),
+                                                  _block_svds(dec, dec.coordinates(w), tol)):
         # the columns past a block's rank and the rows past its k_i are
         # zeroed, then dropped
         c, k, m = grp.index.shape
         p = sv.shape[1]
         u = u * keep[:, None, :]
-        # [c, m, a]: column (a, m) of block c, sliced from the padded Q
-        q = padded[grp.first:grp.first + c, :m, :k]
+        # q[c, m, a]: column (a, m) of block c
         cols.append(np.einsum("cmax,cjm->xcaj", q, yh).reshape(n, -1))
         keeps.append((grp.rows[:, :, None] & keep[:, None, :]).ravel())
         uv = _adj(u) @ vi

@@ -5,17 +5,16 @@ A tuple is independent from F over E when its projections onto acl(E) and
 acl(E u F) coincide.  Types are captured by the projections onto the cyclic
 subspace of the base together with the moment data of the residuals.
 
-On a multiplicity-free decomposition a closure is a set of whole blocks, a
-mask over Q's columns, so the queries project as Q(mask o Q^H v) and build no
-Subspace (representation._closure_basis); elsewhere they project onto the
-Subspaces the block rows give.
+The queries project onto the columns of a closure that its block rows give,
+with no Subspace built (representation._closure_basis); in a block group
+where every m_i = 1 those are columns of Q.
 
 Closures grow by increments: acl(C u {f}) = acl(C) + dcl(f), as both summands
 are invariant and H_d lies in acl(C).  The greedy finite base works on block
 rows: it solves acl of the pool and dcl(f) once each, joins acl(C) + dcl(f)
-block by block (a mask OR where every m_i = 1, else one batched SVD over the
-blocks both sides meet, representation._join_rows), and scores the
-candidates from the tuple's block coordinates.
+block by block (a mask OR in a group where every m_i = 1, else one batched
+SVD per group over the blocks both sides meet, representation._join_rows),
+and scores the candidates from the tuple's block coordinates.
 """
 from __future__ import annotations
 
@@ -28,10 +27,10 @@ from .linalg import (Draws, Subspace, ToleranceBreach, Tolerances, haar_unitary,
 from .representation import (
     Structure,
     _acl_block_rows,
+    _block_rows,
     _check_rows,
     _closure_basis,
     _closure_bases,
-    _each_rows,
     _from_rows,
     _join_rows,
     _project_leading,
@@ -355,12 +354,13 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
     since both summands are invariant and H_d lies in acl(C).  So acl of the
     pool and dcl(f) are solved once each, as block rows, and each round joins
     every remaining candidate's rows with acl(C)'s, block by block
-    (representation._join_rows: a mask OR where every m_i = 1, else one
-    batched SVD over the blocks both sides meet, cut as the n-dimensional
-    join of the two orthonormal closures would be, at the unit scale,
-    whatever the norms of the pool vectors).  The candidates are scored on
-    the tuple's block coordinates, where Q is unitary, and a candidate whose
-    joined dimension does not exceed dim acl(C) adds nothing and is skipped.
+    (representation._join_rows: a mask OR in a group where every m_i = 1,
+    else one batched SVD per group over the blocks both sides meet, cut as
+    the n-dimensional join of the two orthonormal closures would be, at the
+    unit scale, whatever the norms of the pool vectors).  The candidates are
+    scored on the tuple's block coordinates, where Q is unitary, and a
+    candidate whose joined dimension does not exceed dim acl(C) adds nothing
+    and is skipped.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
@@ -368,43 +368,49 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
     pool = [np.asarray(f, dtype=complex).ravel() for f in pool]
     full = _acl_block_rows(s, pool)
     dec = s.algebra.block_decomposition()
-    k = np.array([k for k, _ in dec.blocks])
     z = _tuple_rows(s, vs)
-    if dec._unit_blocks is None:
-        def onto(rows):
-            # z projected onto block rows, or onto each set of a stack of them
-            u, keep = rows
-            return project((u * keep[..., None, :])[..., None, :, :], z)
 
-        target = onto(full)
+    def onto(rows):
+        # z projected onto block rows, or onto each set of a stack of them
+        return [project((u * keep[..., None, :])[..., None, :, :], zg)
+                for (u, keep), zg in zip(rows, z)]
 
-        def squares(rows):
-            gap = target - onto(rows)
-            return (gap.real ** 2 + gap.imag ** 2).sum((-1, -3, -4))
-    else:  # z holds the squared block norms, and a block is in a closure or not
-        def squares(rows):
-            return (rows[1][..., 0] ^ full[1][:, 0]) @ z
+    target = onto(full)
+    # in a group where every m_i = 1 a block is in a closure or not, so its
+    # part of a defect is its squared norm or nothing
+    block_squares = [(y.real ** 2 + y.imag ** 2).sum((1, 3)) for y in z]
 
     def worst_defect(rows):
         # the largest row defect of one set of block rows, or of each of a stack
-        return np.sqrt(np.max(squares(rows), axis=-1, initial=0.0))
+        squares = 0.0
+        for (u, keep), (_, whole), y, t, y2 in zip(rows, full, z, target, block_squares):
+            if u.shape[-1] == 1:
+                squares = squares + (keep[..., 0] ^ whole[:, 0]) @ y2
+                continue
+            gap = t - project((u * keep[..., None, :])[..., None, :, :], y)
+            squares = squares + (gap.real ** 2 + gap.imag ** 2).sum((-1, -3, -4))
+        return np.sqrt(np.max(squares, axis=-1, initial=0.0))
+
+    def dim(rows):
+        return sum(keep.sum(-1) @ g.k for (_, keep), g in zip(rows, dec.groups))
 
     chosen: list[int] = []
     sub = _acl_block_rows(s, [])
-    current = float(worst_defect(sub))
+    current, d = float(worst_defect(sub)), dim(sub)
     size = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
     rest = list(range(len(pool)))
     if rest:
-        dcl_u, dcl_keep = _each_rows(s, np.array(pool))
-        if dec._unit_blocks is None:  # rows from SVDs, never made Subspaces
-            _check_rows(np.concatenate([full[0][None], dcl_u]),
-                        np.concatenate([full[1][None], dcl_keep]), s.tol)
+        dcl = _block_rows(dec, np.array(pool)[:, None, :], s.tol)
+        # block rows that never become Subspaces
+        _check_rows(full, s.tol)
+        _check_rows(dcl, s.tol)
     while current >= epsilon and rest:
-        joined = _join_rows(s, sub, (dcl_u[rest], dcl_keep[rest]))
-        d, dims = sub[1].sum(-1) @ k, joined[1].sum(-1) @ k
+        left = np.array(rest)
+        joined = _join_rows(s, sub, [(u[left], keep[left]) for u, keep in dcl])
+        dims = dim(joined)
         best = None
-        for c, (score, dim) in enumerate(zip(worst_defect(joined).tolist(), dims.tolist())):
-            if dim <= d:
+        for c, (score, size_c) in enumerate(zip(worst_defect(joined).tolist(), dims.tolist())):
+            if size_c <= d:
                 continue
             # the first of near-equal scores wins
             if best is None or (score < best[0] and not s.tol.close(best[0] - score, size)):
@@ -412,13 +418,9 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         if best is None:
             break
         current, c = best
-        sub = joined[0][c], joined[1][c]
+        sub, d = [(u[c], keep[c]) for u, keep in joined], dims[c]
         chosen.append(rest.pop(c))
 
-    if dec._unit_blocks is None:
-        moved = _from_rows(s, target - onto(sub))
-    else:  # the block norms do not give the coordinates back
-        moved = project(_closure_basis(s, full), vs) - project(_closure_basis(s, sub), vs)
-    replacements = vs - moved
+    replacements = vs - _from_rows(s, [t - p for t, p in zip(target, onto(sub))])
     out = replacements[0] if single else replacements
     return FiniteBase(list(chosen), [pool[i] for i in chosen], out, current)

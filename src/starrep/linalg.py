@@ -6,9 +6,10 @@ goes through a Tolerances method, which compares a value with its natural
 scale, so verdicts do not change when the inputs are rescaled.
 
 Every layer uses two span routines: `orthonormalize` alone decides a span's
-rank (`stack_ranks` the ranks of stacked blocks, `stack_svds` and `set_svds`
-their ranges), and `project` is the one orthogonal projection onto a span (or
-onto each span of a stack of bases), of a vector or each row of an array.
+rank (`stack_ranks` the ranks of stacked blocks, `stack_svds` and
+`stack_ranges` their ranges), and `project` is the one orthogonal projection
+onto a span (or onto each span of a stack of bases), of a vector or each row
+of an array.
 
 Every random draw of the library comes from a keyed `Draws`, so no process
 imports numpy.random.
@@ -232,14 +233,32 @@ def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL, top: float = 0.0) -> list:
     return [(u, sv, vh, sv > cut) for u, sv, vh in svds]
 
 
-def set_svds(sets, tol: Tolerances = DEFAULT_TOL):
-    """Thin SVD of each matrix of a (P, ...) stack of P sets of them, in one
-    batched call, as (u, s, vh, keep): keep marks the singular values above
-    rank_cut of the largest one of their own set, as stack_svds would cut
-    each set alone."""
-    u, sv, vh = np.linalg.svd(sets, full_matrices=False)
-    top = sv.reshape(len(sv), -1).max(axis=1, initial=0.0)
-    return u, sv, vh, sv > tol.rank_cut(top).reshape((-1,) + (1,) * (sv.ndim - 1))
+def stack_ranges(stacks, tol: Tolerances = DEFAULT_TOL, top: float = 0.0) -> list:
+    """The range of each matrix of each (..., c, M, N) stack, as (u, keep)
+    per stack: the columns of the (..., c, M, M) u that keep marks span it.
+    Each index of the leading axes (...), the same for every stack, is one
+    set, cut at rank_cut of the largest singular value of that set over all
+    the stacks, or of top when larger: stack_svds's cut, set by set.  A stack
+    of rows (M = 1) is ranked by norms, a row's one singular value, with
+    u = 1 and no SVD.  A stack narrower than high gets zero columns, so that
+    every u is square and unitary.  Only the spans are LAPACK's, not the
+    phases of u (stack_svds keeps those)."""
+    if not stacks:
+        return []
+    ranges, cut = [], None
+    for s in stacks:
+        m, short = s.shape[-2], s.shape[-2] - s.shape[-1]
+        if m == 1:
+            u, sv = np.ones(s.shape[:-1] + (1,)), np.sqrt((np.abs(s) ** 2).sum(-1))
+        else:
+            if short > 0:  # zero columns, so that u is square
+                s = np.concatenate([s, np.zeros(s.shape[:-1] + (short,))], axis=-1)
+            u, sv, _ = np.linalg.svd(s, full_matrices=False)
+        ranges.append((u, sv))
+        high = sv.max((-2, -1), keepdims=True, initial=top)
+        cut = high if cut is None else np.maximum(cut, high)
+    cut = tol.rank_cut(cut)
+    return [(u, sv > cut) for u, sv in ranges]
 
 
 def project(s, v: np.ndarray) -> np.ndarray:

@@ -8,12 +8,15 @@ never against its basis: dcl(E) = Q (+)(C^{k_i} (x) R_i), R_i the row span of
 E's block coordinates, and acl(E) = dcl(E) + H_d block by block, with H_d's
 own rows S_i solved once per structure.  A block that H_d fills is taken
 whole, one it misses keeps R_i, and only a block it meets in part joins
-[R_i | S_i], in one batched SVD, so no closure makes an n-dimensional SVD.
-On a multiplicity-free decomposition (every m_i = 1) a block's one singular
-value is its norm, and the closures are columns of Q, with no SVD at all;
-the forking queries then project by a mask over them (_closure_basis).
-Block rows also serve as closures themselves, joined block by block
-(_join_rows) and projected in block coordinates (_tuple_rows).
+[R_i | S_i], so no closure makes an n-dimensional SVD.  Block rows are held
+in the algebra's block groups, one (u, keep) per group, read through the
+group's gather of Q (BlockDecomposition.columns).  In a group where every
+m_i = 1 a block's one singular value is its norm, so its rows come with no
+SVD and its closures are columns of Q; every other group makes one batched
+SVD per solve.  The forking queries project onto the closures' columns with
+no Subspace built (_closure_basis).  Block rows also serve as closures
+themselves, joined block by block (_join_rows) and projected in block
+coordinates (_tuple_rows).
 """
 from __future__ import annotations
 
@@ -27,8 +30,7 @@ from .linalg import (
     block_diag,
     orthonormalize,
     project,
-    set_svds,
-    stack_svds,
+    stack_ranges,
     subspace_intersection,
     zero_subspace,
 )
@@ -150,126 +152,114 @@ def _vector_rows(s: Structure, vectors):
 
 def _block_rows(dec, vs: np.ndarray, tol):
     """Orthonormal bases of the row spans R_i of dcl(rows of vs), block by
-    block: (u, keep), u an (nb, M, M) stack whose kept columns (keep, (nb, M))
-    span each R_i in C^{m_i}, zero-padded to M, the largest m_i.
+    block: one (u, keep) per block group, u a (c, M, M) stack whose kept
+    columns (keep, (c, M)) span each R_i in C^{m_i}, zero-padded to M, the
+    group's largest m_i.  vs may also be a (P, t, n) stack of sets, each cut
+    on its own, for (P, c, M, M) u and (P, c, M) keep.
 
     The images of the vectors under a trace-orthonormal basis of the algebra
     have singular values sqrt(n / m_i) sigma(stack i), each k_i times, so
     the stacks so scaled are cut as the images would be, at rank_rel times
-    the largest over all blocks.  Where every m_i = 1, block i is k_i
-    consecutive coordinates of Q^H v and its one singular value their norm
-    (the sqrt(n) is common to all): one GEMM and one reduction, with u = 1.
-    Otherwise one GEMM against the padded conjugate copy of Q gives every
-    stack, transposed, and one batched SVD ranks them.
+    the largest over all blocks.  One GEMM per group against the scaled
+    conjugate gather of Q (BlockDecomposition.columns) gives its stacks,
+    transposed, and linalg.stack_ranges ranks them: by norms in a group
+    where every m_i = 1, whose u is then 1, else by one batched SVD.
     """
-    unit = dec._unit_blocks
-    if unit is not None:
-        # vs may also be a (P, t, n) stack of sets, each cut on its own
-        y = vs @ dec.change_of_basis.conj()
-        norms = np.sqrt(np.add.reduceat((np.abs(y) ** 2).sum(-2), unit[0], axis=-1))
-        keep = norms > tol.rank_cut(norms.max(-1, keepdims=True, initial=0.0))
-        return np.ones(norms.shape + (1, 1)), keep[..., None]
-    q, scaled, _ = dec._padded
-    nb, mm, _, n = q.shape
-    # [i, j, (a, v)]: sqrt(n / m_i) times entry (a, j) of vector v's block i
-    stack = (scaled.reshape(-1, n) @ vs.T).reshape(nb, mm, -1)
-    [(u, _, _, keep)] = stack_svds([stack], tol)
-    return _padded_rows(u, keep, mm) if u.shape[2] < mm else (u, keep)
+    return stack_ranges([(scaled.reshape(-1, scaled.shape[-1]) @ vs.swapaxes(-1, -2)).reshape(
+        vs.shape[:-2] + scaled.shape[:2] + (-1,)) for _, scaled in dec.columns], tol)
 
 
-def _padded_rows(u: np.ndarray, keep: np.ndarray, mm: int):
-    """(u, keep) with zero columns added up to M = mm, for stacks narrower
-    than M (K t < M), so that every (u, keep) has one shape."""
-    u = np.concatenate([u, np.zeros(u.shape[:-1] + (mm - u.shape[-1],))], axis=-1)
-    keep = np.concatenate([keep, np.zeros(keep.shape[:-1] + (mm - keep.shape[-1],), dtype=bool)],
-                          axis=-1)
-    return u, keep
+def _columns(dec, rows) -> np.ndarray:
+    """The (n, r) orthonormal basis of Q (+)(C^{k_i} (x) R_i) for block rows
+    (u, keep): Q (e_a (x) w_ir) for the kept columns w_ir of u, one batched
+    product per group with its gather of Q, or in a group where every
+    m_i = 1 (u = 1) the gathered columns of Q themselves."""
+    parts = []
+    for g, (q, _), (u, keep) in zip(dec.groups, dec.columns, rows):
+        c, mm, kk, n = q.shape
+        # [i, r, a]: Q (e_a (x) w_ir), w_ir the r-th column of u's block i
+        basis = q if mm == 1 else (u.swapaxes(1, 2) @ q.reshape(c, mm, -1)).reshape(c, -1, kk, n)
+        parts.append(basis[keep[:, :, None] & g.rows[:, None, :]])
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).T
 
 
 def _closure(s: Structure, rows) -> Subspace:
-    """The subspace Q (+)(C^{k_i} (x) R_i) of block rows (u, keep), or the
-    zero subspace for None: on a multiplicity-free decomposition the kept
-    blocks' columns of Q, else the basis Q (e_a (x) w_ir) of the kept
-    columns w_ir of u, from one batched product with the padded Q."""
+    """The subspace Q (+)(C^{k_i} (x) R_i) of block rows (u, keep)
+    (_columns), or the zero subspace for None."""
     if rows is None:
         return zero_subspace(s.dim, s.tol)
-    u, keep = rows
-    dec = s.algebra.block_decomposition()
-    unit = dec._unit_blocks
-    if unit is not None:
-        return Subspace(s.dim, dec.change_of_basis[:, np.repeat(keep[:, 0], unit[1])], s.tol)
-    q, _, inside = dec._padded
-    nb, mm, kk, n = q.shape
-    # [i, r, a]: Q (e_a (x) w_ir), w_ir the r-th column of u's block i
-    basis = (u.swapaxes(1, 2) @ q.reshape(nb, mm, -1)).reshape(nb, -1, kk, n)
-    return Subspace(n, basis[keep[:, :, None] & inside].T, s.tol)
+    return Subspace(s.dim, _columns(s.algebra.block_decomposition(), rows), s.tol)
 
 
 def _acl(s: Structure, rows) -> Subspace:
-    """acl from the dcl's block rows: the discrete part itself when the dcl
-    is zero, the dcl when the discrete part is, else _acl_rows."""
-    if rows is None or not rows[1].any():
+    """acl from the dcl's block rows: the discrete part itself for an empty
+    set, the dcl when the discrete part is zero, else _acl_rows."""
+    if rows is None:
         return s.discrete
-    if s.discrete.dim == 0:
-        return _closure(s, rows)
-    return _closure(s, _acl_rows(s, *rows))
+    return _closure(s, _acl_rows(s, rows) if s.discrete.dim else rows)
 
 
 def _discrete_blocks(s: Structure):
     """The discrete part's block rows S_i (_block_rows of its basis), with
     masks of the blocks it fills (S_i = C^{m_i}) and of those it meets only
-    in part: (full, partial, u, keep).  H_d is invariant (Structure checks
-    it), so these are its own rows.  Solved on the first call and kept on s,
-    keyed to its discrete part and algebra; on a multiplicity-free
-    decomposition every S_i is all or nothing, decided by a norm."""
+    in part: (full, partial, u, keep) per group.  H_d is invariant
+    (Structure checks it), so these are its own rows.  Solved on the first
+    call and kept on s, keyed to its discrete part and algebra; in a group
+    where every m_i = 1, each S_i is all or nothing, decided by a norm."""
     cached = s._discrete_blocks
     if cached is None or cached[0] is not s.discrete or cached[1] is not s.algebra:
         dec = s.algebra.block_decomposition()
-        u, keep = _block_rows(dec, s.discrete.basis.T, s.tol)
-        rank, m = keep.sum(1), np.array([m for _, m in dec.blocks])
-        cached = s._discrete_blocks = (s.discrete, s.algebra, rank == m,
-                                       (rank > 0) & (rank < m), u, keep)
-    return cached[2:]
+        blocks = []
+        for g, (u, keep) in zip(dec.groups, _block_rows(dec, s.discrete.basis.T, s.tol)):
+            rank = keep.sum(1)
+            blocks.append((rank == g.m, (rank > 0) & (rank < g.m), u, keep))
+        cached = s._discrete_blocks = (s.discrete, s.algebra, blocks)
+    return cached[2]
 
 
-def _acl_rows(s: Structure, u: np.ndarray, keep: np.ndarray):
+def _acl_rows(s: Structure, rows):
     """Block rows of acl = dcl + H_d from those of dcl, R_i + S_i: S_i where
     H_d fills block i, R_i where it misses it, and where it meets it in part
-    the range of [R_i | S_i], one batched SVD over those blocks.
+    the range of [R_i | S_i], one batched SVD per group over those blocks.
 
     H_d is invariant, so the n-dimensional join of the two orthonormal bases
     has the singular values of [R_i | S_i] over the blocks, each k_i times:
     1 where one of them is zero, sqrt 2 on R_i where S_i is everything, and
-    the partial blocks' own.  Their SVD is cut at rank_rel times the largest
-    of those, as the n-dimensional join would cut it.
+    the partial blocks' own.  Their SVDs are cut at rank_rel times the
+    largest of those, as the n-dimensional join would cut it.
     """
-    full, partial, du, dkeep = _discrete_blocks(s)
-    rows = np.where(full[:, None, None], du, u)
-    kept = np.where(full[:, None], dkeep, keep)
-    if partial.any():
-        join = np.concatenate([u[partial] * keep[partial, None, :],
-                               du[partial] * dkeep[partial, None, :]], axis=2)
-        top = np.sqrt(2.0) if (full & keep.any(1)).any() else 1.0
-        [(ju, _, _, jkeep)] = stack_svds([join], s.tol, top=top)
-        rows[partial], kept[partial] = ju, jkeep
-    return rows, kept
+    blocks, out, joins, joined = _discrete_blocks(s), [], [], []
+    for (full, partial, du, dkeep), (u, keep) in zip(blocks, rows):
+        if u.shape[-1] == 1:  # every S_i is 0 or C^1, so H_d meets no block in part
+            out.append((u, keep | full[:, None]))
+            continue
+        out.append((np.where(full[:, None, None], du, u), np.where(full[:, None], dkeep, keep)))
+        if partial.any():
+            joins.append(np.concatenate([u[partial] * keep[partial, None, :],
+                                         du[partial] * dkeep[partial, None, :]], axis=2))
+            joined.append(out[-1] + (partial,))
+    if joins:
+        top = np.sqrt(2.0) if any((full & keep.any(1)).any()
+                                  for (full, *_), (_, keep) in zip(blocks, rows)) else 1.0
+        for (u, keep, partial), (ju, jkeep) in zip(joined, stack_ranges(joins, s.tol, top=top)):
+            u[partial], keep[partial] = ju, jkeep
+    return out
 
 
 def _closure_basis(s: Structure, rows, discrete: bool = False):
-    """What linalg.project projects onto the closure of block rows with (dcl,
-    or acl with `discrete`).  On a multiplicity-free decomposition it is Q
-    with the columns outside the closure zeroed, which projects as
-    Q(mask o Q^H v): no Subspace is built, as BlockDecomposition's unitarity
-    certificate bounds the Gram of every subset of Q's columns.  On any
-    other, the Subspace _closure or _acl builds."""
-    dec = s.algebra.block_decomposition()
-    unit = dec._unit_blocks
-    if unit is None:
-        return _acl(s, rows) if discrete else _closure(s, rows)
-    kept = np.zeros(unit[1].size, dtype=bool) if rows is None else rows[1][:, 0]
+    """What linalg.project projects onto the closure of block rows (dcl, or
+    acl with `discrete`): its columns (_columns), with no Subspace built, as
+    BlockDecomposition's unitarity certificate bounds their Gram by the
+    rows', which are checked orthonormal (_check_rows) instead; or the
+    discrete part itself, the acl of an empty set."""
     if discrete and s.discrete.dim:
-        kept = kept | _discrete_blocks(s)[0]
-    return dec.change_of_basis * np.repeat(kept, unit[1])
+        if rows is None:
+            return s.discrete
+        rows = _acl_rows(s, rows)
+    if rows is None:
+        return np.zeros((s.dim, 0), dtype=complex)
+    _check_rows(rows, s.tol)
+    return _columns(s.algebra.block_decomposition(), rows)
 
 
 def _closure_bases(s: Structure, vectors):
@@ -293,94 +283,74 @@ def _project_leading(closure, vs: np.ndarray, n: int) -> np.ndarray:
 
 def _acl_block_rows(s: Structure, vectors):
     """Block rows (u, keep) of acl of the set, shaped as _block_rows shapes
-    them (M = 1 on a multiplicity-free decomposition), none kept for an
-    empty set in a structure with no discrete part."""
+    them, none kept for an empty set in a structure with no discrete part."""
     rows = _vector_rows(s, vectors)
     if s.discrete.dim:
-        return _discrete_blocks(s)[2:] if rows is None else _acl_rows(s, *rows)
+        return [(u, keep) for *_, u, keep in _discrete_blocks(s)] if rows is None else (
+            _acl_rows(s, rows))
     if rows is None:
-        dec = s.algebra.block_decomposition()
-        nb = len(dec.blocks)
-        mm = 1 if dec._unit_blocks is not None else max(m for _, m in dec.blocks)
-        rows = np.zeros((nb, mm, mm)), np.zeros((nb, mm), dtype=bool)
+        rows = [(np.eye(m)[None].repeat(c, 0), np.zeros((c, m), dtype=bool))
+                for c, _, m in (g.index.shape for g in s.algebra.block_decomposition().groups)]
     return rows
-
-
-def _each_rows(s: Structure, vs: np.ndarray):
-    """dcl block rows of each row of vs alone, stacked as (P, nb, M, M) u and
-    (P, nb, M) keep, from one solve: _block_rows of each, in one batched SVD
-    that cuts each vector's stacks on their own (linalg.set_svds)."""
-    dec = s.algebra.block_decomposition()
-    if dec._unit_blocks is not None:
-        return _block_rows(dec, vs[:, None, :], s.tol)
-    q, scaled, _ = dec._padded
-    nb, mm, kk, n = q.shape
-    # [p, i, j, a]: sqrt(n / m_i) times entry (a, j) of vector p's block i
-    u, _, _, keep = set_svds((vs @ scaled.reshape(-1, n).T).reshape(-1, nb, mm, kk), s.tol)
-    return _padded_rows(u, keep, mm) if kk < mm else (u, keep)
 
 
 def _join_rows(s: Structure, a, b):
     """Block rows of R_i + R'_i from one set of block rows (u, keep), a, and
-    each set of a stack of them, b.  On a multiplicity-free decomposition
-    every R_i is 0 or C^1, so the keeps are OR-ed.  Otherwise a block where
-    one side has no rows takes the other's, and the blocks where both do
-    take the range of [R_i | R'_i], one batched SVD over all of them.  The
-    n-dimensional join of the two orthonormal closures has those blocks'
-    singular values, each k_i times, and 1 on the one-sided blocks, so its
-    largest lies in [1, sqrt 2] and the SVD is cut at rank_rel times the
-    largest of 1 and its own.  The SVD's rows are checked orthonormal
-    (_check_rows)."""
-    (ua, ka), (ub, kb) = a, b
-    if s.algebra.block_decomposition()._unit_blocks is not None:
-        keep = ka | kb
-        return np.ones(keep.shape + (1,)), keep
-    has_a, has_b = ka.any(-1), kb.any(-1)
-    u = np.where(has_a[:, None, None], ua, ub)
-    keep = np.where(has_a[:, None], ka, kb)
-    both = has_a & has_b
-    if both.any():
-        c, i = both.nonzero()
-        join = np.concatenate([ua[i] * ka[i][:, None, :], ub[c, i] * kb[c, i][:, None, :]],
-                              axis=2)
-        [(ju, _, _, jkeep)] = stack_svds([join], s.tol, top=1.0)
-        _check_rows(ju, jkeep, s.tol)
+    each set of a stack of them, b.  In a group where every m_i = 1 each R_i
+    is 0 or C^1, so the keeps are OR-ed.  In any other, a block where one
+    side has no rows takes the other's, and the blocks where both do take
+    the range of [R_i | R'_i], one batched SVD per group.  The
+    n-dimensional join of the two orthonormal closures has
+    those blocks' singular values, each k_i times, and 1 on the one-sided
+    blocks, so its largest lies in [1, sqrt 2] and the joins are cut at
+    rank_rel times the largest of 1 and their own.  The joins' rows are
+    checked orthonormal (_check_rows)."""
+    out, joins, joined = [], [], []
+    for (ua, ka), (ub, kb) in zip(a, b):
+        if ua.shape[-1] == 1:  # every R_i is 0 or C^1, and u = 1
+            out.append((ub, ka | kb))
+            continue
+        has_a = ka.any(-1)
+        out.append((np.where(has_a[..., None, None], ua, ub), np.where(has_a[..., None], ka, kb)))
+        both = has_a & kb.any(-1)
+        if both.any():
+            c, i = both.nonzero()
+            joins.append(np.concatenate([ua[i] * ka[i][:, None, :],
+                                         ub[c, i] * kb[c, i][:, None, :]], axis=2))
+            joined.append(out[-1] + (both,))
+    ranges = stack_ranges(joins, s.tol, top=1.0)
+    _check_rows(ranges, s.tol)
+    for (u, keep, both), (ju, jkeep) in zip(joined, ranges):
         u[both], keep[both] = ju, jkeep
-    return u, keep
+    return out
 
 
-def _check_rows(u: np.ndarray, keep: np.ndarray, tol) -> None:
-    """ToleranceBreach unless the kept columns of each stacked u are
-    orthonormal: their Gram against I, judged by certified."""
-    w = u * keep[..., None, :]
-    gram = w.conj().swapaxes(-1, -2) @ w - keep[..., None] * np.eye(keep.shape[-1])
-    if gram.size and not tol.certified(np.abs(gram).max(), 1.0):
-        raise ToleranceBreach("block rows are not orthonormal")
+def _check_rows(rows, tol) -> None:
+    """ToleranceBreach unless each stacked u of block rows is unitary, as
+    every u that linalg.stack_ranges gives is, so that its kept columns are
+    orthonormal: its Gram against I, judged by certified.  A group where
+    every m_i = 1 has u = 1, and nothing to check."""
+    for u, _ in rows:
+        if u.shape[-1] > 1:
+            gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
+            if not tol.certified(np.abs(gram).max(initial=0.0), 1.0):
+                raise ToleranceBreach("block rows are not orthonormal")
 
 
-def _tuple_rows(s: Structure, vs: np.ndarray) -> np.ndarray:
-    """The rows of vs in block coordinates, as block rows project them: an
-    (nb, K, t, M) stack whose [i, a, v] is row a of vector v's block i read as
-    a k_i x m_i matrix, zero past k_i and m_i, so that linalg.project onto
-    the kept columns of a block's u projects onto Q(C^{k_i} (x) R_i).  On a
-    multiplicity-free decomposition, where a closure takes each block whole
-    or not at all, the (nb, t) squared norms of the blocks instead."""
-    dec = s.algebra.block_decomposition()
-    unit = dec._unit_blocks
-    if unit is not None:
-        y = vs @ dec.change_of_basis.conj()
-        return np.add.reduceat(y.real ** 2 + y.imag ** 2, unit[0], axis=1).T
-    q = dec._padded[0]
-    nb, mm, kk, n = q.shape
-    y = (q.reshape(-1, n) @ vs.conj().T).conj()
-    return y.reshape(nb, mm, kk, -1).transpose(0, 2, 3, 1)
+def _tuple_rows(s: Structure, vs: np.ndarray):
+    """The rows of vs in block coordinates, as block rows project them: one
+    (c, K, t, M) stack per group whose [i, a, v] is row a of vector v's
+    block i read as a k_i x m_i matrix, zero past k_i and m_i, so that
+    linalg.project onto the kept columns of a block's u projects onto
+    Q(C^{k_i} (x) R_i)."""
+    return [y.swapaxes(-1, -2) for y in s.algebra.block_decomposition().coordinates(vs.T)]
 
 
-def _from_rows(s: Structure, rows: np.ndarray) -> np.ndarray:
-    """The inverse of _tuple_rows off a multiplicity-free decomposition: the
-    (t, n) vectors with the given block coordinates."""
-    q = s.algebra.block_decomposition()._padded[0]
-    return rows.transpose(0, 3, 1, 2).reshape(-1, rows.shape[2]).T @ q.reshape(-1, q.shape[-1])
+def _from_rows(s: Structure, rows) -> np.ndarray:
+    """The inverse of _tuple_rows: the (t, n) vectors with the given block
+    coordinates."""
+    return sum(y.transpose(0, 3, 1, 2).reshape(-1, y.shape[2]).T @ q.reshape(-1, q.shape[-1])
+               for y, (q, _) in zip(rows, s.algebra.block_decomposition().columns))
 
 
 def essential_discrete_parts(s: Structure, v: np.ndarray):

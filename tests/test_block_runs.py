@@ -388,6 +388,19 @@ def test_queries_make_one_lapack_call_per_run_and_only_gns_reads_rep(monkeypatch
         assert len(reads) == rep_reads, name
 
 
+def test_coordinates_of_a_stack_are_each_vectors_coordinates():
+    # the mixed8 plan pads its one group, so the gather reads the zero row
+    s = planted(((1, 2), (2, 1), (1, 1), (3, 1)), 86)
+    dec = s.algebra.block_decomposition()
+    assert any((g.index == s.dim).any() for g in dec.groups)
+    x = cgauss(np.random.default_rng(86), s.dim, 3)
+    stacks = dec.coordinates(x)
+    assert [y.shape for y in stacks] == [g.index.shape + (3,) for g in dec.groups]
+    for j in range(3):
+        for y, want in zip(stacks, dec.coordinates(x[:, j])):
+            np.testing.assert_allclose(y[..., j], want, rtol=0, atol=1e-14)
+
+
 # ----- the grouping rule and one LAPACK call per group ------------------------
 
 def groups_of(blocks):

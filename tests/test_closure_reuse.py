@@ -193,15 +193,26 @@ def test_closures_match_reference_routes(plan):
     np.testing.assert_allclose(got.moment_tensor, want.moment_tensor, atol=1e-10)
 
 
+class LargeSpec(InstanceSpec):
+    """An InstanceSpec past the n <= 16 of random instances, for
+    random_structure."""
+
+    def __post_init__(self):
+        pass
+
+
 # plans with multiplicities (rank deficient blocks), a full matrix algebra,
-# the diagonal one, and one whose discrete part meets a block in part
-# (closure_structure), beside the two above
+# the diagonal one, one whose discrete part meets a block in part
+# (closure_structure), and two of two block groups that differ in their
+# largest m (one group's every m_i = 1), beside the two above
 CLOSURE_PLANS = {
     **PLANS,
     "multiple": InstanceSpec(12, ((1, 1), (2, 2), (1, 3), (3, 1), (1, 1)), (False,) * 5, seed=33),
     "full": InstanceSpec(6, ((6, 1),), (False,), seed=34),
     "diagonal": InstanceSpec(6, ((1, 1),) * 6, (True,) + (False,) * 5, seed=35),
     "partial": InstanceSpec(7, ((2, 2), (1, 1), (1, 2)), (False, True, False), seed=36),
+    "two groups": InstanceSpec(11, ((1, 2), (2, 2), (5, 1)), (False, True, False), seed=37),
+    "lopsided": LargeSpec(40, ((24, 1),) + ((1, 2),) * 8, (False, True) + (False,) * 7, seed=38),
 }
 
 
@@ -473,7 +484,7 @@ def test_acl_makes_no_n_dimensional_span(plan, monkeypatch, svd_calls):
 @pytest.mark.parametrize("plan", ["full", "diagonal"])
 def test_multiplicity_free_closures_make_no_svd(plan, svd_calls):
     # every m_i = 1: a block's one singular value is its norm, and the
-    # closures are columns of Q, with no padded copy of it
+    # closures are columns of Q, read from one unpadded gather of it
     s = closure_structure(plan)
     dec = s.algebra.block_decomposition()
     inputs = closure_inputs(s, np.random.default_rng(22))
@@ -482,7 +493,22 @@ def test_multiplicity_free_closures_make_no_svd(plan, svd_calls):
         cyclic_subspace(s, vectors)
         acl(s, vectors)
         closures(s, vectors)
-    assert svd_calls == [] and "_padded" not in vars(dec)
+    assert svd_calls == []
+    assert [q.shape[1] for q, _ in dec.columns] == [1] and dec.columns[0][0].size == s.dim ** 2
+
+
+def test_closures_read_n_squared_entries_of_q():
+    # (24, 1) + (1, 2) x 8: one gather of Q per block group holds n^2
+    # entries in all, where one copy padded to the largest k and m over all
+    # blocks held 9 x 2 x 24 x 40 = 17,280
+    s = closure_structure("lopsided")
+    dec = s.algebra.block_decomposition()
+    rng = np.random.default_rng(29)
+    v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    assert acl(s, [v, w]).isclose(ref_acl(s, [v, w]))
+    assert [q.shape for q, _ in dec.columns] == [(8, 2, 1, 40), (1, 1, 24, 40)]
+    for copy in (0, 1):
+        assert sum(group[copy].size for group in dec.columns) == s.dim ** 2
 
 
 def test_partial_join_cuts_where_subspace_sum_cuts():
@@ -533,14 +559,13 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
 
 def count_solves(monkeypatch):
     """The block-row solves: the shape of the vectors of each
-    representation._block_rows call, and ("each", P) for each solve of P
-    vectors' dcls, one by one (_each_rows)."""
+    representation._block_rows call, (t,) for one set of t vectors and
+    (P, 1) for the solve of P vectors' dcls, one by one."""
     solves = []
-    rows, each = starrep.representation._block_rows, starrep.independence._each_rows
-    monkeypatch.setattr(starrep.representation, "_block_rows",
-                        lambda dec, vs, tol: solves.append(vs.shape[:-1]) or rows(dec, vs, tol))
-    monkeypatch.setattr(starrep.independence, "_each_rows",
-                        lambda st, vecs: solves.append(("each", len(vecs))) or each(st, vecs))
+    rows = starrep.representation._block_rows
+    for module in (starrep.representation, starrep.independence):
+        monkeypatch.setattr(module, "_block_rows", lambda dec, vs, tol: solves.append(
+            vs.shape[:-1]) or rows(dec, vs, tol))
     return solves
 
 
@@ -564,7 +589,7 @@ def test_finite_base_solves_each_pool_closure_once(plan, monkeypatch, svd_calls)
     # acl(pool), on this fresh structure the discrete part's blocks, then
     # dcl(f) of every pool element in one solve; no Subspace anywhere
     assert solves == ([(len(pool),)] + [(s.discrete.dim,)] * (s.discrete.dim > 0)
-                      + [("each", len(pool))])
+                      + [(len(pool), 1)])
     # one SVD per solve; the pool's elements meet no common block, so the
     # loop joins by taking one side's rows, with no SVD (the n-dimensional
     # loop made one per pool element and one per round, 10 and 11 in all)
@@ -587,13 +612,13 @@ def test_multiplicity_free_finite_base_joins_masks(plan, monkeypatch, svd_calls)
     svd_calls.clear()
     assert finite_base(s, vs, pool, 1e-9).indices == want
     assert solves == ([(len(pool),)] + [(s.discrete.dim,)] * (s.discrete.dim > 0)
-                      + [("each", len(pool)), (len(pool), 1)])
+                      + [(len(pool), 1)])
     assert svd_calls == []
 
 
 @pytest.mark.parametrize("plan", ["full", "diagonal"])
 def test_multiplicity_free_queries_build_no_subspace(plan, monkeypatch, svd_calls):
-    # a closure is a mask over Q's columns: is_independent and canonical_base
+    # a closure is a set of Q's columns: is_independent and canonical_base
     # project through it, with no SVD and no Subspace
     s = closure_structure(plan)
     rng = np.random.default_rng(25)
@@ -691,15 +716,13 @@ def test_finite_base_checks_its_rows_orthonormal(solve, monkeypatch):
     s = closure_structure("multiple")
     blocks = block_vectors(s, np.random.default_rng(28))
     pool = pair_pool(blocks)
-    if solve == "rows":
-        svds = starrep.linalg.set_svds
-        monkeypatch.setattr(starrep.representation, "set_svds", lambda sets, tol: (
-            lambda u, sv, vh, keep: (1.01 * u, sv, vh, keep))(*svds(sets, tol)))
-    else:  # the joins' SVDs alone are cut at top 1
-        svds = starrep.linalg.stack_svds
-        monkeypatch.setattr(starrep.representation, "stack_svds", lambda stacks, tol, top=0.0: [
-            ((1.01 if top == 1.0 else 1.0) * u, sv, vh, keep)
-            for u, sv, vh, keep in svds(stacks, tol, top)])
+    ranges = starrep.linalg.stack_ranges
+    if solve == "rows":  # the dcl(f)s alone are solved as a stack of sets
+        longer = lambda u, top: u.ndim == 4  # noqa: E731
+    else:  # the joins alone are cut at top 1
+        longer = lambda u, top: top == 1.0  # noqa: E731
+    monkeypatch.setattr(starrep.representation, "stack_ranges", lambda stacks, tol, top=0.0: [
+        ((1.01 if longer(u, top) else 1.0) * u, keep) for u, keep in ranges(stacks, tol, top)])
     with pytest.raises(ToleranceBreach, match="block rows are not orthonormal"):
         finite_base(s, sum(pool), pool, 1e-9)
 

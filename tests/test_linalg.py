@@ -17,7 +17,7 @@ from starrep.linalg import (
     orthonormalize,
     project,
     psd_sqrt,
-    set_svds,
+    stack_ranges,
     stack_ranks,
     stack_svds,
     subspace_intersection,
@@ -351,14 +351,23 @@ def test_stack_svds_cut_over_all_stacks(rng):
         np.testing.assert_allclose((u * sv[:, None, :]) @ vh, stack, atol=1e-12)
 
 
-def test_set_svds_cut_each_set_on_its_own(rng):
-    # the same two stacks as sets: each is cut against its own top, as
-    # stack_svds cuts it alone, so the small one keeps its rank one
+def test_stack_ranges_cut_each_set_on_its_own(rng):
+    # the two stacks above as two sets, each beside a stack of its first
+    # rows: each set is cut against its own top over both its stacks, as
+    # stack_svds cuts the set alone, so the small one keeps its rank one;
+    # rows are ranked by norms with u = 1, and the narrow stacks get square u
     big = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
     small = 1e-10 * (rng.standard_normal((2, 3, 1)) @ rng.standard_normal((2, 1, 2)))
-    u, sv, vh, keep = set_svds(np.array([big, small]))
-    assert keep.sum(-1).tolist() == [[2, 2], [1, 1]]
+    sets = [np.array([big, small]), np.array([big[:, :1], small[:, :1]])]
+    (u, keep), (ones, row_keep) = stack_ranges(sets)
+    assert u.shape == (2, 2, 3, 3) and keep.sum(-1).tolist() == [[2, 2], [1, 1]]
+    np.testing.assert_array_equal(ones, np.ones((2, 2, 1, 1)))
     for i, stack in enumerate((big, small)):
-        [(_, _, _, alone)] = stack_svds([stack])
-        np.testing.assert_array_equal(keep[i], alone)
-        np.testing.assert_allclose((u[i] * sv[i][:, None, :]) @ vh[i], stack, atol=1e-12)
+        alone = stack_svds([stack, stack[:, :1]])
+        np.testing.assert_array_equal(keep[i, :, :2], alone[0][3])
+        np.testing.assert_array_equal(row_keep[i], alone[1][3])
+        kept = u[i] * keep[i][:, None, :]
+        np.testing.assert_allclose(kept.conj().swapaxes(-1, -2) @ kept,
+                                   keep[i][:, None, :] * np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(kept @ (kept.conj().swapaxes(-1, -2) @ stack), stack,
+                                   atol=1e-12 * np.abs(stack).max())
