@@ -95,14 +95,14 @@ class StarAlgebra:
 
     def probes(self) -> np.ndarray:
         """x, y, xy and x^H, stacked, for two complex Gaussian elements of unit
-        coefficient norm (||x||_F = sqrt(n)), drawn once from a fixed key by
-        linalg.Draws and kept, read-only: each certificate over its elements
-        is made there (Freivalds 1977), sure up to a null set of draws, at d
-        or d^2 times."""
+        coefficient norm (||x||_F = sqrt(n)), built once per algebra and kept,
+        read-only: each certificate over its elements is made there
+        (Freivalds 1977), sure up to a null set of draws, at d or d^2 times.
+        The coefficients depend only on the size d, so they are drawn once
+        per size (_probe_coefficients) and shared by every algebra of it."""
         with self._lock:
             if self._probes is None:
-                c = Draws(0x6E5).standard_normal((2, self.size, 2)) @ [1, 1j]
-                x, y = (self.from_coefficients(ci / np.linalg.norm(ci)) for ci in c)
+                x, y = (self.from_coefficients(ci) for ci in _probe_coefficients(self.size))
                 self._probes = np.stack([x, y, x @ y, x.conj().T])
                 self._probes.flags.writeable = False
             return self._probes
@@ -157,6 +157,17 @@ class StarAlgebra:
             raise ValueError("algebra span is not closed under adjoints")
         if not self.tol.certified(d * d * off[2], np.linalg.norm(x) * np.linalg.norm(y)):
             raise ValueError("algebra span is not closed under products")
+
+
+@functools.cache
+def _probe_coefficients(d: int) -> np.ndarray:
+    """The probes' coefficients for algebras of size d, read-only: two rows
+    of complex Gaussians from linalg.Draws at the fixed key 0x6E5, each of
+    unit norm."""
+    c = Draws(0x6E5).standard_normal((2, d, 2)) @ [1, 1j]
+    c = np.stack([ci / np.linalg.norm(ci) for ci in c])
+    c.flags.writeable = False
+    return c
 
 
 def _letters(generators, n: int) -> np.ndarray:

@@ -221,17 +221,29 @@ def _check_base_extension(base, extra, tol) -> None:
             raise ValueError("the extension base must contain every base vector")
 
 
+def _residuals(vs: np.ndarray, proj: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """vs minus its projections onto a closure, row by row, with each row
+    that is close to zero at its vector's norm set to zero: such a vector
+    lies in the closure (Subspace.residual's rule), and its residual is
+    round-off, not a vector whose cyclic subspace is worth a summand."""
+    res = vs - proj
+    res[tol.close(np.linalg.norm(res, axis=-1), np.linalg.norm(vs, axis=-1))] = 0
+    return res
+
+
 def nonforking_extension(s: Structure, vectors, base, extension, seed: int | None = None):
     """Non-forking extension of tp(vectors / base) to the larger base.
 
     Returns (extended structure, extended tuple).  The structure gains one
     fully essential summand carrying the compression onto the joint cyclic
     subspace of the residuals; each output vector is the base projection plus
-    the fresh embedded copy of its residual.  Both defining conditions (the
-    projection match and the residual type match) are verified numerically
-    before returning: the projections within eq_abs of the tuple's size, the
-    residual types' projection gap within eq_abs of it and their moment gap
-    within eq_abs of its square, all with certified's room.  The closures of
+    the fresh embedded copy of its residual, and a residual close to zero at
+    its vector's norm is zero (_residuals), so a tuple inside acl(base) gets
+    no summand.  Both defining conditions (the projection match and the
+    residual type match) are verified numerically before returning: the
+    projections within eq_abs of the tuple's size, the residual types'
+    projection gap within eq_abs of it and their moment gap within eq_abs
+    of its square, all with certified's room.  The closures of
     the base, the residuals and the extension set are solved once each, all
     in s, dcl and acl of a set from one solve (representation._closure_bases),
     and shared by the checks.
@@ -240,7 +252,7 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     _check_base_extension(base, extension, s.tol)
     base_cyc, base_cl = _closure_bases(s, base)
     proj = project(base_cl, vs)
-    res = vs - proj
+    res = _residuals(vs, proj, s.tol)
 
     hr = cyclic_subspace(s, res)
     b = hr.basis
@@ -295,16 +307,18 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
 
     The copies share the projection onto acl(base) and carry fresh mutually
     orthogonal residual summands, so the distance of the k-average to the
-    stationary part is exactly ||residual|| / sqrt(k).  The copies are built
-    in one k-fold direct sum (identical to iterating the extension); copy
-    orthogonality, the compression isometry and the invariance of the residual's
-    cyclic subspace (d-scaled, at the probes) are verified numerically.
+    stationary part is exactly ||residual|| / sqrt(k), with the residual
+    zero when it is close to zero at v's norm (_residuals).  The copies are
+    built in one k-fold direct sum (identical to iterating the extension);
+    copy orthogonality, the compression isometry and the invariance of the
+    residual's cyclic subspace (d-scaled, at the probes) are verified
+    numerically.
     """
     if k < 1:
         raise ValueError("the copy count must be at least 1")
     v = np.asarray(v, dtype=complex).ravel()
     p = project(_closure_basis(s, _vector_rows(s, base), discrete=True), v)
-    r = v - p
+    r = _residuals(v, p, s.tol)
     hr = cyclic_subspace(s, [r])
     b = hr.basis
     size = b.shape[1]

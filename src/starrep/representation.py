@@ -403,21 +403,51 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     The returned structure records the compressed v under the name "cyclic"
     and keeps the orthonormal embedding back into s as `.embedding`.  A zero
     vector yields the zero-dimensional structure.
+
+    The embedding b is the basis Q(e_a (x) w_ir) of
+    dcl(v) = Q (+)(C^{k_i} (x) R_i) from v's block rows (_columns), ordered
+    (group, block, r, a).  An element Q (+)(x_i (x) I_{m_i}) Q^H maps
+    Q(e_a (x) w_ir) to Q(x_i e_a (x) w_ir), so on b it is (+)(I_{r_i} (x) x_i)
+    over the blocks with r_i = dim R_i > 0, and the compressed algebra's
+    trace-orthonormal basis is sqrt(k / r_i) (I_{r_i} (x) E_ab)
+    (_compressed_basis), k = dim dcl(v): no algebra basis is read, and the
+    r_i are the closure's own cut, so no rank is decided anew.
     """
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != s.dim:
         raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
-    hv = cyclic_subspace(s, [v])
+    rows = _vector_rows(s, [v])
+    hv = _closure(s, rows)
     b = hv.basis
     k = b.shape[1]
     gens = [b.conj().T @ g @ b for g in s.algebra.generators]
     if k == 0:
         algebra = span_algebra([], 0, s.tol, generators=gens)
         return Structure(algebra, zero_subspace(0, s.tol), {}, embedding=b)
-    algebra = span_algebra(b.conj().T @ s.algebra.basis @ b, k, s.tol, generators=gens)
+    groups = s.algebra.block_decomposition().groups
+    algebra = StarAlgebra(k, _compressed_basis(groups, rows, k), gens, s.tol, validate=False)
     disc = subspace_intersection(hv, s.discrete)
     disc_comp = orthonormalize((b.conj().T @ disc.basis).T, k, s.tol)
     return Structure(algebra, disc_comp, {"cyclic": b.conj().T @ v}, embedding=b)
+
+
+def _compressed_basis(groups, rows, k: int) -> np.ndarray:
+    """The (d, k, k) trace-orthonormal basis of (+)(I_{r_i} (x) M_{k_i}) on the
+    k columns that _columns gives for block rows (u, keep): r_i copies of
+    block i, each k_i consecutive columns.  Element (i, a, b) is
+    sqrt(k / r_i) at (p, q) for each pair of columns p, q of one copy of
+    block i, at rows a and b of it."""
+    kk = np.concatenate([g.k for g in groups])
+    rr = np.concatenate([keep.sum(1) for _, keep in rows])
+    kk, rr = kk[rr > 0], rr[rr > 0]
+    sizes = np.repeat(kk, rr)  # k_i of each copy
+    copy = np.repeat(np.arange(sizes.size), sizes)  # of each column
+    row = np.arange(k) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    p, q = np.nonzero(copy[:, None] == copy[None, :])
+    i = np.repeat(np.arange(kk.size), rr)[copy[p]]
+    out = np.zeros(((kk * kk).sum(), k, k), dtype=complex)
+    out[(np.cumsum(kk * kk) - kk * kk)[i] + row[p] * kk[i] + row[q], p, q] = np.sqrt(k / rr[i])
+    return out
 
 
 def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
@@ -437,12 +467,23 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
 
     The images are linearly independent, so the algebra's basis is their
     symmetric orthonormalization G^{-1/2} images by their Gram matrix G, with
-    no rank to solve for.  G is well conditioned: the map is injective and
-    each image keeps its preimage as a block, so G dominates the Gram matrix
-    n0 I of the origin's trace-orthonormal basis (n0 the origin's dimension),
-    while a compression at most doubles it: n0 I <= G <= 2^c n0 I after c
-    extensions.  Its rank is certified all the same; ToleranceBreach if it
-    fails.
+    no rank to solve for.  span(b) is Q (+)(C^{k_i} (x) R_i), R_i of dimension
+    r_i, and its projector P commutes with the algebra, so the images of x
+    and y have the inner product Tr(y^H x (I + P)).  An element of block i
+    alone thus has its image's squared norm (m_i + r_i) / m_i times its own,
+    and images of elements in distinct blocks, or of distinct E_ab, stay
+    orthogonal: when each element of the moment basis lies in one Wedderburn
+    block, as the closed-form basis of a generated algebra does and so do its
+    images along a chain of extensions, G is diagonal and G^{-1/2} scales
+    each image.  That route is taken when every off-diagonal entry of G is
+    close to zero at the geometric mean of its two diagonal entries (the
+    images' cosines are round-off), else G's eigh gives G^{-1/2} (a bare
+    basis that mixes blocks).  G is well conditioned: the map is injective
+    and each image keeps its preimage as a block, so G dominates the Gram matrix
+    n0 I of the origin's trace-orthonormal basis (n0 the origin's
+    dimension), while a compression at most doubles it: n0 I <= G <= 2^c n0 I
+    after c extensions.  Its rank is certified on either route, by its
+    diagonal or its eigenvalues; ToleranceBreach if it fails.
     """
     b = Subspace(s.dim, summand_basis, s.tol).basis
     defect = algebra_invariance_defect(s.algebra, b)
@@ -452,12 +493,19 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
     n, k = s.dim, b.shape[1]
     images = _summand_images(s.moment_basis, b)
     flat = images.reshape(len(images), -1)
-    w, v = np.linalg.eigh(flat @ flat.conj().T)
-    if w.size and not w[0] > s.tol.rank_cut(w[-1]):
+    gram = flat @ flat.conj().T
+    w = gram.diagonal().real
+    diagonal = np.all(s.tol.close(np.abs(gram - np.diag(w)), np.sqrt(np.outer(w, w))))
+    if not diagonal:
+        w, v = np.linalg.eigh(gram)
+    if w.size and not w.min() > s.tol.rank_cut(w.max()):
         raise ToleranceBreach(
-            f"summand images are not linearly independent (Gram eigenvalues {w[0]:.2e} "
-            f"against {w[-1]:.2e})")
-    basis = np.sqrt(n + k) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
+            f"summand images are not linearly independent (Gram eigenvalues {w.min():.2e} "
+            f"against {w.max():.2e})")
+    if diagonal:
+        basis = flat * (np.sqrt(n + k) / np.sqrt(w))[:, None]
+    else:
+        basis = np.sqrt(n + k) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
     gens = s.algebra.generators
     gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)
     algebra = StarAlgebra(n + k, basis, list(gens), s.tol, validate=False)

@@ -219,7 +219,9 @@ def test_descriptor_distance_pads_the_shorter_projection_bit_for_bit():
     s = random_structure(InstanceSpec(6, ((2, 2), (1, 2)), (False, True), seed=9))
     rng = np.random.default_rng(19)
     v, e = random_unit_vector(rng, 6), random_unit_vector(rng, 6)
-    s1, v1 = nonforking_extension(s, v, [e], [e])
+    # over the empty base: acl(e) is the whole space here (e fills the (2, 2)
+    # block, and the (1, 2) one is discrete), so v has no residual over [e]
+    s1, v1 = nonforking_extension(s, v, [], [e])
     e1 = np.concatenate([e, np.zeros(s1.dim - s.dim)])
     size = s.algebra.size
 
