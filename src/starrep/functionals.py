@@ -48,7 +48,7 @@ import numpy as np
 from .algebra import StarAlgebra
 from .linalg import (ToleranceBreach, block_diag, block_diag_kron, psd_sqrt, stack_ranks,
                      stack_svds)
-from .representation import Structure, acl, essential_discrete_parts
+from .representation import Structure, acl
 
 
 def _adj(x):
@@ -570,13 +570,14 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
 
 
 def _residual_states(s: Structure, vectors, base):
-    """Vector states of the essential parts of the residuals over acl(base);
-    a vector inside acl(base) to tolerance has the zero residual."""
+    """Vector states of the residuals over acl(base), which contains the
+    discrete part, so they are essential; a vector inside acl(base) to
+    tolerance has the zero residual."""
     closure = acl(s, base)
     states = []
     for v in (np.asarray(x, dtype=complex).ravel() for x in vectors):
         r, inside = closure.residual(v)
-        states.append(vector_state(s, 0 * v if inside else essential_discrete_parts(s, r)[0]))
+        states.append(vector_state(s, 0 * v if inside else r))
     return states
 
 

@@ -208,10 +208,9 @@ def orthonormalize(vectors, ambient_dim: int | None = None, tol: Tolerances = DE
     return Subspace(n, vh[:rank].T.copy(), tol)
 
 
-def _common_cut(svs, tol: Tolerances, top: float = 0.0):
-    """rank_cut of the largest singular value over all the given stacks, or
-    of top if that is larger."""
-    return tol.rank_cut(max([top] + [float(sv.max(initial=0.0)) for sv in svs]))
+def _common_cut(svs, tol: Tolerances):
+    """rank_cut of the largest singular value over all the given stacks."""
+    return tol.rank_cut(max((float(sv.max(initial=0.0)) for sv in svs), default=0.0))
 
 
 def stack_ranks(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -222,14 +221,13 @@ def stack_ranks(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
     return [(sv > cut).sum(-1) for sv in svs]
 
 
-def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL, top: float = 0.0) -> list:
+def stack_svds(stacks, tol: Tolerances = DEFAULT_TOL) -> list:
     """Thin SVD of each matrix of each stack, one batched call per stack, as
     (u, s, vh, keep) per stack: keep marks the singular values above rank_cut
-    of the largest one over all of them, or of `top` when the stacks are
-    part of a larger object whose largest is top, and the columns of u it
-    marks span each range."""
+    of the largest one over all of them, and the columns of u it marks span
+    each range."""
     svds = [np.linalg.svd(s, full_matrices=False) for s in stacks]
-    cut = _common_cut([sv for _, sv, _ in svds], tol, top)
+    cut = _common_cut([sv for _, sv, _ in svds], tol)
     return [(u, sv, vh, sv > cut) for u, sv, vh in svds]
 
 
@@ -238,7 +236,8 @@ def stack_ranges(stacks, tol: Tolerances = DEFAULT_TOL, top: float = 0.0) -> lis
     per stack: the columns of the (..., c, M, M) u that keep marks span it.
     Each index of the leading axes (...), the same for every stack, is one
     set, cut at rank_cut of the largest singular value of that set over all
-    the stacks, or of top when larger: stack_svds's cut, set by set.  A stack
+    the stacks (stack_svds's cut, set by set), or of top when larger, for
+    stacks that are part of a larger object whose largest is top.  A stack
     of rows (M = 1) is ranked by norms, a row's one singular value, with
     u = 1 and no SVD.  A stack narrower than high gets zero columns, so that
     every u is square and unitary.  Only the spans are LAPACK's, not the

@@ -1,20 +1,20 @@
 """Hilbert-space structures: an algebra action with a declared discrete part.
 
-A Structure couples a matrix *-algebra acting on C^n with an algebra-invariant
-"discrete" subspace H_d and a bag of named vectors.  Every closure and
-independence computation downstream is taken relative to the declared
-H_d / H_e split.  Closures are solved on the algebra's Wedderburn blocks,
-never against its basis: dcl(E) = Q (+)(C^{k_i} (x) R_i), R_i the row span of
-E's block coordinates, and acl(E) = dcl(E) + H_d block by block, with H_d's
-own rows S_i solved once per structure.  A block that H_d fills is taken
-whole, one it misses keeps R_i, and only a block it meets in part joins
-[R_i | S_i], so no closure makes an n-dimensional SVD.  Block rows are held
-in the algebra's block groups, one (u, keep) per group, read through the
-group's gather of Q (BlockDecomposition.columns).  In a group where every
-m_i = 1 a block's one singular value is its norm, so its rows come with no
-SVD and its closures are columns of Q; every other group makes one batched
-SVD per solve.  The forking queries project onto the closures' columns with
-no Subspace built (_closure_basis).  Block rows also serve as closures
+A Structure couples a matrix *-algebra acting on C^n with a "discrete"
+subspace H_d and a bag of named vectors.  Every closure and independence
+computation downstream is taken relative to the declared H_d / H_e split.
+H_d is a sum of isotypic components, as acl of the empty set is in a model
+(Structure checks it), so it fills each Wedderburn block or misses it.
+Closures are solved on the blocks, never against the algebra's basis:
+dcl(E) = Q (+)(C^{k_i} (x) R_i), R_i the row span of E's block coordinates,
+and acl(E) takes C^{m_i} where H_d fills block i and R_i where it misses it,
+so no closure makes an n-dimensional SVD.  Block rows are held in the
+algebra's block groups, one (u, keep) per group, read through the group's
+gather of Q (BlockDecomposition.columns).  In a group where every m_i = 1 a
+block's one singular value is its norm, so its rows come with no SVD and
+its closures are columns of Q; every other group makes one batched SVD per
+solve.  The forking queries project onto the closures' columns with no
+Subspace built (_closure_basis).  Block rows also serve as closures
 themselves, joined block by block (_join_rows) and projected in block
 coordinates (_tuple_rows).
 """
@@ -22,22 +22,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import StarAlgebra, generate_algebra, span_algebra
+from .algebra import StarAlgebra, conditional_expectation, generate_algebra, span_algebra
 from .linalg import (
     Subspace,
     ToleranceBreach,
     _require_finite,
     block_diag,
-    orthonormalize,
     project,
     stack_ranges,
-    subspace_intersection,
     zero_subspace,
 )
 
 
 class Structure:
-    """A finite-dimensional representation with named vectors and a discrete part."""
+    """A finite-dimensional representation with named vectors and a discrete
+    part, which must be a sum of isotypic components, else ValueError: an
+    invariant subspace whose projector P lies in the algebra, judged as
+    ||P - E(P)||_F against ||P||_F, E the conditional expectation."""
 
     def __init__(self, algebra: StarAlgebra, discrete: Subspace | None = None,
                  vectors: dict | None = None, embedding: np.ndarray | None = None):
@@ -95,6 +96,14 @@ class Structure:
             raise ValueError(
                 "declared discrete subspace is not invariant under the algebra "
                 f"(relative residual {defect:.2e})")
+        if self.discrete.dim:
+            b = self.discrete.basis
+            p, scale = b @ b.conj().T, np.sqrt(b.shape[1])
+            off = np.linalg.norm(p - conditional_expectation(p, self.algebra))
+            if not self.tol.certified(off, scale):
+                raise ValueError(
+                    "declared discrete subspace is not a sum of isotypic components: its "
+                    f"projector lies off the algebra (relative residual {off / scale:.2e})")
 
 
 def invariance_defect(mats: np.ndarray, b: np.ndarray) -> float:
@@ -125,8 +134,8 @@ def cyclic_subspace(s: Structure, vectors) -> Subspace:
 
 
 def acl(s: Structure, vectors) -> Subspace:
-    """Algebraic closure: the cyclic subspace joined with the discrete part,
-    block by block (_acl_rows)."""
+    """Algebraic closure: the cyclic subspace and the blocks the discrete part
+    fills (_acl_rows)."""
     return _acl(s, _vector_rows(s, vectors))
 
 
@@ -200,50 +209,29 @@ def _acl(s: Structure, rows) -> Subspace:
 
 
 def _discrete_blocks(s: Structure):
-    """The discrete part's block rows S_i (_block_rows of its basis), with
-    masks of the blocks it fills (S_i = C^{m_i}) and of those it meets only
-    in part: (full, partial, u, keep) per group.  H_d is invariant
-    (Structure checks it), so these are its own rows.  Solved on the first
-    call and kept on s, keyed to its discrete part and algebra; in a group
-    where every m_i = 1, each S_i is all or nothing, decided by a norm."""
+    """(full, u, keep) per group: full marks the blocks the discrete part
+    fills, and u = I with keep their m_i rows are its block rows.  Its squared
+    norm on block i is k_i m_i or 0 (Structure), and a block is filled unless
+    that is certified zero at k_i m_i.  Read on the first call and kept on s,
+    keyed to its discrete part and algebra."""
     cached = s._discrete_blocks
     if cached is None or cached[0] is not s.discrete or cached[1] is not s.algebra:
         dec = s.algebra.block_decomposition()
         blocks = []
-        for g, (u, keep) in zip(dec.groups, _block_rows(dec, s.discrete.basis.T, s.tol)):
-            rank = keep.sum(1)
-            blocks.append((rank == g.m, (rank > 0) & (rank < g.m), u, keep))
+        for g, y in zip(dec.groups, dec.coordinates(s.discrete.basis)):
+            full = ~s.tol.certified((np.abs(y) ** 2).sum((1, 2, 3)), g.k * g.m)
+            mm = y.shape[2]
+            blocks.append((full, np.eye(mm)[None].repeat(full.size, 0),
+                           full[:, None] & (np.arange(mm) < g.m[:, None])))
         cached = s._discrete_blocks = (s.discrete, s.algebra, blocks)
     return cached[2]
 
 
 def _acl_rows(s: Structure, rows):
-    """Block rows of acl = dcl + H_d from those of dcl, R_i + S_i: S_i where
-    H_d fills block i, R_i where it misses it, and where it meets it in part
-    the range of [R_i | S_i], one batched SVD per group over those blocks.
-
-    H_d is invariant, so the n-dimensional join of the two orthonormal bases
-    has the singular values of [R_i | S_i] over the blocks, each k_i times:
-    1 where one of them is zero, sqrt 2 on R_i where S_i is everything, and
-    the partial blocks' own.  Their SVDs are cut at rank_rel times the
-    largest of those, as the n-dimensional join would cut it.
-    """
-    blocks, out, joins, joined = _discrete_blocks(s), [], [], []
-    for (full, partial, du, dkeep), (u, keep) in zip(blocks, rows):
-        if u.shape[-1] == 1:  # every S_i is 0 or C^1, so H_d meets no block in part
-            out.append((u, keep | full[:, None]))
-            continue
-        out.append((np.where(full[:, None, None], du, u), np.where(full[:, None], dkeep, keep)))
-        if partial.any():
-            joins.append(np.concatenate([u[partial] * keep[partial, None, :],
-                                         du[partial] * dkeep[partial, None, :]], axis=2))
-            joined.append(out[-1] + (partial,))
-    if joins:
-        top = np.sqrt(2.0) if any((full & keep.any(1)).any()
-                                  for (full, *_), (_, keep) in zip(blocks, rows)) else 1.0
-        for (u, keep, partial), (ju, jkeep) in zip(joined, stack_ranges(joins, s.tol, top=top)):
-            u[partial], keep[partial] = ju, jkeep
-    return out
+    """Block rows of acl = dcl + H_d from those of dcl: C^{m_i} where H_d
+    fills block i, R_i where it misses it (_discrete_blocks)."""
+    return [(np.where(full[:, None, None], du, u), np.where(full[:, None], dkeep, keep))
+            for (full, du, dkeep), (u, keep) in zip(_discrete_blocks(s), rows)]
 
 
 def _closure_basis(s: Structure, rows, discrete: bool = False):
@@ -286,7 +274,7 @@ def _acl_block_rows(s: Structure, vectors):
     them, none kept for an empty set in a structure with no discrete part."""
     rows = _vector_rows(s, vectors)
     if s.discrete.dim:
-        return [(u, keep) for *_, u, keep in _discrete_blocks(s)] if rows is None else (
+        return [(u, keep) for _, u, keep in _discrete_blocks(s)] if rows is None else (
             _acl_rows(s, rows))
     if rows is None:
         rows = [(np.eye(m)[None].repeat(c, 0), np.zeros((c, m), dtype=bool))
@@ -376,7 +364,8 @@ def direct_sum(s1: Structure, s2: Structure) -> Structure:
 
     Generator i of s2 acts as the second summand of generator i of s1; the
     summed algebra is generated by the block-diagonal joins.  Vectors of s1
-    are re-exported as "a.<name>", those of s2 as "b.<name>".
+    are re-exported as "a.<name>", those of s2 as "b.<name>".  ValueError if
+    a class is discrete in one summand and essential in the other.
     """
     g1, g2 = s1.algebra.generators, s2.algebra.generators
     if len(g1) != len(g2):
@@ -411,14 +400,15 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     over the blocks with r_i = dim R_i > 0, and the compressed algebra's
     trace-orthonormal basis is sqrt(k / r_i) (I_{r_i} (x) E_ab)
     (_compressed_basis), k = dim dcl(v): no algebra basis is read, and the
-    r_i are the closure's own cut, so no rank is decided anew.
+    r_i are the closure's own cut, so no rank is decided anew.  The discrete
+    part dcl(v) and H_d share is the span of the columns of b in the blocks
+    that H_d fills (_discrete_blocks), coordinate vectors of the compression.
     """
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != s.dim:
         raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
     rows = _vector_rows(s, [v])
-    hv = _closure(s, rows)
-    b = hv.basis
+    b = _closure(s, rows).basis
     k = b.shape[1]
     gens = [b.conj().T @ g @ b for g in s.algebra.generators]
     if k == 0:
@@ -426,9 +416,12 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
         return Structure(algebra, zero_subspace(0, s.tol), {}, embedding=b)
     groups = s.algebra.block_decomposition().groups
     algebra = StarAlgebra(k, _compressed_basis(groups, rows, k), gens, s.tol, validate=False)
-    disc = subspace_intersection(hv, s.discrete)
-    disc_comp = orthonormalize((b.conj().T @ disc.basis).T, k, s.tol)
-    return Structure(algebra, disc_comp, {"cyclic": b.conj().T @ v}, embedding=b)
+    disc = zero_subspace(k, s.tol)
+    if s.discrete.dim:  # k_i r_i columns per block
+        inside = np.concatenate([np.repeat(full, g.k * keep.sum(1)) for g, (full, *_), (_, keep)
+                                 in zip(groups, _discrete_blocks(s), rows)])
+        disc = Subspace(k, np.eye(k, dtype=complex)[:, inside], s.tol)
+    return Structure(algebra, disc, {"cyclic": b.conj().T @ v}, embedding=b)
 
 
 def _compressed_basis(groups, rows, k: int) -> np.ndarray:
@@ -460,7 +453,8 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
     *-homomorphism because span(b) is invariant, so the image of a basis is
     already a multiplicatively closed span and no word closure is needed.
     ValueError unless b has orthonormal columns and its span is invariant
-    under the algebra, checked d-scaled at the probes (algebra_invariance_defect).
+    under the algebra, checked d-scaled at the probes (algebra_invariance_defect),
+    or if it carries a class of the discrete part, which it would split.
     The images of s's moment basis become the moment basis of the result,
     which keeps s's originating algebra: type moments taken in either
     structure, or in any chain of extensions, index the same basis.

@@ -325,3 +325,20 @@ def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
         cli.main(["nope"])
     assert err.value.code == 2 and built == list(cli._COMMANDS)
     assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_a_discrete_part_that_splits_a_class_is_an_input_error(tmp_path, capsys):
+    # C^2 under the scalars is one class of multiplicity 2: span{e1} is
+    # invariant, but acl(empty set) holds e2 as well
+    path = tmp_path / "scalars.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "generators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        "discrete_subspace": [[[1, 0], [0, 0]]],
+        "vectors": {"e2": [[0, 0], [1, 0]]},
+        "sets": {"E": ["e2"]},
+    }))
+    assert cli.main(["acl", str(path), "E"]) == 2
+    err = capsys.readouterr().err
+    assert "scenario does not define a valid structure" in err
+    assert "not a sum of isotypic components" in err

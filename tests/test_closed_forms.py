@@ -32,7 +32,8 @@ from starrep.representation import (
 )
 
 from conftest import SCENARIO_DIR
-from test_closure_reuse import CLOSURE_PLANS, PLANS, block_vectors, closure_structure
+from test_closure_reuse import (CLOSURE_PLANS, PLANS, block_vectors, closure_structure,
+                                essential_parts)
 
 MIXED16 = InstanceSpec(16, ((1, 2), (2, 2), (3, 2), (2, 1), (1, 2)),
                        (False, False, False, True, False), seed=41)
@@ -91,31 +92,33 @@ def test_substructure_algebra_is_the_compressed_span(plan):
 
 
 def test_substructure_makes_no_span_for_its_algebra(monkeypatch):
+    # nor for its discrete part: the columns in the blocks the discrete part
+    # fills, coordinate vectors of the compression
     s = random_structure(PLANS["discrete"])
     v = random_unit_vector(np.random.default_rng(52), s.dim)
-    widths = []
-    orthonormalize = starrep.linalg.orthonormalize
 
-    def spy(vectors, *args, **kwargs):
-        widths.append(np.shape(vectors)[-1])
-        return orthonormalize(vectors, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the substructure made a span")
 
     for module in (starrep.linalg, starrep.representation, starrep.algebra):
-        monkeypatch.setattr(module, "orthonormalize", spy)
+        for name in ("orthonormalize", "subspace_intersection"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
     sub = cyclic_substructure(s, v)
-    # the discrete part's intersection and compression only, at most n wide
-    assert sub.dim > 2 and widths and max(widths) <= s.dim
+    assert sub.dim > 2 and sub.discrete.dim == s.discrete.dim
+    np.testing.assert_array_equal(np.abs(sub.discrete.basis) ** 2, np.abs(sub.discrete.basis))
 
 
 # ----- the extension's basis ---------------------------------------------------
 
 @pytest.mark.parametrize("plan", sorted(set(CLOSURE_PLANS) - {"lopsided"}))
 def test_extension_basis_matches_the_eigh_route(plan, eigh_calls):
+    # summands in the essential part, as a summand that carries a discrete
+    # class is refused
     s = closure_structure(plan)
     rng = np.random.default_rng(53)
     blocks = block_vectors(s, rng)
     for vectors in ([random_unit_vector(rng, s.dim)], [blocks[0]], blocks[:2]):
-        b = cyclic_subspace(s, vectors).basis
+        b = cyclic_subspace(s, essential_parts(s, vectors)).basis
         for summand in (b, b @ haar_unitary(b.shape[1], Draws(54))):
             eigh_calls.clear()
             shat = extend_with_summand(s, summand)

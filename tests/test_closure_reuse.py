@@ -13,12 +13,12 @@ pool once and every dcl(f) in one more solve, as block rows, and joins
 acl(chosen) + dcl(f) block by block: an SVD only where both sides have rows
 in a block, none on a multiplicity-free structure, and no Subspace.
 nonforking_extension takes the extension set's closures in its parent, dcl
-and acl of a set from one solve.  acl joins the discrete part block by
-block, with no n-dimensional span, and a multiplicity-free structure closes
-with no SVD at all.  Pools with repeated, zero or rescaled elements check the skip path and
-that the joins' cut ignores the pool's norms; vectors with a part just
-either side of the cut check that the blocks, and the blocks the discrete
-part meets in part, are cut where the basis route cuts.
+and acl of a set from one solve.  acl takes the blocks the discrete part
+fills whole, with no n-dimensional span and no SVD of the discrete part,
+and a multiplicity-free structure closes with no SVD at all.  Pools with
+repeated, zero or rescaled elements check the skip path and that the joins'
+cut ignores the pool's norms; vectors with a part just either side of the
+cut check that the blocks are cut where the basis route cuts.
 """
 import itertools
 import tracemalloc
@@ -50,6 +50,7 @@ from starrep.representation import (
     closures,
     cyclic_subspace,
     cyclic_substructure,
+    essential_discrete_parts,
     extend_with_summand,
     invariance_defect,
 )
@@ -160,6 +161,13 @@ def block_vectors(s, rng):
             for off, (k, m) in zip(itertools.accumulate([k * m for k, m in dec.blocks], initial=0), dec.blocks)]
 
 
+def essential_parts(s, vectors):
+    """The essential parts of the vectors, leaving out those of vectors in
+    the discrete part, which are round-off."""
+    parts = [(essential_discrete_parts(s, x)[0], x) for x in vectors]
+    return [e for e, x in parts if np.linalg.norm(e) > 1e-9 * np.linalg.norm(x)]
+
+
 def essential_pool(s, rng):
     """Block vectors of the blocks outside the discrete part."""
     return [f for f in block_vectors(s, rng)
@@ -202,9 +210,10 @@ class LargeSpec(InstanceSpec):
 
 
 # plans with multiplicities (rank deficient blocks), a full matrix algebra,
-# the diagonal one, one whose discrete part meets a block in part
-# (closure_structure), and two of two block groups that differ in their
-# largest m (one group's every m_i = 1), beside the two above
+# the diagonal one, one with two copies of a (2, 2) class (a discrete part
+# holding one of them is refused, test_discrete_blocks), and two of two block
+# groups that differ in their largest m (one group's every m_i = 1), beside
+# the two above
 CLOSURE_PLANS = {
     **PLANS,
     "multiple": InstanceSpec(12, ((1, 1), (2, 2), (1, 3), (3, 1), (1, 1)), (False,) * 5, seed=33),
@@ -227,15 +236,8 @@ def class_columns(s):
 
 
 def closure_structure(plan):
-    """random_structure of the plan; on "partial", its discrete part gains
-    one of the two copies of the (2, 2) class (ROADMAP item 10's case), so
-    acl joins that block in part."""
-    s = random_structure(CLOSURE_PLANS[plan])
-    if plan != "partial":
-        return s
-    w = random_unit_vector(np.random.default_rng(36), 2)
-    copy = class_columns(s) @ w
-    return Structure(s.algebra, Subspace(s.dim, np.hstack([s.discrete.basis, copy]), s.tol))
+    """random_structure of the plan."""
+    return random_structure(CLOSURE_PLANS[plan])
 
 
 def closure_inputs(s, rng):
@@ -266,7 +268,7 @@ def test_block_closures_match_the_basis_route(plan):
     s = closure_structure(plan)
     rng = np.random.default_rng(15)
     inputs = closure_inputs(s, rng)
-    if plan == "partial":
+    if s.discrete.dim:
         # inside the discrete part, in its complement, and in both
         d = s.discrete.basis @ random_unit_vector(rng, s.discrete.dim)
         other = s.discrete.perp().basis @ random_unit_vector(rng, s.dim - s.discrete.dim)
@@ -315,7 +317,7 @@ def test_block_closures_of_bare_extended_and_sub_structures(plan):
     v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
     bare = Structure(StarAlgebra(s.dim, s.algebra.basis), s.discrete)
     assert bare.algebra.generators == [] and bare.algebra._block is None
-    shat = extend_with_summand(s, cyclic_subspace(s, [v]).basis)
+    shat = extend_with_summand(s, cyclic_subspace(s, essential_parts(s, [v])).basis)
     sub = cyclic_substructure(s, v + w)
     for t in (bare, shat, sub):
         for vectors in closure_inputs(t, rng).values():
@@ -444,20 +446,25 @@ def test_extension_and_essential_acl_svd_counts(svd_calls):
     assert len(svd_calls) == 1
 
 
-def test_acl_classifies_the_discrete_blocks_once(svd_calls):
-    # the dcl's SVD and, on the first acl, the discrete part's; a new
-    # discrete part is classified again
+def test_acl_classifies_the_discrete_blocks_once(monkeypatch, svd_calls):
+    # the dcl's SVD alone: the discrete part's blocks are flagged by their
+    # norms, once per structure, and again for a new discrete part
     s = random_structure(PLANS["discrete"])
     rng = np.random.default_rng(20)
     v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    dec = s.algebra.block_decomposition()
+    reads = []
+    coordinates = dec.coordinates
+    monkeypatch.setattr(dec, "coordinates", lambda x: reads.append(x.shape) or coordinates(x))
     svd_calls.clear()
     first = acl(s, [v, w])
-    assert len(svd_calls) == 2
+    assert len(svd_calls) == 1 and reads == [s.discrete.basis.shape]
     svd_calls.clear()
     assert acl(s, [v, w]).isclose(first) and len(svd_calls) == 1
     s.discrete = Subspace(s.dim, s.discrete.basis.copy(), s.tol)
     svd_calls.clear()
-    assert acl(s, [v, w]).isclose(first) and len(svd_calls) == 2
+    assert acl(s, [v, w]).isclose(first) and len(svd_calls) == 1
+    assert reads == [s.discrete.basis.shape] * 2
 
 
 @pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
@@ -511,27 +518,6 @@ def test_closures_read_n_squared_entries_of_q():
         assert sum(group[copy].size for group in dec.columns) == s.dim ** 2
 
 
-def test_partial_join_cuts_where_subspace_sum_cuts():
-    # a vector of the (2, 2) class whose row is the discrete copy's w turned
-    # by t towards the other copy: the join's least singular value is about
-    # t / sqrt 2, swept across rank_rel times the join's largest
-    s = closure_structure("partial")
-    w = random_unit_vector(np.random.default_rng(36), 2)
-    perp = np.array([-w[1].conj(), w[0].conj()])
-    x = random_unit_vector(np.random.default_rng(23), 2)
-    cols = class_columns(s).reshape(-1, 4)
-    dims = []
-    for t in 2 * s.tol.rank_rel * np.geomspace(0.1, 10.0, 16):
-        v = cols @ np.outer(x, w + t * perp).ravel()
-        got, want = acl(s, [v]), ref_acl(s, [v])
-        assert got.dim == want.dim
-        # a direction of singular value t is accurate to about 1e-16 / t
-        gap = np.linalg.norm(want.basis - got.basis @ (got.basis.conj().T @ want.basis), 2)
-        assert gap <= max(s.tol.eq_abs, 1e-14 / t), gap
-        dims.append(got.dim)
-    assert (dims[0], dims[-1]) == (s.discrete.dim, s.discrete.dim + 2)
-
-
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_calls):
     s = random_structure(PLANS[plan])
@@ -549,9 +535,8 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
     # the extension set's closures are taken in s and padded: shat is never decomposed
     assert calls == [("both", s, 1), ("dcl", s, 2), ("both", s, 2)]
     assert shat.algebra._block is None
-    # one SVD per closure and none for a join; on a fresh structure, one
-    # more for the discrete part's blocks
-    assert len(svd_calls) == 3 + (s.discrete.dim > 0)
+    # one SVD per closure, none for a join and none for the discrete part
+    assert len(svd_calls) == 3
     svd_calls.clear()
     nonforking_extension(s, [v, f], [e], [e, f])
     assert len(svd_calls) == 3
@@ -586,10 +571,9 @@ def test_finite_base_solves_each_pool_closure_once(plan, monkeypatch, svd_calls)
     svd_calls.clear()
     fb = finite_base(s, sum(pool), pool, 1e-9)
     assert len(fb.indices) == len(pool)
-    # acl(pool), on this fresh structure the discrete part's blocks, then
-    # dcl(f) of every pool element in one solve; no Subspace anywhere
-    assert solves == ([(len(pool),)] + [(s.discrete.dim,)] * (s.discrete.dim > 0)
-                      + [(len(pool), 1)])
+    # acl(pool), then dcl(f) of every pool element in one solve; the
+    # discrete part's blocks are flagged with no solve; no Subspace anywhere
+    assert solves == [(len(pool),), (len(pool), 1)]
     # one SVD per solve; the pool's elements meet no common block, so the
     # loop joins by taking one side's rows, with no SVD (the n-dimensional
     # loop made one per pool element and one per round, 10 and 11 in all)
@@ -611,8 +595,7 @@ def test_multiplicity_free_finite_base_joins_masks(plan, monkeypatch, svd_calls)
     refuse_subspaces(monkeypatch)
     svd_calls.clear()
     assert finite_base(s, vs, pool, 1e-9).indices == want
-    assert solves == ([(len(pool),)] + [(s.discrete.dim,)] * (s.discrete.dim > 0)
-                      + [(len(pool), 1)])
+    assert solves == [(len(pool),), (len(pool), 1)]
     assert svd_calls == []
 
 
