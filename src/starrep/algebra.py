@@ -32,7 +32,7 @@ import types
 import numpy as np
 
 from .linalg import (CLUSTER_GAP, DEFAULT_TOL, Draws, ToleranceBreach, Tolerances,
-                     _require_finite, orthonormalize, project)
+                     _require_finite, frobenius_norms, orthonormalize, project)
 
 
 class DecompositionError(RuntimeError):
@@ -53,6 +53,7 @@ class StarAlgebra:
         self._lock = threading.RLock()
         self._block = None
         self._probes = None
+        self._probe_norms = None
         if validate and dim > 0:
             self._validate()
 
@@ -67,17 +68,20 @@ class StarAlgebra:
     # ----- span arithmetic -------------------------------------------------
 
     def coefficients(self, m: np.ndarray) -> np.ndarray:
-        """Trace-pairing coordinates of m against the orthonormal basis."""
+        """Trace-pairing coordinates of m, or of each matrix of a stack of them,
+        against the orthonormal basis: one pass over the basis either way."""
         m = np.asarray(m, dtype=complex)
-        if m.shape != (self.dim, self.dim):
+        if m.shape[-2:] != (self.dim, self.dim) or m.ndim > 3:
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
         # sum_ab conj(b_kab) m_ab, as conj(b . conj(m)): no conjugated copy of the basis
         flat = self.basis.reshape(self.size, self.dim * self.dim)
-        return (flat @ m.conj().ravel()).conj() / max(self.dim, 1)
+        return (m.conj().reshape(m.shape[:-2] + (-1,)) @ flat.T).conj() / max(self.dim, 1)
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
+        """The element of coefficients c, or of each row of c."""
         c = np.asarray(c, dtype=complex)
-        return (c @ self.basis.reshape(self.size, self.dim * self.dim)).reshape(self.dim, self.dim)
+        flat = self.basis.reshape(self.size, self.dim * self.dim)
+        return (c @ flat).reshape(c.shape[:-1] + (self.dim, self.dim))
 
     def contains(self, m: np.ndarray) -> bool:
         r = m - conditional_expectation(m, self)
@@ -103,9 +107,18 @@ class StarAlgebra:
         with self._lock:
             if self._probes is None:
                 x, y = (self.from_coefficients(ci) for ci in _probe_coefficients(self.size))
-                self._probes = np.stack([x, y, x @ y, x.conj().T])
-                self._probes.flags.writeable = False
+                probes = np.stack([x, y, x @ y, x.conj().T])
+                probes.flags.writeable = False
+                self._probe_norms = frobenius_norms(probes)
+                self._probe_norms.flags.writeable = False
+                self._probes = probes
             return self._probes
+
+    def probe_norms(self) -> np.ndarray:
+        """The Frobenius norms of probes(), kept beside them, read-only."""
+        with self._lock:
+            self.probes()
+            return self._probe_norms
 
     def letters(self) -> np.ndarray:
         """The generators and their adjoints (interleaved), else the probes x,
@@ -264,7 +277,8 @@ def double_commutant_check(a: StarAlgebra) -> bool:
 
 
 def conditional_expectation(m: np.ndarray, a: StarAlgebra) -> np.ndarray:
-    """Orthogonal projection of m onto the algebra span under the trace pairing.
+    """Orthogonal projection of m, or of each matrix of a stack of them, onto
+    the algebra span under the trace pairing.
 
     Fixes algebra elements and maps PSD matrices to PSD elements.
     """

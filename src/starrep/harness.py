@@ -399,7 +399,7 @@ def _freeness_trial(report, tspec, s, rng, planted):
     if shat is not None:
         descs = []
         # closures of ext_to in an extension are its closures in s, padded
-        cyc, cl = _closure_bases(s, ext_to)
+        [(cyc, cl)] = _closure_bases(s, ext_to)
         for seed in (int(rng.integers(1 << 30)), int(rng.integers(1 << 30))):
             sh, vp = nonforking_extension(s, v, ext_base, ext_to, seed=seed)
             vp = np.atleast_2d(vp)

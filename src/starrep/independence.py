@@ -243,28 +243,28 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     residual type match) are verified numerically before returning: the
     projections within eq_abs of the tuple's size, the residual types'
     projection gap within eq_abs of it and their moment gap within eq_abs
-    of its square, all with certified's room.  The closures of
-    the base, the residuals and the extension set are solved once each, all
-    in s, dcl and acl of a set from one solve (representation._closure_bases),
-    and shared by the checks.
+    of its square, all with certified's room.  The closures are solved in s
+    and shared by the checks: dcl and acl of the base and of the extension
+    set from one stacked solve (representation._closure_bases), then dcl of
+    the residuals.  The residuals' cyclic subspace, certified orthonormal,
+    is the summand (rotated by a Haar unitary for a seed), and the extended
+    structure is certified from s (representation.extend_with_summand).
     """
     vs, single = _as_tuple(vectors, s.dim)
     _check_base_extension(base, extension, s.tol)
-    base_cyc, base_cl = _closure_bases(s, base)
+    # the extension set has no summand part, so its closures in shat are
+    # the ones in s, padded: shat is never decomposed
+    (base_cyc, base_cl), (ext_cyc, ext_cl) = _closure_bases(s, base, extension)
     proj = project(base_cl, vs)
     res = _residuals(vs, proj, s.tol)
 
-    hr = cyclic_subspace(s, res)
-    b = hr.basis
-    if seed is not None and hr.dim:
-        b = b @ haar_unitary(hr.dim, Draws([seed, 0x0F0E]))
-    shat = extend_with_summand(s, b)
-    compressed = res @ b.conj()
+    summand = cyclic_subspace(s, res)
+    if seed is not None and summand.dim:
+        summand = summand.basis @ haar_unitary(summand.dim, Draws([seed, 0x0F0E]))
+    shat = extend_with_summand(s, summand)
+    compressed = res @ shat.embedding.conj()
     vprime = np.hstack([proj, compressed])
 
-    # the extension set has no summand part, so its closures in shat are
-    # the ones in s, padded: shat is never decomposed
-    ext_cyc, ext_cl = _closure_bases(s, extension)
     got = _project_leading(ext_cl, vprime, s.dim)
     miss = np.linalg.norm(got - np.hstack([proj, np.zeros_like(compressed)]), axis=1)
     failed = ~s.tol.certified(miss, np.linalg.norm(vs, axis=1))
@@ -312,7 +312,9 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     built in one k-fold direct sum (identical to iterating the extension);
     copy orthogonality, the compression isometry and the invariance of the
     residual's cyclic subspace (d-scaled, at the probes) are verified
-    numerically.
+    numerically.  The average and its distance are read from how the copies
+    are built, p and rc / k in each summand, in O(k size), not from the
+    k x (n + k size) copies.
     """
     if k < 1:
         raise ValueError("the copy count must be at least 1")
@@ -340,9 +342,10 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     gap = np.einsum("ijx,ijx->ij", real, real) - np.linalg.norm(r) ** 2 * np.eye(k)
     if not s.tol.certified(np.max(np.abs(gap)), np.linalg.norm(r) ** 2):
         raise ToleranceBreach("independent copies are not orthonormal")
-    average = copies.mean(axis=0)
-    limit = np.concatenate([p, np.zeros(k * size, dtype=complex)])
-    distance = float(np.linalg.norm(average - limit))
+    # the copies share p, and each holds rc in one summand: the average is p
+    # and rc / k in every summand, and its distance to (p, 0) is its tail's norm
+    average = np.concatenate([p, np.tile(rc / k, k)])
+    distance = float(np.linalg.norm(average[n:]))
     return MorleyCheck(average, distance, float(np.linalg.norm(r)), copies)
 
 

@@ -82,6 +82,13 @@ def _require_finite(a: np.ndarray, what: str = "input") -> np.ndarray:
     return a
 
 
+def frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a (k, a, b) stack: square roots of
+    sums of squares over a real view, with no array of moduli built."""
+    real = np.ascontiguousarray(m).reshape(len(m), -1).view(float)
+    return np.sqrt(np.einsum("kx,kx->k", real, real))
+
+
 class Subspace:
     """A linear subspace of C^n given by an orthonormal column basis."""
 

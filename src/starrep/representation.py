@@ -28,6 +28,7 @@ from .linalg import (
     ToleranceBreach,
     _require_finite,
     block_diag,
+    frobenius_norms,
     project,
     stack_ranges,
     zero_subspace,
@@ -42,6 +43,12 @@ class Structure:
 
     def __init__(self, algebra: StarAlgebra, discrete: Subspace | None = None,
                  vectors: dict | None = None, embedding: np.ndarray | None = None):
+        self._fields(algebra, discrete, vectors, embedding)
+        self._validate()
+
+    def _fields(self, algebra, discrete, vectors, embedding):
+        """Every field __init__ sets, with nothing validated: extend_with_summand
+        fills a Structure so, having certified it from its parent."""
         self.algebra = algebra
         self._discrete_blocks = None  # H_d on the blocks, kept by _discrete_blocks
         self.tol = algebra.tol
@@ -55,7 +62,6 @@ class Structure:
         # originating algebra; extend_with_summand carries both over from its parent
         self.origin = algebra
         self.moment_basis = algebra.basis
-        self._validate()
 
     @property
     def dim(self) -> int:
@@ -89,38 +95,53 @@ class Structure:
             _require_finite(v, f"vector {name!r}")
         if n == 0:
             return
-        if not self.algebra.contains(np.eye(n, dtype=complex)):
+        # I and, for H_d != 0, its projector P, with one pass over the basis
+        b = self.discrete.basis
+        mats = np.zeros((2 if b.shape[1] else 1, n, n), dtype=complex)
+        mats[0].reshape(-1)[::n + 1] = 1
+        if b.shape[1]:
+            np.matmul(b, b.conj().T, out=mats[1])
+        off = frobenius_norms(mats - conditional_expectation(mats, self.algebra))
+        if not self.tol.close(off[0], np.sqrt(n)):
             raise ValueError("the acting algebra does not contain the identity")
-        defect = algebra_invariance_defect(self.algebra, self.discrete.basis)
+        defect = algebra_invariance_defect(self.algebra, b)
         if not self.tol.certified(defect, 1.0):
             raise ValueError(
                 "declared discrete subspace is not invariant under the algebra "
                 f"(relative residual {defect:.2e})")
-        if self.discrete.dim:
-            b = self.discrete.basis
-            p, scale = b @ b.conj().T, np.sqrt(b.shape[1])
-            off = np.linalg.norm(p - conditional_expectation(p, self.algebra))
-            if not self.tol.certified(off, scale):
-                raise ValueError(
-                    "declared discrete subspace is not a sum of isotypic components: its "
-                    f"projector lies off the algebra (relative residual {off / scale:.2e})")
+        if b.shape[1]:
+            _require_sum_of_classes(off[1], b.shape[1], self.tol,
+                                    "its projector lies off the algebra")
 
 
-def invariance_defect(mats: np.ndarray, b: np.ndarray) -> float:
-    """Largest ||a b - b b^H a b|| / ||a|| over the nonzero matrices a.
+def _require_sum_of_classes(defect: float, dim: int, tol, how: str) -> None:
+    """ValueError unless a discrete part of dimension dim is a sum of isotypic
+    components, its defect certified at sqrt(dim)."""
+    scale = np.sqrt(dim)
+    if not tol.certified(defect, scale):
+        raise ValueError("declared discrete subspace is not a sum of isotypic components: "
+                         f"{how} (relative residual {defect / scale:.2e})")
+
+
+def invariance_defect(mats: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None) -> float:
+    """Largest ||a b - b b^H a b|| / ||a|| over the nonzero matrices a, the
+    Frobenius norms ||a|| given or computed.
 
     Zero exactly when span(b) (orthonormal columns) is invariant under every a.
     """
     img = mats @ b
-    resid = np.linalg.norm(img - b @ (b.conj().T @ img), axis=(1, 2))
-    norms = np.linalg.norm(mats, axis=(1, 2))
+    resid = frobenius_norms(img - b @ (b.conj().T @ img))
+    norms = frobenius_norms(mats) if norms is None else norms
     return float(np.max(resid[norms > 0] / norms[norms > 0], initial=0.0))
 
 
 def algebra_invariance_defect(algebra: StarAlgebra, b: np.ndarray) -> float:
-    """d times invariance_defect at the algebra's probes x, y (see algebra.py);
-    0, with no probes drawn, when b has no columns."""
-    return algebra.size * invariance_defect(algebra.probes()[:2], b) if b.shape[1] else 0.0
+    """d times invariance_defect at the algebra's probes x, y (see algebra.py),
+    against the norms kept with them; 0, with no probes drawn, when b has no
+    columns."""
+    if not b.shape[1]:
+        return 0.0
+    return algebra.size * invariance_defect(algebra.probes()[:2], b, algebra.probe_norms()[:2])
 
 
 def cyclic_subspace(s: Structure, vectors) -> Subspace:
@@ -148,15 +169,21 @@ def closures(s: Structure, vectors) -> tuple[Subspace, Subspace]:
 
 def _vector_rows(s: Structure, vectors):
     """_block_rows of the vectors, or None for an empty set or space."""
-    vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    n = s.dim
-    for v in vecs:
-        if v.size != n:
-            raise ValueError(f"vector of length {v.size} does not fit dimension {n}")
-    if not vecs or n == 0:
+    vecs = _fitting(s, vectors)
+    if not vecs or s.dim == 0:
         return None
     return _block_rows(s.algebra.block_decomposition(),
                        _require_finite(np.array(vecs), "span input"), s.tol)
+
+
+def _fitting(s: Structure, vectors) -> list:
+    """The vectors as flat complex arrays, ValueError unless each has s's
+    dimension."""
+    vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
+    for v in vecs:
+        if v.size != s.dim:
+            raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
+    return vecs
 
 
 def _block_rows(dec, vs: np.ndarray, tol):
@@ -250,12 +277,28 @@ def _closure_basis(s: Structure, rows, discrete: bool = False):
     return _columns(s.algebra.block_decomposition(), rows)
 
 
-def _closure_bases(s: Structure, vectors):
-    """(dcl, acl) of the set as _closure_basis gives them, from one solve of
-    its block rows."""
-    rows = _vector_rows(s, vectors)
-    dcl = _closure_basis(s, rows)
-    return dcl, dcl if s.discrete.dim == 0 else _closure_basis(s, rows, discrete=True)
+def _closure_bases(s: Structure, *sets) -> list:
+    """(dcl, acl) of each set as _closure_basis gives them, from one solve of
+    the block rows of all the non-empty sets: their (P, t, n) stack, each set
+    padded with zero rows to the longest, t vectors.  linalg.stack_ranges
+    cuts each set on its own, and zero rows change neither a rank nor a
+    span.  An empty set is not solved."""
+    sets = [_fitting(s, vectors) for vectors in sets]
+    solved = [i for i, vecs in enumerate(sets) if vecs] if s.dim else []
+    rows = [None] * len(sets)
+    if solved:
+        stack = np.zeros((len(solved), max(len(sets[i]) for i in solved), s.dim), dtype=complex)
+        for j, i in enumerate(solved):
+            stack[j, :len(sets[i])] = sets[i]
+        stacked = _block_rows(s.algebra.block_decomposition(),
+                              _require_finite(stack, "span input"), s.tol)
+        for j, i in enumerate(solved):
+            rows[i] = [(u[j], keep[j]) for u, keep in stacked]
+    out = []
+    for r in rows:
+        dcl = _closure_basis(s, r)
+        out.append((dcl, dcl if s.discrete.dim == 0 else _closure_basis(s, r, discrete=True)))
+    return out
 
 
 def _project_leading(closure, vs: np.ndarray, n: int) -> np.ndarray:
@@ -443,21 +486,24 @@ def _compressed_basis(groups, rows, k: int) -> np.ndarray:
     return out
 
 
-def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
+def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> Structure:
     """Adjoin a fully essential summand carrying the compression of s onto
     the invariant subspace spanned by summand_basis.
 
     This is the direct sum of s with its cyclic compression, in the
-    coordinates the orthonormal columns of summand_basis give it.  The new
-    algebra is the image of the old one under x -> blkdiag(x, b^H x b), a
-    *-homomorphism because span(b) is invariant, so the image of a basis is
-    already a multiplicatively closed span and no word closure is needed.
-    ValueError unless b has orthonormal columns and its span is invariant
-    under the algebra, checked d-scaled at the probes (algebra_invariance_defect),
-    or if it carries a class of the discrete part, which it would split.
-    The images of s's moment basis become the moment basis of the result,
-    which keeps s's originating algebra: type moments taken in either
-    structure, or in any chain of extensions, index the same basis.
+    coordinates the orthonormal columns b of summand_basis give it.  A
+    Subspace of s's dimension and tolerances (cyclic_subspace's) is taken as
+    certified orthonormal; any other summand_basis is checked by Subspace.
+    The new algebra is the image of the old one under
+    pi(x) = blkdiag(x, b^H x b), a *-homomorphism because span(b) is
+    invariant, so the image of a basis is already a multiplicatively closed
+    span and no word closure is needed.  ValueError unless span(b) is
+    invariant under the algebra, checked d-scaled at the probes
+    (algebra_invariance_defect), or if it carries a class of the discrete
+    part, which it would split.  The images of s's moment basis become the
+    moment basis of the result, which keeps s's originating algebra: type
+    moments taken in either structure, or in any chain of extensions, index
+    the same basis.
 
     The images are linearly independent, so the algebra's basis is their
     symmetric orthonormalization G^{-1/2} images by their Gram matrix G, with
@@ -478,13 +524,42 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
     dimension), while a compression at most doubles it: n0 I <= G <= 2^c n0 I
     after c extensions.  Its rank is certified on either route, by its
     diagonal or its eigenvalues; ToleranceBreach if it fails.
+
+    The result is certified from s, with no Structure._validate and no probe
+    of the new algebra drawn, as each property _validate checks follows from
+    one s has:
+    - its vectors and its discrete part H_d (+) 0 are s's validated ones,
+      padded with exact zeros;
+    - pi is unital, so the identity is an image, and the rank certificate
+      on G makes the basis span every image;
+    - pi(x) maps H_d (+) 0 onto x H_d (+) 0, so s's invariance certificate
+      for H_d carries over;
+    - H_d (+) 0 is a sum of isotypic components of the image exactly when
+      span(b) misses H_d.  The image has blocks (k_i, m_i + r_i), and H_d
+      fills block i of s or misses it; where it fills it, the image's block
+      holds H_d's m_i copies and the r_i of the summand, so r_i must be 0.
+      This is judged on d1^H b, d1 H_d's basis, certified against
+      sqrt(dim H_d) as _validate judges ||P' - E'(P')||_F, P' the projector
+      of H_d (+) 0 and E' the new conditional expectation.  The new defect
+      is ||d1^H b||_F^2 = sum k_i r_i over the blocks H_d fills, while
+      ||P' - E'(P')||_F^2 = sum k_i m_i r_i / (m_i + r_i) <= sum k_i r_i,
+      so every summand _validate refuses is refused.
     """
-    b = Subspace(s.dim, summand_basis, s.tol).basis
+    n = s.dim
+    if (isinstance(summand_basis, Subspace) and summand_basis.ambient_dim == n
+            and summand_basis.tol == s.tol):
+        b = summand_basis.basis
+    else:
+        b = Subspace(n, getattr(summand_basis, "basis", summand_basis), s.tol).basis
     defect = algebra_invariance_defect(s.algebra, b)
     if not s.tol.certified(defect, 1.0):
         raise ValueError(
             f"summand is not invariant under the algebra (relative residual {defect:.2e})")
-    n, k = s.dim, b.shape[1]
+    d1 = s.discrete.basis
+    if d1.shape[1]:
+        _require_sum_of_classes(np.linalg.norm(d1.conj().T @ b), d1.shape[1], s.tol,
+                                "the summand meets it")
+    k = b.shape[1]
     images = _summand_images(s.moment_basis, b)
     flat = images.reshape(len(images), -1)
     gram = flat @ flat.conj().T
@@ -503,12 +578,12 @@ def extend_with_summand(s: Structure, summand_basis: np.ndarray) -> Structure:
     gens = s.algebra.generators
     gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)
     algebra = StarAlgebra(n + k, basis, list(gens), s.tol, validate=False)
-    d1 = s.discrete.basis
     disc = np.zeros((n + k, d1.shape[1]), dtype=complex)
     disc[:n, :] = d1
     vectors = {f"a.{name}": np.concatenate([v, np.zeros(k, dtype=complex)])
                for name, v in s.vectors.items()}
-    out = Structure(algebra, Subspace(n + k, disc, s.tol), vectors, embedding=b)
+    out = Structure.__new__(Structure)
+    out._fields(algebra, Subspace(n + k, disc, s.tol), vectors, b)
     out.origin = s.origin
     out.moment_basis = images
     return out

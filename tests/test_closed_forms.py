@@ -175,6 +175,35 @@ def test_zeroed_image_on_the_scaling_route_raises(monkeypatch, eigh_calls):
     assert eigh_calls == []
 
 
+# the block plans of the forking benchmark workload
+FORKING_PLANS = {
+    "mixed8": InstanceSpec(8, ((1, 2), (2, 1), (1, 1), (3, 1)), (False, False, True, False),
+                           seed=65),
+    "mixed12": InstanceSpec(12, ((1, 3), (2, 2), (3, 1), (1, 2)), (False,) * 4, seed=66),
+    "mixed16": MIXED16,
+    "diag8": InstanceSpec(8, ((1, 1),) * 8, (True, True) + (False,) * 6, seed=67),
+    "diag12": DIAG12,
+    "diag16": InstanceSpec(16, ((1, 1),) * 16, (False,) * 16, seed=68),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS) + sorted(FORKING_PLANS))
+def test_extension_certified_from_its_parent_passes_full_validation(plan):
+    # the extension is certified from s with no probe of its algebra drawn;
+    # the full checks of an outside Structure and StarAlgebra pass on it
+    spec = CLOSURE_PLANS.get(plan) or FORKING_PLANS[plan]
+    s = random_structure(spec)
+    rng = np.random.default_rng(69)
+    v, f = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    e = block_vectors(s, rng)[0]
+    for base, ext, seed in (([], [f], None), ([e], [e, f], 3)):
+        shat, _ = nonforking_extension(s, v, base, ext, seed=seed)
+        assert shat.algebra._probes is None
+        assert shat.dim > s.dim or base  # (6, 1) alone: dcl(e) is the whole space
+        shat._validate()
+        shat.algebra._validate()
+
+
 def test_nonforking_extension_makes_no_eigh(eigh_calls):
     s = random_structure(MIXED16)
     rng = np.random.default_rng(59)

@@ -527,19 +527,21 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
     cyclic, both = starrep.independence.cyclic_subspace, starrep.independence._closure_bases
     monkeypatch.setattr(starrep.independence, "cyclic_subspace",
                         lambda st, vecs: calls.append(("dcl", st, len(vecs))) or cyclic(st, vecs))
-    monkeypatch.setattr(starrep.independence, "_closure_bases",
-                        lambda st, vecs: calls.append(("both", st, len(vecs))) or both(st, vecs))
+    monkeypatch.setattr(starrep.independence, "_closure_bases", lambda st, *sets: calls.append(
+        ("both", st, [len(vecs) for vecs in sets])) or both(st, *sets))
     monkeypatch.setattr(starrep.independence, "_vector_rows", None)
     svd_calls.clear()
     shat, _ = nonforking_extension(s, [v, f], [e], [e, f])
-    # the extension set's closures are taken in s and padded: shat is never decomposed
-    assert calls == [("both", s, 1), ("dcl", s, 2), ("both", s, 2)]
+    # the base and the extension set in one stacked solve, taken in s (the
+    # extension set's closures padded: shat is never decomposed), then the
+    # residuals' dcl
+    assert calls == [("both", s, [1, 2]), ("dcl", s, 2)]
     assert shat.algebra._block is None
-    # one SVD per closure, none for a join and none for the discrete part
-    assert len(svd_calls) == 3
+    # one SVD per solve, none for a join and none for the discrete part
+    assert len(svd_calls) == 2
     svd_calls.clear()
     nonforking_extension(s, [v, f], [e], [e, f])
-    assert len(svd_calls) == 3
+    assert len(svd_calls) == 2
 
 
 def count_solves(monkeypatch):

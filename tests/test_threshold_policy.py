@@ -30,7 +30,7 @@ from starrep.functionals import (
 )
 from starrep.harness import InstanceSpec, random_structure
 from starrep.linalg import Tolerances, ToleranceBreach, block_diag, orthonormalize
-from starrep.representation import Structure, invariance_defect
+from starrep.representation import Structure, extend_with_summand, invariance_defect
 
 from conftest import E1, E2, SCENARIO_DIR
 
@@ -321,6 +321,10 @@ def test_one_policy_has_no_new_knobs():
     assert "check" not in inspect.signature(BlockDecomposition.block_parts).parameters
     assert "validate" not in inspect.signature(span_algebra).parameters
     assert "verify" not in inspect.signature(gns).parameters
+    # extensions are certified from their parent with no switch to skip checks
+    assert list(inspect.signature(Structure).parameters) == [
+        "algebra", "discrete", "vectors", "embedding"]
+    assert list(inspect.signature(extend_with_summand).parameters) == ["s", "summand_basis"]
     # --seed is registered only where a subcommand reads it
     with pytest.raises(SystemExit):
         build_parser().parse_args(["dcl", "s.json", "v", "--seed", "1"])
