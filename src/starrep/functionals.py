@@ -46,9 +46,10 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import StarAlgebra
-from .linalg import (ToleranceBreach, block_diag, block_diag_kron, psd_sqrt, stack_ranks,
+from .linalg import (ToleranceBreach, block_diag, block_diag_kron, project, psd_sqrt, stack_ranks,
                      stack_svds)
-from .representation import Structure, acl
+from .representation import (Structure, _closure_basis, _fitting, _residual_grams, _residuals,
+                             _root, _vector_rows)
 
 
 def _adj(x):
@@ -133,9 +134,7 @@ def vector_state(s: Structure, v: np.ndarray) -> PositiveFunctional:
     """The state a -> <pi(a) v, v> of a vector.  With V_i the block coordinates
     of v, its block parts are sigma_i = V_i V_i^H / m_i, the partial trace of
     v v^H over the m_i copies: one batched product per group."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != s.dim:
-        raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
+    [v] = _fitting(s, [v])
     dec = s.algebra.block_decomposition()
     return PositiveFunctional.from_stacks(s.algebra, [
         y @ _adj(y) / g.m[:, None, None] for y, g in zip(dec.coordinates(v), dec.groups)])
@@ -440,8 +439,7 @@ def embeds_as_subrepresentation(s: Structure, v: np.ndarray, w: np.ndarray) -> b
     blocks by solvability of the orbit map pi(a) w -> pi(a) v (_orbit_leak),
     which exists and is bounded exactly under domination.
     """
-    v = np.asarray(v, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
+    v, w = _fitting(s, [v, w])
     dominated, _ = is_dominated(vector_state(s, v), vector_state(s, w))
     leak, scale = _orbit_leak(s, v, w)
     solvable = s.tol.certified(leak, scale)
@@ -513,8 +511,7 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     V_i lies in the range of W_i, T commutes with the compressed letters of
     the algebra, and the copy carries the state of v at the algebra's probes.
     """
-    v = np.asarray(v, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
+    v, w = _fitting(s, [v, w])
     phi_v, phi_w = vector_state(s, v), vector_state(s, w)
     dominated, gamma = is_dominated(phi_v, phi_w)
     if not dominated:
@@ -569,25 +566,27 @@ def radon_nikodym_operator(s: Structure, w: np.ndarray, v: np.ndarray):
     return RadonNikodym(t_op, b, copy, float(gamma))
 
 
-def _residual_states(s: Structure, vectors, base):
-    """Vector states of the residuals over acl(base), which contains the
-    discrete part, so they are essential; a vector inside acl(base) to
-    tolerance has the zero residual."""
-    closure = acl(s, base)
-    states = []
-    for v in (np.asarray(x, dtype=complex).ravel() for x in vectors):
-        r, inside = closure.residual(v)
-        states.append(vector_state(s, 0 * v if inside else r))
-    return states
+def _type_states(s: Structure, v: np.ndarray, w: np.ndarray, base):
+    """The vector states of v's and w's residuals over acl(base), each zero if
+    close to zero, with block parts rho_i[j, j] / m_i on the blocks of s's root
+    (representation._residual_grams), whose algebra is isomorphic to s's."""
+    vs = np.array(_fitting(s, [v, w]))
+    cl = _closure_basis(s, _vector_rows(s, base), discrete=True)
+    res = _residuals(vs, project(cl, vs), s.tol)
+    root = _root(s)
+    parts = [rho / g.m[:, None, None, None, None] for rho, g in zip(
+        _residual_grams(s, res), root.algebra.block_decomposition().groups)]
+    return [PositiveFunctional.from_stacks(root.algebra, [p[:, j, j] for p in parts])
+            for j in (0, 1)]
 
 
 def types_orthogonal(s: Structure, v: np.ndarray, w: np.ndarray, base) -> bool:
     """Orthogonality of tp(v/base) and tp(w/base) via residual vector states."""
-    return is_orthogonal(*_residual_states(s, (v, w), base))
+    return is_orthogonal(*_type_states(s, v, w, base))
 
 
 def types_dominated(s: Structure, v: np.ndarray, w: np.ndarray, base) -> bool:
     """Whether tp(v/base) dominates tp(w/base): the w-residual state is
     dominated by the v-residual state."""
-    phi_v, phi_w = _residual_states(s, (v, w), base)
+    phi_v, phi_w = _type_states(s, v, w, base)
     return is_dominated(phi_w, phi_v)[0]

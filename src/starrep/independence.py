@@ -2,8 +2,8 @@
 extensions, canonical bases, averaged copies and finite bases.
 
 A tuple is independent from F over E when its projections onto acl(E) and
-acl(E u F) coincide.  Types are captured by the projections onto the cyclic
-subspace of the base together with the moment data of the residuals.
+acl(E u F) coincide.  A type is the projections onto the cyclic subspace of
+the base and the residuals' block Grams (representation._residual_grams).
 
 The queries project onto the columns of a closure that its block rows give,
 with no Subspace built (representation._closure_basis); in a block group
@@ -34,6 +34,9 @@ from .representation import (
     _from_rows,
     _join_rows,
     _project_leading,
+    _residual_grams,
+    _residuals,
+    _root,
     _tuple_rows,
     _vector_rows,
     algebra_invariance_defect,
@@ -94,41 +97,26 @@ def _append_to_row_basis(q: Subspace, candidates: np.ndarray, tol: Tolerances) -
 
 @dataclass
 class TypeDescriptor:
-    """Type data of a tuple over a base set: the projections onto the base's
-    cyclic subspace, and the residual moments <a_k r_i, r_j> (entry [k, i, j])
-    against every element a_k of the structure's moment basis.
-
-    The moment basis is the basis of the structure's originating algebra as it
-    acts on the structure's space: the algebra's own basis, or its images
-    through a chain of `extend_with_summand` calls.  Descriptors of structures
-    with one originating algebra therefore index the same moments.
-    """
+    """Type data of a tuple over a base set: the projections p onto the base's
+    cyclic subspace, and the state of the residuals, their block Grams
+    rho_i[j, l] = V_i^(j) V_i^(l)^H on the blocks of the structure's root
+    (representation._residual_grams), so types across extensions compare."""
 
     base_projections: np.ndarray          # (t, n)
-    moment_tensor: np.ndarray             # (originating algebra size, t, t)
+    residual_grams: list                  # per block group of the root: (c, t, t, K, K)
     structure: Structure = field(repr=False, default=None)
 
     @property
-    def tuple_len(self) -> int:
-        return self.base_projections.shape[0]
-
-    @property
     def size(self) -> float:
-        """Largest entry norm of the described tuple: |v|^2 = |p|^2 + |r|^2,
-        and |r|^2 = <1 r, r> is read off the moments, since the identity has
-        the coordinates conj(tr a_k) / n in the originating algebra's
-        trace-orthonormal basis, and a unital *-homomorphism keeps them for
-        the images."""
-        origin = self.structure.origin
-        one = np.trace(origin.basis, axis1=1, axis2=2).conj() / max(origin.dim, 1)
-        residual = np.einsum("k,kii->i", one, self.moment_tensor).real
-        square = np.linalg.norm(self.base_projections, axis=1) ** 2 + residual
+        """Largest entry norm of the tuple: |v_j|^2 = |p_j|^2 + sum_i tr rho_i[j, j]."""
+        square = np.linalg.norm(self.base_projections, axis=1) ** 2 + sum(
+            np.einsum("cjjaa->j", rho).real for rho in self.residual_grams)
         return float(np.sqrt(max(np.max(square, initial=0.0), 0.0)))
 
 
 def type_of(s: Structure, vectors, base) -> TypeDescriptor:
     """Descriptor of tp(vectors / base): projections onto the cyclic subspace
-    of the base, and the moments of the residuals against s.moment_basis."""
+    of the base, and the block Grams of the residuals."""
     vs, _ = _as_tuple(vectors, s.dim)
     return _type_over(s, vs, project(_closure_basis(s, _vector_rows(s, base)), vs))
 
@@ -136,32 +124,29 @@ def type_of(s: Structure, vectors, base) -> TypeDescriptor:
 def _type_over(s: Structure, vs: np.ndarray, bp: np.ndarray) -> TypeDescriptor:
     """type_of with the projections onto the base's cyclic subspace already
     computed."""
-    res = vs - bp
-    # entry [d, j, k] = <a_d r_j, r_k>
-    moments = (res.conj() @ (s.moment_basis @ res.T)).transpose(0, 2, 1)
-    return TypeDescriptor(bp, moments, s)
+    return TypeDescriptor(bp, _residual_grams(s, vs - bp), s)
 
 
 def descriptor_distance(d1: TypeDescriptor, d2: TypeDescriptor) -> float:
     """Largest deviation between two descriptors.
 
-    The structures must share an originating algebra (the same one, or one
-    with an equal basis); extensions keep their parent's.  The moments of each
-    residual pair (i, j) are then compared by the l2 norm over that algebra's
-    basis, which a unitary change of the orthonormal basis leaves unchanged,
-    and the base projections entrywise with the shorter zero-padded, since an
-    extension keeps its parent's space as the leading coordinates.  Structures
-    over different algebras raise ValueError.
-    """
+    The structures' roots must share a block decomposition, else ValueError.
+    Each residual pair (j, l) is compared by its moment gap
+    (sum_i (n / m_i) ||rho_i(v) - rho_i(w)||_F^2)^(1/2), the root's n and m_i:
+    the l2 gap of the moments <a r_j, r_l> over any trace-orthonormal basis a
+    of the root's algebra.  The base projections are compared entrywise with
+    the shorter zero-padded, as an extension keeps its parent's coordinates."""
     return float(max(_descriptor_gaps(d1, d2)))
 
 
 def _descriptor_gaps(d1: TypeDescriptor, d2: TypeDescriptor):
     """(base projection gap, moment gap) of descriptor_distance."""
-    if d1.tuple_len != d2.tuple_len:
+    if len(d1.base_projections) != len(d2.base_projections):
         raise ValueError("descriptors describe tuples of different lengths")
-    o1, o2 = d1.structure.origin, d2.structure.origin
-    if not (o1 is o2 or np.array_equal(o1.basis, o2.basis)):
+    root = _root(d1.structure)
+    dec1, dec2 = (_root(d.structure).algebra.block_decomposition() for d in (d1, d2))
+    if dec1 is not dec2 and (dec1.blocks != dec2.blocks
+                             or np.any(dec1.change_of_basis != dec2.change_of_basis)):
         raise ValueError("descriptors come from structures over different algebras")
     p1, p2 = d1.base_projections, d2.base_projections
     if p1.shape[1] < p2.shape[1]:
@@ -169,8 +154,11 @@ def _descriptor_gaps(d1: TypeDescriptor, d2: TypeDescriptor):
     # the longer minus the zero-padded shorter; only the entries' sizes count
     gap = p1.copy()
     gap[:, :p2.shape[1]] -= p2
-    moments = np.linalg.norm(d1.moment_tensor - d2.moment_tensor, axis=0)
-    return float(np.max(np.abs(gap), initial=0.0)), float(np.max(moments, initial=0.0))
+    pairs = zip(dec1.groups, d1.residual_grams, d2.residual_grams)
+    moments = np.sqrt(sum(np.einsum("c,cjlab->jl", root.dim / g.m, np.abs(r1 - r2) ** 2)
+                          for g, r1, r2 in pairs))
+    return (float(np.abs(gap).max()) if gap.size else 0.0,
+            float(moments.max()) if np.size(moments) else 0.0)
 
 
 def descriptors_close(d1: TypeDescriptor, d2: TypeDescriptor) -> bool:
@@ -219,16 +207,6 @@ def _check_base_extension(base, extra, tol) -> None:
         if not any(f.size == e.size and tol.close(np.linalg.norm(e - f), np.linalg.norm(e))
                    for f in extra):
             raise ValueError("the extension base must contain every base vector")
-
-
-def _residuals(vs: np.ndarray, proj: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """vs minus its projections onto a closure, row by row, with each row
-    that is close to zero at its vector's norm set to zero: such a vector
-    lies in the closure (Subspace.residual's rule), and its residual is
-    round-off, not a vector whose cyclic subspace is worth a summand."""
-    res = vs - proj
-    res[tol.close(np.linalg.norm(res, axis=-1), np.linalg.norm(vs, axis=-1))] = 0
-    return res
 
 
 def nonforking_extension(s: Structure, vectors, base, extension, seed: int | None = None):

@@ -56,12 +56,9 @@ class Structure:
         self.discrete = discrete if discrete is not None else zero_subspace(n, self.tol)
         self.vectors = {str(k): np.asarray(v, dtype=complex).ravel()
                         for k, v in (vectors or {}).items()}
-        # for substructures: orthonormal columns embedding this space into the parent
+        # orthonormal columns: a substructure's space, or an extension's summand, in the parent
         self.embedding = embedding
-        # type moments are taken against the images, acting here, of the basis of the
-        # originating algebra; extend_with_summand carries both over from its parent
-        self.origin = algebra
-        self.moment_basis = algebra.basis
+        self.parent = None  # an extension's parent, on whose blocks its types are read
 
     @property
     def dim(self) -> int:
@@ -384,11 +381,45 @@ def _from_rows(s: Structure, rows) -> np.ndarray:
                for y, (q, _) in zip(rows, s.algebra.block_decomposition().columns))
 
 
+def _root(s: Structure) -> Structure:
+    """The structure a chain of extend_with_summand calls started from."""
+    while s.parent is not None:
+        s = s.parent
+    return s
+
+
+def _residual_grams(s: Structure, vs: np.ndarray):
+    """The block Grams of the rows of vs on the blocks of s's root: one
+    (c, t, t, K, K) stack per group, [i, j, l] = V_i^(j) V_i^(l)^H, V_i^(j)
+    row j's block i as a k_i x m_i matrix (BlockDecomposition.columns).
+    x -> b x intertwines an extension's summand with its parent, so a row
+    (p, x) has the Grams of p plus those of b x, both read in the parent."""
+    t = vs.shape[0]
+    while s.parent is not None:
+        n = s.parent.dim
+        vs, s = np.concatenate([vs[:, :n], vs[:, n:] @ s.embedding.T]), s.parent
+    out, xs = [], vs.conj()
+    for q, _ in s.algebra.block_decomposition().columns:
+        c, mm, kk, n = q.shape
+        # conj of [i, (a, j), (copy, b)]: entry (a, b) of row j's block i, in each copy
+        z = (xs @ q.reshape(-1, n).T).reshape(-1, t, c, mm, kk).transpose(2, 4, 1, 0, 3)
+        z = z.reshape(c, kk * t, -1)
+        out.append((z.conj() @ z.swapaxes(1, 2)).reshape(c, kk, t, kk, t).transpose(0, 2, 4, 1, 3))
+    return out
+
+
+def _residuals(vs: np.ndarray, proj: np.ndarray, tol) -> np.ndarray:
+    """vs minus its projections onto a closure, row by row, each row close to
+    zero at its vector's norm set to zero: that vector lies in the closure
+    (Subspace.residual's rule), and its residual is round-off."""
+    res = vs - proj
+    res[tol.close(np.linalg.norm(res, axis=-1), np.linalg.norm(vs, axis=-1))] = 0
+    return res
+
+
 def essential_discrete_parts(s: Structure, v: np.ndarray):
     """Split v = v_e + v_d along the declared essential/discrete decomposition."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != s.dim:
-        raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
+    [v] = _fitting(s, [v])
     v_d = project(s.discrete, v)
     return v - v_d, v_d
 
@@ -447,9 +478,7 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     part dcl(v) and H_d share is the span of the columns of b in the blocks
     that H_d fills (_discrete_blocks), coordinate vectors of the compression.
     """
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != s.dim:
-        raise ValueError(f"vector of length {v.size} does not fit dimension {s.dim}")
+    [v] = _fitting(s, [v])
     rows = _vector_rows(s, [v])
     b = _closure(s, rows).basis
     k = b.shape[1]
@@ -500,29 +529,27 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
     span and no word closure is needed.  ValueError unless span(b) is
     invariant under the algebra, checked d-scaled at the probes
     (algebra_invariance_defect), or if it carries a class of the discrete
-    part, which it would split.  The images of s's moment basis become the
-    moment basis of the result, which keeps s's originating algebra: type
-    moments taken in either structure, or in any chain of extensions, index
-    the same basis.
+    part, which it would split.  The result keeps s as its parent and b as
+    its embedding, so its types are read on s's blocks (_residual_grams)
+    and compare with s's, down any chain of extensions.
 
-    The images are linearly independent, so the algebra's basis is their
-    symmetric orthonormalization G^{-1/2} images by their Gram matrix G, with
-    no rank to solve for.  span(b) is Q (+)(C^{k_i} (x) R_i), R_i of dimension
-    r_i, and its projector P commutes with the algebra, so the images of x
-    and y have the inner product Tr(y^H x (I + P)).  An element of block i
+    The images of s's basis are linearly independent, so the algebra's
+    basis is their symmetric orthonormalization G^{-1/2} images by their
+    Gram matrix G, with no rank to solve for.  span(b) is
+    Q (+)(C^{k_i} (x) R_i), R_i of dimension r_i, and its projector P
+    commutes with the algebra, so the images of x and y have the inner
+    product Tr(y^H x (I + P)).  An element of block i
     alone thus has its image's squared norm (m_i + r_i) / m_i times its own,
     and images of elements in distinct blocks, or of distinct E_ab, stay
-    orthogonal: when each element of the moment basis lies in one Wedderburn
-    block, as the closed-form basis of a generated algebra does and so do its
-    images along a chain of extensions, G is diagonal and G^{-1/2} scales
-    each image.  That route is taken when every off-diagonal entry of G is
-    close to zero at the geometric mean of its two diagonal entries (the
+    orthogonal: when each element of s's basis lies in one Wedderburn
+    block, as the closed-form basis of a generated algebra does and so does
+    the basis of each extension along a chain, G is diagonal and G^{-1/2}
+    scales each image.  That route is taken when every off-diagonal entry of
+    G is close to zero at the geometric mean of its two diagonal entries (the
     images' cosines are round-off), else G's eigh gives G^{-1/2} (a bare
-    basis that mixes blocks).  G is well conditioned: the map is injective
-    and each image keeps its preimage as a block, so G dominates the Gram matrix
-    n0 I of the origin's trace-orthonormal basis (n0 the origin's
-    dimension), while a compression at most doubles it: n0 I <= G <= 2^c n0 I
-    after c extensions.  Its rank is certified on either route, by its
+    basis that mixes blocks).  G is well conditioned: s's basis is
+    trace-orthonormal, so G = n I + (the Gram of the x P), and
+    n I <= G <= 2n I.  Its rank is certified on either route, by its
     diagonal or its eigenvalues; ToleranceBreach if it fails.
 
     The result is certified from s, with no Structure._validate and no probe
@@ -560,7 +587,7 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
         _require_sum_of_classes(np.linalg.norm(d1.conj().T @ b), d1.shape[1], s.tol,
                                 "the summand meets it")
     k = b.shape[1]
-    images = _summand_images(s.moment_basis, b)
+    images = _summand_images(s.algebra.basis, b)
     flat = images.reshape(len(images), -1)
     gram = flat @ flat.conj().T
     w = gram.diagonal().real
@@ -584,6 +611,5 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
                for name, v in s.vectors.items()}
     out = Structure.__new__(Structure)
     out._fields(algebra, Subspace(n + k, disc, s.tol), vectors, b)
-    out.origin = s.origin
-    out.moment_basis = images
+    out.parent = s
     return out

@@ -4,7 +4,7 @@ A cyclic substructure's algebra is (+)(I_{r_i} (x) M_{k_i}) on the columns of
 its vector's block rows, written down with no algebra basis read; the
 reference is span_algebra of the compressed basis.  An extension's basis is
 G^{-1/2} images, a scaling of each image when the Gram matrix G is diagonal
-(every moment basis element in one Wedderburn block), else G's eigh; the
+(every basis element of the parent in one Wedderburn block), else G's eigh; the
 reference is the eigh route.  The probes' coefficients are drawn once per
 algebra size.  A residual close to zero at its vector's norm is zero, so a
 vector inside the base closure gets no summand.  Guard tests count the
@@ -52,7 +52,7 @@ def eigh_calls(monkeypatch):
 
 def eigh_route(s, b):
     """The extension's basis as G^{-1/2} images through G's eigh."""
-    images = _summand_images(s.moment_basis, b)
+    images = _summand_images(s.algebra.basis, b)
     flat = images.reshape(len(images), -1)
     w, v = np.linalg.eigh(flat @ flat.conj().T)
     return np.sqrt(images.shape[-1]) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
@@ -156,7 +156,7 @@ def test_rotated_bare_basis_takes_the_eigh_route(eigh_calls):
     assert eigh_calls == [(s.algebra.size, s.algebra.size)]
     assert_basis_matches_eigh_route(bare, shat)
     assert_trace_orthonormal(shat.algebra)
-    assert shat.algebra.spans_equal(span_algebra(shat.moment_basis, shat.dim))
+    assert shat.algebra.spans_equal(span_algebra(_summand_images(mixed, b), shat.dim))
 
 
 def test_zeroed_image_on_the_scaling_route_raises(monkeypatch, eigh_calls):

@@ -7,7 +7,11 @@ Wedderburn blocks), acl always joins through subspace_sum, finite_base
 recomputes acl of every candidate sub-pool from its vectors and the chosen
 closure after each pick, and nonforking_extension recomputes both closures
 through type_of and orthonormalizes the extension's images by an SVD in
-span_algebra.  The library must agree with them, while guard tests count the
+span_algebra.  A type is the residuals' moments <a r_j, r_k> against the
+root's basis as it acts on the structure (its images through each extension
+of a chain), and the states types_orthogonal and types_dominated compare are
+vector_state's on the structure's own blocks, over acl(base) as a Subspace.
+The library must agree with them, while guard tests count the
 closures and SVDs it actually makes.  finite_base solves acl of the full
 pool once and every dcl(f) in one more solve, as block rows, and joins
 acl(chosen) + dcl(f) block by block: an SVD only where both sides have rows
@@ -20,6 +24,7 @@ repeated, zero or rescaled elements check the skip path and that the joins'
 cut ignores the pool's norms; vectors with a part just either side of the
 cut check that the blocks are cut where the basis route cuts.
 """
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -30,10 +35,12 @@ import starrep.independence
 import starrep.linalg
 import starrep.representation
 from starrep.algebra import StarAlgebra, generate_algebra, span_algebra
-from starrep.harness import InstanceSpec, random_structure, random_unit_vector
+from starrep.functionals import (is_dominated, is_orthogonal, types_dominated, types_orthogonal,
+                                 vector_state)
+from starrep.harness import InstanceSpec, commuting_unitary, random_structure, random_unit_vector
 from starrep.independence import (
-    TypeDescriptor,
     _check_base_extension,
+    _descriptor_gaps,
     canonical_base,
     descriptor_distance,
     finite_base,
@@ -79,24 +86,64 @@ def ref_acl(s, vectors):
     return subspace_sum(ref_cyclic_subspace(s, vectors), s.discrete)
 
 
+def ref_moment_basis(s):
+    """The root's trace-orthonormal basis as it acts on s: the root's own
+    basis, or its images blkdiag(a, b^H a b) through each extension of the
+    chain (parent, embedding b)."""
+    if s.parent is None:
+        return s.algebra.basis
+    return _summand_images(ref_moment_basis(s.parent), s.embedding)
+
+
+@dataclasses.dataclass
+class RefType:
+    """A type as the moments <a_d r_j, r_k> (entry [d, j, k]) of the residuals
+    against the root's basis as it acts on the structure (ref_moment_basis)."""
+
+    base_projections: np.ndarray
+    moments: np.ndarray
+
+
 def ref_type_of(s, vectors, base):
     vs = np.atleast_2d(np.asarray(vectors, dtype=complex))
     he = ref_cyclic_subspace(s, base)
     bp = np.array([project(he, v) for v in vs])
     res = vs - bp
-    moments = np.einsum("dab,jb,ka->djk", s.moment_basis, res, res.conj())
-    return TypeDescriptor(bp, moments, s)
+    return RefType(bp, np.einsum("dab,jb,ka->djk", ref_moment_basis(s), res, res.conj()))
+
+
+def ref_gaps(d1, d2):
+    """(projection gap, moment gap): the base projections entrywise, the
+    shorter zero-padded, and the largest l2 norm over the root's basis of a
+    residual pair's moments."""
+    p1, p2 = d1.base_projections, d2.base_projections
+    n = max(p1.shape[1], p2.shape[1])
+    gap = (np.pad(p1, ((0, 0), (0, n - p1.shape[1])))
+           - np.pad(p2, ((0, 0), (0, n - p2.shape[1]))))
+    moments = np.linalg.norm(d1.moments - d2.moments, axis=0)
+    return float(np.max(np.abs(gap), initial=0.0)), float(np.max(moments, initial=0.0))
+
+
+def ref_type_states(s, v, w, base):
+    """The vector states of v's and w's residuals over acl(base), a vector
+    inside it to tolerance with the zero residual, on s's own blocks."""
+    closure = acl(s, base)
+    states = []
+    for x in (v, w):
+        r, inside = closure.residual(np.asarray(x, dtype=complex))
+        states.append(vector_state(s, 0 * r if inside else r))
+    return states
 
 
 def ref_extend_with_summand(s, b):
     n, k = s.dim, b.shape[1]
-    images = _summand_images(s.moment_basis, b)
+    images = _summand_images(ref_moment_basis(s), b)
     gens = _summand_images(np.array(s.algebra.generators).reshape(-1, n, n), b)
     algebra = span_algebra(images, n + k, s.tol, generators=list(gens))
     disc = np.zeros((n + k, s.discrete.dim), dtype=complex)
     disc[:n] = s.discrete.basis
     out = Structure(algebra, Subspace(n + k, disc, s.tol))
-    out.embedding, out.origin, out.moment_basis = b, s.origin, images
+    out.embedding, out.parent = b, s
     return out
 
 
@@ -116,7 +163,7 @@ def ref_nonforking_extension(s, vectors, base, extension, seed=None):
     f_emb = [np.concatenate([f, np.zeros(k, dtype=complex)]) for f in extension]
     ext_cl = ref_acl(shat, f_emb)
     residual_new = vprime - np.array([project(ext_cl, w) for w in vprime])
-    gap = descriptor_distance(ref_type_of(s, res, base), ref_type_of(shat, residual_new, f_emb))
+    gap = max(ref_gaps(ref_type_of(s, res, base), ref_type_of(shat, residual_new, f_emb)))
     return shat, vprime, gap
 
 
@@ -198,7 +245,7 @@ def test_closures_match_reference_routes(plan):
     np.testing.assert_allclose(canonical_base(s, v, [e]), project(he, v), atol=1e-10)
     got, want = type_of(s, [v, w], [e]), ref_type_of(s, [v, w], [e])
     np.testing.assert_allclose(got.base_projections, want.base_projections, atol=1e-10)
-    np.testing.assert_allclose(got.moment_tensor, want.moment_tensor, atol=1e-10)
+    assert_gaps_match((got, type_of(s, [w, v], [e])), (want, ref_type_of(s, [w, v], [e])))
 
 
 class LargeSpec(InstanceSpec):
@@ -393,6 +440,78 @@ def test_nonforking_extension_matches_reference_route(plan, seed):
         assert descriptor_distance(type_of(shat, vprime, f_emb), type_of(ref, want, f_emb)) <= 1e-10
 
 
+def assert_gaps_match(got, want):
+    """The library's (projection, moment) gaps of a pair of types equal the
+    oracle's within 1e-12 relative, or within a round-off floor of
+    1e-14 size^2, size the larger of the two tuples' largest entry norms."""
+    size = max(d.size for d in got)
+    for g, w in zip(_descriptor_gaps(*got), ref_gaps(*want)):
+        assert abs(g - w) <= max(1e-12 * w, 1e-14 * size ** 2), (g, w)
+
+
+@pytest.mark.parametrize("plan", ["discrete", "partial", "multiple", "two groups"])
+def test_type_gaps_match_the_moment_oracle(plan):
+    s = closure_structure(plan)
+    rng = np.random.default_rng(21)
+    v, w, e = (random_unit_vector(rng, s.dim) for _ in range(3))
+    f = block_vectors(s, rng)[0]
+    u = commuting_unitary(s, rng)
+    # unrelated tuples, a tuple and its commutant rotation (a gap of
+    # round-off), and a small move within one block
+    for a, b, base in (([v], [w], []), ([v, w], [w, e], [e]), ([v, w], [u @ v, u @ w], []),
+                       ([f], [f + 1e-3 * w], [e]), ([3 * v], [3 * w], [f])):
+        assert_gaps_match((type_of(s, a, base), type_of(s, b, base)),
+                          (ref_type_of(s, a, base), ref_type_of(s, b, base)))
+
+
+def test_type_gaps_match_the_moment_oracle_down_a_chain():
+    # a 2-step chain of extensions of a structure with a discrete part, and
+    # the last tuple's residual moved inside the second summand and elsewhere
+    s = closure_structure("discrete")
+    rng = np.random.default_rng(22)
+    v, w, e = (random_unit_vector(rng, s.dim) for _ in range(3))
+
+    def pad(x, st):
+        return np.concatenate([x, np.zeros(st.dim - s.dim)])
+
+    s1, v1 = nonforking_extension(s, [v, w], [e], [e])
+    s2, v2 = nonforking_extension(s1, v1, [pad(e, s1)], [pad(e, s1)])
+    assert s2.parent is s1 and s1.parent is s and s2.dim > s1.dim > s.dim
+    moved = v2.copy()
+    moved[:, s1.dim:] += 1e-3 * random_unit_vector(rng, s2.dim - s1.dim)
+    moved += 1e-4 * np.array([random_unit_vector(rng, s2.dim) for _ in range(2)])
+    types = [(s, [v, w], [e]), (s1, v1, [pad(e, s1)]), (s2, v2, [pad(e, s2)]),
+             (s2, moved, [pad(e, s2)]), (s2, moved, [])]
+    for (sa, a, ba), (sb, b, bb) in itertools.combinations(types, 2):
+        assert_gaps_match((type_of(sa, a, ba), type_of(sb, b, bb)),
+                          (ref_type_of(sa, a, ba), ref_type_of(sb, b, bb)))
+    # the residual states over acl, read on the root's blocks, decide as the
+    # vector states on the chain's own blocks do
+    for a, b, base in ((v2[0], v2[1], [pad(e, s2)]), (moved[0], pad(w, s2), []),
+                       (pad(v, s2), v2[0], [pad(e, s2)])):
+        phi, psi = ref_type_states(s2, a, b, base)
+        assert types_orthogonal(s2, a, b, base) == is_orthogonal(phi, psi)
+        assert types_dominated(s2, a, b, base) == is_dominated(psi, phi)[0]
+
+
+def test_type_states_match_the_vector_state_oracle():
+    seen = set()
+    for plan in sorted(CLOSURE_PLANS):
+        s = closure_structure(plan)
+        rng = np.random.default_rng(23)
+        v, w, e = (random_unit_vector(rng, s.dim) for _ in range(3))
+        blocks = block_vectors(s, rng)
+        first, last = blocks[0], blocks[-1]
+        for a, b, base in ((first, last, []), (v, w, []), (v, w, [e]), (first + last, first, []),
+                           (first, v, []), (v, first, [last]), (first, 2 * first, [e])):
+            phi, psi = ref_type_states(s, a, b, base)
+            orth, dom = is_orthogonal(phi, psi), is_dominated(psi, phi)[0]
+            assert types_orthogonal(s, a, b, base) == orth, (plan, a, b)
+            assert types_dominated(s, a, b, base) == dom, (plan, a, b)
+            seen |= {("orth", orth), ("dom", dom)}
+    assert seen == {("orth", True), ("orth", False), ("dom", True), ("dom", False)}
+
+
 def test_extension_chain_is_trace_orthonormal_and_spans_the_images():
     s = random_structure(PLANS["discrete"])
     rng = np.random.default_rng(10)
@@ -405,7 +524,7 @@ def test_extension_chain_is_trace_orthonormal_and_spans_the_images():
         n, flat = cur.dim, cur.algebra.basis.reshape(cur.algebra.size, -1)
         np.testing.assert_allclose(flat @ flat.conj().T / n, np.eye(cur.algebra.size),
                                    atol=1e-12)
-        assert cur.algebra.spans_equal(span_algebra(cur.moment_basis, n))
+        assert cur.algebra.spans_equal(span_algebra(ref_moment_basis(cur), n))
 
 
 def test_rank_deficient_extension_images_raise(monkeypatch):

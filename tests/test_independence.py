@@ -5,7 +5,8 @@ import starrep.independence
 from starrep.algebra import StarAlgebra, generate_algebra, span_algebra
 from starrep.harness import InstanceSpec, random_structure, random_unit_vector
 from starrep.independence import (
-    TypeDescriptor,
+    _descriptor_gaps,
+    _type_over,
     canonical_base,
     descriptor_distance,
     descriptors_close,
@@ -25,10 +26,13 @@ E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
 
 
-def state_on(descriptor, algebra, element):
-    """Evaluate the residual moment data on an arbitrary algebra element."""
-    coeffs = algebra.coefficients(element)
-    return np.einsum("d,djk->jk", coeffs, descriptor.moment_tensor)
+def state_on(descriptor, element):
+    """Evaluate the residual moments <a r_j, r_k> (entry [j, k]) on an
+    element a of the algebra of the descriptor's structure, a root, from its
+    block Grams: sum_i tr(a_i rho_i[j, k]), a_i the block parts of a."""
+    dec = descriptor.structure.algebra.block_decomposition()
+    return sum(np.einsum("cab,cjkba->jk", part, rho)
+               for part, rho in zip(dec.block_parts(element), descriptor.residual_grams))
 
 
 @pytest.mark.parametrize("k", [14, 16])
@@ -91,9 +95,9 @@ def test_type_of_examples(diag_structure):
     s = diag_structure
     d = type_of(s, E1, [])
     # phi_{e1} takes value 1 on E11 and 0 on E22
-    m = state_on(d, s.algebra, E11)
+    m = state_on(d, E11)
     np.testing.assert_allclose(m, [[1.0]], atol=1e-12)
-    np.testing.assert_allclose(state_on(d, s.algebra, E22), [[0.0]], atol=1e-12)
+    np.testing.assert_allclose(state_on(d, E22), [[0.0]], atol=1e-12)
     d2 = type_of(s, E2, [])
     assert descriptor_distance(d, d2) > 0.5
     assert not descriptors_close(d, d2)
@@ -101,7 +105,8 @@ def test_type_of_examples(diag_structure):
     # base = full space: residual moments vanish, projections return the tuple
     d3 = type_of(s, np.array([U]), [E1, E2])
     np.testing.assert_allclose(d3.base_projections, [U], atol=1e-12)
-    np.testing.assert_allclose(d3.moment_tensor, 0, atol=1e-12)
+    for rho in d3.residual_grams:
+        np.testing.assert_allclose(rho, 0, atol=1e-12)
 
 
 def test_type_equality_under_unitary_phase(diag_structure):
@@ -115,7 +120,7 @@ def test_moment_tensor_identity_is_residual_gram(diag_structure):
     tup = np.array([U, E1])
     d = type_of(s, tup, [E2])
     res = tup - d.base_projections
-    gram = state_on(d, s.algebra, np.eye(2, dtype=complex))
+    gram = state_on(d, np.eye(2, dtype=complex))
     np.testing.assert_allclose(gram, res @ res.conj().T, atol=1e-12)
     np.testing.assert_allclose(gram, gram.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(gram)[0] >= -1e-12
@@ -199,7 +204,7 @@ def test_descriptor_distance_through_chained_extensions():
     root = type_of(s, v, [])
     s1, v1 = nonforking_extension(s, v, [], [])
     s2, v2 = nonforking_extension(s1, v1, [], [])
-    assert s2.dim > s1.dim > s.dim and s2.origin is s.algebra
+    assert s2.dim > s1.dim > s.dim and s2.parent.parent is s
     assert descriptor_distance(root, type_of(s2, v2, [])) <= 1e-8
     assert descriptor_distance(type_of(s1, v1, []), type_of(s2, v2, [])) <= 1e-8
 
@@ -223,27 +228,32 @@ def test_descriptor_distance_pads_the_shorter_projection_bit_for_bit():
     # block, and the (1, 2) one is discrete), so v has no residual over [e]
     s1, v1 = nonforking_extension(s, v, [], [e])
     e1 = np.concatenate([e, np.zeros(s1.dim - s.dim)])
-    size = s.algebra.size
 
     def padded(d1, d2):
         p1, p2 = d1.base_projections, d2.base_projections
         n = max(p1.shape[1], p2.shape[1])
         gap = (np.pad(p1, ((0, 0), (0, n - p1.shape[1])))
                - np.pad(p2, ((0, 0), (0, n - p2.shape[1]))))
-        moments = np.linalg.norm(d1.moment_tensor - d2.moment_tensor, axis=0)
-        return float(max(np.max(np.abs(gap), initial=0.0), np.max(moments, initial=0.0)))
+        return float(np.max(np.abs(gap), initial=0.0))
 
     def noise(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    def projections_only(st):
+        # a tuple equal to its base projections has zero residuals
+        p = noise(2, st.dim)
+        return _type_over(st, p, p)
+
     pairs = [(type_of(s, v, [e]), type_of(s1, v1 + 1e-3 * noise(s1.dim), [e1])),
-             # equal moments, so the projections decide the distance
-             (TypeDescriptor(noise(2, s.dim), np.zeros((size, 2, 2)), s),
-              TypeDescriptor(noise(2, s1.dim), np.zeros((size, 2, 2)), s1))]
+             # equal (zero) residual states, so the projections decide the distance
+             (projections_only(s), projections_only(s1))]
     for short, long in pairs:
         assert short.base_projections.shape[1] < long.base_projections.shape[1]
-        assert descriptor_distance(short, long) == padded(short, long)
-        assert descriptor_distance(long, short) == padded(long, short)
+        for d1, d2 in ((short, long), (long, short)):
+            projections, moments = _descriptor_gaps(d1, d2)
+            assert projections == padded(d1, d2)
+            assert descriptor_distance(d1, d2) == max(projections, moments)
+    assert _descriptor_gaps(*pairs[1])[1] == 0.0
 
 
 

@@ -216,14 +216,14 @@ def test_span_guard_sees_svd_and_qr():
                                                                       "svd in f"]
 
 
-def _basis_reads(node, scope=()):
-    """(line, "Class.function") of each read of an attribute named basis."""
-    if isinstance(node, ast.Attribute) and node.attr == "basis" and isinstance(node.ctx, ast.Load):
+def _basis_reads(node, scope=(), attrs=("basis",)):
+    """(line, "Class.function") of each read of an attribute named in attrs."""
+    if isinstance(node, ast.Attribute) and node.attr in attrs and isinstance(node.ctx, ast.Load):
         yield node.lineno, ".".join(scope) or "<module>"
     if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = (*scope, node.name)
     for child in ast.iter_child_nodes(node):
-        yield from _basis_reads(child, scope)
+        yield from _basis_reads(child, scope, attrs)
 
 
 def test_functionals_read_the_algebra_basis_only_in_gns_action():
@@ -242,10 +242,38 @@ def test_closures_read_no_algebra_basis():
     assert [f for f in found if f[1] in ("cyclic_subspace", "acl")] == [], found
 
 
+# a type is its base projections and its residuals' block Grams, by module
+TYPE_CODE = {
+    "independence.py": {"type_of", "_type_over", "TypeDescriptor", "_descriptor_gaps",
+                        "descriptors_close", "descriptor_distance"},
+    "functionals.py": {"types_orthogonal", "types_dominated", "_type_states"},
+    "representation.py": {"_root", "_residual_grams"},
+}
+
+
+def test_types_read_no_algebra_basis():
+    # no type or residual-state code reads an algebra basis, and no structure
+    # carries a moment basis or the algebra it originated from
+    for module, names in TYPE_CODE.items():
+        tree = ast.parse((pathlib.Path(starrep.__file__).parent / module).read_text())
+        assert names <= {node.name for node in tree.body
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, module
+        found = [(line, scope) for line, scope in _basis_reads(
+            tree, attrs=("basis", "moment_basis", "origin")) if scope.split(".")[0] in names]
+        assert found == [], f"{module}: {found}"
+    s = Structure(generate_algebra([np.diag([1.0, 0.0])]))
+    shat = extend_with_summand(s, np.array([[1.0], [0.0]]))
+    assert shat.parent is s and s.parent is None
+    for st in (s, shat):
+        assert not hasattr(st, "origin") and not hasattr(st, "moment_basis")
+
+
 def test_basis_guard_sees_reads_in_their_scope():
     tree = ast.parse("class A:\n    def f(self):\n        return self.basis\n"
-                     "def g(s):\n    s.basis = 1\n    return s.algebra.basis\n")
+                     "def g(s):\n    s.basis = 1\n    return s.algebra.basis\n"
+                     "def h(s):\n    return s.origin.dim + len(s.moment_basis)\n")
     assert list(_basis_reads(tree)) == [(3, "A.f"), (6, "g")]
+    assert list(_basis_reads(tree, attrs=("moment_basis", "origin"))) == [(8, "h"), (8, "h")]
 
 
 # every certificate over an algebra is checked at its probes, never over its basis
