@@ -283,7 +283,7 @@ def _cmd_decompose(sc: Scenario, args):
     return {
         "blocks": [list(b) for b in dec.blocks],
         "algebra_dimension": sc.structure.algebra.size,
-        "commutant_dimension": sc.structure.algebra.commutant().size,
+        "commutant_dimension": sum(m * m for _, m in dec.blocks),
         "change_of_basis": matrix_to_json(dec.change_of_basis),
     }, None
 

@@ -49,7 +49,7 @@ from .algebra import StarAlgebra
 from .linalg import (ToleranceBreach, block_diag, block_diag_kron, project, psd_sqrt, stack_ranks,
                      stack_svds)
 from .representation import (Structure, _closure_basis, _fitting, _residual_grams, _residuals,
-                             _root, _vector_rows)
+                             _root, _rows)
 
 
 def _adj(x):
@@ -571,7 +571,8 @@ def _type_states(s: Structure, v: np.ndarray, w: np.ndarray, base):
     close to zero, with block parts rho_i[j, j] / m_i on the blocks of s's root
     (representation._residual_grams), whose algebra is isomorphic to s's."""
     vs = np.array(_fitting(s, [v, w]))
-    cl = _closure_basis(s, _vector_rows(s, base), discrete=True)
+    [rows] = _rows(s, base)
+    cl = _closure_basis(s, rows, discrete=True)
     res = _residuals(vs, project(cl, vs), s.tol)
     root = _root(s)
     parts = [rho / g.m[:, None, None, None, None] for rho, g in zip(

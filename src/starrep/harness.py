@@ -37,7 +37,7 @@ from .independence import (
     type_of,
 )
 from .linalg import Draws, Subspace, ToleranceBreach, block_diag_kron, haar_unitary
-from .representation import Structure, _closure_bases, _project_leading
+from .representation import Structure, _closure_basis, _project_leading, _rows
 from .serialize import matrix_to_json, vector_to_json
 
 
@@ -319,13 +319,14 @@ def _freeness_trial(report, tspec, s, rng, planted):
     n = s.dim
     tolv = s.tol.eq_abs
 
-    # dim(A) = sum k_i^2 and dim(A') = sum m_i^2 against the planted plan
-    comm = s.algebra.commutant()
+    # dim(A) = sum k_i^2 and dim(A') = sum m_i^2 against the planted plan,
+    # the latter read off the block decomposition
+    comm = sum(m * m for _, m in s.algebra.block_decomposition().blocks)
     want_a = sum(k * k for k, _ in tspec.blocks)
     want_c = sum(m * m for _, m in tspec.blocks)
     report.stat("dimension_formula").record(
-        s.algebra.size == want_a and comm.size == want_c,
-        abs(s.algebra.size - want_a) + abs(comm.size - want_c))
+        s.algebra.size == want_a and comm == want_c,
+        abs(s.algebra.size - want_a) + abs(comm - want_c))
 
     if planted and len(tspec.blocks) > 1:
         # vectors in distinct central summands are exactly independent
@@ -395,7 +396,8 @@ def _freeness_trial(report, tspec, s, rng, planted):
     if shat is not None:
         descs = []
         # closures of ext_to in an extension are its closures in s, padded
-        [(cyc, cl)] = _closure_bases(s, ext_to)
+        [rows] = _rows(s, ext_to)
+        cyc, cl = _closure_basis(s, rows), _closure_basis(s, rows, discrete=True)
         for seed in (int(rng.integers(1 << 30)), int(rng.integers(1 << 30))):
             sh, vp = nonforking_extension(s, v, ext_base, ext_to, seed=seed)
             vp = np.atleast_2d(vp)

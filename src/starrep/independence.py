@@ -5,8 +5,11 @@ A tuple is independent from F over E when its projections onto acl(E) and
 acl(E u F) coincide.  A type is the projections onto the cyclic subspace of
 the base and the residuals' block Grams (representation._residual_grams).
 
-The queries project onto the columns of a closure that its block rows give,
-with no Subspace built (representation._closure_basis); in a block group
+Every closure is solved through one entry, representation._rows, which
+solves the block rows of one set, or of several sets stacked (is_independent's
+base and base u extra, nonforking_extension's base and extension set), in one
+call.  The queries project onto the one column form of a closure,
+representation._closure_basis, with no Subspace built; in a block group
 where every m_i = 1 those are columns of Q.
 
 Closures grow by increments: acl(C u {f}) = acl(C) + dcl(f), as both summands
@@ -26,19 +29,18 @@ from .linalg import (Draws, Subspace, ToleranceBreach, Tolerances, haar_unitary,
                      project)
 from .representation import (
     Structure,
-    _acl_block_rows,
+    _acl_rows,
     _block_rows,
     _check_rows,
     _closure_basis,
-    _closure_bases,
     _from_rows,
     _join_rows,
     _project_leading,
     _residual_grams,
     _residuals,
     _root,
+    _rows,
     _tuple_rows,
-    _vector_rows,
     algebra_invariance_defect,
     cyclic_subspace,
     extend_with_summand,
@@ -118,7 +120,8 @@ def type_of(s: Structure, vectors, base) -> TypeDescriptor:
     """Descriptor of tp(vectors / base): projections onto the cyclic subspace
     of the base, and the block Grams of the residuals."""
     vs, _ = _as_tuple(vectors, s.dim)
-    return _type_over(s, vs, project(_closure_basis(s, _vector_rows(s, base)), vs))
+    [rows] = _rows(s, base)
+    return _type_over(s, vs, project(_closure_basis(s, rows), vs))
 
 
 def _type_over(s: Structure, vs: np.ndarray, bp: np.ndarray) -> TypeDescriptor:
@@ -189,11 +192,12 @@ def is_independent(s: Structure, vectors, base, extra) -> IndependenceReport:
 
     True when each entry's projection onto acl(base u extra) already lies in
     acl(base); the defect is the largest projection displacement, judged
-    against the largest entry norm.
+    against the largest entry norm.  Both closures come from one stacked
+    solve (representation._rows), or one unstacked for an empty base.
     """
     vs, _ = _as_tuple(vectors, s.dim)
-    p1 = project(_closure_basis(s, _vector_rows(s, base), discrete=True), vs)
-    p2 = project(_closure_basis(s, _vector_rows(s, list(base) + list(extra)), discrete=True), vs)
+    p1, p2 = (project(_closure_basis(s, rows, discrete=True), vs)
+              for rows in _rows(s, base, list(base) + list(extra)))
     witnesses = list(zip(p1, p2))
     defect = float(np.max(np.linalg.norm(p2 - p1, axis=1), initial=0.0))
     scale = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
@@ -223,8 +227,8 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     projection gap within eq_abs of it and their moment gap within eq_abs
     of its square, all with certified's room.  The closures are solved in s
     and shared by the checks: dcl and acl of the base and of the extension
-    set from one stacked solve (representation._closure_bases), then dcl of
-    the residuals.  The residuals' cyclic subspace, certified orthonormal,
+    set from one stacked solve (representation._rows), then dcl of the
+    residuals.  The residuals' cyclic subspace, certified orthonormal,
     is the summand (rotated by a Haar unitary for a seed), and the extended
     structure is certified from s (representation.extend_with_summand).
     """
@@ -232,7 +236,11 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
     _check_base_extension(base, extension, s.tol)
     # the extension set has no summand part, so its closures in shat are
     # the ones in s, padded: shat is never decomposed
-    (base_cyc, base_cl), (ext_cyc, ext_cl) = _closure_bases(s, base, extension)
+    base_rows, ext_rows = _rows(s, base, extension)
+    base_cyc, ext_cyc = _closure_basis(s, base_rows), _closure_basis(s, ext_rows)
+    base_cl, ext_cl = (_closure_basis(s, base_rows, discrete=True),
+                       _closure_basis(s, ext_rows, discrete=True)) if s.discrete.dim else (
+        base_cyc, ext_cyc)
     proj = project(base_cl, vs)
     res = _residuals(vs, proj, s.tol)
 
@@ -266,7 +274,8 @@ def nonforking_extension(s: Structure, vectors, base, extension, seed: int | Non
 def canonical_base(s: Structure, vectors, base):
     """Canonical base of tp(vectors / base): projections onto the base's cyclic subspace."""
     vs, single = _as_tuple(vectors, s.dim)
-    out = project(_closure_basis(s, _vector_rows(s, base)), vs)
+    [rows] = _rows(s, base)
+    out = project(_closure_basis(s, rows), vs)
     return out[0] if single else out
 
 
@@ -297,7 +306,8 @@ def morley_average_check(s: Structure, v: np.ndarray, base, k: int) -> MorleyChe
     if k < 1:
         raise ValueError("the copy count must be at least 1")
     v = np.asarray(v, dtype=complex).ravel()
-    p = project(_closure_basis(s, _vector_rows(s, base), discrete=True), v)
+    [rows] = _rows(s, base)
+    p = project(_closure_basis(s, rows, discrete=True), v)
     r = _residuals(v, p, s.tol)
     hr = cyclic_subspace(s, [r])
     b = hr.basis
@@ -361,7 +371,7 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         raise ValueError("epsilon must be strictly positive")
     vs, single = _as_tuple(vectors, s.dim)
     pool = [np.asarray(f, dtype=complex).ravel() for f in pool]
-    full = _acl_block_rows(s, pool)
+    full = _acl_rows(s, _rows(s, pool)[0])
     dec = s.algebra.block_decomposition()
     z = _tuple_rows(s, vs)
 
@@ -390,7 +400,7 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
         return sum(keep.sum(-1) @ g.k for (_, keep), g in zip(rows, dec.groups))
 
     chosen: list[int] = []
-    sub = _acl_block_rows(s, [])
+    sub = _acl_rows(s, None)
     current, d = float(worst_defect(sub)), dim(sub)
     size = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
     rest = list(range(len(pool)))

@@ -13,10 +13,15 @@ algebra's block groups, one (u, keep) per group, read through the group's
 gather of Q (BlockDecomposition.columns).  In a group where every m_i = 1 a
 block's one singular value is its norm, so its rows come with no SVD and
 its closures are columns of Q; every other group makes one batched SVD per
-solve.  The forking queries project onto the closures' columns with no
-Subspace built (_closure_basis).  Block rows also serve as closures
-themselves, joined block by block (_join_rows) and projected in block
-coordinates (_tuple_rows).
+solve.
+
+Every closure has one solve entry and one form.  _rows solves the block
+rows of one set, or of several sets stacked, in one _block_rows call, and
+_closure_basis turns rows into the closure's (n, r) columns, certified by
+the rows' unitarity (_check_rows).  cyclic_subspace, acl and closures wrap
+those columns in a Subspace; the forking queries project onto them with
+none built.  Block rows also serve as closures themselves, joined block by
+block (_join_rows) and projected in block coordinates (_tuple_rows).
 """
 from __future__ import annotations
 
@@ -148,29 +153,50 @@ def cyclic_subspace(s: Structure, vectors) -> Subspace:
     R_i the row span of the (t k_i) x m_i stack of the vectors' blocks
     (_block_rows).
     """
-    return _closure(s, _vector_rows(s, vectors))
+    [rows] = _rows(s, vectors)
+    return Subspace(s.dim, _closure_basis(s, rows), s.tol)
 
 
 def acl(s: Structure, vectors) -> Subspace:
     """Algebraic closure: the cyclic subspace and the blocks the discrete part
-    fills (_acl_rows)."""
-    return _acl(s, _vector_rows(s, vectors))
+    fills (_acl_rows); the discrete part itself for an empty set."""
+    [rows] = _rows(s, vectors)
+    if rows is None:
+        return s.discrete
+    return Subspace(s.dim, _closure_basis(s, rows, discrete=True), s.tol)
 
 
 def closures(s: Structure, vectors) -> tuple[Subspace, Subspace]:
     """(dcl, acl) of the set from one solve of its block rows."""
-    rows = _vector_rows(s, vectors)
-    dcl = _closure(s, rows)
-    return dcl, dcl if s.discrete.dim == 0 else _acl(s, rows)
+    [rows] = _rows(s, vectors)
+    dcl = Subspace(s.dim, _closure_basis(s, rows), s.tol)
+    if rows is None:
+        return dcl, s.discrete
+    return dcl, dcl if not s.discrete.dim else Subspace(
+        s.dim, _closure_basis(s, rows, discrete=True), s.tol)
 
 
-def _vector_rows(s: Structure, vectors):
-    """_block_rows of the vectors, or None for an empty set or space."""
-    vecs = _fitting(s, vectors)
-    if not vecs or s.dim == 0:
-        return None
-    return _block_rows(s.algebra.block_decomposition(),
-                       _require_finite(np.array(vecs), "span input"), s.tol)
+def _rows(s: Structure, *sets) -> list:
+    """Block rows (_block_rows) of each set, or None for an empty set or
+    space, from one solve over the non-empty sets: a lone set as its (t, n)
+    vectors, several as their (P, t, n) stack, each padded with zero rows to
+    the longest, t vectors.  linalg.stack_ranges cuts each set of a stack on
+    its own, and zero rows change neither a rank nor a span."""
+    sets = [_fitting(s, vectors) for vectors in sets]
+    solved = [i for i, vecs in enumerate(sets) if vecs] if s.dim else []
+    out = [None] * len(sets)
+    if len(solved) == 1:
+        vs = np.array(sets[solved[0]])
+    elif solved:
+        vs = np.zeros((len(solved), max(len(sets[i]) for i in solved), s.dim), dtype=complex)
+        for j, i in enumerate(solved):
+            vs[j, :len(sets[i])] = sets[i]
+    else:
+        return out
+    rows = _block_rows(s.algebra.block_decomposition(), _require_finite(vs, "span input"), s.tol)
+    for j, i in enumerate(solved):
+        out[i] = rows if vs.ndim == 2 else [(u[j], keep[j]) for u, keep in rows]
+    return out
 
 
 def _fitting(s: Structure, vectors) -> list:
@@ -216,22 +242,6 @@ def _columns(dec, rows) -> np.ndarray:
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)).T
 
 
-def _closure(s: Structure, rows) -> Subspace:
-    """The subspace Q (+)(C^{k_i} (x) R_i) of block rows (u, keep)
-    (_columns), or the zero subspace for None."""
-    if rows is None:
-        return zero_subspace(s.dim, s.tol)
-    return Subspace(s.dim, _columns(s.algebra.block_decomposition(), rows), s.tol)
-
-
-def _acl(s: Structure, rows) -> Subspace:
-    """acl from the dcl's block rows: the discrete part itself for an empty
-    set, the dcl when the discrete part is zero, else _acl_rows."""
-    if rows is None:
-        return s.discrete
-    return _closure(s, _acl_rows(s, rows) if s.discrete.dim else rows)
-
-
 def _discrete_blocks(s: Structure):
     """(full, u, keep) per group: full marks the blocks the discrete part
     fills, and u = I with keep their m_i rows are its block rows.  Its squared
@@ -253,49 +263,31 @@ def _discrete_blocks(s: Structure):
 
 def _acl_rows(s: Structure, rows):
     """Block rows of acl = dcl + H_d from those of dcl: C^{m_i} where H_d
-    fills block i, R_i where it misses it (_discrete_blocks)."""
+    fills block i, R_i where it misses it (_discrete_blocks).  For None, an
+    empty set, they are H_d's own: C^{m_i} where it fills block i, and none
+    elsewhere."""
+    blocks = _discrete_blocks(s)
+    if rows is None:
+        return [(u, keep) for _, u, keep in blocks]
     return [(np.where(full[:, None, None], du, u), np.where(full[:, None], dkeep, keep))
-            for (full, du, dkeep), (u, keep) in zip(_discrete_blocks(s), rows)]
+            for (full, du, dkeep), (u, keep) in zip(blocks, rows)]
 
 
-def _closure_basis(s: Structure, rows, discrete: bool = False):
-    """What linalg.project projects onto the closure of block rows (dcl, or
-    acl with `discrete`): its columns (_columns), with no Subspace built, as
-    BlockDecomposition's unitarity certificate bounds their Gram by the
-    rows', which are checked orthonormal (_check_rows) instead; or the
-    discrete part itself, the acl of an empty set."""
+def _closure_basis(s: Structure, rows, discrete: bool = False) -> np.ndarray:
+    """The (n, r) orthonormal columns of the closure of block rows (dcl, or
+    acl with `discrete`), the one form every closure takes (_columns): the
+    rows are checked orthonormal (_check_rows), as BlockDecomposition's
+    unitarity certificate bounds the columns' Gram by theirs.  For None, an
+    empty set, the dcl has no columns and the acl is the discrete part's
+    basis."""
     if discrete and s.discrete.dim:
         if rows is None:
-            return s.discrete
+            return s.discrete.basis
         rows = _acl_rows(s, rows)
     if rows is None:
         return np.zeros((s.dim, 0), dtype=complex)
     _check_rows(rows, s.tol)
     return _columns(s.algebra.block_decomposition(), rows)
-
-
-def _closure_bases(s: Structure, *sets) -> list:
-    """(dcl, acl) of each set as _closure_basis gives them, from one solve of
-    the block rows of all the non-empty sets: their (P, t, n) stack, each set
-    padded with zero rows to the longest, t vectors.  linalg.stack_ranges
-    cuts each set on its own, and zero rows change neither a rank nor a
-    span.  An empty set is not solved."""
-    sets = [_fitting(s, vectors) for vectors in sets]
-    solved = [i for i, vecs in enumerate(sets) if vecs] if s.dim else []
-    rows = [None] * len(sets)
-    if solved:
-        stack = np.zeros((len(solved), max(len(sets[i]) for i in solved), s.dim), dtype=complex)
-        for j, i in enumerate(solved):
-            stack[j, :len(sets[i])] = sets[i]
-        stacked = _block_rows(s.algebra.block_decomposition(),
-                              _require_finite(stack, "span input"), s.tol)
-        for j, i in enumerate(solved):
-            rows[i] = [(u[j], keep[j]) for u, keep in stacked]
-    out = []
-    for r in rows:
-        dcl = _closure_basis(s, r)
-        out.append((dcl, dcl if s.discrete.dim == 0 else _closure_basis(s, r, discrete=True)))
-    return out
 
 
 def _project_leading(closure, vs: np.ndarray, n: int) -> np.ndarray:
@@ -307,19 +299,6 @@ def _project_leading(closure, vs: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros_like(vs)
     out[:, :n] = project(closure, vs[:, :n])
     return out
-
-
-def _acl_block_rows(s: Structure, vectors):
-    """Block rows (u, keep) of acl of the set, shaped as _block_rows shapes
-    them, none kept for an empty set in a structure with no discrete part."""
-    rows = _vector_rows(s, vectors)
-    if s.discrete.dim:
-        return [(u, keep) for _, u, keep in _discrete_blocks(s)] if rows is None else (
-            _acl_rows(s, rows))
-    if rows is None:
-        rows = [(np.eye(m)[None].repeat(c, 0), np.zeros((c, m), dtype=bool))
-                for c, _, m in (g.index.shape for g in s.algebra.block_decomposition().groups)]
-    return rows
 
 
 def _join_rows(s: Structure, a, b):
@@ -479,8 +458,8 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     that H_d fills (_discrete_blocks), coordinate vectors of the compression.
     """
     [v] = _fitting(s, [v])
-    rows = _vector_rows(s, [v])
-    b = _closure(s, rows).basis
+    [rows] = _rows(s, [v])
+    b = _closure_basis(s, rows)
     k = b.shape[1]
     gens = [b.conj().T @ g @ b for g in s.algebra.generators]
     if k == 0:

@@ -26,6 +26,7 @@ cut check that the blocks are cut where the basis route cuts.
 """
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -34,10 +35,12 @@ import pytest
 import starrep.independence
 import starrep.linalg
 import starrep.representation
+from starrep import cli
 from starrep.algebra import StarAlgebra, generate_algebra, span_algebra
 from starrep.functionals import (is_dominated, is_orthogonal, types_dominated, types_orthogonal,
                                  vector_state)
-from starrep.harness import InstanceSpec, commuting_unitary, random_structure, random_unit_vector
+from starrep.harness import (InstanceSpec, commuting_unitary, random_structure, random_unit_vector,
+                             scenario_of)
 from starrep.independence import (
     _check_base_extension,
     _descriptor_gaps,
@@ -643,24 +646,45 @@ def test_nonforking_extension_computes_each_closure_once(plan, monkeypatch, svd_
     rng = np.random.default_rng(13)
     v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
     calls = []
-    cyclic, both = starrep.independence.cyclic_subspace, starrep.independence._closure_bases
+    cyclic, rows = starrep.independence.cyclic_subspace, starrep.independence._rows
     monkeypatch.setattr(starrep.independence, "cyclic_subspace",
                         lambda st, vecs: calls.append(("dcl", st, len(vecs))) or cyclic(st, vecs))
-    monkeypatch.setattr(starrep.independence, "_closure_bases", lambda st, *sets: calls.append(
-        ("both", st, [len(vecs) for vecs in sets])) or both(st, *sets))
-    monkeypatch.setattr(starrep.independence, "_vector_rows", None)
+    monkeypatch.setattr(starrep.independence, "_rows", lambda st, *sets: calls.append(
+        ("rows", st, [len(vecs) for vecs in sets])) or rows(st, *sets))
+    solves = count_solves(monkeypatch)
     svd_calls.clear()
     shat, _ = nonforking_extension(s, [v, f], [e], [e, f])
     # the base and the extension set in one stacked solve, taken in s (the
     # extension set's closures padded: shat is never decomposed), then the
     # residuals' dcl
-    assert calls == [("both", s, [1, 2]), ("dcl", s, 2)]
+    assert calls == [("rows", s, [1, 2]), ("dcl", s, 2)]
+    assert solves == [(2, 2), (2,)]
     assert shat.algebra._block is None
     # one SVD per solve, none for a join and none for the discrete part
     assert len(svd_calls) == 2
     svd_calls.clear()
     nonforking_extension(s, [v, f], [e], [e, f])
     assert len(svd_calls) == 2
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_is_independent_makes_one_solve(plan, monkeypatch, svd_calls):
+    # acl(base) and acl(base u extra) from one stacked solve, and one
+    # unstacked solve of base u extra alone for an empty base
+    s = random_structure(PLANS[plan])
+    rng = np.random.default_rng(15)
+    v, e, f, g = (random_unit_vector(rng, s.dim) for _ in range(4))
+    solves = count_solves(monkeypatch)
+    for tup, base, extra, shape in (([v], [e], [f, g], (2, 3)), ([v, f], [e, g], [f], (2, 3)),
+                                    ([v], [], [f, g], (2,))):
+        solves.clear()
+        svd_calls.clear()
+        got = is_independent(s, tup, base, extra)
+        assert solves == [shape] and len(svd_calls) == 1
+        small, big = ref_acl(s, base), ref_acl(s, base + extra)
+        want = max(float(np.linalg.norm(project(big, x) - project(small, x))) for x in tup)
+        assert got.verdict == s.tol.close(want, 1.0)
+        assert abs(got.defect - want) <= 1e-10
 
 
 def count_solves(monkeypatch):
@@ -829,6 +853,26 @@ def test_finite_base_checks_its_rows_orthonormal(solve, monkeypatch):
         ((1.01 if longer(u, top) else 1.0) * u, keep) for u, keep in ranges(stacks, tol, top)])
     with pytest.raises(ToleranceBreach, match="block rows are not orthonormal"):
         finite_base(s, sum(pool), pool, 1e-9)
+
+
+def test_public_closures_breach_on_non_orthonormal_rows(monkeypatch, tmp_path, capsys):
+    # the public closures take the queries' one column form, certified by
+    # the rows' Gram, so rows 1 % too long are a ToleranceBreach there too,
+    # and the dcl and acl subcommands exit 3 (tolerance breach), not 2
+    s = random_structure(PLANS["discrete"])
+    rng = np.random.default_rng(30)
+    v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario_of(s, {"v": v, "w": w})))
+    ranges = starrep.linalg.stack_ranges
+    monkeypatch.setattr(starrep.representation, "stack_ranges", lambda stacks, tol, top=0.0: [
+        (1.01 * u, keep) for u, keep in ranges(stacks, tol, top)])
+    for closure in (cyclic_subspace, acl, closures):
+        with pytest.raises(ToleranceBreach, match="block rows are not orthonormal"):
+            closure(s, [v, w])
+    for command in ("dcl", "acl"):
+        assert cli.main([command, str(path), "v,w", "--json"]) == 3
+        assert capsys.readouterr().err.startswith("tolerance breach")
 
 
 # ----- invariance stays checked against the basis --------------------------------

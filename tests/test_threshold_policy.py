@@ -235,11 +235,13 @@ def test_functionals_read_the_algebra_basis_only_in_gns_action():
 
 
 def test_closures_read_no_algebra_basis():
-    # dcl and acl are solved on the Wedderburn blocks
+    # dcl and acl are solved on the Wedderburn blocks, and a cyclic
+    # substructure takes its embedding from the closure's columns
     path = pathlib.Path(starrep.__file__).parent / "representation.py"
     found = list(_basis_reads(ast.parse(path.read_text())))
-    assert "cyclic_substructure" in {scope for _, scope in found}
-    assert [f for f in found if f[1] in ("cyclic_subspace", "acl")] == [], found
+    assert "extend_with_summand" in {scope for _, scope in found}
+    assert [f for f in found if f[1] in ("cyclic_subspace", "acl", "closures", "_rows",
+                                         "cyclic_substructure")] == [], found
 
 
 # a type is its base projections and its residuals' block Grams, by module
