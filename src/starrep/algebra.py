@@ -40,27 +40,40 @@ class DecompositionError(RuntimeError):
 
 
 class StarAlgebra:
-    """A unital, adjoint- and product-closed span of square complex matrices."""
+    """A unital, adjoint- and product-closed span of square complex matrices.
+    size needs no basis; an extension's is built and certified on first read."""
 
     def __init__(self, dim: int, basis: np.ndarray, generators=None,
                  tol: Tolerances = DEFAULT_TOL, validate: bool = True):
         self.dim = int(dim)
-        basis = _require_finite(basis, "algebra basis")
-        basis = basis.reshape(0, dim, dim) if basis.size == 0 else basis.reshape(-1, dim, dim)
-        self.basis = basis
+        self._lock = threading.RLock()
+        self._build = lambda: basis
+        self.size = self.basis.shape[0]
         self.generators = [np.asarray(g, dtype=complex) for g in (generators or [])]
         self.tol = tol
-        self._lock = threading.RLock()
         self._block = None
         self._probes = None
         self._probe_norms = None
         if validate and dim > 0:
             self._validate()
 
+    @classmethod
+    def _deferred(cls, dim, size, build, generators, tol):
+        out = cls(dim, np.zeros((0, dim, dim), dtype=complex), generators, tol, validate=False)
+        out._build, out.size = build, int(size)
+        return out
+
     @property
-    def size(self) -> int:
-        """Linear dimension of the algebra as a vector space."""
-        return self.basis.shape[0]
+    def basis(self) -> np.ndarray:
+        """The d x n x n basis; a builder that raises is kept, to raise at each read."""
+        if self._build is None:
+            return self._basis
+        with self._lock:
+            if self._build is not None:
+                basis = _require_finite(self._build(), "algebra basis")
+                self._basis = basis.reshape(-1 if basis.size else 0, self.dim, self.dim)
+                self._build = None
+            return self._basis
 
     def __repr__(self):
         return f"StarAlgebra(dim={self.dim}, size={self.size})"
@@ -497,13 +510,14 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     """
     if a.dim == 0:
         return BlockDecomposition([], np.zeros((0, 0), dtype=complex), a.tol)
+    probes = a.probes()  # a basis whose build fails raises here, not as a seed retry
 
     def attempt(rng):
         dec = _decompose(a.letters(), a.dim, a.tol, rng)
         if sum(k * k for k, _ in dec.blocks) != a.size:
             raise DecompositionError(
                 f"block sizes {dec.blocks} do not account for the algebra dimension {a.size}")
-        dec.block_parts(a.probes())
+        dec.block_parts(probes)
         return dec
 
     return _with_seed_retries(attempt, seed, "block decomposition")

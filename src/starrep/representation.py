@@ -494,6 +494,25 @@ def _compressed_basis(groups, rows, k: int) -> np.ndarray:
     return out
 
 
+def _extension_basis(s: Structure, b: np.ndarray) -> np.ndarray:
+    """extend_with_summand's basis, G^{-1/2} images, with its rank certificate."""
+    n, k = s.dim, b.shape[1]
+    images = _summand_images(s.algebra.basis, b)
+    flat = images.reshape(len(images), -1)
+    gram = flat @ flat.conj().T
+    w = gram.diagonal().real
+    diagonal = np.all(s.tol.close(np.abs(gram - np.diag(w)), np.sqrt(np.outer(w, w))))
+    if not diagonal:
+        w, v = np.linalg.eigh(gram)
+    if w.size and not w.min() > s.tol.rank_cut(w.max()):
+        raise ToleranceBreach(
+            f"summand images are not linearly independent (Gram eigenvalues {w.min():.2e} "
+            f"against {w.max():.2e})")
+    if diagonal:
+        return flat * (np.sqrt(n + k) / np.sqrt(w))[:, None]
+    return np.sqrt(n + k) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
+
+
 def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> Structure:
     """Adjoin a fully essential summand carrying the compression of s onto
     the invariant subspace spanned by summand_basis.
@@ -512,9 +531,10 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
     its embedding, so its types are read on s's blocks (_residual_grams)
     and compare with s's, down any chain of extensions.
 
-    The images of s's basis are linearly independent, so the algebra's
-    basis is their symmetric orthonormalization G^{-1/2} images by their
-    Gram matrix G, with no rank to solve for.  span(b) is
+    pi keeps x as its first block, so it is injective and the algebra's
+    size is s's.  Its basis, built on first read (_extension_basis), is the
+    symmetric orthonormalization G^{-1/2} images of the images of s's basis
+    by their Gram matrix G, with no rank to solve for.  span(b) is
     Q (+)(C^{k_i} (x) R_i), R_i of dimension r_i, and its projector P
     commutes with the algebra, so the images of x and y have the inner
     product Tr(y^H x (I + P)).  An element of block i
@@ -529,7 +549,7 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
     basis that mixes blocks).  G is well conditioned: s's basis is
     trace-orthonormal, so G = n I + (the Gram of the x P), and
     n I <= G <= 2n I.  Its rank is certified on either route, by its
-    diagonal or its eigenvalues; ToleranceBreach if it fails.
+    diagonal or its eigenvalues, when it is built; ToleranceBreach if not.
 
     The result is certified from s, with no Structure._validate and no probe
     of the new algebra drawn, as each property _validate checks follows from
@@ -566,24 +586,10 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
         _require_sum_of_classes(np.linalg.norm(d1.conj().T @ b), d1.shape[1], s.tol,
                                 "the summand meets it")
     k = b.shape[1]
-    images = _summand_images(s.algebra.basis, b)
-    flat = images.reshape(len(images), -1)
-    gram = flat @ flat.conj().T
-    w = gram.diagonal().real
-    diagonal = np.all(s.tol.close(np.abs(gram - np.diag(w)), np.sqrt(np.outer(w, w))))
-    if not diagonal:
-        w, v = np.linalg.eigh(gram)
-    if w.size and not w.min() > s.tol.rank_cut(w.max()):
-        raise ToleranceBreach(
-            f"summand images are not linearly independent (Gram eigenvalues {w.min():.2e} "
-            f"against {w.max():.2e})")
-    if diagonal:
-        basis = flat * (np.sqrt(n + k) / np.sqrt(w))[:, None]
-    else:
-        basis = np.sqrt(n + k) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
     gens = s.algebra.generators
     gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)
-    algebra = StarAlgebra(n + k, basis, list(gens), s.tol, validate=False)
+    algebra = StarAlgebra._deferred(n + k, s.algebra.size, lambda: _extension_basis(s, b),
+                                    list(gens), s.tol)
     disc = np.zeros((n + k, d1.shape[1]), dtype=complex)
     disc[:n, :] = d1
     vectors = {f"a.{name}": np.concatenate([v, np.zeros(k, dtype=complex)])

@@ -5,12 +5,16 @@ its vector's block rows, written down with no algebra basis read; the
 reference is span_algebra of the compressed basis.  An extension's basis is
 G^{-1/2} images, a scaling of each image when the Gram matrix G is diagonal
 (every basis element of the parent in one Wedderburn block), else G's eigh; the
-reference is the eigh route.  The probes' coefficients are drawn once per
-algebra size.  A residual close to zero at its vector's norm is zero, so a
-vector inside the base closure gets no summand.  Guard tests count the
+reference is the eigh route.  That basis is built, with its rank certificate,
+on its first read; no caller in starrep reads it.  The probes' coefficients
+are drawn once per algebra size.  A residual close to zero at its vector's
+norm is zero, so a vector inside the base closure gets no summand.  Guard tests count the
 LAPACK calls and draws the constructors make.
 """
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +24,8 @@ import starrep.linalg
 import starrep.representation
 from starrep import cli
 from starrep.algebra import StarAlgebra, _probe_coefficients, generate_algebra, span_algebra
-from starrep.harness import InstanceSpec, commuting_unitary, random_structure, random_unit_vector
+from starrep.harness import (InstanceSpec, commuting_unitary, random_structure,
+                             random_unit_vector, run_freeness_suite)
 from starrep.independence import morley_average_check, nonforking_extension
 from starrep.linalg import Draws, ToleranceBreach, haar_unitary
 from starrep.representation import (
@@ -153,6 +158,7 @@ def test_rotated_bare_basis_takes_the_eigh_route(eigh_calls):
     b = cyclic_subspace(bare, [random_unit_vector(np.random.default_rng(57), s.dim)]).basis
     eigh_calls.clear()
     shat = extend_with_summand(bare, b)
+    shat.algebra.basis
     assert eigh_calls == [(s.algebra.size, s.algebra.size)]
     assert_basis_matches_eigh_route(bare, shat)
     assert_trace_orthonormal(shat.algebra)
@@ -171,8 +177,87 @@ def test_zeroed_image_on_the_scaling_route_raises(monkeypatch, eigh_calls):
 
     monkeypatch.setattr(starrep.representation, "_summand_images", zeroed)
     with pytest.raises(ToleranceBreach, match="not linearly independent"):
-        extend_with_summand(s, b)
+        extend_with_summand(s, b).algebra.basis
     assert eigh_calls == []
+
+
+@pytest.fixture
+def extensions(monkeypatch):
+    """Each algebra made with a deferred basis, and the arguments of each
+    extension basis built."""
+    made, built = [], []
+    deferred = StarAlgebra._deferred.__func__
+    monkeypatch.setattr(StarAlgebra, "_deferred", classmethod(
+        lambda cls, *args: made.append(deferred(cls, *args)) or made[-1]))
+    build = starrep.representation._extension_basis
+    monkeypatch.setattr(starrep.representation, "_extension_basis",
+                        lambda *args: built.append(args) or build(*args))
+    return made, built
+
+
+def test_no_caller_builds_an_extension_basis(extensions, capsys):
+    made, built = extensions
+    s = random_structure(PLANS["discrete"])
+    rng = np.random.default_rng(70)
+    v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
+    shat, _ = nonforking_extension(s, v, [e], [e, f])
+    assert s.discrete.dim and shat.dim > s.dim and len(made) == 1
+    assert shat.algebra.size == s.algebra.size and built == []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        assert cli.main(["extend", str(path), "u", "", "e1"]) == 0
+    assert len(made) == 4
+    run_freeness_suite(PLANS["discrete"], 1)
+    capsys.readouterr()
+    assert len(made) > 4 and built == []
+    assert all(a._build is not None for a in made)
+    basis = shat.algebra.basis
+    assert shat.algebra.basis is basis and len(built) == 1 and shat.algebra._build is None
+    assert_basis_matches_eigh_route(s, shat)
+
+
+def test_failed_extension_basis_raises_at_each_read(monkeypatch):
+    s = random_structure(PLANS["essential"])
+    b = cyclic_subspace(s, [random_unit_vector(np.random.default_rng(71), s.dim)]).basis
+
+    def zeroed(mats, basis):
+        # the images of s's basis only: the generators' stay whole
+        out = _summand_images(mats, basis)
+        if mats is s.algebra.basis:
+            out[-1] = 0
+        return out
+
+    monkeypatch.setattr(starrep.representation, "_summand_images", zeroed)
+    shat = extend_with_summand(s, b)
+    a = shat.algebra
+    assert a.size == s.algebra.size and a.generators
+    for read in (lambda: a.basis, lambda: a.basis, a.probes, a.block_decomposition,
+                 lambda: extend_with_summand(shat, np.eye(shat.dim))):
+        with pytest.raises(ToleranceBreach, match="not linearly independent"):
+            read()
+    assert a._build is not None and a._probes is None and a._block is None
+
+
+def test_extension_basis_is_built_once_across_threads(extensions):
+    _, built = extensions
+    s = random_structure(PLANS["essential"])
+    b = cyclic_subspace(s, [random_unit_vector(np.random.default_rng(72), s.dim)]).basis
+    a = extend_with_summand(s, b).algebra
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(a.basis), daemon=True)
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert len(built) == 1 and a.size == len(results[0]) == s.algebra.size
 
 
 # the block plans of the forking benchmark workload

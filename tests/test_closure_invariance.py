@@ -1,10 +1,12 @@
 """Closure-reading verdicts do not depend on coordinates or on generators.
 
 Every verdict the forking and functional subcommands read off a closure
-(indep, cbase, typeq, extend, fbase, orth and dom), and the dimensions of
-dcl and acl, must stay the same when the whole scenario moves by one
-unitary W (generators W g W^H, discrete part and vectors W x together), and
-when the same algebra is given by another generating set (an invertible
+(indep, cbase, typeq, extend, fbase, orth and dom), the dimensions of dcl
+and acl, and what gns, embed, rn and decompose decide (the GNS space's
+dimension and cyclic norm, the embedding verdict, the Radon-Nikodym success
+and gamma, the blocks at three seeds) must stay the same when the whole
+scenario moves by one unitary W (generators W g W^H, discrete part and
+vectors W x together), and when the same algebra is given by another generating set (an invertible
 complex mix of the generators, which spans the same space, and a random
 element of the algebra).  The inputs are the hand-worked scenario files and
 three planted plans with a discrete part.  The subcommands run through the
@@ -95,7 +97,10 @@ def commands(raw):
             members = raw["sets"][sets[0]]
             out.append(("extend", v, sets[0], ",".join(members + [vecs[-1]])))
         out.append(("fbase", v, sets[-1] if sets else ",".join(vecs), "1e-6"))
-    return out
+    out += [("gns", v) for v in vecs]
+    for v, w in itertools.permutations(vecs[:4], 2):
+        out += [("embed", v, w), ("rn", w, v)]
+    return out + [("decompose", "--seed", str(seed)) for seed in range(3)]
 
 
 def figures(command, rep):
@@ -113,6 +118,12 @@ def figures(command, rep):
         return rep["new_dimension"], rep["summand_dimension"]
     if command == "fbase":
         return rep["indices"]
+    if command == "gns":
+        return rep["space_dimension"], round(rep["cyclic_norm"], 8)
+    if command == "rn":
+        return rep["success"], round(rep["gamma"], 6) if rep["success"] else None
+    if command == "decompose":
+        return rep["blocks"], rep["algebra_dimension"], rep["commutant_dimension"]
     return rep["verdict"]
 
 
@@ -145,6 +156,6 @@ def test_closure_verdicts_are_invariant(name, change, tmp_path, capsys, monkeypa
     assert got == want
     # both verdicts of the queries that return one, so no case is vacuous
     if name in PLANTED:
-        for command in ("indep", "typeq", "orth", "dom"):
+        for command in ("indep", "typeq", "orth", "dom", "embed"):
             seen = {fig for key, (_, fig) in want.items() if key[0] == command}
             assert seen == {True, False}, command

@@ -541,7 +541,7 @@ def test_rank_deficient_extension_images_raise(monkeypatch):
 
     monkeypatch.setattr(starrep.representation, "_summand_images", deficient)
     with pytest.raises(ToleranceBreach):
-        extend_with_summand(s, b)
+        extend_with_summand(s, b).algebra.basis
 
 
 # ----- closure and SVD counts --------------------------------------------------
