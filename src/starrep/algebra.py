@@ -40,17 +40,20 @@ class DecompositionError(RuntimeError):
 
 
 class StarAlgebra:
-    """A unital, adjoint- and product-closed span of square complex matrices.
-    size needs no basis; an extension's is built and certified on first read."""
+    """A unital, adjoint- and product-closed span of square complex matrices,
+    held by its basis (outside input) or by its blocks (_of_blocks): a
+    generated algebra or an extension, whose basis is written from them."""
 
     def __init__(self, dim: int, basis: np.ndarray, generators=None,
                  tol: Tolerances = DEFAULT_TOL, validate: bool = True):
         self.dim = int(dim)
-        self._lock = threading.RLock()
-        self._build = lambda: basis
-        self.size = self.basis.shape[0]
+        basis = _require_finite(basis, "algebra basis")
+        self._basis = basis.reshape(-1 if basis.size else 0, self.dim, self.dim)
+        self.size = self._basis.shape[0]
         self.generators = [np.asarray(g, dtype=complex) for g in (generators or [])]
         self.tol = tol
+        self._lock = threading.RLock()
+        self._decompose = None
         self._block = None
         self._probes = None
         self._probe_norms = None
@@ -58,22 +61,21 @@ class StarAlgebra:
             self._validate()
 
     @classmethod
-    def _deferred(cls, dim, size, build, generators, tol):
+    def _of_blocks(cls, dim, size, decompose, generators, tol):
+        """The algebra of size `size` with the blocks decompose() gives."""
         out = cls(dim, np.zeros((0, dim, dim), dtype=complex), generators, tol, validate=False)
-        out._build, out.size = build, int(size)
+        out._basis, out._decompose, out.size = None, decompose, int(size)
         return out
 
     @property
     def basis(self) -> np.ndarray:
-        """The d x n x n basis; a builder that raises is kept, to raise at each read."""
-        if self._build is None:
-            return self._basis
-        with self._lock:
-            if self._build is not None:
-                basis = _require_finite(self._build(), "algebra basis")
-                self._basis = basis.reshape(-1 if basis.size else 0, self.dim, self.dim)
-                self._build = None
-            return self._basis
+        """The d x n x n basis: outside input's, else the blocks' closed form,
+        written on first read and kept."""
+        if self._basis is None:
+            with self._lock:
+                if self._basis is None:
+                    self._basis = _closed_form_basis(self.block_decomposition())
+        return self._basis
 
     def __repr__(self):
         return f"StarAlgebra(dim={self.dim}, size={self.size})"
@@ -161,9 +163,11 @@ class StarAlgebra:
         return commutant(self)
 
     def block_decomposition(self) -> "BlockDecomposition":
+        """Solved on first read and kept; a decompose (_of_blocks) that raises
+        is kept, to raise at each read."""
         with self._lock:
             if self._block is None:
-                self._block = wedderburn_decompose(self)
+                self._block = self._decompose() if self._decompose else wedderburn_decompose(self)
             return self._block
 
     # ----- validation -------------------------------------------------------
@@ -206,10 +210,10 @@ def generate_algebra(generators, dim: int | None = None,
     """Smallest unital *-algebra containing the generators, built as A''.
 
     A = A'' in finite dimension (von Neumann's bicommutant theorem).  The
-    generators and their adjoints are decomposed by _decompose, and
-    A = Q (+)(M_k (x) I_m) Q^H is written in closed form, with the
-    decomposition cached.  Raises DecompositionError after 5 fruitless seed
-    retries.
+    generators and their adjoints are decomposed by _decompose, and the
+    algebra A = Q (+)(M_k (x) I_m) Q^H is held by that decomposition
+    (StarAlgebra._of_blocks).  Raises DecompositionError after 5 fruitless
+    seed retries.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if gens:
@@ -227,14 +231,8 @@ def generate_algebra(generators, dim: int | None = None,
     if n == 0:
         return StarAlgebra(0, np.zeros((0, 0, 0), dtype=complex), gens, tol, validate=False)
     letters = _letters(gens, n)
-
-    def attempt(rng):
-        dec = _decompose(letters, n, tol, rng)
-        algebra = StarAlgebra(n, _closed_form_basis(dec), gens, tol, validate=False)
-        algebra._block = dec
-        return algebra
-
-    return _with_seed_retries(attempt, 0, "algebra generation")
+    dec = _with_seed_retries(lambda rng: _decompose(letters, n, tol, rng), 0, "algebra generation")
+    return StarAlgebra._of_blocks(n, sum(k * k for k, _ in dec.blocks), lambda: dec, gens, tol)
 
 
 def span_algebra(mats, dim: int, tol: Tolerances = DEFAULT_TOL, generators=None) -> StarAlgebra:
@@ -328,7 +326,8 @@ class BlockDecomposition:
     """Wedderburn block data: sizes (k_i, m_i) and the block-diagonalizing unitary.
 
     Conjugating every algebra element by change_of_basis^H produces the form
-    direct-sum of (M_{k_i} tensor I_{m_i}), blocks sorted by (k_i, m_i).
+    direct-sum of (M_{k_i} tensor I_{m_i}), blocks sorted by (k_i, m_i); a
+    change of basis not certified unitary raises ToleranceBreach.
     `groups` holds the BlockGroups (module docstring), and all block data
     (block_parts, assemble, coordinates, columns) is one zero-padded
     (c, ...) stack per group, blocks in order inside it.  `runs` holds one
@@ -346,7 +345,7 @@ class BlockDecomposition:
         if sum(k * m for k, m in self.blocks) != n:
             raise ValueError("block sizes do not add up to the ambient dimension")
         if not tol.certified(np.linalg.norm(q.conj().T @ q - np.eye(n)), 1.0):
-            raise ValueError("change of basis is not unitary")
+            raise ToleranceBreach("change of basis is not unitary")
         self.runs, first, off = [], 0, 0
         for (k, m), run in itertools.groupby(self.blocks):
             c = len(list(run))
@@ -510,14 +509,13 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     """
     if a.dim == 0:
         return BlockDecomposition([], np.zeros((0, 0), dtype=complex), a.tol)
-    probes = a.probes()  # a basis whose build fails raises here, not as a seed retry
 
     def attempt(rng):
         dec = _decompose(a.letters(), a.dim, a.tol, rng)
         if sum(k * k for k, _ in dec.blocks) != a.size:
             raise DecompositionError(
                 f"block sizes {dec.blocks} do not account for the algebra dimension {a.size}")
-        dec.block_parts(probes)
+        dec.block_parts(a.probes())
         return dec
 
     return _with_seed_retries(attempt, seed, "block decomposition")

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import StarAlgebra, conditional_expectation, generate_algebra, span_algebra
+from .algebra import (BlockDecomposition, StarAlgebra, conditional_expectation, generate_algebra,
+                      span_algebra)
 from .linalg import (
     Subspace,
     ToleranceBreach,
@@ -494,23 +495,31 @@ def _compressed_basis(groups, rows, k: int) -> np.ndarray:
     return out
 
 
-def _extension_basis(s: Structure, b: np.ndarray) -> np.ndarray:
-    """extend_with_summand's basis, G^{-1/2} images, with its rank certificate."""
-    n, k = s.dim, b.shape[1]
-    images = _summand_images(s.algebra.basis, b)
-    flat = images.reshape(len(images), -1)
-    gram = flat @ flat.conj().T
-    w = gram.diagonal().real
-    diagonal = np.all(s.tol.close(np.abs(gram - np.diag(w)), np.sqrt(np.outer(w, w))))
-    if not diagonal:
-        w, v = np.linalg.eigh(gram)
-    if w.size and not w.min() > s.tol.rank_cut(w.max()):
-        raise ToleranceBreach(
-            f"summand images are not linearly independent (Gram eigenvalues {w.min():.2e} "
-            f"against {w.max():.2e})")
-    if diagonal:
-        return flat * (np.sqrt(n + k) / np.sqrt(w))[:, None]
-    return np.sqrt(n + k) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
+def _extension_blocks(s: Structure, b: np.ndarray, letters: np.ndarray):
+    """extend_with_summand's blocks (k_i, m_i + r_i), sorted by shape, from
+    one solve of b's rows: C = Q(e_a (x) w_ir) their closure's columns, block
+    i of Q' is Q's block i, zero-padded, then b^H C's, a-major.  Certified by
+    Q' unitary (exactly when span(C) = span(b)) and by the block form of the
+    extension's letters, as _decompose certifies; ToleranceBreach if not."""
+    n, k = b.shape
+    [rows] = _rows(s, b.T)
+    c = _closure_basis(s, rows)
+    if c.shape[1] != k:
+        raise ToleranceBreach(f"the summand's closure has dimension {c.shape[1]}, not {k}")
+    dec = s.algebra.block_decomposition()
+    kk, mm = np.array(dec.blocks, dtype=int).reshape(-1, 2).T
+    rr = np.zeros_like(kk) if rows is None else np.concatenate([keep.sum(1) for _, keep in rows])
+    ww = mm + rr
+    order = np.lexsort((ww, kk))
+    sizes = (kk * ww)[order]
+    i = np.repeat(order, sizes)  # the block of each column of Q'
+    a, j = np.divmod(np.arange(n + k) - np.repeat(np.cumsum(sizes) - sizes, sizes), ww[i])
+    q_at, c_at = (np.cumsum(kk * x) - kk * x for x in (mm, rr))  # each block's first column
+    cols = np.where(j < mm[i], q_at[i] + a * mm[i] + j, n + c_at[i] + (j - mm[i]) * kk[i] + a)
+    out = BlockDecomposition(zip(kk[order], ww[order]),
+                             block_diag(dec.change_of_basis, b.conj().T @ c)[:, cols], s.tol)
+    out.block_parts(letters)
+    return out
 
 
 def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> Structure:
@@ -523,41 +532,26 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
     certified orthonormal; any other summand_basis is checked by Subspace.
     The new algebra is the image of the old one under
     pi(x) = blkdiag(x, b^H x b), a *-homomorphism because span(b) is
-    invariant, so the image of a basis is already a multiplicatively closed
-    span and no word closure is needed.  ValueError unless span(b) is
-    invariant under the algebra, checked d-scaled at the probes
-    (algebra_invariance_defect), or if it carries a class of the discrete
-    part, which it would split.  The result keeps s as its parent and b as
-    its embedding, so its types are read on s's blocks (_residual_grams)
-    and compare with s's, down any chain of extensions.
+    invariant.  ValueError unless span(b) is invariant under the algebra,
+    checked d-scaled at the probes (algebra_invariance_defect), or if it
+    carries a class of the discrete part, which it would split.  The result
+    keeps s as its parent and b as its embedding, so its types are read on
+    s's blocks (_residual_grams) and compare with s's, down any chain of
+    extensions.
 
     pi keeps x as its first block, so it is injective and the algebra's
-    size is s's.  Its basis, built on first read (_extension_basis), is the
-    symmetric orthonormalization G^{-1/2} images of the images of s's basis
-    by their Gram matrix G, with no rank to solve for.  span(b) is
-    Q (+)(C^{k_i} (x) R_i), R_i of dimension r_i, and its projector P
-    commutes with the algebra, so the images of x and y have the inner
-    product Tr(y^H x (I + P)).  An element of block i
-    alone thus has its image's squared norm (m_i + r_i) / m_i times its own,
-    and images of elements in distinct blocks, or of distinct E_ab, stay
-    orthogonal: when each element of s's basis lies in one Wedderburn
-    block, as the closed-form basis of a generated algebra does and so does
-    the basis of each extension along a chain, G is diagonal and G^{-1/2}
-    scales each image.  That route is taken when every off-diagonal entry of
-    G is close to zero at the geometric mean of its two diagonal entries (the
-    images' cosines are round-off), else G's eigh gives G^{-1/2} (a bare
-    basis that mixes blocks).  G is well conditioned: s's basis is
-    trace-orthonormal, so G = n I + (the Gram of the x P), and
-    n I <= G <= 2n I.  Its rank is certified on either route, by its
-    diagonal or its eigenvalues, when it is built; ToleranceBreach if not.
+    size is s's.  The algebra is held by its blocks (_extension_blocks),
+    solved on first read from s's with no commutant: span(b) is
+    Q (+)(C^{k_i} (x) R_i), R_i of dimension r_i, and
+    pi(Q (+)(x_i (x) I_{m_i}) Q^H) = Q' (+)(x_i (x) I_{m_i + r_i}) Q'^H.
+    Its basis is their closed form, written on first read.
 
     The result is certified from s, with no Structure._validate and no probe
     of the new algebra drawn, as each property _validate checks follows from
     one s has:
     - its vectors and its discrete part H_d (+) 0 are s's validated ones,
       padded with exact zeros;
-    - pi is unital, so the identity is an image, and the rank certificate
-      on G makes the basis span every image;
+    - pi is unital, so the identity is an image;
     - pi(x) maps H_d (+) 0 onto x H_d (+) 0, so s's invariance certificate
       for H_d carries over;
     - H_d (+) 0 is a sum of isotypic components of the image exactly when
@@ -588,8 +582,10 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
     k = b.shape[1]
     gens = s.algebra.generators
     gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)
-    algebra = StarAlgebra._deferred(n + k, s.algebra.size, lambda: _extension_basis(s, b),
-                                    list(gens), s.tol)
+    algebra = StarAlgebra._of_blocks(
+        n + k, s.algebra.size,
+        lambda: _extension_blocks(s, b, _summand_images(s.algebra.letters(), b)),
+        list(gens), s.tol)
     disc = np.zeros((n + k, d1.shape[1]), dtype=complex)
     disc[:n, :] = d1
     vectors = {f"a.{name}": np.concatenate([v, np.zeros(k, dtype=complex)])

@@ -2,14 +2,16 @@
 
 A cyclic substructure's algebra is (+)(I_{r_i} (x) M_{k_i}) on the columns of
 its vector's block rows, written down with no algebra basis read; the
-reference is span_algebra of the compressed basis.  An extension's basis is
-G^{-1/2} images, a scaling of each image when the Gram matrix G is diagonal
-(every basis element of the parent in one Wedderburn block), else G's eigh; the
-reference is the eigh route.  That basis is built, with its rank certificate,
-on its first read; no caller in starrep reads it.  The probes' coefficients
-are drawn once per algebra size.  A residual close to zero at its vector's
-norm is zero, so a vector inside the base closure gets no summand.  Guard tests count the
-LAPACK calls and draws the constructors make.
+reference is span_algebra of the compressed basis.  An extension's algebra
+is held by its blocks (k_i, m_i + r_i), solved from its parent's with no
+commutant, and its basis is their closed form, written on its first read;
+no caller in starrep reads it.  The reference is the parent's basis mapped
+by x -> blkdiag(x, b^H x b) and orthonormalized by its Gram matrix G, as
+G^{-1/2} images: on a generated parent the two bases hold the same
+elements, and on a bare one the same span.  The probes' coefficients are
+drawn once per algebra size.  A residual close to zero at its vector's norm
+is zero, so a vector inside the base closure gets no summand.  Guard tests
+count the LAPACK calls, commutant solves and draws the constructors make.
 """
 import json
 import sys
@@ -23,11 +25,12 @@ import starrep.algebra
 import starrep.linalg
 import starrep.representation
 from starrep import cli
-from starrep.algebra import StarAlgebra, _probe_coefficients, generate_algebra, span_algebra
+from starrep.algebra import (StarAlgebra, _probe_coefficients, generate_algebra, span_algebra,
+                             wedderburn_decompose)
 from starrep.harness import (InstanceSpec, commuting_unitary, random_structure,
                              random_unit_vector, run_freeness_suite)
-from starrep.independence import morley_average_check, nonforking_extension
-from starrep.linalg import Draws, ToleranceBreach, haar_unitary
+from starrep.independence import is_independent, morley_average_check, nonforking_extension
+from starrep.linalg import Draws, haar_unitary
 from starrep.representation import (
     Structure,
     _summand_images,
@@ -37,8 +40,8 @@ from starrep.representation import (
 )
 
 from conftest import SCENARIO_DIR
-from test_closure_reuse import (CLOSURE_PLANS, PLANS, block_vectors, closure_structure,
-                                essential_parts)
+from test_closure_reuse import (CLOSURE_PLANS, PLANS, assert_raises_at_each_read, block_vectors,
+                                closure_structure, essential_parts)
 
 MIXED16 = InstanceSpec(16, ((1, 2), (2, 2), (3, 2), (2, 1), (1, 2)),
                        (False, False, False, True, False), seed=41)
@@ -55,18 +58,23 @@ def eigh_calls(monkeypatch):
     return calls
 
 
-def eigh_route(s, b):
-    """The extension's basis as G^{-1/2} images through G's eigh."""
+def image_basis(s, b):
+    """The extension's basis as the images of s's basis orthonormalized by
+    their Gram matrix G, as G^{-1/2} images through G's eigh."""
     images = _summand_images(s.algebra.basis, b)
     flat = images.reshape(len(images), -1)
     w, v = np.linalg.eigh(flat @ flat.conj().T)
     return np.sqrt(images.shape[-1]) * ((v / np.sqrt(w)) @ v.conj().T @ flat)
 
 
-def assert_basis_matches_eigh_route(s, shat):
-    want = eigh_route(s, shat.embedding)
+def assert_basis_matches_the_images(s, shat):
+    """shat's basis and image_basis hold the same matrices, in any order, to
+    1e-12: both are trace-orthonormal, so their pairings match them."""
+    want = image_basis(s, shat.embedding)
     got = shat.algebra.basis.reshape(len(want), -1)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    match = np.abs(got @ want.conj().T).argmax(1)
+    assert sorted(match) == list(range(len(want)))
+    assert np.max(np.abs(got - want[match]), initial=0.0) <= 1e-12
 
 
 def assert_trace_orthonormal(a):
@@ -128,70 +136,71 @@ def test_extension_basis_matches_the_eigh_route(plan, eigh_calls):
             eigh_calls.clear()
             shat = extend_with_summand(s, summand)
             assert eigh_calls == []
-            assert_basis_matches_eigh_route(s, shat)
+            assert_basis_matches_the_images(s, shat)
             assert_trace_orthonormal(shat.algebra)
 
 
-def test_extension_chain_takes_the_scaling_route(eigh_calls):
+def test_extension_chain_basis_matches_the_images():
     s = random_structure(MIXED16)
     rng = np.random.default_rng(55)
     e, v = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
     cur = s
     for step in range(3):
         pad = np.zeros(cur.dim - s.dim)
-        cur.algebra.block_decomposition()  # an extension's own, solved on first use
-        eigh_calls.clear()
         nxt, v = nonforking_extension(cur, v, [np.concatenate([e, pad])],
                                       [np.concatenate([e, pad])], seed=step)
-        assert eigh_calls == [] and nxt.dim > cur.dim
-        assert_basis_matches_eigh_route(cur, nxt)
+        assert nxt.dim > cur.dim
+        assert_basis_matches_the_images(cur, nxt)
         cur = nxt
 
 
-def test_rotated_bare_basis_takes_the_eigh_route(eigh_calls):
+def test_extension_of_a_rotated_bare_basis_spans_the_images():
     # a trace-orthonormal basis that mixes the blocks, whose images gain
-    # (m_i + r_i) / m_i unequally, (1, 2) blocks 3/2 and the others 2
+    # (m_i + r_i) / m_i unequally, (1, 2) blocks 3/2 and the others 2: the
+    # extension's closed-form basis spans them
     s = random_structure(PLANS["essential"])
     rotation = haar_unitary(s.algebra.size, Draws(56))
     mixed = np.einsum("jd,dab->jab", rotation, s.algebra.basis)
     bare = Structure(StarAlgebra(s.dim, mixed), s.discrete)
     b = cyclic_subspace(bare, [random_unit_vector(np.random.default_rng(57), s.dim)]).basis
-    eigh_calls.clear()
     shat = extend_with_summand(bare, b)
-    shat.algebra.basis
-    assert eigh_calls == [(s.algebra.size, s.algebra.size)]
-    assert_basis_matches_eigh_route(bare, shat)
     assert_trace_orthonormal(shat.algebra)
-    assert shat.algebra.spans_equal(span_algebra(_summand_images(mixed, b), shat.dim))
+    images = span_algebra(_summand_images(mixed, b), shat.dim)
+    assert shat.algebra.spans_equal(images) and images.spans_equal(shat.algebra)
 
 
-def test_zeroed_image_on_the_scaling_route_raises(monkeypatch, eigh_calls):
+def test_zeroed_summand_column_raises(monkeypatch):
+    # b^H C with a zero column is not unitary
     s = random_structure(PLANS["essential"])
     b = cyclic_subspace(s, [random_unit_vector(np.random.default_rng(58), s.dim)]).basis
-    eigh_calls.clear()
+    closure_basis = starrep.representation._closure_basis
 
-    def zeroed(mats, basis):
-        out = _summand_images(mats, basis)
-        out[-1] = 0
+    def zeroed(*args):
+        out = closure_basis(*args)
+        out[:, -1] = 0
         return out
 
-    monkeypatch.setattr(starrep.representation, "_summand_images", zeroed)
-    with pytest.raises(ToleranceBreach, match="not linearly independent"):
-        extend_with_summand(s, b).algebra.basis
-    assert eigh_calls == []
+    monkeypatch.setattr(starrep.representation, "_closure_basis", zeroed)
+    assert_raises_at_each_read(extend_with_summand(s, b), "not unitary")
 
 
 @pytest.fixture
 def extensions(monkeypatch):
-    """Each algebra made with a deferred basis, and the arguments of each
-    extension basis built."""
+    """The algebras extend_with_summand makes, and the arguments of each
+    extension's blocks solved."""
     made, built = [], []
-    deferred = StarAlgebra._deferred.__func__
-    monkeypatch.setattr(StarAlgebra, "_deferred", classmethod(
-        lambda cls, *args: made.append(deferred(cls, *args)) or made[-1]))
-    build = starrep.representation._extension_basis
-    monkeypatch.setattr(starrep.representation, "_extension_basis",
-                        lambda *args: built.append(args) or build(*args))
+    of_blocks = StarAlgebra._of_blocks.__func__
+
+    def record(cls, *args):
+        out = of_blocks(cls, *args)
+        if sys._getframe(1).f_code is extend_with_summand.__code__:
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(StarAlgebra, "_of_blocks", classmethod(record))
+    solve = starrep.representation._extension_blocks
+    monkeypatch.setattr(starrep.representation, "_extension_blocks",
+                        lambda *args: built.append(args) or solve(*args))
     return made, built
 
 
@@ -209,32 +218,27 @@ def test_no_caller_builds_an_extension_basis(extensions, capsys):
     run_freeness_suite(PLANS["discrete"], 1)
     capsys.readouterr()
     assert len(made) > 4 and built == []
-    assert all(a._build is not None for a in made)
+    assert all(a._basis is None and a._block is None for a in made)
     basis = shat.algebra.basis
-    assert shat.algebra.basis is basis and len(built) == 1 and shat.algebra._build is None
-    assert_basis_matches_eigh_route(s, shat)
+    assert shat.algebra.basis is basis and len(built) == 1 and shat.algebra._block is not None
+    assert_basis_matches_the_images(s, shat)
 
 
 def test_failed_extension_basis_raises_at_each_read(monkeypatch):
+    # C with its first column twice: b^H C is not unitary
     s = random_structure(PLANS["essential"])
     b = cyclic_subspace(s, [random_unit_vector(np.random.default_rng(71), s.dim)]).basis
+    closure_basis = starrep.representation._closure_basis
 
-    def zeroed(mats, basis):
-        # the images of s's basis only: the generators' stay whole
-        out = _summand_images(mats, basis)
-        if mats is s.algebra.basis:
-            out[-1] = 0
+    def repeated(*args):
+        out = closure_basis(*args)
+        out[:, -1] = out[:, 0]
         return out
 
-    monkeypatch.setattr(starrep.representation, "_summand_images", zeroed)
+    monkeypatch.setattr(starrep.representation, "_closure_basis", repeated)
     shat = extend_with_summand(s, b)
-    a = shat.algebra
-    assert a.size == s.algebra.size and a.generators
-    for read in (lambda: a.basis, lambda: a.basis, a.probes, a.block_decomposition,
-                 lambda: extend_with_summand(shat, np.eye(shat.dim))):
-        with pytest.raises(ToleranceBreach, match="not linearly independent"):
-            read()
-    assert a._build is not None and a._probes is None and a._block is None
+    assert shat.algebra.size == s.algebra.size and shat.algebra.generators
+    assert_raises_at_each_read(shat, "not unitary")
 
 
 def test_extension_basis_is_built_once_across_threads(extensions):
@@ -258,6 +262,40 @@ def test_extension_basis_is_built_once_across_threads(extensions):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8 and all(r is results[0] for r in results)
     assert len(built) == 1 and a.size == len(results[0]) == s.algebra.size
+
+
+@pytest.fixture
+def commutant_solves(monkeypatch):
+    """The letters' shape of each commutant solved."""
+    calls = []
+    solve = starrep.algebra._commutant_basis
+    monkeypatch.setattr(starrep.algebra, "_commutant_basis",
+                        lambda letters, *args: calls.append(letters.shape) or solve(letters, *args))
+    return calls
+
+
+@pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
+def test_extension_chain_solves_no_commutant(plan, commutant_solves):
+    # an extension's blocks come from its parent's: extending an extension
+    # and querying the result solves no commutant, and the blocks are those
+    # its basis decomposes into
+    s = closure_structure(plan)
+    rng = np.random.default_rng(73)
+    v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
+    commutant_solves.clear()
+    # over the empty base, as dcl(e) is the whole space on the full plan
+    one, v1 = nonforking_extension(s, v, [], [f])
+    two, v2 = nonforking_extension(one, v1, [], [np.concatenate([f, np.zeros(one.dim - s.dim)])],
+                                   seed=1)
+    pad = np.zeros(two.dim - s.dim)
+    is_independent(two, v2, [np.concatenate([e, pad])], [np.concatenate([f, pad])])
+    assert commutant_solves == [] and two.dim > one.dim > s.dim
+    if plan == "lopsided":
+        return  # n = 102 at the end: the reference routes take seconds
+    for parent, shat in ((s, one), (one, two)):
+        blocks = shat.algebra.block_decomposition().blocks
+        assert blocks == wedderburn_decompose(shat.algebra).blocks
+        assert_basis_matches_the_images(parent, shat)
 
 
 # the block plans of the forking benchmark workload

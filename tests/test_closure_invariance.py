@@ -6,9 +6,11 @@ and acl, and what gns, embed, rn and decompose decide (the GNS space's
 dimension and cyclic norm, the embedding verdict, the Radon-Nikodym success
 and gamma, the blocks at three seeds) must stay the same when the whole
 scenario moves by one unitary W (generators W g W^H, discrete part and
-vectors W x together), and when the same algebra is given by another generating set (an invertible
-complex mix of the generators, which spans the same space, and a random
-element of the algebra).  The inputs are the hand-worked scenario files and
+vectors W x together), when the same algebra is given by another generating
+set (an invertible complex mix of the generators, which spans the same
+space, and a random element of the algebra), and when the vectors alone move
+by a unitary U that commutes with the algebra (U x, the generators and the
+discrete part kept).  The inputs are the hand-worked scenario files and
 three planted plans with a discrete part.  The subcommands run through the
 CLI, so exit codes are compared too, each scenario parsed once.
 """
@@ -80,6 +82,15 @@ def regenerated(raw, rng):
     return out
 
 
+def commuted(raw, rng):
+    """The scenario's vectors moved by a unitary commuting with its algebra."""
+    u = commuting_unitary(cli.scenario_from_dict(raw).structure, rng)
+    out = dict(raw)
+    out["vectors"] = {name: vector_to_json(u @ parse_vector(x))
+                      for name, x in raw["vectors"].items()}
+    return out
+
+
 def commands(raw):
     """Every closure-reading subcommand over the scenario's vectors and sets."""
     vecs, sets = sorted(raw["vectors"]), sorted(raw.get("sets", {}))
@@ -142,12 +153,12 @@ def verdicts(raw, tmp_path, capsys, monkeypatch, name):
     return out
 
 
-@pytest.mark.parametrize("change", ["rotated", "regenerated"])
+@pytest.mark.parametrize("change", ["rotated", "regenerated", "commuted"])
 @pytest.mark.parametrize("name", INPUTS)
 def test_closure_verdicts_are_invariant(name, change, tmp_path, capsys, monkeypatch):
     raw = load(name)
     rng = np.random.default_rng(sum(map(ord, name + change)))
-    moved = (rotated if change == "rotated" else regenerated)(raw, rng)
+    moved = {"rotated": rotated, "regenerated": regenerated, "commuted": commuted}[change](raw, rng)
     if change == "regenerated":
         sizes = [cli.scenario_from_dict(r).structure.algebra.size for r in (raw, moved)]
         assert sizes[0] == sizes[1]

@@ -530,18 +530,25 @@ def test_extension_chain_is_trace_orthonormal_and_spans_the_images():
         assert cur.algebra.spans_equal(span_algebra(ref_moment_basis(cur), n))
 
 
+def assert_raises_at_each_read(shat, match):
+    """Every read of the extension's blocks raises ToleranceBreach, and
+    nothing half-built is kept."""
+    a = shat.algebra
+    for read in (lambda: a.basis, lambda: a.basis, a.probes, a.block_decomposition,
+                 lambda: extend_with_summand(shat, np.eye(shat.dim))):
+        with pytest.raises(ToleranceBreach, match=match):
+            read()
+    assert a._basis is None and a._probes is None and a._block is None
+
+
 def test_rank_deficient_extension_images_raise(monkeypatch):
+    # the summand's closure loses a dimension, so its columns cannot fill the summand
     s = random_structure(PLANS["essential"])
     b = cyclic_subspace(s, [random_unit_vector(np.random.default_rng(11), s.dim)]).basis
-
-    def deficient(mats, basis):
-        out = _summand_images(mats, basis)
-        out[-1] = out[0]
-        return out
-
-    monkeypatch.setattr(starrep.representation, "_summand_images", deficient)
-    with pytest.raises(ToleranceBreach):
-        extend_with_summand(s, b).algebra.basis
+    closure_basis = starrep.representation._closure_basis
+    monkeypatch.setattr(starrep.representation, "_closure_basis",
+                        lambda *args: closure_basis(*args)[:, :-1])
+    assert_raises_at_each_read(extend_with_summand(s, b), "closure has dimension")
 
 
 # ----- closure and SVD counts --------------------------------------------------
