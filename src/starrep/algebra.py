@@ -1,8 +1,14 @@
 """Unital matrix *-algebras: generation, commutant, block structure.
 
 A StarAlgebra is a linear span of n x n complex matrices that contains the
-identity and is closed under products and adjoints.  The span is carried as a
-basis orthonormal under the normalized trace pairing <A, B> = Tr(B^H A) / n.
+identity and is closed under products and adjoints.  Its basis is
+orthonormal under the normalized trace pairing <A, B> = Tr(B^H A) / n.  A
+generated algebra or an extension is held by its blocks, and its basis, the
+closed form sqrt(n / m_i) Q (E_ab (x) I_{m_i}) Q^H, is written only when
+.basis is read: its coordinates in it are its block parts, scaled, so
+coefficients, from_coefficients, conditional_expectation, contains,
+random_hermitian_element and the probes are read on the blocks.  Only an
+algebra built from an outside basis works against that basis.
 
 Its Wedderburn blocks (BlockDecomposition) are sorted by shape (k, m), and
 block data has one layout: one zero-padded (..., c, K, K) stack per block
@@ -42,7 +48,8 @@ class DecompositionError(RuntimeError):
 class StarAlgebra:
     """A unital, adjoint- and product-closed span of square complex matrices,
     held by its basis (outside input) or by its blocks (_of_blocks): a
-    generated algebra or an extension, whose basis is written from them."""
+    generated algebra or an extension, whose basis is written from them only
+    when read, as everything else it is asked is read on the blocks."""
 
     def __init__(self, dim: int, basis: np.ndarray, generators=None,
                  tol: Tolerances = DEFAULT_TOL, validate: bool = True):
@@ -57,6 +64,7 @@ class StarAlgebra:
         self._block = None
         self._probes = None
         self._probe_norms = None
+        self._probe_parts = None
         if validate and dim > 0:
             self._validate()
 
@@ -84,17 +92,26 @@ class StarAlgebra:
 
     def coefficients(self, m: np.ndarray) -> np.ndarray:
         """Trace-pairing coordinates of m, or of each matrix of a stack of them,
-        against the orthonormal basis: one pass over the basis either way."""
+        against the orthonormal basis: one pass over the basis either way, or
+        on an algebra held by its blocks, each block's mean diagonal copy
+        over sqrt(n / m_i) (BlockDecomposition._entries), with no basis read."""
         m = np.asarray(m, dtype=complex)
         if m.shape[-2:] != (self.dim, self.dim) or m.ndim > 3:
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
+        if self._decompose is not None:
+            dec = self.block_decomposition()
+            return dec._entries(m)[0] / dec._copies.scale
         # sum_ab conj(b_kab) m_ab, as conj(b . conj(m)): no conjugated copy of the basis
         flat = self.basis.reshape(self.size, self.dim * self.dim)
         return (m.conj().reshape(m.shape[:-2] + (-1,)) @ flat.T).conj() / max(self.dim, 1)
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
-        """The element of coefficients c, or of each row of c."""
+        """The element of coefficients c, or of each row of c; assembled from
+        its blocks on an algebra held by them."""
         c = np.asarray(c, dtype=complex)
+        if self._decompose is not None:
+            dec = self.block_decomposition()
+            return dec._from_entries(c * dec._copies.scale)
         flat = self.basis.reshape(self.size, self.dim * self.dim)
         return (c @ flat).reshape(c.shape[:-1] + (self.dim, self.dim))
 
@@ -118,7 +135,9 @@ class StarAlgebra:
         read-only: each certificate over its elements is made there
         (Freivalds 1977), sure up to a null set of draws, at d or d^2 times.
         The coefficients depend only on the size d, so they are drawn once
-        per size (_probe_coefficients) and shared by every algebra of it."""
+        per size (_probe_coefficients) and shared by every algebra of it; an
+        algebra held by its blocks assembles x and y from them
+        (from_coefficients), with no basis read."""
         with self._lock:
             if self._probes is None:
                 x, y = (self.from_coefficients(ci) for ci in _probe_coefficients(self.size))
@@ -134,6 +153,17 @@ class StarAlgebra:
         with self._lock:
             self.probes()
             return self._probe_norms
+
+    def probe_parts(self) -> list:
+        """The block parts of probes(), one certified block_parts read of all
+        four on first call, kept, read-only."""
+        with self._lock:
+            if self._probe_parts is None:
+                parts = self.block_decomposition().block_parts(self.probes())
+                for p in parts:
+                    p.flags.writeable = False
+                self._probe_parts = parts
+            return self._probe_parts
 
     def letters(self) -> np.ndarray:
         """The generators and their adjoints (interleaved), else the probes x,
@@ -399,6 +429,34 @@ class BlockDecomposition:
         the ideal block shape is certified, element by element, against the
         element's norm; ToleranceBreach if it fails."""
         m = np.asarray(m, dtype=complex)
+        entries, resid = self._entries(m)
+        if not np.all(self.tol.certified(resid, np.linalg.norm(m, axis=(-2, -1)))):
+            raise ToleranceBreach(
+                f"matrix is not in the algebra span (block residual {float(np.max(resid)):.2e})")
+        at = self._copies
+        if at.part is not None:
+            padded = np.zeros(m.shape[:-2] + (at.bounds[-1],), dtype=complex)
+            padded[..., at.part] = entries
+            entries = padded
+        return [entries[..., start:end].reshape(m.shape[:-2] + g.parts_shape)
+                for g, start, end in zip(self.groups, at.bounds, at.bounds[1:])]
+
+    def assemble(self, stacks) -> np.ndarray:
+        """Inverse of block_parts: the ambient algebra element(s) with the
+        given (..., c, K, K) stack per group, entries past k_i ignored."""
+        lead = np.shape(stacks[0])[:-3] if stacks else ()
+        part = self._copies.part
+        flat = np.concatenate([np.zeros(lead + (0,))] + [
+            np.reshape(stack, lead + (-1,)) for stack in stacks], axis=-1)
+        return self._from_entries(flat if part is None else flat[..., part])
+
+    def _entries(self, m: np.ndarray):
+        """(entries, resid) for a matrix or a stack of them: entry (a, b) of
+        each block i, the mean of its m_i diagonal copies in Q^H m Q, laid
+        out block by block, row-major, as the closed form basis is; and the
+        Frobenius norm of what is left, ||m - _from_entries(entries)||.  The
+        shared step of block_parts, which certifies resid, and of an algebra
+        held by its blocks, which projects with it."""
         q = self.change_of_basis
         lead, n = m.shape[:-2], q.shape[0]
         at = self._copies
@@ -410,28 +468,17 @@ class BlockDecomposition:
         else:
             mean = np.add.reduceat(copies, at.starts, axis=-1) / at.reps
             t[..., at.take] = copies - mean[..., at.spread]
-        resid = np.linalg.norm(t, axis=-1)
-        if not np.all(self.tol.certified(resid, np.linalg.norm(m, axis=(-2, -1)))):
-            raise ToleranceBreach(
-                f"matrix is not in the algebra span (block residual {float(np.max(resid)):.2e})")
-        if at.part is not None:
-            flat, mean = mean, np.zeros(lead + (at.bounds[-1],), dtype=complex)
-            mean[..., at.part] = flat
-        return [mean[..., start:end].reshape(lead + g.parts_shape)
-                for g, start, end in zip(self.groups, at.bounds, at.bounds[1:])]
+        return mean, np.linalg.norm(t, axis=-1)
 
-    def assemble(self, stacks) -> np.ndarray:
-        """Inverse of block_parts: the ambient algebra element(s) with the
-        given (..., c, K, K) stack per group, entries past k_i ignored."""
+    def _from_entries(self, entries: np.ndarray) -> np.ndarray:
+        """Inverse of _entries: Q (+)(x_i (x) I_{m_i}) Q^H, x_i read off the
+        (..., sum k_i^2) entries."""
         q = self.change_of_basis
         n = q.shape[0]
-        lead = np.shape(stacks[0])[:-3] if stacks else ()
         at = self._copies
-        flat = np.concatenate([np.zeros(lead + (0,))] + [
-            np.reshape(stack, lead + (-1,)) for stack in stacks], axis=-1)
-        t = np.zeros(lead + (n * n,), dtype=complex)
-        t[..., at.take] = flat if at.fill is None else flat[..., at.fill]
-        return q @ t.reshape(lead + (n, n)) @ q.conj().T
+        t = np.zeros(entries.shape[:-1] + (n * n,), dtype=complex)
+        t[..., at.take] = entries if at.spread is None else entries[..., at.spread]
+        return q @ t.reshape(entries.shape[:-1] + (n, n)) @ q.conj().T
 
     def per_block(self, stacks):
         """Each block's (..., k_i, k_i) part of (..., c, K, K) group stacks,
@@ -445,9 +492,9 @@ class BlockDecomposition:
         of copy j of block i, the m_i copies of each (i, a, b) in a row from
         starts, reps of them; spread maps each entry taken to its (i, a, b),
         part each (i, a, b) to its place in the group stacks laid end to end
-        (bounds), and fill each entry taken to that place.  spread, part and
-        fill are None where they are the identity, and pads tells whether
-        any group is padded."""
+        (bounds), and scale holds each (i, a, b)'s sqrt(n / m_i), the weight
+        of its closed form basis element.  spread and part are None where
+        they are the identity, and pads tells whether any group is padded."""
         n = self.change_of_basis.shape[0]
         take, reps, part, bounds = [], [], [], [0]
         for g in self.groups:
@@ -463,9 +510,9 @@ class BlockDecomposition:
                             for x in (take, reps, part))
         spread = None if (reps == 1).all() else np.repeat(np.arange(reps.size), reps)
         part = None if part.size == bounds[-1] else part
-        fill = part if spread is None else spread if part is None else part[spread]
         return types.SimpleNamespace(take=take, starts=np.cumsum(reps) - reps, reps=reps,
-                                     spread=spread, part=part, fill=fill, bounds=bounds,
+                                     spread=spread, part=part, bounds=bounds,
+                                     scale=np.sqrt(n / reps),
                                      pads=any((g.index == n).any() for g in self.groups))
 
 
@@ -577,14 +624,19 @@ def _closed_form_basis(dec: BlockDecomposition, commutant: bool = False) -> np.n
     commutant Q (+)(I_k (x) M_m) Q^H, block by block.  With c the columns of
     one run read as (n, c, k, m), block i gives
     Q (E_ab (x) I_m) Q^H = sum_j c[:, i, a, j] c[:, i, b, j]^H; the commutant
-    swaps the roles of k and m."""
+    swaps the roles of k and m.  Each run is written in place into the one
+    (d, n, n) output."""
     q = dec.change_of_basis
     n = q.shape[0]
-    out = [np.zeros((0, n, n), dtype=complex)]
+    out = np.empty((sum(c * (m if commutant else k) ** 2 for _, c, k, m, _ in dec.runs), n, n),
+                   dtype=complex)
+    at = 0
     for _, c, k, m, off in dec.runs:
         cols = q[:, off:off + c * k * m].reshape(n, c, k, m)
         if commutant:
             cols, k, m = cols.swapaxes(2, 3), m, k
-        out.append(np.sqrt(n / m) * np.einsum("xiaj,yibj->iabxy", cols, cols.conj())
-                   .reshape(-1, n, n))
-    return np.concatenate(out)
+        part = out[at:at + c * k * k].reshape(c, k, k, n, n)
+        np.einsum("xiaj,yibj->iabxy", cols, cols.conj(), out=part)
+        part *= np.sqrt(n / m)
+        at += c * k * k
+    return out

@@ -8,7 +8,8 @@ domination question is eigenvalue arithmetic on them.  The Radon-Nikodym
 operator and the embedding test are solved on the same blocks, from vectors
 read as k_i x m_i matrices.  GNS keeps the cyclic vector's blocks, and two
 GNS representations are intertwined on them.  Nothing in this module reads
-the algebra basis, except GnsRep.action, built only when read.
+the algebra basis, except GnsRep.action, built only when read; a generated
+algebra or an extension writes that basis only then (StarAlgebra.basis).
 
 All block data is in the algebra's one layout, a zero-padded (c, K, K)
 stack per block group (BlockDecomposition.groups: every block with k <= 4 in
@@ -22,15 +23,16 @@ out: the GNS cyclic vector, GnsRep.pi and the Radon-Nikodym basis.  The
 worst case is the small group's padding, a 1 x 1 block held as at most 4 x 4
 parts and 4 x M coordinates, M the group's largest m.
 
-What is kept: per algebra, its block decomposition and its two probe
-elements with their product and adjoint (StarAlgebra.probes); per
+What is kept: per algebra, its block decomposition, its two probe
+elements with their product and adjoint (StarAlgebra.probes) and their
+block parts, read once (StarAlgebra.probe_parts); per
 functional, its block stacks and, each on first read, rho, the norm and one
 eigh per group (PositiveFunctional.spectra).  What is certified on every call:
 the orthogonality norm gap against the block supports, the positivity of
 gamma psi - phi, the orbit-map leak of an embedding, the range and
 commutation of a Radon-Nikodym copy and its state (at the probes, in ambient
-coordinates), and the GNS state round trip, *-homomorphism (at the probes,
-read through block_parts each time) and cyclicity.
+coordinates), and the GNS state round trip, *-homomorphism (at the probes'
+kept parts) and cyclicity.
 
 Each decision compares with a scale the inputs carry, so scaling vectors by c
 (functionals by c^2) changes no verdict: a support is cut at rank_rel times
@@ -331,8 +333,9 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     the algebra's probes x, y (StarAlgebra.probes), of
     <pi(x) xi, xi> = phi(x), of pi(x) pi(y) xi = pi(xy) xi and, on the kept
     blocks, of pi(x)^H = pi(x^H), with the probes' ambient xy and x^H read
-    through one block_parts on every call.  xi is cyclic when each Xi_i has
-    full column rank r_i.  Only the zero functional is degenerate.
+    through one block_parts per algebra (StarAlgebra.probe_parts).  xi is
+    cyclic when each Xi_i has full column rank r_i.  Only the zero
+    functional is degenerate.
     """
     tol = algebra.tol
     spectra, top = _on(algebra, phi).spectra
@@ -349,7 +352,7 @@ def gns(algebra: StarAlgebra, phi: PositiveFunctional) -> GnsRep:
     rep = GnsRep(algebra, cyclic.size, cyclic, ranks, roots)
     elements = algebra.probes()
     # each group's parts of x, y, xy and x^H, and the images of xi under the first three
-    parts = dec.block_parts(elements)
+    parts = algebra.probe_parts()
     images = [p[:3] @ root for p, root in zip(parts, roots)]
     values = sum(np.einsum("ecaj,caj->e", im[:2], root.conj()) for im, root in zip(images, roots))
     rep.roundtrip_defect = float(np.max(np.abs(

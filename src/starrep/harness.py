@@ -440,7 +440,7 @@ def _functional_trial(report, s, rng, t):
     sc = scenario_of(s, {"v": v, "w": w}, {})
 
     phi_v = vector_state(s, v)
-    consistency = max(abs(phi_v(b) - np.vdot(v, b @ v)) for b in s.algebra.basis)
+    consistency = max(abs(phi_v(b) - np.vdot(v, b @ v)) for b in s.algebra.probes())
     norm_gap = abs(phi_v.norm() - np.linalg.norm(v) ** 2)
     report.stat("state_consistency").record(
         consistency <= 1e-8 and norm_gap <= 1e-8, max(consistency, norm_gap))

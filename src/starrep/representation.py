@@ -19,9 +19,10 @@ Every closure has one solve entry and one form.  _rows solves the block
 rows of one set, or of several sets stacked, in one _block_rows call, and
 _closure_basis turns rows into the closure's (n, r) columns, certified by
 the rows' unitarity (_check_rows).  cyclic_subspace, acl and closures wrap
-those columns in a Subspace; the forking queries project onto them with
-none built.  Block rows also serve as closures themselves, joined block by
-block (_join_rows) and projected in block coordinates (_tuple_rows).
+those columns in a Subspace with no second Gram (Subspace._certified); the
+forking queries project onto them with none built.  Block rows also serve
+as closures themselves, joined block by block (_join_rows) and projected
+in block coordinates (_tuple_rows).
 """
 from __future__ import annotations
 
@@ -155,7 +156,7 @@ def cyclic_subspace(s: Structure, vectors) -> Subspace:
     (_block_rows).
     """
     [rows] = _rows(s, vectors)
-    return Subspace(s.dim, _closure_basis(s, rows), s.tol)
+    return Subspace._certified(s.dim, _closure_basis(s, rows), s.tol)
 
 
 def acl(s: Structure, vectors) -> Subspace:
@@ -164,16 +165,16 @@ def acl(s: Structure, vectors) -> Subspace:
     [rows] = _rows(s, vectors)
     if rows is None:
         return s.discrete
-    return Subspace(s.dim, _closure_basis(s, rows, discrete=True), s.tol)
+    return Subspace._certified(s.dim, _closure_basis(s, rows, discrete=True), s.tol)
 
 
 def closures(s: Structure, vectors) -> tuple[Subspace, Subspace]:
     """(dcl, acl) of the set from one solve of its block rows."""
     [rows] = _rows(s, vectors)
-    dcl = Subspace(s.dim, _closure_basis(s, rows), s.tol)
+    dcl = Subspace._certified(s.dim, _closure_basis(s, rows), s.tol)
     if rows is None:
         return dcl, s.discrete
-    return dcl, dcl if not s.discrete.dim else Subspace(
+    return dcl, dcl if not s.discrete.dim else Subspace._certified(
         s.dim, _closure_basis(s, rows, discrete=True), s.tol)
 
 

@@ -9,7 +9,11 @@ no caller in starrep reads it.  The reference is the parent's basis mapped
 by x -> blkdiag(x, b^H x b) and orthonormalized by its Gram matrix G, as
 G^{-1/2} images: on a generated parent the two bases hold the same
 elements, and on a bare one the same span.  The probes' coefficients are
-drawn once per algebra size.  A residual close to zero at its vector's norm
+drawn once per algebra size, and an algebra held by its blocks assembles its
+probes from them and reads their parts once: no certificate, closure,
+functional or extension chain writes its basis, and full M_64 from
+generation to a verdict, and a chain's second extension on full M_48, stay
+under 100 MB.  A residual close to zero at its vector's norm
 is zero, so a vector inside the base closure gets no summand.  Guard tests
 count the LAPACK calls, commutant solves and draws the constructors make.
 """
@@ -17,6 +21,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ import starrep.representation
 from starrep import cli
 from starrep.algebra import (StarAlgebra, _probe_coefficients, generate_algebra, span_algebra,
                              wedderburn_decompose)
+from starrep.functionals import gns, vector_state
 from starrep.harness import (InstanceSpec, commuting_unitary, random_structure,
                              random_unit_vector, run_freeness_suite)
 from starrep.independence import is_independent, morley_average_check, nonforking_extension
@@ -34,6 +40,7 @@ from starrep.linalg import Draws, haar_unitary
 from starrep.representation import (
     Structure,
     _summand_images,
+    acl,
     cyclic_subspace,
     cyclic_substructure,
     extend_with_summand,
@@ -357,9 +364,123 @@ def test_probe_coefficients_are_drawn_once_per_size(monkeypatch):
     assert c is _probe_coefficients(two.size) and not c.flags.writeable
     fresh = Draws(0x6E5).standard_normal((2, 5, 2)) @ [1, 1j]
     assert np.array_equal(c, [ci / np.linalg.norm(ci) for ci in fresh])
+    # held by its blocks, an algebra assembles its probes from their parts:
+    # the elements of those coefficients over the closed form basis, to
+    # round-off; from outside input, they are read off the basis itself
     for a in (one, two):
-        x, y = (a.from_coefficients(ci) for ci in c)
-        assert np.array_equal(a.probes(), np.stack([x, y, x @ y, x.conj().T]))
+        x, y = (c @ a.basis.reshape(a.size, -1)).reshape(2, a.dim, a.dim)
+        want = np.stack([x, y, x @ y, x.conj().T])
+        assert np.max(np.abs(a.probes() - want)) <= 1e-13 * np.max(np.abs(want))
+        outside = StarAlgebra(a.dim, a.basis)
+        x, y = (outside.from_coefficients(ci) for ci in c)
+        assert np.array_equal(outside.probes(), np.stack([x, y, x @ y, x.conj().T]))
+
+
+# ----- certificates on the blocks ----------------------------------------------
+
+def full_generators(n, rng):
+    """Two random complex n x n generators: they generate the full M_n."""
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("plan", ["mixed16", "full8"])
+def test_certificates_write_no_algebra_basis(plan):
+    # every certificate a structure, its closures, its functionals and an
+    # extension chain make is read on the blocks: no basis is written
+    rng = np.random.default_rng(75)
+    if plan == "full8":
+        s = Structure(generate_algebra(full_generators(8, rng)))
+    else:
+        s = random_structure(MIXED16)
+        assert s.discrete.dim
+    v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
+    acl(s, [e])
+    is_independent(s, v, [e], [f])
+    gns(s.algebra, vector_state(s, v))
+    # over the empty base, as dcl(f) is the whole space under M_8
+    one, v1 = nonforking_extension(s, v, [], [f])
+    two, v2 = nonforking_extension(one, v1, [], [np.pad(f, (0, one.dim - s.dim))], seed=1)
+    is_independent(two, v2, *([np.pad(x, (0, two.dim - s.dim))] for x in (e, f)))
+    assert two.dim > one.dim > s.dim
+    assert all(a._basis is None for a in (s.algebra, one.algebra, two.algebra))
+
+
+def traced(call):
+    """(result, tracemalloc peak in MB) of call()."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_full_algebras_stay_small():
+    # full M_64 from generation to a forking verdict, and the second
+    # extension of a chain on full M_48, each write no d x n x n basis
+    rng = np.random.default_rng(5)
+    gens = full_generators(64, rng)
+    v, e, f = (random_unit_vector(rng, 64) for _ in range(3))
+
+    def m64():
+        s = Structure(generate_algebra(gens))
+        acl(s, [e])
+        return is_independent(s, v, [e], [f])
+
+    _, peak = traced(m64)
+    assert peak < 100
+    s = Structure(generate_algebra(full_generators(48, rng)))
+    v, e, f = (random_unit_vector(rng, 48) for _ in range(3))
+    one, v1 = nonforking_extension(s, v, [], [e, f])
+    ep, fp = (np.pad(x, (0, one.dim - 48)) for x in (e, f))
+    (two, _), peak = traced(lambda: nonforking_extension(one, v1, [ep], [ep, fp], seed=1))
+    assert peak < 100 and two.dim > one.dim
+
+
+def concatenated_basis(dec, commutant=False):
+    """_closed_form_basis as it was written before it wrote in place: each
+    run scaled, then all concatenated."""
+    q = dec.change_of_basis
+    n = q.shape[0]
+    out = [np.zeros((0, n, n), dtype=complex)]
+    for _, c, k, m, off in dec.runs:
+        cols = q[:, off:off + c * k * m].reshape(n, c, k, m)
+        if commutant:
+            cols, k, m = cols.swapaxes(2, 3), m, k
+        out.append(np.sqrt(n / m) * np.einsum("xiaj,yibj->iabxy", cols, cols.conj())
+                   .reshape(-1, n, n))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
+def test_closed_form_basis_written_in_place_is_unchanged(plan):
+    dec = closure_structure(plan).algebra.block_decomposition()
+    for commutant in (False, True):
+        want = concatenated_basis(dec, commutant)
+        got = starrep.algebra._closed_form_basis(dec, commutant)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_probe_parts_are_read_once_across_threads(monkeypatch):
+    a = random_structure(MIXED16).algebra
+    reads, results = [], []
+    parts = starrep.algebra.BlockDecomposition.block_parts
+    monkeypatch.setattr(starrep.algebra.BlockDecomposition, "block_parts",
+                        lambda self, m: reads.append(np.shape(m)) or parts(self, m))
+    threads = [threading.Thread(target=lambda: results.append(a.probe_parts()), daemon=True)
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert reads == [(4, a.dim, a.dim)] and not results[0][0].flags.writeable
 
 
 # ----- residuals inside the base closure ---------------------------------------

@@ -350,15 +350,19 @@ def test_gns_round_trip_random():
 
 def test_gns_star_hom_check_catches_anti_homomorphic_blocks(monkeypatch):
     from starrep.algebra import BlockDecomposition
-    full = random_structure(InstanceSpec(3, ((3, 1),), (False,), seed=5))
+    spec = InstanceSpec(3, ((3, 1),), (False,), seed=5)
+    full = random_structure(spec)
     phi = planted_state(full, [2], np.random.default_rng(3))
     assert gns(full.algebra, phi).star_hom_defect <= 1e-9
     parts = BlockDecomposition.block_parts
     # transposed blocks keep every state value but reverse products
     monkeypatch.setattr(BlockDecomposition, "block_parts", lambda self, m:
                         [p.swapaxes(-1, -2) for p in parts(self, m)])
-    # gns reads the state's parts from the functional: transpose them there too
-    phi.stacks = [p.swapaxes(-1, -2) for p in phi.stacks]
+    # the probes' parts are read once per algebra, so build it again after
+    # patching; phi stays on the first algebra, so gns reads its parts on the
+    # new one through block_parts, transposed there too
+    full = random_structure(spec)
+    assert phi.algebra is not full.algebra
     # the round trip is certified first, so reaching this message shows it passed
     with pytest.raises(ToleranceBreach, match="homomorphism by") as err:
         gns(full.algebra, phi)
