@@ -1,14 +1,11 @@
 """Unital matrix *-algebras: generation, commutant, block structure.
 
 A StarAlgebra is a linear span of n x n complex matrices that contains the
-identity and is closed under products and adjoints.  Its basis is
-orthonormal under the normalized trace pairing <A, B> = Tr(B^H A) / n.  A
-generated algebra or an extension is held by its blocks, and its basis, the
-closed form sqrt(n / m_i) Q (E_ab (x) I_{m_i}) Q^H, is written only when
-.basis is read: its coordinates in it are its block parts, scaled, so
-coefficients, from_coefficients, conditional_expectation, contains,
-random_hermitian_element and the probes are read on the blocks.  Only an
-algebra built from an outside basis works against that basis.
+identity and is closed under products and adjoints, held in one form, its
+Wedderburn blocks.  Its basis, orthonormal under the trace pairing
+<A, B> = Tr(B^H A) / n, is their closed form sqrt(n / m_i) Q (E_ab (x) I_{m_i}) Q^H,
+written only when .basis is read, and its coordinates in it are its block
+parts, scaled: everything else is read on the blocks.
 
 Its Wedderburn blocks (BlockDecomposition) are sorted by shape (k, m), and
 block data has one layout: one zero-padded (..., c, K, K) stack per block
@@ -38,7 +35,7 @@ import types
 import numpy as np
 
 from .linalg import (CLUSTER_GAP, DEFAULT_TOL, Draws, ToleranceBreach, Tolerances,
-                     _require_finite, frobenius_norms, orthonormalize, project)
+                     _require_finite, orthonormalize, stack_ranks)
 
 
 class DecompositionError(RuntimeError):
@@ -47,38 +44,38 @@ class DecompositionError(RuntimeError):
 
 class StarAlgebra:
     """A unital, adjoint- and product-closed span of square complex matrices,
-    held by its basis (outside input) or by its blocks (_of_blocks): a
-    generated algebra or an extension, whose basis is written from them only
-    when read, as everything else it is asked is read on the blocks."""
+    held by its Wedderburn blocks: decomposed at construction from an outside
+    basis, or made from its blocks (_of_blocks) as every algebra the library
+    builds is.  Its basis is their closed form, written only when read."""
 
     def __init__(self, dim: int, basis: np.ndarray, generators=None,
-                 tol: Tolerances = DEFAULT_TOL, validate: bool = True):
-        self.dim = int(dim)
+                 tol: Tolerances = DEFAULT_TOL):
+        """The span of a trace-orthonormal (d, dim, dim) basis, which must be a
+        unital *-algebra (_outside_blocks), else ValueError; the basis is not
+        kept, and .basis spans the same."""
+        n = int(dim)
         basis = _require_finite(basis, "algebra basis")
-        self._basis = basis.reshape(-1 if basis.size else 0, self.dim, self.dim)
-        self.size = self._basis.shape[0]
-        self.generators = [np.asarray(g, dtype=complex) for g in (generators or [])]
-        self.tol = tol
-        self._lock = threading.RLock()
-        self._decompose = None
-        self._block = None
-        self._probes = None
-        self._probe_norms = None
-        self._probe_parts = None
-        if validate and dim > 0:
-            self._validate()
+        basis = basis.reshape(-1 if basis.size else 0, n, n)
+        self._fields(n, len(basis), None, generators, tol)
+        self._block = _outside_blocks(basis, tol)
 
     @classmethod
     def _of_blocks(cls, dim, size, decompose, generators, tol):
         """The algebra of size `size` with the blocks decompose() gives."""
-        out = cls(dim, np.zeros((0, dim, dim), dtype=complex), generators, tol, validate=False)
-        out._basis, out._decompose, out.size = None, decompose, int(size)
+        out = cls.__new__(cls)
+        out._fields(int(dim), int(size), decompose, generators, tol)
         return out
+
+    def _fields(self, dim, size, decompose, generators, tol):
+        self.dim, self.size, self.tol = dim, size, tol
+        self.generators = [np.asarray(g, dtype=complex) for g in (generators or [])]
+        self._lock, self._decompose = threading.RLock(), decompose
+        self._basis = self._block = self._probes = self._probe_parts = None
 
     @property
     def basis(self) -> np.ndarray:
-        """The d x n x n basis: outside input's, else the blocks' closed form,
-        written on first read and kept."""
+        """The d x n x n closed form basis of the blocks, written on first
+        read and kept."""
         if self._basis is None:
             with self._lock:
                 if self._basis is None:
@@ -90,37 +87,26 @@ class StarAlgebra:
 
     # ----- span arithmetic -------------------------------------------------
 
-    def coefficients(self, m: np.ndarray) -> np.ndarray:
-        """Trace-pairing coordinates of m, or of each matrix of a stack of them,
-        against the orthonormal basis: one pass over the basis either way, or
-        on an algebra held by its blocks, each block's mean diagonal copy
-        over sqrt(n / m_i) (BlockDecomposition._entries), with no basis read."""
+    def _read(self, m: np.ndarray):
+        """BlockDecomposition._entries of m or of a stack of them: the block
+        entries and ||m - E(m)||_F, with no E(m) assembled."""
         m = np.asarray(m, dtype=complex)
         if m.shape[-2:] != (self.dim, self.dim) or m.ndim > 3:
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix")
-        if self._decompose is not None:
-            dec = self.block_decomposition()
-            return dec._entries(m)[0] / dec._copies.scale
-        # sum_ab conj(b_kab) m_ab, as conj(b . conj(m)): no conjugated copy of the basis
-        flat = self.basis.reshape(self.size, self.dim * self.dim)
-        return (m.conj().reshape(m.shape[:-2] + (-1,)) @ flat.T).conj() / max(self.dim, 1)
+        return self.block_decomposition()._entries(m)
+
+    def coefficients(self, m: np.ndarray) -> np.ndarray:
+        """Trace-pairing coordinates of m, or of each matrix of a stack of them:
+        each block's mean diagonal copy over sqrt(n / m_i)."""
+        return self._read(m)[0] / self.block_decomposition()._copies.scale
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
-        """The element of coefficients c, or of each row of c; assembled from
-        its blocks on an algebra held by them."""
-        c = np.asarray(c, dtype=complex)
-        if self._decompose is not None:
-            dec = self.block_decomposition()
-            return dec._from_entries(c * dec._copies.scale)
-        flat = self.basis.reshape(self.size, self.dim * self.dim)
-        return (c @ flat).reshape(c.shape[:-1] + (self.dim, self.dim))
+        """The element of coefficients c, or of each row of c."""
+        dec = self.block_decomposition()
+        return dec._from_entries(np.asarray(c, dtype=complex) * dec._copies.scale)
 
     def contains(self, m: np.ndarray) -> bool:
-        r = m - conditional_expectation(m, self)
-        return self.tol.close(np.linalg.norm(r), np.linalg.norm(m))
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
+        return bool(self.tol.close(np.linalg.norm(self._read(m)[1]), np.linalg.norm(m)))
 
     def random_hermitian_element(self, rng) -> np.ndarray:
         """(x + x^H)/2 for x with complex Gaussian coefficients; rng is a
@@ -131,28 +117,17 @@ class StarAlgebra:
 
     def probes(self) -> np.ndarray:
         """x, y, xy and x^H, stacked, for two complex Gaussian elements of unit
-        coefficient norm (||x||_F = sqrt(n)), built once per algebra and kept,
-        read-only: each certificate over its elements is made there
-        (Freivalds 1977), sure up to a null set of draws, at d or d^2 times.
-        The coefficients depend only on the size d, so they are drawn once
-        per size (_probe_coefficients) and shared by every algebra of it; an
-        algebra held by its blocks assembles x and y from them
-        (from_coefficients), with no basis read."""
+        coefficient norm (||x||_F = sqrt(n)), drawn once per size d
+        (_probe_coefficients), assembled once per algebra and kept, read-only:
+        each certificate over its elements is made there (Freivalds 1977),
+        sure up to a null set of draws, at d or d^2 times."""
         with self._lock:
             if self._probes is None:
                 x, y = (self.from_coefficients(ci) for ci in _probe_coefficients(self.size))
                 probes = np.stack([x, y, x @ y, x.conj().T])
                 probes.flags.writeable = False
-                self._probe_norms = frobenius_norms(probes)
-                self._probe_norms.flags.writeable = False
                 self._probes = probes
             return self._probes
-
-    def probe_norms(self) -> np.ndarray:
-        """The Frobenius norms of probes(), kept beside them, read-only."""
-        with self._lock:
-            self.probes()
-            return self._probe_norms
 
     def probe_parts(self) -> list:
         """The block parts of probes(), one certified block_parts read of all
@@ -169,23 +144,22 @@ class StarAlgebra:
         """The generators and their adjoints (interleaved), else the probes x,
         y and theirs, which generate the algebra with probability one (the
         sum k_i^2 == d certificate of wedderburn_decompose catches a miss).
-
-        Commuting with the letters is commuting with the algebra, and a unital
-        span closed under left multiplication by them is closed under the
-        algebra.
-        """
+        Commuting with them is commuting with the algebra, and a unital span
+        closed under left multiplication by them is closed under it."""
         return _letters(self.generators or self.probes()[:2], self.dim)
 
     def spans_equal(self, other: "StarAlgebra") -> bool:
-        if self.dim != other.dim or self.size != other.size:
+        """Equality as spans, read on the blocks with no basis written: equal
+        signatures, and each algebra's probes x, y in the other's block form,
+        their block residuals (BlockDecomposition._entries) d times within
+        eq_abs of their norms, as a linear defect is judged at the probes
+        (module docstring), sure up to a null set of draws."""
+        mine, theirs = self.block_decomposition(), other.block_decomposition()
+        if mine.signature != theirs.signature:
             return False
-        width = self.dim ** 2
-        span = orthonormalize(self.basis.reshape(self.size, width), width, self.tol)
-        fb = other.basis.reshape(other.size, width)
-        resid = fb - project(span, fb)
-        # every trace-orthonormal basis element has Frobenius norm sqrt(dim)
-        return self.tol.close(np.max(np.linalg.norm(resid, axis=1), initial=0.0),
-                              np.sqrt(self.dim))
+        probes = np.concatenate([other.probes()[:2], self.probes()[:2]])
+        resid = np.concatenate([mine._entries(probes[:2])[1], theirs._entries(probes[2:])[1]])
+        return bool(np.all(self.tol.close(self.size * resid, np.linalg.norm(probes, axis=(1, 2)))))
 
     # ----- structure -------------------------------------------------------
 
@@ -197,26 +171,8 @@ class StarAlgebra:
         is kept, to raise at each read."""
         with self._lock:
             if self._block is None:
-                self._block = self._decompose() if self._decompose else wedderburn_decompose(self)
+                self._block = self._decompose()
             return self._block
-
-    # ----- validation -------------------------------------------------------
-
-    def _validate(self):
-        """Closure at the fixed-seed probes: adjoints d times, products d^2 (module docstring)."""
-        n, d = self.dim, self.size
-        flat = self.basis.reshape(d, n * n)
-        gram = flat @ flat.conj().T / n
-        if not self.tol.certified(np.max(np.abs(gram - np.eye(d)), initial=0.0), 1.0):
-            raise ValueError("algebra basis is not trace-orthonormal")
-        if not self.contains(self.identity()):
-            raise ValueError("algebra span does not contain the identity")
-        x, y, xy, xh = self.probes()
-        off = [np.linalg.norm(m - conditional_expectation(m, self)) for m in (xh, y.conj().T, xy)]
-        if not self.tol.close(d * max(off[:2]), np.linalg.norm(x)):
-            raise ValueError("algebra span is not closed under adjoints")
-        if not self.tol.certified(d * d * off[2], np.linalg.norm(x) * np.linalg.norm(y)):
-            raise ValueError("algebra span is not closed under products")
 
 
 @functools.cache
@@ -259,25 +215,39 @@ def generate_algebra(generators, dim: int | None = None,
             raise ValueError("dim is required when no generators are given")
         n = int(dim)
     if n == 0:
-        return StarAlgebra(0, np.zeros((0, 0, 0), dtype=complex), gens, tol, validate=False)
+        return StarAlgebra(0, np.zeros((0, 0, 0)), gens, tol)
     letters = _letters(gens, n)
     dec = _with_seed_retries(lambda rng: _decompose(letters, n, tol, rng), 0, "algebra generation")
     return StarAlgebra._of_blocks(n, sum(k * k for k, _ in dec.blocks), lambda: dec, gens, tol)
 
 
 def span_algebra(mats, dim: int, tol: Tolerances = DEFAULT_TOL, generators=None) -> StarAlgebra:
-    """Wrap an already multiplicatively closed span (a list or stack of
-    dim x dim matrices) as a StarAlgebra, unvalidated."""
+    """The algebra spanned by a list or stack of dim x dim matrices, which must
+    be a unital *-algebra: their span orthonormalized, as StarAlgebra input."""
     flat = np.asarray(mats, dtype=complex).reshape(len(mats), dim * dim)
     span = orthonormalize(flat, dim * dim, tol)
-    return StarAlgebra(dim, np.sqrt(dim) * span.basis.T, generators, tol, validate=False)
+    return StarAlgebra(dim, np.sqrt(dim) * span.basis.T, generators, tol)
 
 
 def commutant(a: StarAlgebra) -> StarAlgebra:
-    """All matrices commuting with the algebra: Q (+)(I_k (x) M_m) Q^H, read
-    off the algebra's block decomposition in closed form."""
-    basis = _closed_form_basis(a.block_decomposition(), commutant=True)
-    return StarAlgebra(a.dim, basis, tol=a.tol, validate=False)
+    """All matrices commuting with the algebra, Q (+)(I_k (x) M_m) Q^H, held
+    by its blocks (m_i, k_i): Q's columns (a, j) of block i taken as (j, a)."""
+    dec = a.block_decomposition()
+    kk, mm = np.array(dec.blocks, dtype=int).reshape(-1, 2).T
+    shapes, i, j, b = _block_columns(mm, kk)
+    q = dec.change_of_basis[:, (np.cumsum(kk * mm) - kk * mm)[i] + b * mm[i] + j]
+    return StarAlgebra._of_blocks(a.dim, (mm * mm).sum(),
+                                  lambda: BlockDecomposition(shapes, q, dec.tol), [], a.tol)
+
+
+def _block_columns(kk: np.ndarray, ww: np.ndarray):
+    """(shapes, i, a, j) for blocks (kk[i], ww[i]) sorted by shape: the sorted
+    shapes, and for each column of Q its block i and its entry a of copy j."""
+    order = np.lexsort((ww, kk))
+    sizes = (kk * ww)[order]
+    i = np.repeat(order, sizes)
+    a, j = np.divmod(np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes), ww[i])
+    return list(zip(kk[order], ww[order])), i, a, j
 
 
 def _commutant_basis(letters: np.ndarray, n: int, tol: Tolerances, rng) -> np.ndarray:
@@ -555,7 +525,7 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
     Raises DecompositionError after 5 fruitless seed retries.
     """
     if a.dim == 0:
-        return BlockDecomposition([], np.zeros((0, 0), dtype=complex), a.tol)
+        return BlockDecomposition([], np.zeros((0, 0)), a.tol)
 
     def attempt(rng):
         dec = _decompose(a.letters(), a.dim, a.tol, rng)
@@ -571,14 +541,49 @@ def wedderburn_decompose(a: StarAlgebra, seed: int = 0) -> BlockDecomposition:
 def _decompose(letters: np.ndarray, n: int, tol: Tolerances, rng) -> BlockDecomposition:
     """The one place A' is solved: _commutant_basis, split by _split, and
     certified by the block form of every letter."""
-    comm = StarAlgebra(n, _commutant_basis(letters, n, tol, rng), tol=tol, validate=False)
-    dec = _split(comm, rng)
+    dec = _split(_commutant_basis(letters, n, tol, rng), tol, rng)
     dec.block_parts(letters)
     return dec
 
 
-def _split(comm: StarAlgebra, rng) -> BlockDecomposition:
-    """Wedderburn blocks read off a commutant A' = direct-sum of (I_{k_i} tensor M_{m_i}).
+def _outside_blocks(basis: np.ndarray, tol: Tolerances) -> BlockDecomposition:
+    """The blocks of the span of an outside trace-orthonormal (d, n, n) basis,
+    ValueError unless it holds I and is closed under adjoints and products
+    at the probes x, y of _probe_coefficients(d) over the basis (module
+    docstring).  x and y, which generate the span with probability one, are
+    decomposed, and their algebra certified to be the span: it holds each
+    basis element (block_parts' certificate), and sum k_i^2 is the basis's
+    rank (stack_ranks).  A failure there, below the probes' bounds, names
+    the closure with the larger relative probe defect."""
+    d, n = len(basis), basis.shape[-1]
+    if n == 0:
+        return BlockDecomposition([], np.zeros((0, 0)), tol)
+    flat = basis.reshape(d, n * n)
+    if not tol.certified(np.max(np.abs(flat @ flat.conj().T / n - np.eye(d)), initial=0.0), 1.0):
+        raise ValueError("algebra basis is not trace-orthonormal")
+    x, y = (_probe_coefficients(d) @ flat).reshape(2, n, n)
+    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    mats = np.stack([np.eye(n), x.conj().T, y.conj().T, x @ y]).reshape(4, n * n)
+    # each minus its projection conj(conj(m) . basis) . basis / n: no conjugated copy of the basis
+    one, xh, yh, xy = np.linalg.norm(mats - ((mats.conj() @ flat.T).conj() / n) @ flat, axis=1)
+    if not tol.close(one, np.sqrt(n)):
+        raise ValueError("algebra span does not contain the identity")
+    if not tol.close(d * max(xh, yh), nx):
+        raise ValueError("algebra span is not closed under adjoints")
+    if not tol.certified(d * d * xy, nx * ny):
+        raise ValueError("algebra span is not closed under products")
+    dec = _with_seed_retries(lambda rng: _decompose(_letters([x, y], n), n, tol, rng), 0,
+                             "block decomposition")
+    if (sum(k * k for k, _ in dec.blocks) != stack_ranks([flat], tol)[0]
+            or not np.all(tol.certified(dec._entries(basis)[1], np.sqrt(n)))):
+        how = "adjoints" if max(xh, yh) * ny >= d * xy else "products"
+        raise ValueError(f"algebra span is not closed under {how}: its probes generate "
+                         f"the blocks {dec.blocks}, not the span")
+    return dec
+
+
+def _split(comm: np.ndarray, tol: Tolerances, rng) -> BlockDecomposition:
+    """Wedderburn blocks read off a trace-orthonormal basis of A' = (+)(I_{k_i} (x) M_{m_i}).
 
     The eigenspaces of one random Hermitian element of A' are the irreducible
     summands of A; the compressions of a second random element between
@@ -586,11 +591,19 @@ def _split(comm: StarAlgebra, rng) -> BlockDecomposition:
     unitary intertwiner for equivalent ones (Schur's lemma), which groups and
     aligns the copies.  Raises DecompositionError unless sum m_i^2 == dim A'.
     """
-    w, v = np.linalg.eigh(comm.random_hermitian_element(rng))
+    size, n = len(comm), comm.shape[-1]
+    flat = comm.reshape(size, n * n)
+
+    def hermitian():
+        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        x = (c @ flat).reshape(n, n)
+        return (x + x.conj().T) / 2
+
+    w, v = np.linalg.eigh(hermitian())
     pieces = [v[:, cl] for cl in _cluster_eigenvalues(w)]
 
-    y = comm.random_hermitian_element(rng)
-    cutoff = comm.tol.rank_cut(np.linalg.norm(y))
+    y = hermitian()
+    cutoff = tol.rank_cut(np.linalg.norm(y))
     classes = []  # each: list of aligned member columns; member 0 is the class rep
     for cols in pieces:
         k = cols.shape[1]
@@ -608,33 +621,28 @@ def _split(comm: StarAlgebra, rng) -> BlockDecomposition:
 
     classes.sort(key=lambda members: (members[0].shape[1], len(members)))
     blocks = [(members[0].shape[1], len(members)) for members in classes]
-    if sum(m * m for _, m in blocks) != comm.size:
+    if sum(m * m for _, m in blocks) != size:
         raise DecompositionError(
-            f"block sizes {blocks} do not account for the commutant dimension {comm.size}")
+            f"block sizes {blocks} do not account for the commutant dimension {size}")
     # aligned copies carry the identical compressed representation, so ordering
     # columns (irrep index outer, copy index inner) yields M_k (x) I_m
-    q = np.hstack([np.stack(members, axis=2).reshape(comm.dim, -1) for members in classes])
+    q = np.hstack([np.stack(members, axis=2).reshape(n, -1) for members in classes])
     # polish unitarity against accumulated rounding
     uq, _, vqh = np.linalg.svd(q)
-    return BlockDecomposition(blocks, uq @ vqh, comm.tol)
+    return BlockDecomposition(blocks, uq @ vqh, tol)
 
 
-def _closed_form_basis(dec: BlockDecomposition, commutant: bool = False) -> np.ndarray:
-    """Trace-orthonormal basis of A = Q (+)(M_k (x) I_m) Q^H, or of its
-    commutant Q (+)(I_k (x) M_m) Q^H, block by block.  With c the columns of
-    one run read as (n, c, k, m), block i gives
-    Q (E_ab (x) I_m) Q^H = sum_j c[:, i, a, j] c[:, i, b, j]^H; the commutant
-    swaps the roles of k and m.  Each run is written in place into the one
-    (d, n, n) output."""
+def _closed_form_basis(dec: BlockDecomposition) -> np.ndarray:
+    """Trace-orthonormal basis of A = Q (+)(M_k (x) I_m) Q^H, block by block.
+    With c the columns of one run read as (n, c, k, m), block i gives
+    Q (E_ab (x) I_m) Q^H = sum_j c[:, i, a, j] c[:, i, b, j]^H.  Each run is
+    written in place into the one (d, n, n) output."""
     q = dec.change_of_basis
     n = q.shape[0]
-    out = np.empty((sum(c * (m if commutant else k) ** 2 for _, c, k, m, _ in dec.runs), n, n),
-                   dtype=complex)
+    out = np.empty((sum(c * k * k for _, c, k, _, _ in dec.runs), n, n), dtype=complex)
     at = 0
     for _, c, k, m, off in dec.runs:
         cols = q[:, off:off + c * k * m].reshape(n, c, k, m)
-        if commutant:
-            cols, k, m = cols.swapaxes(2, 3), m, k
         part = out[at:at + c * k * k].reshape(c, k, k, n, n)
         np.einsum("xiaj,yibj->iabxy", cols, cols.conj(), out=part)
         part *= np.sqrt(n / m)

@@ -8,8 +8,8 @@ domination question is eigenvalue arithmetic on them.  The Radon-Nikodym
 operator and the embedding test are solved on the same blocks, from vectors
 read as k_i x m_i matrices.  GNS keeps the cyclic vector's blocks, and two
 GNS representations are intertwined on them.  Nothing in this module reads
-the algebra basis, except GnsRep.action, built only when read; a generated
-algebra or an extension writes that basis only then (StarAlgebra.basis).
+the algebra basis, written on read (StarAlgebra.basis), except
+GnsRep.action, built only when read.
 
 All block data is in the algebra's one layout, a zero-padded (c, K, K)
 stack per block group (BlockDecomposition.groups: every block with k <= 4 in

@@ -275,6 +275,12 @@ def stack_ranges(stacks, tol: Tolerances = DEFAULT_TOL, top: float = 0.0) -> lis
     return [(u, sv > cut) for u, sv in ranges]
 
 
+def gram_factor(z: np.ndarray) -> np.ndarray:
+    """An r x k R with R^H R = Z^H Z for a p x k Z, r = min(p, k): the
+    triangular factor of Z's QR."""
+    return np.linalg.qr(z, mode="r")
+
+
 def project(s, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the subspace of a vector, or of each row of
     an array of row vectors.

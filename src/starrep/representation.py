@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (BlockDecomposition, StarAlgebra, conditional_expectation, generate_algebra,
-                      span_algebra)
+from .algebra import BlockDecomposition, StarAlgebra, _block_columns, generate_algebra
 from .linalg import (
     Subspace,
     ToleranceBreach,
     _require_finite,
     block_diag,
     frobenius_norms,
+    gram_factor,
     project,
     stack_ranges,
     zero_subspace,
@@ -55,7 +55,7 @@ class Structure:
 
     def _fields(self, algebra, discrete, vectors, embedding):
         """Every field __init__ sets, with nothing validated: extend_with_summand
-        fills a Structure so, having certified it from its parent."""
+        and cyclic_substructure fill a Structure so, certified from its parent."""
         self.algebra = algebra
         self._discrete_blocks = None  # H_d on the blocks, kept by _discrete_blocks
         self.tol = algebra.tol
@@ -97,24 +97,15 @@ class Structure:
             if v.size != n:
                 raise ValueError(f"vector {name!r} has length {v.size}, expected {n}")
             _require_finite(v, f"vector {name!r}")
-        if n == 0:
-            return
-        # I and, for H_d != 0, its projector P, with one pass over the basis
+        # the algebra holds I, as every block form with sum k_i m_i = n does
         b = self.discrete.basis
-        mats = np.zeros((2 if b.shape[1] else 1, n, n), dtype=complex)
-        mats[0].reshape(-1)[::n + 1] = 1
-        if b.shape[1]:
-            np.matmul(b, b.conj().T, out=mats[1])
-        off = frobenius_norms(mats - conditional_expectation(mats, self.algebra))
-        if not self.tol.close(off[0], np.sqrt(n)):
-            raise ValueError("the acting algebra does not contain the identity")
         defect = algebra_invariance_defect(self.algebra, b)
         if not self.tol.certified(defect, 1.0):
             raise ValueError(
                 "declared discrete subspace is not invariant under the algebra "
                 f"(relative residual {defect:.2e})")
-        if b.shape[1]:
-            _require_sum_of_classes(off[1], b.shape[1], self.tol,
+        if b.shape[1]:  # ||P - E(P)||_F, the residual of P's block read
+            _require_sum_of_classes(self.algebra._read(b @ b.conj().T)[1], b.shape[1], self.tol,
                                     "its projector lies off the algebra")
 
 
@@ -127,25 +118,22 @@ def _require_sum_of_classes(defect: float, dim: int, tol, how: str) -> None:
                          f"{how} (relative residual {defect / scale:.2e})")
 
 
-def invariance_defect(mats: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None) -> float:
-    """Largest ||a b - b b^H a b|| / ||a|| over the nonzero matrices a, the
-    Frobenius norms ||a|| given or computed.
+def invariance_defect(mats: np.ndarray, b: np.ndarray) -> float:
+    """Largest ||a b - b b^H a b|| / ||a|| over the nonzero matrices a.
 
     Zero exactly when span(b) (orthonormal columns) is invariant under every a.
     """
     img = mats @ b
-    resid = frobenius_norms(img - b @ (b.conj().T @ img))
-    norms = frobenius_norms(mats) if norms is None else norms
+    resid, norms = frobenius_norms(img - b @ (b.conj().T @ img)), frobenius_norms(mats)
     return float(np.max(resid[norms > 0] / norms[norms > 0], initial=0.0))
 
 
 def algebra_invariance_defect(algebra: StarAlgebra, b: np.ndarray) -> float:
-    """d times invariance_defect at the algebra's probes x, y (see algebra.py),
-    against the norms kept with them; 0, with no probes drawn, when b has no
-    columns."""
+    """d times invariance_defect at the algebra's probes x, y (see algebra.py);
+    0, with no probes drawn, when b has no columns."""
     if not b.shape[1]:
         return 0.0
-    return algebra.size * invariance_defect(algebra.probes()[:2], b, algebra.probe_norms()[:2])
+    return algebra.size * invariance_defect(algebra.probes()[:2], b)
 
 
 def cyclic_subspace(s: Structure, vectors) -> Subspace:
@@ -374,11 +362,15 @@ def _residual_grams(s: Structure, vs: np.ndarray):
     (c, t, t, K, K) stack per group, [i, j, l] = V_i^(j) V_i^(l)^H, V_i^(j)
     row j's block i as a k_i x m_i matrix (BlockDecomposition.columns).
     x -> b x intertwines an extension's summand with its parent, so a row
-    (p, x) has the Grams of p plus those of b x, both read in the parent."""
+    (p, x) has the Grams of p plus those of b x, both read in the parent;
+    past t n copies of the t rows, their (copies, t n) stack is replaced by
+    its Gram factor (linalg.gram_factor), as only its Gram is read."""
     t = vs.shape[0]
     while s.parent is not None:
         n = s.parent.dim
         vs, s = np.concatenate([vs[:, :n], vs[:, n:] @ s.embedding.T]), s.parent
+        if len(vs) > t * t * n:
+            vs = gram_factor(vs.reshape(-1, t * n)).reshape(-1, n)
     out, xs = [], vs.conj()
     for q, _ in s.algebra.block_decomposition().columns:
         c, mm, kk, n = q.shape
@@ -452,47 +444,45 @@ def cyclic_substructure(s: Structure, v: np.ndarray) -> Structure:
     dcl(v) = Q (+)(C^{k_i} (x) R_i) from v's block rows (_columns), ordered
     (group, block, r, a).  An element Q (+)(x_i (x) I_{m_i}) Q^H maps
     Q(e_a (x) w_ir) to Q(x_i e_a (x) w_ir), so on b it is (+)(I_{r_i} (x) x_i)
-    over the blocks with r_i = dim R_i > 0, and the compressed algebra's
-    trace-orthonormal basis is sqrt(k / r_i) (I_{r_i} (x) E_ab)
-    (_compressed_basis), k = dim dcl(v): no algebra basis is read, and the
-    r_i are the closure's own cut, so no rank is decided anew.  The discrete
-    part dcl(v) and H_d share is the span of the columns of b in the blocks
-    that H_d fills (_discrete_blocks), coordinate vectors of the compression.
+    over the blocks with r_i = dim R_i > 0, the closure's own cut: the
+    blocks (k_i, r_i), with a permutation for Q (_substructure_blocks).  The
+    discrete part dcl(v) and H_d share is spanned by the columns of b in the
+    blocks H_d fills (_discrete_blocks), coordinate vectors.
+
+    It is certified from s, as extend_with_summand's result is: v is finite
+    (_rows), and the discrete part holds whole blocks of the compression, so
+    it is invariant and a sum of isotypic components.
     """
     [v] = _fitting(s, [v])
     [rows] = _rows(s, [v])
     b = _closure_basis(s, rows)
     k = b.shape[1]
-    gens = [b.conj().T @ g @ b for g in s.algebra.generators]
-    if k == 0:
-        algebra = span_algebra([], 0, s.tol, generators=gens)
-        return Structure(algebra, zero_subspace(0, s.tol), {}, embedding=b)
-    groups = s.algebra.block_decomposition().groups
-    algebra = StarAlgebra(k, _compressed_basis(groups, rows, k), gens, s.tol, validate=False)
-    disc = zero_subspace(k, s.tol)
-    if s.discrete.dim:  # k_i r_i columns per block
+    dec = s.algebra.block_decomposition()
+    kk = np.array(dec.blocks, dtype=int).reshape(-1, 2)[:, 0]
+    rr = np.zeros_like(kk) if rows is None else np.concatenate([keep.sum(1) for _, keep in rows])
+    inside = np.zeros(k, dtype=bool)
+    if s.discrete.dim and k:  # k_i r_i columns per block
         inside = np.concatenate([np.repeat(full, g.k * keep.sum(1)) for g, (full, *_), (_, keep)
-                                 in zip(groups, _discrete_blocks(s), rows)])
-        disc = Subspace(k, np.eye(k, dtype=complex)[:, inside], s.tol)
-    return Structure(algebra, disc, {"cyclic": b.conj().T @ v}, embedding=b)
-
-
-def _compressed_basis(groups, rows, k: int) -> np.ndarray:
-    """The (d, k, k) trace-orthonormal basis of (+)(I_{r_i} (x) M_{k_i}) on the
-    k columns that _columns gives for block rows (u, keep): r_i copies of
-    block i, each k_i consecutive columns.  Element (i, a, b) is
-    sqrt(k / r_i) at (p, q) for each pair of columns p, q of one copy of
-    block i, at rows a and b of it."""
-    kk = np.concatenate([g.k for g in groups])
-    rr = np.concatenate([keep.sum(1) for _, keep in rows])
+                                 in zip(dec.groups, _discrete_blocks(s), rows)])
     kk, rr = kk[rr > 0], rr[rr > 0]
-    sizes = np.repeat(kk, rr)  # k_i of each copy
-    copy = np.repeat(np.arange(sizes.size), sizes)  # of each column
-    row = np.arange(k) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    p, q = np.nonzero(copy[:, None] == copy[None, :])
-    i = np.repeat(np.arange(kk.size), rr)[copy[p]]
-    out = np.zeros(((kk * kk).sum(), k, k), dtype=complex)
-    out[(np.cumsum(kk * kk) - kk * kk)[i] + row[p] * kk[i] + row[q], p, q] = np.sqrt(k / rr[i])
+    algebra = StarAlgebra._of_blocks(k, (kk * kk).sum(), lambda: _substructure_blocks(s, b, kk, rr),
+                                     [b.conj().T @ g @ b for g in s.algebra.generators], s.tol)
+    out = Structure.__new__(Structure)
+    out._fields(algebra, Subspace._certified(k, np.eye(k, dtype=complex)[:, inside], s.tol),
+                {"cyclic": b.conj().T @ v} if k else {}, b)
+    return out
+
+
+def _substructure_blocks(s: Structure, b: np.ndarray, kk: np.ndarray, rr: np.ndarray):
+    """cyclic_substructure's blocks (k_i, r_i), sorted by shape: Q' takes
+    column j k_i + a of block i's run in b's (r, a) order as its (a, j).
+    Certified as _extension_blocks' is: Q' unitary, and s's letters
+    compressed in block form; ToleranceBreach if not."""
+    shapes, i, a, j = _block_columns(kk, rr)
+    at = np.cumsum(kk * rr) - kk * rr  # each block's first column
+    q = np.eye(b.shape[1], dtype=complex)[:, at[i] + j * kk[i] + a]
+    out = BlockDecomposition(shapes, q, s.tol)
+    out.block_parts(b.conj().T @ s.algebra.letters() @ b)
     return out
 
 
@@ -510,15 +500,11 @@ def _extension_blocks(s: Structure, b: np.ndarray, letters: np.ndarray):
     dec = s.algebra.block_decomposition()
     kk, mm = np.array(dec.blocks, dtype=int).reshape(-1, 2).T
     rr = np.zeros_like(kk) if rows is None else np.concatenate([keep.sum(1) for _, keep in rows])
-    ww = mm + rr
-    order = np.lexsort((ww, kk))
-    sizes = (kk * ww)[order]
-    i = np.repeat(order, sizes)  # the block of each column of Q'
-    a, j = np.divmod(np.arange(n + k) - np.repeat(np.cumsum(sizes) - sizes, sizes), ww[i])
+    shapes, i, a, j = _block_columns(kk, mm + rr)
     q_at, c_at = (np.cumsum(kk * x) - kk * x for x in (mm, rr))  # each block's first column
     cols = np.where(j < mm[i], q_at[i] + a * mm[i] + j, n + c_at[i] + (j - mm[i]) * kk[i] + a)
-    out = BlockDecomposition(zip(kk[order], ww[order]),
-                             block_diag(dec.change_of_basis, b.conj().T @ c)[:, cols], s.tol)
+    q = block_diag(dec.change_of_basis, b.conj().T @ c)[:, cols]
+    out = BlockDecomposition(shapes, q, s.tol)
     out.block_parts(letters)
     return out
 
@@ -545,14 +531,12 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
     solved on first read from s's with no commutant: span(b) is
     Q (+)(C^{k_i} (x) R_i), R_i of dimension r_i, and
     pi(Q (+)(x_i (x) I_{m_i}) Q^H) = Q' (+)(x_i (x) I_{m_i + r_i}) Q'^H.
-    Its basis is their closed form, written on first read.
 
     The result is certified from s, with no Structure._validate and no probe
     of the new algebra drawn, as each property _validate checks follows from
     one s has:
     - its vectors and its discrete part H_d (+) 0 are s's validated ones,
       padded with exact zeros;
-    - pi is unital, so the identity is an image;
     - pi(x) maps H_d (+) 0 onto x H_d (+) 0, so s's invariance certificate
       for H_d carries over;
     - H_d (+) 0 is a sum of isotypic components of the image exactly when
@@ -592,6 +576,6 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
     vectors = {f"a.{name}": np.concatenate([v, np.zeros(k, dtype=complex)])
                for name, v in s.vectors.items()}
     out = Structure.__new__(Structure)
-    out._fields(algebra, Subspace(n + k, disc, s.tol), vectors, b)
+    out._fields(algebra, Subspace._certified(n + k, disc, s.tol), vectors, b)
     out.parent = s
     return out

@@ -17,7 +17,7 @@ from starrep.algebra import (
     wedderburn_decompose,
 )
 from starrep.harness import InstanceSpec, random_structure
-from starrep.linalg import ToleranceBreach, Tolerances, block_diag, haar_unitary
+from starrep.linalg import ToleranceBreach, Tolerances, block_diag, haar_unitary, orthonormalize
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -100,11 +100,12 @@ def test_commutant_is_certified_by_the_letters(monkeypatch):
     def with_extra_projector(letters, n, tol, rng):
         return np.concatenate([solve(letters, n, tol, rng), np.sqrt(n) * E11[None]])
 
-    bare = StarAlgebra(2, generate_algebra([E12]).basis)
+    basis = generate_algebra([E12]).basis
     monkeypatch.setattr(algebra_module, "_commutant_basis", with_extra_projector)
-    # the spurious span{I, E11} is a *-algebra; the block form of the basis exposes it
+    # the spurious span{I, E11} is a *-algebra; the block form of the basis
+    # exposes it when the outside basis is decomposed, at construction
     with pytest.raises(DecompositionError):
-        bare.commutant()
+        StarAlgebra(2, basis).commutant()
 
 
 @pytest.mark.parametrize("plan", [[(1, 3)] * 4, [(1, 2), (2, 2), (3, 1)], [(2, 2)] * 3])
@@ -124,7 +125,8 @@ def test_star_algebra_rejects_span_not_closed_under_products():
         return np.outer(e[i], e[j])
     # contains I and is adjoint-closed, but (E23 + E32) E22 = E32 is outside
     mats = [unit(0, 0), unit(1, 1) + unit(2, 2), unit(1, 2) + unit(2, 1), unit(1, 1) - unit(2, 2)]
-    basis = span_algebra(mats, 3).basis
+    # a trace-orthonormal basis of the span, as span_algebra would pass it on
+    basis = np.sqrt(3) * orthonormalize(np.reshape(mats, (4, 9))).basis.T.reshape(-1, 3, 3)
     with pytest.raises(ValueError, match="products"):
         StarAlgebra(3, basis)
 
@@ -247,10 +249,10 @@ def planted_algebra(plan, seed):
 
 
 def test_decomposition_and_probes_are_drawn_once_across_threads():
-    # block_decomposition() certifies the blocks at the probes under the lock
-    # that probes() takes again, so the lock must be re-entrant
-    generated = planted_algebra([(1, 2), (2, 2)], 4)
-    bare = StarAlgebra(generated.dim, generated.basis, validate=False)
+    # probes() assembles the probes from the blocks, which a commutant solves
+    # on first read under the lock that probes() holds, so the lock must be
+    # re-entrant
+    bare = commutant(planted_algebra([(1, 2), (2, 2)], 4))
     results = []
 
     def work():

@@ -30,9 +30,9 @@ import starrep.algebra
 import starrep.linalg
 import starrep.representation
 from starrep import cli
-from starrep.algebra import (StarAlgebra, _probe_coefficients, generate_algebra, span_algebra,
-                             wedderburn_decompose)
-from starrep.functionals import gns, vector_state
+from starrep.algebra import (StarAlgebra, _probe_coefficients, double_commutant_check,
+                             generate_algebra, span_algebra, wedderburn_decompose)
+from starrep.functionals import gns, is_orthogonal, vector_state
 from starrep.harness import (InstanceSpec, commuting_unitary, random_structure,
                              random_unit_vector, run_freeness_suite)
 from starrep.independence import is_independent, morley_average_check, nonforking_extension
@@ -76,9 +76,15 @@ def image_basis(s, b):
 
 def assert_basis_matches_the_images(s, shat):
     """shat's basis and image_basis hold the same matrices, in any order, to
-    1e-12: both are trace-orthonormal, so their pairings match them."""
-    want = image_basis(s, shat.embedding)
-    got = shat.algebra.basis.reshape(len(want), -1)
+    1e-12."""
+    assert_same_elements(shat.algebra.basis, image_basis(s, shat.embedding))
+
+
+def assert_same_elements(got, want):
+    """Two trace-orthonormal bases hold the same matrices, in any order, to
+    1e-12: their pairings match them."""
+    want = want.reshape(len(want), -1)
+    got = got.reshape(len(want), -1)
     match = np.abs(got @ want.conj().T).argmax(1)
     assert sorted(match) == list(range(len(want)))
     assert np.max(np.abs(got - want[match]), initial=0.0) <= 1e-12
@@ -320,7 +326,8 @@ FORKING_PLANS = {
 @pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS) + sorted(FORKING_PLANS))
 def test_extension_certified_from_its_parent_passes_full_validation(plan):
     # the extension is certified from s with no probe of its algebra drawn;
-    # the full checks of an outside Structure and StarAlgebra pass on it
+    # the full checks of an outside Structure, and of an outside StarAlgebra
+    # on its basis, pass on it
     spec = CLOSURE_PLANS.get(plan) or FORKING_PLANS[plan]
     s = random_structure(spec)
     rng = np.random.default_rng(69)
@@ -331,7 +338,7 @@ def test_extension_certified_from_its_parent_passes_full_validation(plan):
         assert shat.algebra._probes is None
         assert shat.dim > s.dim or base  # (6, 1) alone: dcl(e) is the whole space
         shat._validate()
-        shat.algebra._validate()
+        StarAlgebra(shat.dim, shat.algebra.basis)
 
 
 def test_nonforking_extension_makes_no_eigh(eigh_calls):
@@ -436,6 +443,59 @@ def test_large_full_algebras_stay_small():
     assert peak < 100 and two.dim > one.dim
 
 
+@pytest.mark.parametrize("plan", ["mixed16", "full8"])
+def test_substructures_commutants_and_comparisons_write_no_basis(plan, monkeypatch):
+    # each is held by its blocks, and an equal but distinct algebra, generated
+    # again or from outside input, is compared with it on the blocks
+    rng = np.random.default_rng(77)
+    s = (Structure(generate_algebra(full_generators(8, rng))) if plan == "full8"
+         else random_structure(MIXED16))
+    bare = StarAlgebra(s.dim, s.algebra.basis)
+    s = Structure(generate_algebra(s.algebra.generators), s.discrete)
+
+    def refuse(dec):
+        raise AssertionError("an algebra basis was written")
+
+    monkeypatch.setattr(starrep.algebra, "_closed_form_basis", refuse)
+    v, w = (random_unit_vector(rng, s.dim) for _ in range(2))
+    sub = cyclic_substructure(s, v)
+    blocks = sub.algebra.block_decomposition().blocks
+    assert sub.dim and sum(k * k for k, _ in blocks) == sub.algebra.size
+    comm = s.algebra.commutant()
+    assert comm.size == sum(m * m for _, m in s.algebra.block_decomposition().blocks)
+    assert double_commutant_check(s.algebra) and comm.commutant().spans_equal(bare)
+    twin = generate_algebra(s.algebra.generators)
+    for a, b in ((s.algebra, twin), (twin, bare), (bare, s.algebra)):
+        assert a is not b and a.spans_equal(b) and b.spans_equal(a)
+    # a unitary conjugate has the same signature, and another span unless full
+    u = haar_unitary(s.dim, Draws(78))
+    moved = generate_algebra([u @ g @ u.conj().T for g in s.algebra.generators])
+    assert moved.block_decomposition().signature == s.algebra.block_decomposition().signature
+    assert moved.spans_equal(s.algebra) == s.algebra.spans_equal(moved) == (plan == "full8")
+    phi = vector_state(s, v)
+    for a in (twin, bare):
+        assert gns(a, phi).space_dim == gns(s.algebra, phi).space_dim
+    assert not is_orthogonal(phi, vector_state(Structure(twin, s.discrete), w))
+
+
+def test_large_substructure_and_comparison_stay_small():
+    # full M_64's cyclic substructure with its blocks, and gns across two
+    # generations of full M_24, write no d x n x n basis (285 MB and 32 MB
+    # when they did)
+    rng = np.random.default_rng(5)
+    s = Structure(generate_algebra(full_generators(64, rng)))
+    v = random_unit_vector(rng, 64)
+    s.algebra.letters()
+    sub, peak = traced(lambda: cyclic_substructure(s, v).algebra.block_decomposition())
+    assert peak < 10 and sub.blocks == [(64, 1)]
+    gens = full_generators(24, rng)
+    s = Structure(generate_algebra(gens))
+    phi = vector_state(s, random_unit_vector(rng, 24))
+    twin = generate_algebra(gens)
+    rep, peak = traced(lambda: gns(twin, phi))
+    assert peak < 10 and rep.space_dim == 24
+
+
 def concatenated_basis(dec, commutant=False):
     """_closed_form_basis as it was written before it wrote in place: each
     run scaled, then all concatenated."""
@@ -453,11 +513,16 @@ def concatenated_basis(dec, commutant=False):
 
 @pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))
 def test_closed_form_basis_written_in_place_is_unchanged(plan):
-    dec = closure_structure(plan).algebra.block_decomposition()
-    for commutant in (False, True):
-        want = concatenated_basis(dec, commutant)
-        got = starrep.algebra._closed_form_basis(dec, commutant)
+    # on the algebra's blocks and on its commutant's, (m_i, k_i) with Q's
+    # columns permuted, whose basis holds the commutant form's elements
+    a = closure_structure(plan).algebra
+    dec = a.block_decomposition()
+    comm = a.commutant()
+    for blocks in (dec, comm.block_decomposition()):
+        want = concatenated_basis(blocks)
+        got = starrep.algebra._closed_form_basis(blocks)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert_same_elements(comm.basis, concatenated_basis(dec, commutant=True))
 
 
 def test_probe_parts_are_read_once_across_threads(monkeypatch):

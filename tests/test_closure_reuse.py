@@ -366,7 +366,8 @@ def test_block_closures_of_bare_extended_and_sub_structures(plan):
     rng = np.random.default_rng(17)
     v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
     bare = Structure(StarAlgebra(s.dim, s.algebra.basis), s.discrete)
-    assert bare.algebra.generators == [] and bare.algebra._block is None
+    # outside input is decomposed at construction
+    assert bare.algebra.generators == [] and bare.algebra._block is not None
     shat = extend_with_summand(s, cyclic_subspace(s, essential_parts(s, [v])).basis)
     sub = cyclic_substructure(s, v + w)
     for t in (bare, shat, sub):
@@ -495,6 +496,59 @@ def test_type_gaps_match_the_moment_oracle_down_a_chain():
         phi, psi = ref_type_states(s2, a, b, base)
         assert types_orthogonal(s2, a, b, base) == is_orthogonal(phi, psi)
         assert types_dominated(s2, a, b, base) == is_dominated(psi, phi)[0]
+
+
+# the extension chain of the ROADMAP baseline: v's type over {e} extended,
+# step by step, to {e} and the copies so far, as a Morley sequence is built
+BASELINE_CHAIN = InstanceSpec(16, ((2, 1), (1, 2), (3, 2), (2, 3)), (False,) * 4, seed=3)
+
+
+def baseline_chain(depth):
+    """The last structure of the chain at the given depth, v and e, and
+    pad(x, st), x zero-padded to st's dimension."""
+    s = random_structure(BASELINE_CHAIN)
+    rng = np.random.default_rng(0)
+    v, e = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
+
+    def pad(x, st):
+        return np.concatenate([x, np.zeros(st.dim - len(x))])
+
+    cur, ext = s, [e]
+    for _ in range(depth):
+        cur, copy = nonforking_extension(cur, pad(v, cur), [pad(e, cur)],
+                                         [pad(x, cur) for x in ext])
+        ext.append(copy.ravel())
+    return cur, v, e, pad
+
+
+def test_deep_extension_chain_types_stay_small():
+    # a row walked to the root once made 2^depth rows: over 100 MB at depth 16
+    cur, v, e, pad = baseline_chain(16)
+    tracemalloc.start()
+    try:
+        type_of(cur, pad(v, cur), [pad(e, cur)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cur.dim == 64 and peak < 5 * 2 ** 20, peak
+
+
+def test_type_gaps_match_the_moment_oracle_down_a_deep_chain(monkeypatch):
+    # at depth 6 the walk to the root already keeps Gram factors for one row
+    factored = []
+    factor = starrep.representation.gram_factor
+    monkeypatch.setattr(starrep.representation, "gram_factor",
+                        lambda z: factored.append(z.shape) or factor(z))
+    cur, v, e, pad = baseline_chain(6)
+    rng = np.random.default_rng(24)
+    w, f = (random_unit_vector(rng, cur.dim) for _ in range(2))
+    moved = pad(v, cur) + 1e-3 * w
+    for a, b, base in (([pad(v, cur)], [moved], [pad(e, cur)]), ([pad(v, cur)], [w], []),
+                       ([pad(v, cur), w], [moved, f], [pad(e, cur)])):
+        factored.clear()
+        assert_gaps_match((type_of(cur, a, base), type_of(cur, b, base)),
+                          (ref_type_of(cur, a, base), ref_type_of(cur, b, base)))
+        assert factored
 
 
 def test_type_states_match_the_vector_state_oracle():

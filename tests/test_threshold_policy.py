@@ -234,6 +234,13 @@ def test_functionals_read_the_algebra_basis_only_in_gns_action():
     assert {scope for _, scope in found} == {"GnsRep.action"}, found
 
 
+def test_only_the_basis_property_reads_the_kept_basis():
+    # every algebra is held by its blocks, and its basis is a view written on read
+    path = pathlib.Path(starrep.__file__).parent / "algebra.py"
+    found = list(_basis_reads(ast.parse(path.read_text()), attrs=("_basis",)))
+    assert found and {scope for _, scope in found} == {"StarAlgebra.basis"}, found
+
+
 def test_closures_read_no_algebra_basis():
     # dcl and acl are solved on the Wedderburn blocks, and a cyclic
     # substructure takes its embedding from the closure's columns
@@ -402,26 +409,39 @@ def _rejects(build, match):
 
 
 def _with_full_block(mats, k):
-    """Trace-orthonormal basis of span(mats) (+) M_k."""
+    """Trace-orthonormal basis of span(mats) (+) M_k, orthonormalized as
+    span_algebra does, with no check that the span is closed."""
     m = len(mats[0])
     units = np.eye(k * k).reshape(k * k, k, k)
-    return span_algebra([block_diag(x, np.zeros((k, k))) for x in mats]
-                        + [block_diag(np.zeros((m, m)), u) for u in units], m + k).basis
+    spanned = np.array([block_diag(x, np.zeros((k, k))) for x in mats]
+                       + [block_diag(np.zeros((m, m)), u) for u in units])
+    n = m + k
+    return np.sqrt(n) * orthonormalize(spanned.reshape(-1, n * n)).basis.T.reshape(-1, n, n)
 
 
-def _basis_rejects_adjoints(a):
-    return not all(a.contains(b.conj().T) for b in a.basis)
+def _off_span(basis, mats):
+    """mats minus their projections onto the span of a trace-orthonormal
+    basis, each flattened."""
+    n = basis.shape[-1]
+    flat, mats = basis.reshape(len(basis), n * n), mats.reshape(len(mats), n * n)
+    return mats - (mats @ flat.conj().T / n) @ flat
 
 
-def _basis_rejects_products(a):
+def _basis_rejects_adjoints(basis, tol=Tolerances()):
+    # each basis element's adjoint against the span, as StarAlgebra.contains judged it
+    adj = basis.conj().transpose(0, 2, 1)
+    resid = np.linalg.norm(_off_span(basis, adj), axis=1)
+    return not all(tol.close(resid, np.linalg.norm(adj.reshape(len(adj), -1), axis=1)))
+
+
+def _basis_rejects_products(basis, tol=Tolerances()):
     # all b_i b_j as one GEMM, projected back onto the span, judged by their
     # largest entry against max|b|^2 n
-    n, d = a.dim, a.size
-    flat = a.basis.reshape(d, n * n)
-    prods = a.basis.reshape(d * n, n) @ a.basis.transpose(1, 0, 2).reshape(n, d * n)
-    prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n * n)
-    err = np.max(np.abs((prods @ flat.conj().T / n) @ flat - prods))
-    return not a.tol.certified(err, float(np.max(np.abs(a.basis))) ** 2 * n)
+    d, n = basis.shape[:2]
+    prods = basis.reshape(d * n, n) @ basis.transpose(1, 0, 2).reshape(n, d * n)
+    prods = prods.reshape(d, n, d, n).transpose(0, 2, 1, 3).reshape(d * d, n, n)
+    err = np.max(np.abs(_off_span(basis, prods)))
+    return not tol.certified(err, float(np.max(np.abs(basis))) ** 2 * n)
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
@@ -448,8 +468,7 @@ def test_probe_products_are_no_looser_than_the_basis(k):
     def basis(t):
         return _with_full_block([np.eye(3), np.diag([1, -1, 1 + t])], k)
 
-    ref = _first_rejected(lambda t: _basis_rejects_products(
-        StarAlgebra(3 + k, basis(t), validate=False)))
+    ref = _first_rejected(lambda t: _basis_rejects_products(basis(t)))
     got = _first_rejected(lambda t: _rejects(lambda: StarAlgebra(3 + k, basis(t)), "products"))
     assert got <= ref < np.inf
     assert not _rejects(lambda: StarAlgebra(3 + k, basis(0.0)), "products")
@@ -463,8 +482,7 @@ def test_probe_adjoints_are_no_looser_than_the_basis(k):
         th = np.pi / 4 + t
         return _with_full_block([np.eye(2), np.sqrt(2) * (np.cos(th) * E12 + np.sin(th) * E12.T)], k)
 
-    ref = _first_rejected(lambda t: _basis_rejects_adjoints(
-        StarAlgebra(2 + k, basis(t), validate=False)))
+    ref = _first_rejected(lambda t: _basis_rejects_adjoints(basis(t)))
     got = _first_rejected(lambda t: _rejects(lambda: StarAlgebra(2 + k, basis(t)), "adjoints"))
     assert got <= ref < np.inf
     assert not _rejects(lambda: StarAlgebra(2 + k, basis(0.0)), "adjoints")
