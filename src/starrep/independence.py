@@ -405,9 +405,8 @@ def finite_base(s: Structure, vectors, pool, epsilon: float) -> FiniteBase:
     size = float(np.max(np.linalg.norm(vs, axis=1), initial=0.0))
     rest = list(range(len(pool)))
     if rest:
+        # the dcl(f)s are solved here, not by _rows, so their rows are checked here
         dcl = _block_rows(dec, np.array(pool)[:, None, :], s.tol)
-        # block rows that never become Subspaces
-        _check_rows(full, s.tol)
         _check_rows(dcl, s.tol)
     while current >= epsilon and rest:
         left = np.array(rest)

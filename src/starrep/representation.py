@@ -4,7 +4,10 @@ A Structure couples a matrix *-algebra acting on C^n with a "discrete"
 subspace H_d and a bag of named vectors.  Every closure and independence
 computation downstream is taken relative to the declared H_d / H_e split.
 H_d is a sum of isotypic components, as acl of the empty set is in a model
-(Structure checks it), so it fills each Wedderburn block or misses it.
+(Structure checks it), so it fills each Wedderburn block or misses it, and
+it is held by the blocks it fills (_discrete_blocks): H_d is Q's columns of
+those blocks, and the declared basis is not kept, so acl of the empty set
+is the H_d that every acl takes.
 Closures are solved on the blocks, never against the algebra's basis:
 dcl(E) = Q (+)(C^{k_i} (x) R_i), R_i the row span of E's block coordinates,
 and acl(E) takes C^{m_i} where H_d fills block i and R_i where it misses it,
@@ -17,12 +20,12 @@ solve.
 
 Every closure has one solve entry and one form.  _rows solves the block
 rows of one set, or of several sets stacked, in one _block_rows call, and
-_closure_basis turns rows into the closure's (n, r) columns, certified by
-the rows' unitarity (_check_rows).  cyclic_subspace, acl and closures wrap
-those columns in a Subspace with no second Gram (Subspace._certified); the
-forking queries project onto them with none built.  Block rows also serve
-as closures themselves, joined block by block (_join_rows) and projected
-in block coordinates (_tuple_rows).
+certifies them once by their unitarity (_check_rows); _closure_basis turns
+rows into the closure's (n, r) columns.  cyclic_subspace, acl and closures
+wrap those columns in a Subspace with no second Gram (Subspace._certified);
+the forking queries project onto them with none built.  Block rows also
+serve as closures themselves, joined block by block (_join_rows) and
+projected in block coordinates (_tuple_rows).
 """
 from __future__ import annotations
 
@@ -46,7 +49,10 @@ class Structure:
     """A finite-dimensional representation with named vectors and a discrete
     part, which must be a sum of isotypic components, else ValueError: an
     invariant subspace whose projector P lies in the algebra, judged as
-    ||P - E(P)||_F against ||P||_F, E the conditional expectation."""
+    ||P - E(P)||_F against ||P||_F, E the conditional expectation, and the
+    blocks it fills (_discrete_blocks) must add up to its dimension.  It is
+    then held by those blocks: .discrete, read-only, is Q's columns of
+    them, certified by Q's unitarity, and the declared basis is not kept."""
 
     def __init__(self, algebra: StarAlgebra, discrete: Subspace | None = None,
                  vectors: dict | None = None, embedding: np.ndarray | None = None):
@@ -55,17 +61,23 @@ class Structure:
 
     def _fields(self, algebra, discrete, vectors, embedding):
         """Every field __init__ sets, with nothing validated: extend_with_summand
-        and cyclic_substructure fill a Structure so, certified from its parent."""
+        and cyclic_substructure fill a Structure so, certified from its parent,
+        with a discrete part that is already the columns of the blocks it fills."""
         self.algebra = algebra
-        self._discrete_blocks = None  # H_d on the blocks, kept by _discrete_blocks
+        self._filled = None  # H_d on the blocks, read once by _discrete_blocks
         self.tol = algebra.tol
         n = algebra.dim
-        self.discrete = discrete if discrete is not None else zero_subspace(n, self.tol)
+        self._discrete = discrete if discrete is not None else zero_subspace(n, self.tol)
         self.vectors = {str(k): np.asarray(v, dtype=complex).ravel()
                         for k, v in (vectors or {}).items()}
         # orthonormal columns: a substructure's space, or an extension's summand, in the parent
         self.embedding = embedding
         self.parent = None  # an extension's parent, on whose blocks its types are read
+
+    @property
+    def discrete(self) -> Subspace:
+        """H_d, acl of the empty set: Q's columns of the blocks it fills."""
+        return self._discrete
 
     @property
     def dim(self) -> int:
@@ -76,7 +88,8 @@ class Structure:
         return self.dim == 0
 
     def essential(self) -> Subspace:
-        return self.discrete.perp()
+        """H_d's orthogonal complement: Q's columns of the blocks it misses."""
+        return Subspace._certified(self.dim, _block_span(self, filled=False), self.tol)
 
     def vector(self, name: str) -> np.ndarray:
         if name not in self.vectors:
@@ -107,6 +120,13 @@ class Structure:
         if b.shape[1]:  # ||P - E(P)||_F, the residual of P's block read
             _require_sum_of_classes(self.algebra._read(b @ b.conj().T)[1], b.shape[1], self.tol,
                                     "its projector lies off the algebra")
+            # the flags are read from the declared basis, which the blocks then replace
+            filled = _block_span(self, filled=True)
+            if filled.shape[1] != b.shape[1]:
+                raise ValueError(
+                    "declared discrete subspace is not a sum of isotypic components: the "
+                    f"blocks it fills have dimension {filled.shape[1]}, not {b.shape[1]}")
+            self._discrete = Subspace._certified(n, filled, self.tol)
 
 
 def _require_sum_of_classes(defect: float, dim: int, tol, how: str) -> None:
@@ -171,7 +191,9 @@ def _rows(s: Structure, *sets) -> list:
     space, from one solve over the non-empty sets: a lone set as its (t, n)
     vectors, several as their (P, t, n) stack, each padded with zero rows to
     the longest, t vectors.  linalg.stack_ranges cuts each set of a stack on
-    its own, and zero rows change neither a rank nor a span."""
+    its own, and zero rows change neither a rank nor a span.  The solve's
+    rows are checked orthonormal once (_check_rows), for every closure
+    taken from them."""
     sets = [_fitting(s, vectors) for vectors in sets]
     solved = [i for i, vecs in enumerate(sets) if vecs] if s.dim else []
     out = [None] * len(sets)
@@ -184,6 +206,7 @@ def _rows(s: Structure, *sets) -> list:
     else:
         return out
     rows = _block_rows(s.algebra.block_decomposition(), _require_finite(vs, "span input"), s.tol)
+    _check_rows(rows, s.tol)
     for j, i in enumerate(solved):
         out[i] = rows if vs.ndim == 2 else [(u[j], keep[j]) for u, keep in rows]
     return out
@@ -235,20 +258,30 @@ def _columns(dec, rows) -> np.ndarray:
 def _discrete_blocks(s: Structure):
     """(full, u, keep) per group: full marks the blocks the discrete part
     fills, and u = I with keep their m_i rows are its block rows.  Its squared
-    norm on block i is k_i m_i or 0 (Structure), and a block is filled unless
-    that is certified zero at k_i m_i.  Read on the first call and kept on s,
-    keyed to its discrete part and algebra."""
-    cached = s._discrete_blocks
-    if cached is None or cached[0] is not s.discrete or cached[1] is not s.algebra:
+    norm on block i is k_i m_i or 0 (Structure), and it is read as the nearer
+    of the two, which a loose eq_abs cannot tip as a certified zero at k_i m_i
+    would (100 eq_abs >= 1 takes a full block for zero).  Read once per
+    structure and kept: from the declared basis as Structure validates it,
+    else on first call."""
+    if s._filled is None:
         dec = s.algebra.block_decomposition()
         blocks = []
         for g, y in zip(dec.groups, dec.coordinates(s.discrete.basis)):
-            full = ~s.tol.certified((np.abs(y) ** 2).sum((1, 2, 3)), g.k * g.m)
+            full = 2 * (np.abs(y) ** 2).sum((1, 2, 3)) > g.k * g.m
             mm = y.shape[2]
             blocks.append((full, np.eye(mm)[None].repeat(full.size, 0),
                            full[:, None] & (np.arange(mm) < g.m[:, None])))
-        cached = s._discrete_blocks = (s.discrete, s.algebra, blocks)
-    return cached[2]
+        s._filled = blocks
+    return s._filled
+
+
+def _block_span(s: Structure, filled: bool) -> np.ndarray:
+    """Q's columns, in Q's order, of the blocks the discrete part fills, or
+    of those it misses: orthonormal, as BlockDecomposition certifies Q
+    unitary."""
+    dec = s.algebra.block_decomposition()
+    full = np.concatenate([np.zeros(0, dtype=bool)] + [f for f, _, _ in _discrete_blocks(s)])
+    return dec.change_of_basis[:, np.repeat(full == filled, [k * m for k, m in dec.blocks])]
 
 
 def _acl_rows(s: Structure, rows):
@@ -265,18 +298,18 @@ def _acl_rows(s: Structure, rows):
 
 def _closure_basis(s: Structure, rows, discrete: bool = False) -> np.ndarray:
     """The (n, r) orthonormal columns of the closure of block rows (dcl, or
-    acl with `discrete`), the one form every closure takes (_columns): the
-    rows are checked orthonormal (_check_rows), as BlockDecomposition's
-    unitarity certificate bounds the columns' Gram by theirs.  For None, an
-    empty set, the dcl has no columns and the acl is the discrete part's
-    basis."""
+    acl with `discrete`), the one form every closure takes (_columns).  They
+    are orthonormal as the rows are unitary, which _rows certifies once per
+    solve: BlockDecomposition's unitarity certificate bounds the columns'
+    Gram by the rows', and acl's rows take I on the blocks H_d fills.  For
+    None, an empty set, the dcl has no columns and the acl is H_d, Q's
+    columns of those blocks."""
     if discrete and s.discrete.dim:
         if rows is None:
             return s.discrete.basis
         rows = _acl_rows(s, rows)
     if rows is None:
         return np.zeros((s.dim, 0), dtype=complex)
-    _check_rows(rows, s.tol)
     return _columns(s.algebra.block_decomposition(), rows)
 
 
@@ -391,7 +424,8 @@ def _residuals(vs: np.ndarray, proj: np.ndarray, tol) -> np.ndarray:
 
 
 def essential_discrete_parts(s: Structure, v: np.ndarray):
-    """Split v = v_e + v_d along the declared essential/discrete decomposition."""
+    """Split v = v_e + v_d along H_d, Q's columns of the blocks it fills,
+    and its complement."""
     [v] = _fitting(s, [v])
     v_d = project(s.discrete, v)
     return v - v_d, v_d
@@ -548,7 +582,10 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
       of H_d (+) 0 and E' the new conditional expectation.  The new defect
       is ||d1^H b||_F^2 = sum k_i r_i over the blocks H_d fills, while
       ||P' - E'(P')||_F^2 = sum k_i m_i r_i / (m_i + r_i) <= sum k_i r_i,
-      so every summand _validate refuses is refused.
+      so every summand _validate refuses is refused.  sum k_i r_i is an
+      integer, so a summand that adds a copy is refused where a loose
+      eq_abs certifies ||d1^H b||_F >= 1: H_d (+) 0 is then the columns of
+      the new blocks it fills, as a validated H_d is of its blocks.
     """
     n = s.dim
     if (isinstance(summand_basis, Subspace) and summand_basis.ambient_dim == n
@@ -562,8 +599,12 @@ def extend_with_summand(s: Structure, summand_basis: Subspace | np.ndarray) -> S
             f"summand is not invariant under the algebra (relative residual {defect:.2e})")
     d1 = s.discrete.basis
     if d1.shape[1]:
-        _require_sum_of_classes(np.linalg.norm(d1.conj().T @ b), d1.shape[1], s.tol,
-                                "the summand meets it")
+        meet = np.linalg.norm(d1.conj().T @ b)
+        _require_sum_of_classes(meet, d1.shape[1], s.tol, "the summand meets it")
+        added = np.rint(meet * meet)  # sum k_i r_i over the blocks H_d fills
+        if added:
+            raise ValueError("declared discrete subspace is not a sum of isotypic components: "
+                             f"the summand adds {added:.0f} dimensions to the blocks it fills")
     k = b.shape[1]
     gens = s.algebra.generators
     gens = _summand_images(np.array(gens, dtype=complex).reshape(len(gens), n, n), b)

@@ -631,7 +631,7 @@ def test_extension_and_essential_acl_svd_counts(svd_calls):
 
 def test_acl_classifies_the_discrete_blocks_once(monkeypatch, svd_calls):
     # the dcl's SVD alone: the discrete part's blocks are flagged by their
-    # norms, once per structure, and again for a new discrete part
+    # norms once per structure, as Structure validates the declared basis
     s = random_structure(PLANS["discrete"])
     rng = np.random.default_rng(20)
     v, w = random_unit_vector(rng, s.dim), random_unit_vector(rng, s.dim)
@@ -639,15 +639,34 @@ def test_acl_classifies_the_discrete_blocks_once(monkeypatch, svd_calls):
     reads = []
     coordinates = dec.coordinates
     monkeypatch.setattr(dec, "coordinates", lambda x: reads.append(x.shape) or coordinates(x))
+    s = Structure(s.algebra, s.discrete)
+    assert reads == [s.discrete.basis.shape]
     svd_calls.clear()
     first = acl(s, [v, w])
-    assert len(svd_calls) == 1 and reads == [s.discrete.basis.shape]
+    assert len(svd_calls) == 1
     svd_calls.clear()
     assert acl(s, [v, w]).isclose(first) and len(svd_calls) == 1
-    s.discrete = Subspace(s.dim, s.discrete.basis.copy(), s.tol)
-    svd_calls.clear()
-    assert acl(s, [v, w]).isclose(first) and len(svd_calls) == 1
-    assert reads == [s.discrete.basis.shape] * 2
+    assert reads == [s.discrete.basis.shape]
+
+
+def test_block_rows_are_certified_once_per_solve(monkeypatch):
+    # _rows checks the rows it solves, one call for a stacked solve, and the
+    # closures taken from them check nothing again: is_independent makes one
+    # solve, nonforking_extension two (the base and extension set, then the
+    # residuals)
+    s = random_structure(PLANS["discrete"])
+    rng = np.random.default_rng(31)
+    v, e, f = (random_unit_vector(rng, s.dim) for _ in range(3))
+    checks = []
+    check = starrep.representation._check_rows
+    for module in (starrep.representation, starrep.independence):
+        monkeypatch.setattr(module, "_check_rows",
+                            lambda rows, tol: checks.append(len(rows)) or check(rows, tol))
+    is_independent(s, [v], [e], [f])
+    assert len(checks) == 1
+    checks.clear()
+    nonforking_extension(s, v, [e], [e, f])
+    assert len(checks) == 2
 
 
 @pytest.mark.parametrize("plan", sorted(CLOSURE_PLANS))

@@ -149,8 +149,9 @@ def test_orthogonality_support_bound_follows_eq_abs(m2_structure):
 
 # ----- the policy lives in one place ------------------------------------------
 
+# harness.py joins once its literal cutoffs are written under Tolerances
 SCANNED = ("linalg.py", "algebra.py", "representation.py", "independence.py",
-           "functionals.py")
+           "functionals.py", "cli.py", "serialize.py")
 
 
 def _violations(tree):
