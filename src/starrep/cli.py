@@ -16,10 +16,23 @@ three with `harness` for axioms (dcl, acl and decompose load none).  When the
 first argument names a subcommand, only that subcommand's parser is built.
 No subcommand imports numpy.random: extend, decompose and axioms key their
 draws by --seed through linalg.Draws, and a negative seed is an input error.
+
+A process that runs `main()` on its own command line (the `starrep` console
+script, `python -m starrep`, `python -m starrep.cli`) freezes the garbage
+collector at exit: `gc.freeze` is registered with `atexit` once, so the
+interpreter's final collections skip the objects numpy and starrep leave
+behind.  What this skips is finalizing cyclic garbage still alive at exit,
+and the CLI holds none: the scenario file is closed by its `with` and every
+report goes to stdout or stderr.  Handlers registered earlier still run
+after it, stdout and stderr are still flushed and the exit code is
+unchanged.  `main(argv)` with an explicit argv leaves the collector alone.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import json
 import sys
 
@@ -403,8 +416,16 @@ def _render_text(report: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Register `gc.freeze` with `atexit`, once per process."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    if argv is None:
+        argv = sys.argv[1:]
+        _freeze_heap_at_exit()
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     handler = _COMMANDS[args.command][0]

@@ -228,6 +228,15 @@ def test_text_output(capsys):
     assert capsys.readouterr().out == ""
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this starrep, with
+    the default block-buffered stdout of a pipe."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 CORE = {"starrep", "starrep.linalg", "starrep.algebra", "starrep.representation"}
 LEAVES = {"starrep.independence", "starrep.functionals", "starrep.harness"}
 # runs a command (or only imports starrep) in a fresh interpreter and reports
@@ -269,11 +278,9 @@ print(json.dumps(out))
     (["decompose", M2, "--seed", "1"], set()),
 ], ids=["import", "indep", "gns", "decompose", "axioms", "extend-seeded", "decompose-seeded"])
 def test_process_loads_only_the_layers_it_runs(argv, leaves):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(starrep.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     out = json.loads(subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argv)],
-        env=env, capture_output=True, text=True, check=True).stdout)
+        env=_child_env(), capture_output=True, text=True, check=True).stdout)
     loaded = set(out["loaded"])
     assert loaded & LEAVES == {f"starrep.{m}" for m in leaves}
     assert not out["scipy"]
@@ -342,3 +349,74 @@ def test_a_discrete_part_that_splits_a_class_is_an_input_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "scenario does not define a valid structure" in err
     assert "not a sum of isotypic components" in err
+
+
+# the commands of the golden-file acceptance criterion
+GOLDEN = [
+    ["indep", DIAG, "e1", "", "e2"], ["indep", DIAG, "u", "", "e1"],
+    ["cbase", DIAG, "u", "E1"], ["dcl", DIAG, ""], ["acl", DIAG_HD, ""],
+    ["extend", DIAG, "e1", "", "E1"],
+    ["gns", DIAG, "--state", "[[[1,0],[0,0]],[[0,0],[1,0]]]"], ["gns", DIAG, "e1"],
+    ["orth", DIAG, "e1", "e2", ""], ["orth", DIAG, "u", "u", ""],
+    ["dom", DIAG, "u", "e1", ""], ["dom", M2, "e1", "e2", ""],
+    ["embed", DIAG, "e1", "u"], ["embed", M2, "e1", "e2"], ["rn", DIAG, "u", "e1"],
+    ["typeq", DIAG, "e1", "e2", ""], ["typeq", DIAG, "u", "u", ""],
+    ["fbase", DIAG, "u", "both", "1e-6"], ["decompose", M2], ["decompose", DIAG],
+]
+# (argv, exit code): the golden commands under --json, a text report, exit 1
+# under --strict, exit 2 from an unknown vector and from argparse, and a report
+# larger than a pipe buffer, which a truncated flush at exit would cut short
+PARITY = [
+    *[(argv + ["--json"], 0) for argv in GOLDEN],
+    (["indep", DIAG, "u", "", "e1"], 0),
+    (["indep", DIAG, "u", "", "e1", "--strict", "--json"], 1),
+    (["indep", DIAG, "nope", "", "e1", "--json"], 2),
+    (["indep", DIAG, "u", ""], 2),
+    (["axioms", "--trials", "5", "--dim", "12", "--json"], 0),
+]
+LAUNCHERS = [["-c", "import sys; from starrep.cli import main; sys.exit(main())"],
+             ["-m", "starrep"]]
+
+
+@pytest.mark.parametrize("argv, code", PARITY, ids=[
+    "-".join(os.path.basename(a) or "''" for a in argv) for argv, _ in PARITY])
+def test_a_command_prints_and_exits_alike_in_and_out_of_process(argv, code, capsys):
+    try:
+        assert cli.main(argv) == code
+    except SystemExit as err:
+        assert err.code == code
+    out = capsys.readouterr().out.encode()
+    for launcher in LAUNCHERS:
+        child = subprocess.run([sys.executable, *launcher, *argv], env=_child_env(),
+                               capture_output=True)
+        assert (child.returncode, child.stdout) == (code, out), child.stderr
+
+
+# runs main once or twice in a fresh interpreter, on its own command line or
+# on an explicit argv, and at exit reports the frozen object count seen by a
+# handler registered before main (atexit runs the last registered first) and
+# the number of atexit handlers main registered
+EXIT_PROBE = """
+import atexit, contextlib, gc, io, json, sys
+from starrep import cli
+explicit, calls = json.loads(sys.argv[1])
+sys.argv = ["starrep", "decompose", sys.argv[2]]
+report = {}
+atexit.register(lambda: print(json.dumps(dict(report, frozen=gc.get_freeze_count()))))
+before = atexit._ncallbacks()
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(calls):
+        assert (cli.main(sys.argv[1:]) if explicit else cli.main()) == 0
+report["hooks"] = atexit._ncallbacks() - before
+"""
+
+
+@pytest.mark.parametrize("explicit, calls, hooks", [
+    (False, 1, 1), (False, 2, 1), (True, 1, 0),
+], ids=["argv-once", "argv-twice", "explicit"])
+def test_only_a_command_line_run_freezes_the_heap_at_exit(explicit, calls, hooks):
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, json.dumps([explicit, calls]), M2],
+        env=_child_env(), capture_output=True, text=True, check=True).stdout)
+    assert out["hooks"] == hooks
+    assert (out["frozen"] > 0) == (hooks > 0)
